@@ -24,6 +24,7 @@ import numpy as np
 
 from .galois import (
     Matrix,
+    _random_matrix,
     field_of_order,
     hamming_weight,
     iter_vectors,
@@ -150,10 +151,8 @@ def random_ic_search(
     if N <= 0:
         return RandomSearchResult(None, 0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    q, d_S = inst.q, inst.d_S
     for attempt in range(1, max_attempts + 1):
-        entries = rng.integers(0, q, size=(N, d_S))
-        L = Matrix(inst.field, entries.tolist(), d_S)
+        L = _random_matrix(rng, inst.field, N, inst.d_S)
         if delta == 0:
             if all(realizes_ic(L, inst)):
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
@@ -299,12 +298,11 @@ def extended_rs_generator(q: int, N: int, k: int) -> Matrix:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     if N > q + 1:
         raise ValueError(f"length {N} exceeds q + 1 = {q + 1}")
-    rows = []
-    for r in range(k):
-        row = [f.pow(x, r) for x in range(N - 1)]
-        row.append(1 if r == k - 1 else 0)
-        rows.append(row)
-    g = Matrix(f, rows, N)
+    rows = tuple(
+        tuple(f.pow(x, r) for x in range(N - 1)) + (1 if r == k - 1 else 0,)
+        for r in range(k)
+    )
+    g = Matrix._trusted(f, rows, N)
     if N <= 8:
         assert all(
             mat_rank(g.take_cols(cols)) == k for cols in combinations(range(N), k)

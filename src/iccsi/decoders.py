@@ -25,7 +25,7 @@ bits per digit.  Frames carry only fields with the canonical modulus.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from io import BufferedIOBase
 from itertools import combinations
 
@@ -37,6 +37,7 @@ from .galois import (
     mat_rref,
     null_space,
     right_inverse,
+    _solve_left_rref,
     solve_left,
     vstack,
 )
@@ -44,7 +45,6 @@ from .instance import IccsiInstance
 
 SYNDROME_NOT_FOUND = "SyndromeNotFound"
 TRAP_FAILURE_DETECTED = "TrapFailureDetected"
-UNDETECTED_RISK_FLAG = "UndetectedRiskFlag"
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,10 @@ def build_parity(
     lvs = L * inst.V_S
     lp = lvs * transform.M
     d = inst.users[i].d
-    request_col = Matrix(inst.field, ((x,) for x in lp.col(d)), 1)
+    request_col = lp.take_cols((d,))
     trailing = lp.take_cols(range(d + 1, inst.n))
     block = hstack(request_col, trailing) if trailing.ncols else request_col
-    target = Matrix(inst.field, ((1,) + (0,) * trailing.ncols,), block.ncols)
+    target = Matrix._trusted(inst.field, ((1,) + (0,) * trailing.ncols,), block.ncols)
     h = solve_left(block, target)
     if h is None:
         raise ValueError(
@@ -122,10 +122,18 @@ def build_parity(
 
 @dataclass(frozen=True)
 class UserDecoder:
-    """Bundle of the per-user precomputations both decode steps need."""
+    """Bundle of the per-user precomputations both decode steps need.
+
+    ``support_rref`` maps an error support (a tuple of row indices) to the
+    RREF of the transposed ``H_upper`` columns it selects.  The syndrome
+    search fills it on first use, so each support is eliminated once per
+    decoder rather than once per call.  It takes no part in equality or
+    hashing.
+    """
 
     transform: UserTransform
     parity: ParityData
+    support_rref: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
@@ -139,7 +147,6 @@ class DecodeOutcome:
 
     demand: Matrix | None
     failure: str | None = None
-    risk_flag: bool = False
 
     @property
     def ok(self) -> bool:
@@ -168,7 +175,7 @@ def syndrome_decode(
     syndrome = pd.H * diff
     alpha = syndrome.take_rows((0,))
     beta = syndrome.take_rows(range(1, syndrome.nrows))
-    eps = _match_syndrome(pd.H_upper, beta, delta)
+    eps = _match_syndrome(ctx, beta, delta)
     if eps is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     corrected = alpha - pd.h * eps
@@ -177,29 +184,35 @@ def syndrome_decode(
     return DecodeOutcome(demand)
 
 
-def _match_syndrome(h_upper: Matrix, beta: Matrix, delta: int) -> Matrix | None:
+def _match_syndrome(ctx: UserDecoder, beta: Matrix, delta: int) -> Matrix | None:
     """First error pattern with <= delta nonzero rows whose syndrome is beta.
 
     Supports are scanned by increasing size, then lexicographically; the
-    per-support values come from the canonical linear solve.  Returns an
-    N x t matrix or None.
+    per-support values come from the canonical linear solve, against the
+    support eliminations memoized on ``ctx``.  Returns an N x t matrix or
+    None.
     """
+    h_upper = ctx.parity.H_upper
     f = h_upper.field
     n_rows = h_upper.ncols
     t = beta.ncols
     if beta.is_zero():
         return Matrix.zeros(f, n_rows, t)
+    memo = ctx.support_rref
+    beta_t = beta.transpose()
     for size in range(1, delta + 1):
         for support in combinations(range(n_rows), size):
-            cols = h_upper.take_cols(support)
-            sol = solve_left(cols.transpose(), beta.transpose())
+            res = memo.get(support)
+            if res is None:
+                res = memo[support] = mat_rref(h_upper.take_cols(support).transpose())
+            sol = _solve_left_rref(res, beta_t)
             if sol is None:
                 continue
-            values = sol.transpose()
-            rows = [[0] * t for _ in range(n_rows)]
+            values = sol.transpose().rows
+            rows = [(0,) * t] * n_rows
             for k, r in enumerate(support):
-                rows[r] = list(values.rows[k])
-            return Matrix(f, rows, t)
+                rows[r] = values[k]
+            return Matrix._trusted(f, tuple(rows), t)
     return None
 
 

@@ -25,6 +25,14 @@ Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: Gaussian elimination scans columns left to right, and
 underdetermined systems are resolved by setting every free variable to zero,
 so equal inputs always produce identical outputs.
+
+Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
+constructor checks every row length and entry, and it is what parsers, file
+loaders and callers outside the package use.  Every matrix this module
+computes (sums, products, slices, stacks, eliminations, solutions) is built
+with the unchecked :meth:`Matrix._trusted`, because its entries come from
+field operations on already-valid matrices; so are the matrices other
+modules of the package compute the same way.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_FIELD_ORDER = 1 << 16
@@ -96,6 +105,21 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     for tail in itertools.product(range(p), repeat=e):
         cand = list(tail) + [1]
@@ -135,10 +159,14 @@ class Field:
         self.q = q
         self.modulus: tuple[int, ...] = tuple(modulus)
         self._build_tables()
-        if p == 2 and e > 1:
+        if p == 2:
+            # Characteristic 2: the base-2 digit encoding makes + and - XOR,
+            # and every element is its own negative.
             self.add = operator.xor
             self.sub = operator.xor
-            self.neg = lambda a: a
+            self.neg = operator.pos
+            if q == 2:
+                self.mul = operator.and_
         elif e == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
@@ -167,20 +195,27 @@ class Field:
             out += c * p**i
         return out
 
+    def _pow_raw(self, a: int, k: int) -> int:
+        """a^k by square-and-multiply on :meth:`_mul_raw`, k >= 0."""
+        out = 1
+        while k:
+            if k & 1:
+                out = self._mul_raw(out, a)
+            k >>= 1
+            if k:
+                a = self._mul_raw(a, a)
+        return out
+
     def _build_tables(self) -> None:
         q = self.q
-        # Find a generator of the multiplicative group by order testing.
-        gen = None
-        for cand in range(1, q):
-            seen = 1
-            x = cand
-            while x != 1:
-                x = self._mul_raw(x, cand)
-                seen += 1
-            if seen == q - 1:
-                gen = cand
-                break
-        assert gen is not None
+        # The first candidate of multiplicative order q - 1 generates the
+        # group: g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        gen = next(
+            cand
+            for cand in range(1, q)
+            if all(self._pow_raw(cand, k) != 1 for k in cofactors)
+        )
         exp = [1] * (q - 1)
         log = [0] * q
         x = 1
@@ -231,9 +266,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k < 0:
@@ -245,7 +277,7 @@ class Field:
         return range(self.q)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Field)
             and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
         )
@@ -293,8 +325,17 @@ def field_of_order(q: int) -> Field:
     return field_new(p, e)
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
 class Matrix:
-    """Immutable matrix over a :class:`Field`, rows stored as tuples of ints."""
+    """Immutable matrix over a :class:`Field`, rows stored as tuples of ints.
+
+    ``Matrix(field, rows, ncols)`` validates its input: equal row lengths and
+    every entry in ``range(q)``.  Kernels build their results with
+    :meth:`_trusted`, which skips those checks.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -314,10 +355,24 @@ class Matrix:
             for x in r:
                 if not 0 <= x < q:
                     raise ValueError(f"entry {x} outside field of order {q}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", ncols)
+        _setattr(self, "field", field)
+        _setattr(self, "rows", data)
+        _setattr(self, "nrows", len(data))
+        _setattr(self, "ncols", ncols)
+
+    @classmethod
+    def _trusted(cls, field: Field, rows: tuple[tuple[int, ...], ...], ncols: int) -> "Matrix":
+        """Unchecked constructor for results of field operations.
+
+        ``rows`` must already be a tuple of int tuples, each of length
+        ``ncols``, with entries in ``range(field.q)``.
+        """
+        self = _new(cls)
+        _setattr(self, "field", field)
+        _setattr(self, "rows", rows)
+        _setattr(self, "nrows", len(rows))
+        _setattr(self, "ncols", ncols)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -326,11 +381,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, ((0,) * ncols for _ in range(nrows)), ncols)
+        return cls._trusted(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, (tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._trusted(field, _unit_rows(n), n)
 
     @classmethod
     def row_vector(cls, field: Field, entries: Iterable[int]) -> "Matrix":
@@ -356,7 +411,7 @@ class Matrix:
         return self.rows[ij[0]][ij[1]]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -377,67 +432,82 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         add = self.field.add
-        return Matrix(
-            self.field,
-            (tuple(add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        rows = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         sub = self.field.sub
-        return Matrix(
-            self.field,
-            (tuple(sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        rows = tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, (tuple(neg(a) for a in r) for r in self.rows), self.ncols)
+        rows = tuple(tuple(map(neg, r)) for r in self.rows)
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Product by row combination: row i is the sum of a_ik * row_k(other)."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field:
+        f = self.field
+        if f != other.field:
             raise ValueError("fields differ")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        f = self.field
         add, mul = f.add, f.mul
-        bt = tuple(zip(*other.rows)) if other.nrows else ((),) * other.ncols
+        brows = other.rows
+        zero = (0,) * other.ncols
         out = []
         for ra in self.rows:
-            orow = []
-            for cb in bt:
-                acc = 0
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Matrix(f, out, other.ncols)
+            acc = zero
+            for a, rb in zip(ra, brows):
+                if a:
+                    if a != 1:
+                        rb = tuple(map(mul, repeat(a), rb))
+                    acc = tuple(map(add, acc, rb))
+            out.append(acc)
+        return Matrix._trusted(f, tuple(out), other.ncols)
 
     def scale(self, c: int) -> "Matrix":
         mul = self.field.mul
-        return Matrix(self.field, (tuple(mul(c, a) for a in r) for r in self.rows), self.ncols)
+        rows = tuple(tuple(map(mul, repeat(c), r)) for r in self.rows)
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows) if self.nrows else (), self.nrows)
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Matrix._trusted(self.field, rows, self.nrows)
 
     # -- slicing -------------------------------------------------------
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, (self.rows[i] for i in idx), self.ncols)
+        rows = self.rows
+        return Matrix._trusted(self.field, tuple(rows[i] for i in idx), self.ncols)
 
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, (tuple(r[j] for j in idx) for r in self.rows), len(idx))
+        rows = tuple(tuple(r[j] for j in idx) for r in self.rows)
+        return Matrix._trusted(self.field, rows, len(idx))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise ValueError("fields differ")
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the n x n identity."""
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def _random_matrix(rng, field: Field, nrows: int, ncols: int) -> Matrix:
+    """Uniform nrows x ncols matrix drawn from a numpy Generator.
+
+    ``rng.integers(0, q)`` draws only from ``range(q)``, so the result is
+    built unchecked.
+    """
+    entries = rng.integers(0, field.q, size=(nrows, ncols)).tolist()
+    return Matrix._trusted(field, tuple(map(tuple, entries)), ncols)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -448,7 +518,7 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.field != field or m.ncols != ncols:
             raise ValueError("vstack shape or field mismatch")
         rows.extend(m.rows)
-    return Matrix(field, rows, ncols)
+    return Matrix._trusted(field, tuple(rows), ncols)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -457,8 +527,8 @@ def hstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.field != field or m.nrows != nrows:
             raise ValueError("hstack shape or field mismatch")
-    rows = [sum((m.rows[i] for m in mats), ()) for i in range(nrows)]
-    return Matrix(field, rows, sum(m.ncols for m in mats))
+    rows = tuple(sum((m.rows[i] for m in mats), ()) for i in range(nrows))
+    return Matrix._trusted(field, rows, sum(m.ncols for m in mats))
 
 
 @dataclass(frozen=True)
@@ -478,70 +548,65 @@ class RrefResult:
         return len(self.pivots)
 
 
+def _clear_column(work: list, col: int, r: int, start: int, sub, mul) -> None:
+    """Zero column col in every row of work[start:] except pivot row r.
+
+    Each row op is a whole-row map.  In characteristic 2 sub is XOR, so the
+    map runs in C; only a multiplier other than 1 costs a call per entry.
+    """
+    rowr = work[r]
+    for i in range(start, len(work)):
+        if i != r:
+            x = work[i][col]
+            if x:
+                scaled = rowr if x == 1 else map(mul, repeat(x), rowr)
+                work[i] = tuple(map(sub, work[i], scaled))
+
+
+def _normalize_pivot(work: list, col: int, r: int, sel: int, mul, inv) -> None:
+    """Move row sel to position r and scale it so column col holds 1."""
+    work[r], work[sel] = work[sel], work[r]
+    piv = work[r][col]
+    if piv != 1:
+        work[r] = tuple(map(mul, repeat(inv(piv)), work[r]))
+
+
 def mat_rref(m: Matrix) -> RrefResult:
     """Canonical reduced row echelon form, scanning columns left to right."""
     f = m.field
-    add, mul, inv, neg = f.add, f.mul, f.inv, f.neg
+    sub, mul, inv = f.sub, f.mul, f.inv
     n, c = m.nrows, m.ncols
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
+    work = [r + u for r, u in zip(m.rows, _unit_rows(n))]
     pivots: list[int] = []
     r = 0
     for col in range(c):
-        sel = None
-        for i in range(r, n):
-            if work[i][col]:
-                sel = i
-                break
+        sel = next((i for i in range(r, n) if work[i][col]), None)
         if sel is None:
             continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = inv(work[r][col])
-        if piv != 1:
-            work[r] = [mul(piv, x) for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                factor = neg(work[i][col])
-                rowr = work[r]
-                rowi = work[i]
-                for j in range(col, c + n):
-                    if rowr[j]:
-                        rowi[j] = add(rowi[j], mul(factor, rowr[j]))
+        _normalize_pivot(work, col, r, sel, mul, inv)
+        _clear_column(work, col, r, 0, sub, mul)
         pivots.append(col)
         r += 1
         if r == n:
             break
-    red = Matrix(f, (tuple(w[:c]) for w in work), c)
-    tr = Matrix(f, (tuple(w[c:]) for w in work), n)
+    red = Matrix._trusted(f, tuple(w[:c] for w in work), c)
+    tr = Matrix._trusted(f, tuple(w[c:] for w in work), n)
     return RrefResult(red, tuple(pivots), tr)
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank by plain forward elimination, cheaper than the full RREF."""
     f = m.field
-    add, mul, inv, neg = f.add, f.mul, f.inv, f.neg
-    work = [list(r) for r in m.rows]
+    sub, mul, inv = f.sub, f.mul, f.inv
+    work = list(m.rows)
     n, c = m.nrows, m.ncols
     r = 0
     for col in range(c):
-        sel = None
-        for i in range(r, n):
-            if work[i][col]:
-                sel = i
-                break
+        sel = next((i for i in range(r, n) if work[i][col]), None)
         if sel is None:
             continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = inv(work[r][col])
-        if piv != 1:
-            work[r] = [mul(piv, x) for x in work[r]]
-        rowr = work[r]
-        for i in range(r + 1, n):
-            if work[i][col]:
-                factor = neg(work[i][col])
-                rowi = work[i]
-                for j in range(col, c):
-                    if rowr[j]:
-                        rowi[j] = add(rowi[j], mul(factor, rowr[j]))
+        _normalize_pivot(work, col, r, sel, mul, inv)
+        _clear_column(work, col, r, r + 1, sub, mul)
         r += 1
         if r == n:
             break
@@ -566,16 +631,17 @@ def null_space(m: Matrix) -> Matrix:
     piv = set(res.pivots)
     free = [j for j in range(m.ncols) if j not in piv]
     neg = f.neg
+    red = res.rref.rows
     cols = []
     for j in free:
         v = [0] * m.ncols
         v[j] = 1
         for i, pc in enumerate(res.pivots):
-            v[pc] = neg(res.rref[i, j])
+            v[pc] = neg(red[i][j])
         cols.append(v)
     if not cols:
-        return Matrix(f, ((() for _ in range(m.ncols))), 0)
-    return Matrix(f, zip(*cols), len(cols))
+        return Matrix._trusted(f, ((),) * m.ncols, 0)
+    return Matrix._trusted(f, tuple(zip(*cols)), len(cols))
 
 
 def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
@@ -584,37 +650,43 @@ def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
     Free variables are set to zero, so X uses only the pivot rows of ``a``.
     Solves row by row: each row of ``b`` must lie in the row space of ``a``.
     """
-    if a.field != b.field or a.ncols != b.ncols:
+    return _solve_left_rref(mat_rref(a), b)
+
+
+def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
+    """:func:`solve_left` for an ``a`` whose :func:`mat_rref` is ``res``.
+
+    Lets a caller that solves many systems with the same ``a`` eliminate it
+    once.  Raises ValueError unless ``b`` has ``a.ncols`` columns over the
+    same field: the row reduction below zips rows, and would silently drop
+    the extra columns of a wider ``b``.
+    """
+    f = res.rref.field
+    if b.field != f or b.ncols != res.rref.ncols:
         raise ValueError("solve_left shape or field mismatch")
-    f = a.field
-    res = mat_rref(a)
-    rk = res.rank
-    red = res.rref
+    add, sub, mul = f.add, f.sub, f.mul
+    red = res.rref.rows
+    trans = res.transform.rows
+    zero = (0,) * res.transform.ncols
     out_rows = []
     for brow in b.rows:
-        # Reduce brow against the RREF rows, tracking coefficients.
-        vec = list(brow)
-        coefs = [0] * rk
-        sub, mul = f.sub, f.mul
+        # Reduce brow against the RREF rows; the same combination of the
+        # transform rows expresses it through the original rows.
+        vec = brow
+        xrow = zero
         for i, pc in enumerate(res.pivots):
             c = vec[pc]
             if c:
-                coefs[i] = c
-                rr = red.rows[i]
-                vec = [sub(x, mul(c, y)) for x, y in zip(vec, rr)]
+                if c == 1:
+                    rr, tr = red[i], trans[i]
+                else:
+                    rr, tr = map(mul, repeat(c), red[i]), map(mul, repeat(c), trans[i])
+                vec = tuple(map(sub, vec, rr))
+                xrow = tuple(map(add, xrow, tr))
         if any(vec):
             return None
-        # Express through the original rows: coefs row times transform rows.
-        add = f.add
-        xrow = [0] * a.nrows
-        for i, c in enumerate(coefs):
-            if c:
-                trow = res.transform.rows[i]
-                for j, t in enumerate(trow):
-                    if t:
-                        xrow[j] = add(xrow[j], mul(c, t))
-        out_rows.append(tuple(xrow))
-    return Matrix(f, out_rows, a.nrows)
+        out_rows.append(xrow)
+    return Matrix._trusted(f, tuple(out_rows), res.transform.ncols)
 
 
 def right_inverse(a: Matrix) -> Matrix | None:
@@ -718,7 +790,7 @@ def iter_subspace_bases(field: Field, ambient: int, dim: int) -> Iterator[Matrix
     in odometer order, so each subspace appears exactly once.
     """
     if dim == 0:
-        yield Matrix(field, (), ambient)
+        yield Matrix._trusted(field, (), ambient)
         return
     if dim > ambient:
         return
@@ -736,9 +808,9 @@ def iter_subspace_bases(field: Field, ambient: int, dim: int) -> Iterator[Matrix
         for i, pc in enumerate(pivots):
             base[i][pc] = 1
         if not slots:
-            yield Matrix(field, base, ambient)
+            yield Matrix._trusted(field, tuple(map(tuple, base)), ambient)
             continue
         for vals in iter_vectors(field, len(slots)):
             for (i, j), v in zip(slots, vals):
                 base[i][j] = v
-            yield Matrix(field, base, ambient)
+            yield Matrix._trusted(field, tuple(map(tuple, base)), ambient)

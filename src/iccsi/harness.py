@@ -35,7 +35,7 @@ from .decoders import (
     syndrome_decode,
     trap_pad,
 )
-from .galois import Matrix, hstack, rank_weight
+from .galois import Matrix, _random_matrix, hstack, rank_weight
 from .instance import IccsiInstance, load_instance
 
 
@@ -177,11 +177,20 @@ def run_simulation(
         if cfg.error_weight > enc.N:
             raise ValueError("error weight exceeds the code length")
         decoders = [build_user_decoder(inst, enc.L, i) for i in range(m)]
+    else:
+        # A (v+N) x (v+ell) error cannot have rank above its smaller side.
+        v = cfg.trap_pad
+        ell = inst.t if cfg.lvs_shared else inst.d_S + inst.t
+        if cfg.error_weight > min(v + enc.N, v + ell):
+            raise ValueError(
+                f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
+                f"{min(v + enc.N, v + ell)} for v={v}, N={enc.N}, ell={ell}"
+            )
     for trial in range(cfg.trials):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, trial]))
         )
-        X = Matrix(inst.field, rng.integers(0, q, size=(n, t)).tolist(), t)
+        X = _random_matrix(rng, inst.field, n, t)
         wanted = [r * X for r in requests]
         lams = [v * X for v in caches]
         if cfg.metric == HAMMING:
@@ -212,24 +221,27 @@ def _tally(row: list[int], demand: Matrix | None, wanted: Matrix) -> None:
 
 
 def _hamming_error(rng, field, N: int, t: int, weight: int) -> Matrix:
-    rows = [[0] * t for _ in range(N)]
+    rows = [(0,) * t] * N
     if weight:
         support = rng.choice(N, size=weight, replace=False)
         for r in support:
             vec = rng.integers(0, field.q, size=t)
             while not vec.any():
                 vec = rng.integers(0, field.q, size=t)
-            rows[int(r)] = [int(x) for x in vec]
-    return Matrix(field, rows, t)
+            rows[int(r)] = tuple(vec.tolist())
+    return Matrix._trusted(field, tuple(rows), t)
 
 
 def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> Matrix:
+    """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r.
+
+    Terminates only for r <= min(nrows, ncols); run_simulation rejects
+    larger ranks before any trial.
+    """
     if r == 0:
         return Matrix.zeros(field, nrows, ncols)
     while True:
-        a = Matrix(field, rng.integers(0, field.q, size=(nrows, r)).tolist(), r)
-        b = Matrix(field, rng.integers(0, field.q, size=(r, ncols)).tolist(), ncols)
-        w = a * b
+        w = _random_matrix(rng, field, nrows, r) * _random_matrix(rng, field, r, ncols)
         if rank_weight(w) == r:
             return w
 

@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from .galois import (
     Field,
     Matrix,
+    _random_matrix,
     field_new,
     mat_rank,
     null_space,
@@ -248,15 +249,15 @@ def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     ra = row_basis(a)
     rb = row_basis(b)
     if ra.nrows == 0 or rb.nrows == 0:
-        return Matrix(a.field, (), a.ncols)
+        return Matrix._trusted(a.field, (), a.ncols)
     stacked = vstack(ra, rb)
     left_kernel = null_space(stacked.transpose())  # columns are (x | y)
     rows = []
     for k in range(left_kernel.ncols):
         coef = left_kernel.col(k)[: ra.nrows]
-        vec = Matrix(a.field, (coef,), ra.nrows) * ra
+        vec = Matrix._trusted(a.field, (coef,), ra.nrows) * ra
         rows.append(vec.rows[0])
-    return row_basis(Matrix(a.field, rows, a.ncols))
+    return row_basis(Matrix._trusted(a.field, tuple(rows), a.ncols))
 
 
 def _count_kernel_dim(inst: IccsiInstance, i: int) -> int:
@@ -320,7 +321,7 @@ def iter_confusable(
                     for r in range(n):
                         if col[r]:
                             rows[r][c] = add(rows[r][c], mul(v, col[r]))
-        yield Matrix(f, rows, t)
+        yield Matrix._trusted(f, tuple(map(tuple, rows)), t)
 
 
 def sample_confusable(
@@ -337,11 +338,9 @@ def sample_confusable(
     u = inst.users[i]
     K = null_space(u.V)
     k = K.ncols
-    q, t = inst.q, inst.t
     produced = 0
     while produced < count:
-        c = rng.integers(0, q, size=(k, t))
-        C = Matrix(inst.field, c.tolist(), t)
+        C = _random_matrix(rng, inst.field, k, inst.t)
         if (u.R * K * C).is_zero():
             continue
         produced += 1

@@ -142,7 +142,7 @@ def min_rank(
         for coef in _coef_odometer(q, w.nrows):
             a = u.R
             if any(coef):
-                a = a + Matrix(f, (coef,), w.nrows) * w
+                a = a + Matrix._trusted(f, (coef,), w.nrows) * w
             rows.append(a.rows[0])
         per_user_rows.append(rows)
     m, n = inst.m, inst.n
@@ -195,8 +195,8 @@ def min_rank(
 
     walk(m - 1, [])
     assert best[0] is not None
-    chosen = Matrix(
-        f, (per_user_rows[i][best[1][i]] for i in range(m)), n
+    chosen = Matrix._trusted(
+        f, tuple(per_user_rows[i][best[1][i]] for i in range(m)), n
     )
     basis = row_basis(chosen)
     witness = solve_left(inst.V_S, basis)
@@ -274,10 +274,10 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     nodes = 0
 
     def vec_add(a, b):
-        return tuple(add(x, y) for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def vec_scale(c, a):
-        return tuple(mul(c, x) for x in a)
+        return a if c == 1 else tuple(map(mul, itertools.repeat(c), a))
 
     best_basis: list[list[tuple[int, ...]]] = [[]]
 
@@ -320,5 +320,9 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     span_set: set[tuple[int, ...]] = {zero}
     extend(0, [zero], [])
     basis_rows = best_basis[0]
-    witness = row_basis(Matrix(f, basis_rows, n)) if basis_rows else Matrix(f, (), n)
+    witness = (
+        row_basis(Matrix._trusted(f, tuple(basis_rows), n))
+        if basis_rows
+        else Matrix._trusted(f, (), n)
+    )
     return AlphaResult(len(basis_rows), witness, nodes)

@@ -205,6 +205,22 @@ def test_syndrome_decode_with_canonical_context(syn_inst):
     assert out.failure is None and out.demand.rows == ((1,),)
 
 
+def test_support_memo_reused_and_outside_equality(syn_inst):
+    L = Matrix(F2, SYN_L)
+    X = Matrix.column_vector(F2, (1, 1, 1, 1))
+    Y = L * X + Matrix.column_vector(F2, (0, 0, 0, 1, 0))
+    lam = syn_inst.users[3].V * X
+    warm, cold = build_user_decoder(syn_inst, L, 3), build_user_decoder(syn_inst, L, 3)
+    first = syndrome_decode(warm, Y, lam, delta=1)
+    filled = dict(warm.support_rref)
+    # the search stopped at support (3,), the first one that explains beta
+    assert sorted(filled) == [(0,), (1,), (2,), (3,)]
+    assert warm == cold and hash(warm) == hash(cold)
+    assert syndrome_decode(warm, Y, lam, delta=1) == first
+    assert all(warm.support_rref[k] is v for k, v in filled.items())
+    assert syndrome_decode(cold, Y, lam, delta=1) == first
+
+
 def test_syndrome_full_sweep(syn_inst):
     """All users, all messages, all errors of weight at most one."""
     L = Matrix(F2, SYN_L)

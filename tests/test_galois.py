@@ -7,6 +7,7 @@ import pytest
 from iccsi.galois import (
     Field,
     Matrix,
+    _solve_left_rref,
     field_new,
     field_of_order,
     gaussian_binomial,
@@ -62,6 +63,40 @@ def test_field_inverses_and_powers(f):
         seen.add(x)
         x = f.mul(x, f.generator)
     assert len(seen) == f.q - 1
+
+
+def _brute_force_generator(f):
+    """First candidate whose powers reach every nonzero element."""
+    for cand in range(1, f.q):
+        seen, x = 1, cand
+        while x != 1:
+            x = f._mul_raw(x, cand)
+            seen += 1
+        if seen == f.q - 1:
+            return cand
+    raise AssertionError("no generator")
+
+
+PRIME_POWERS_TO_256 = [
+    (p, e)
+    for p in range(2, 257)
+    if all(p % d for d in range(2, p))
+    for e in range(1, 9)
+    if p**e <= 256
+]
+
+
+@pytest.mark.parametrize("p,e", PRIME_POWERS_TO_256, ids=lambda v: str(v))
+def test_generator_matches_brute_force_search(p, e):
+    f = Field(p, e)
+    gen = _brute_force_generator(f)
+    assert f.generator == gen
+    exp, x = [], 1
+    for _ in range(f.q - 1):
+        exp.append(x)
+        x = f._mul_raw(x, gen)
+    assert f._exp == exp
+    assert [f._log[v] for v in exp] == list(range(f.q - 1))
 
 
 def test_field_construction_errors():
@@ -206,6 +241,19 @@ def test_solve_left_canonical_and_unsolvable():
     assert x * a == b
     assert x.rows == ((1, 0),)  # free coordinate pinned to zero
     assert solve_left(a, Matrix(f, ((0, 1, 0),))) is None
+
+
+def test_solve_left_rejects_mismatched_b():
+    f = field_new(2, 1)
+    a = Matrix(f, ((1, 0), (0, 1)))
+    # A wider b whose extra column is nonzero has no solution; the check
+    # must raise rather than drop that column.
+    with pytest.raises(ValueError):
+        solve_left(a, Matrix(f, ((1, 0, 1),)))
+    with pytest.raises(ValueError):
+        _solve_left_rref(mat_rref(a), Matrix(f, ((1, 0, 1),)))
+    with pytest.raises(ValueError):
+        solve_left(a, Matrix(field_new(3, 1), ((1, 0),)))
 
 
 def test_solve_left_random_consistency():

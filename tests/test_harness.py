@@ -1,6 +1,8 @@
 """Monte-Carlo harness invariants and command line behavior."""
 
+import contextlib
 import json
+import signal
 
 import pytest
 
@@ -160,6 +162,57 @@ def test_sim_rank_noise_free_with_private_lvs(trap_inst):
     )
     rep = run_simulation(cfg, inst=trap_inst, encoder=enc)
     assert all(u.success == 40 for u in rep.users)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_sim_rank_weight_above_error_shape_rejected(trap_inst):
+    # v=0, N=3, ell=t=1: no 3 x 1 error has rank 2, so sampling one would
+    # never end; the config must be refused before the first trial.
+    enc = make_encoder(Matrix(F2, TRAP_L), trap_inst, "manual")
+    cfg = SimConfig(
+        instance="mem", metric="rank", error_weight=2, trap_pad=0, trials=5,
+    )
+    with _deadline(10), pytest.raises(ValueError, match="exceeds min"):
+        run_simulation(cfg, inst=trap_inst, encoder=enc)
+
+
+def test_sim_rank_weight_at_error_shape_runs(trap_inst):
+    # Private L V_S widens the block to ell = d_S + t = 5, so rank 2 fits.
+    enc = make_encoder(Matrix(F2, TRAP_L), trap_inst, "manual")
+    cfg = SimConfig(
+        instance="mem", metric="rank", error_weight=2, trap_pad=0, trials=5,
+        lvs_shared=False,
+    )
+    with _deadline(10):
+        rep = run_simulation(cfg, inst=trap_inst, encoder=enc)
+    assert all(u.success + u.detected + u.undetected == 5 for u in rep.users)
+
+
+def test_cli_simulate_rank_weight_too_large_exits_2(tmp_path, trap_inst, capsys):
+    path = tmp_path / "cycle.json"
+    save_instance(trap_inst, path)
+    with _deadline(10):
+        code = main([
+            "simulate", "--instance", str(path), "--metric", "rank",
+            "--pad", "0", "--error-weight", "2", "--trials", "5",
+        ])
+    assert code == 2
+    assert "exceeds min(v+N, v+ell)" in capsys.readouterr().err
 
 
 # -- encoder resolution -----------------------------------------------
