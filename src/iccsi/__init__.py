@@ -75,12 +75,6 @@ from .instance import (
     save_instance,
     serialize_instance,
 )
-from .minrank import (
-    alpha,
-    min_rank,
-    min_rank_bruteforce_oracle,
-    realizes_ic,
-    realizes_ic_kernel,
-)
+from .minrank import alpha, min_rank, realizes_ic
 
 __version__ = "0.1.0"

@@ -71,6 +71,19 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; argparse names the flag on error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports non-integers as "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iccsi",
@@ -85,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minrank", help="optimal length and lower bound")
     p.add_argument("--instance", required=True)
-    p.add_argument("--delta", type=int, default=0, help="errors to correct")
+    p.add_argument("--delta", type=_int_at_least(0), default=0, help="errors to correct")
     p.set_defaults(func=_cmd_minrank)
 
     p = sub.add_parser("bounds", help="bound values as CSV")
@@ -111,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="message rows")
     p.add_argument("--dS", type=int, default=10, help="sender space dimension")
     p.add_argument("--N", type=int, default=1, help="code length")
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--m", type=int, default=1, help="users or user classes")
+    p.add_argument("--delta", type=_int_at_least(0), default=0)
+    p.add_argument("--m", type=_int_at_least(1), default=1, help="users or user classes")
     p.add_argument("--d", type=int, default=0, help="per-user cache dimension")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_bounds)
@@ -122,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("coset", "random", "concat-rs"), default="coset"
     )
-    p.add_argument("--delta", type=int, default=0)
+    p.add_argument("--delta", type=_int_at_least(0), default=0)
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
     p.add_argument("--length", type=int, help="code length (default: shortest)")
     p.add_argument("--seed", type=int, default=0)
@@ -139,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--side", required=True,
         help="JSON file with the user's cached values (list of rows)",
     )
-    p.add_argument("--delta", type=int, help="errors to correct (default: from encoder)")
+    p.add_argument(
+        "--delta", type=_int_at_least(0), help="errors to correct (default: from encoder)"
+    )
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte-Carlo noisy broadcasts")
@@ -148,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--encoder", default="coset", help="coset | random | encoder JSON path"
     )
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
-    p.add_argument("--delta", type=int, default=0, help="design delta of the decoder")
+    p.add_argument("--delta", type=_int_at_least(0), default=0, help="design delta of the decoder")
     p.add_argument(
         "--error-weight", type=int, default=0, help="injected error magnitude"
     )
@@ -342,7 +357,9 @@ def _cmd_encode(args) -> int:
 def _load_side(path: str, inst, user: int) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    rows = doc["rows"] if isinstance(doc, dict) else doc
+    rows = doc.get("rows") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise InstanceError('side file must hold a list of rows, bare or under "rows"')
     d = inst.users[user].d
     if len(rows) != d:
         raise InstanceError(f"side file has {len(rows)} rows, user {user} caches {d}")

@@ -30,20 +30,20 @@ from .galois import (
     iter_vectors,
     mat_rank,
     rank_weight,
+    weight,
 )
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
     iter_confusable,
+    one_symbol_view,
     sample_confusable,
 )
 from .minrank import min_rank, realizes_ic
 
 HAMMING = "hamming"
 RANK = "rank"
-
-_WEIGHT = {HAMMING: hamming_weight, RANK: rank_weight}
 
 DEFAULT_SAMPLES = 100_000
 
@@ -166,13 +166,6 @@ def random_ic_search(
     return RandomSearchResult(None, max_attempts)
 
 
-def one_symbol_view(inst: IccsiInstance) -> IccsiInstance:
-    """The t = 1 instance with the same spaces and requests."""
-    if inst.t == 1:
-        return inst
-    return IccsiInstance(inst.field, 1, inst.n, inst.V_S, inst.users)
-
-
 def verify_ecic(
     L: Matrix,
     inst: IccsiInstance,
@@ -190,7 +183,7 @@ def verify_ecic(
     least 2 delta + 1 are constrained.  ``mode`` is "exhaustive", "sampled",
     or "auto" (exhaustive per user while the set fits the budget).
     """
-    if metric not in _WEIGHT:
+    if metric not in (HAMMING, RANK):
         raise ValueError(f"unknown metric {metric!r}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,7 +196,6 @@ def verify_ecic(
     view = one_symbol_view(inst) if metric == HAMMING else inst
     lvs = L * view.V_S
     need = 2 * delta + 1
-    wfun = _WEIGHT[metric]
     violations: list[tuple[int, Matrix]] = []
     trials = 0
     out_mode = "exhaustive"
@@ -223,7 +215,7 @@ def verify_ecic(
             if metric == RANK and rank_weight(z) < need:
                 continue
             trials += 1
-            if wfun(lvs * z) < need:
+            if weight(lvs * z, metric) < need:
                 violations.append((i, z))
                 break
     return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
@@ -327,22 +319,31 @@ def encoder_to_json(enc: EncodingMatrix) -> str:
 
 
 def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
+    """Encoder from its dict form; ValueError names what is malformed."""
+    if not isinstance(doc, dict) or "L" not in doc:
+        raise ValueError('encoder must be an object with an "L" matrix')
+    N = doc.get("N")
+    if not isinstance(N, int) or isinstance(N, bool):
+        raise ValueError(f'encoder "N" must be an integer, got {N!r}')
     L = Matrix(inst.field, doc["L"], inst.d_S)
-    if L.nrows != int(doc["N"]):
-        raise ValueError(f"declared N={doc['N']} but L has {L.nrows} rows")
+    if L.nrows != N:
+        raise ValueError(f"declared N={N} but L has {L.nrows} rows")
     cert_doc = doc.get("certificate")
     cert = None
     if cert_doc is not None:
-        cert = EcicCertificate(
-            int(cert_doc["delta"]),
-            cert_doc["metric"],
-            cert_doc["mode"],
-            int(cert_doc["trials"]),
-            tuple(
-                (int(i), Matrix(inst.field, rows, len(rows[0])))
-                for i, rows in cert_doc["violations"]
-            ),
-        )
+        try:
+            cert = EcicCertificate(
+                int(cert_doc["delta"]),
+                cert_doc["metric"],
+                cert_doc["mode"],
+                int(cert_doc["trials"]),
+                tuple(
+                    (int(i), Matrix(inst.field, rows, len(rows[0])))
+                    for i, rows in cert_doc["violations"]
+                ),
+            )
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed encoder certificate: {exc!r}") from None
     return make_encoder(L, inst, doc.get("provenance", "file"), cert)
 
 

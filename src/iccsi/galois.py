@@ -332,15 +332,19 @@ _setattr = object.__setattr__
 class Matrix:
     """Immutable matrix over a :class:`Field`, rows stored as tuples of ints.
 
-    ``Matrix(field, rows, ncols)`` validates its input: equal row lengths and
-    every entry in ``range(q)``.  Kernels build their results with
+    ``Matrix(field, rows, ncols)`` validates its input and raises ValueError
+    unless the rows are integer sequences of equal length with every entry in
+    ``range(q)``.  Kernels build their results with
     :meth:`_trusted`, which skips those checks.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        data = tuple(tuple(int(x) for x in r) for r in rows)
+        try:
+            data = tuple(tuple(int(x) for x in r) for r in rows)
+        except TypeError:
+            raise ValueError("rows must be a list of lists of integers") from None
         if data:
             ncols_seen = len(data[0])
             if any(len(r) != ncols_seen for r in data):
@@ -766,21 +770,7 @@ def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:
 
 def iter_vectors(field: Field, n: int) -> Iterator[tuple[int, ...]]:
     """All vectors of F_q^n in odometer order, first coordinate fastest."""
-    q = field.q
-    v = [0] * n
-    while True:
-        yield tuple(v)
-        i = 0
-        while i < n:
-            v[i] += 1
-            if v[i] < q:
-                break
-            v[i] = 0
-            i += 1
-        else:
-            return
-        if n == 0:
-            return
+    return (v[::-1] for v in itertools.product(range(field.q), repeat=n))
 
 
 def iter_subspace_bases(field: Field, ambient: int, dim: int) -> Iterator[Matrix]:

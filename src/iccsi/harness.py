@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .decoders import (
 )
 from .galois import Matrix, _random_matrix, hstack, rank_weight
 from .instance import IccsiInstance, load_instance
+from .minrank import min_rank
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,6 @@ class SimConfig:
     seed: int = 0
     lvs_shared: bool = True
     guarantee: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "encoder": self.encoder,
-            "metric": self.metric,
-            "delta": self.delta,
-            "error_weight": self.error_weight,
-            "trap_pad": self.trap_pad,
-            "trials": self.trials,
-            "seed": self.seed,
-            "lvs_shared": self.lvs_shared,
-            "guarantee": self.guarantee,
-        }
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,7 @@ def resolve_encoder(cfg: SimConfig, inst: IccsiInstance) -> EncodingMatrix:
     if cfg.encoder == "coset":
         return coset_encoder(inst)
     if cfg.encoder == "random":
-        length = coset_encoder(inst).N + 2 * cfg.delta
+        length = min_rank(inst).kappa + 2 * cfg.delta
         res = random_ic_search(
             inst, length, cfg.delta, cfg.metric, max_attempts=1000, seed=cfg.seed
         )
@@ -201,7 +188,7 @@ def run_simulation(
         else:
             _rank_trial(cfg, inst, enc, rng, X, lams, wanted, tallies)
     report = SimReport(
-        cfg.to_dict(),
+        asdict(cfg),
         cfg.trials,
         tuple(UserTally(*t3) for t3 in tallies),
         time.perf_counter() - t0,

@@ -33,6 +33,7 @@ from .galois import (
     Matrix,
     _random_matrix,
     field_new,
+    iter_vectors,
     mat_rank,
     null_space,
     row_basis,
@@ -260,14 +261,17 @@ def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     return row_basis(Matrix._trusted(a.field, tuple(rows), a.ncols))
 
 
-def _count_kernel_dim(inst: IccsiInstance, i: int) -> int:
-    return inst.n - inst.users[i].d
+def one_symbol_view(inst: IccsiInstance) -> IccsiInstance:
+    """The t = 1 instance with the same spaces and requests."""
+    if inst.t == 1:
+        return inst
+    return IccsiInstance(inst.field, 1, inst.n, inst.V_S, inst.users)
 
 
 def confusable_count(inst: IccsiInstance, i: int) -> int:
     """|Z^(i)|: matrices Z with V^(i) Z = 0 and R_i Z != 0, counted exactly."""
     q, t = inst.q, inst.t
-    k = _count_kernel_dim(inst, i)
+    k = inst.n - inst.users[i].d
     return q ** (k * t) - q ** ((k - 1) * t)
 
 
@@ -298,7 +302,7 @@ def iter_confusable(
     add, mul = f.add, f.mul
     kcols = [K.col(j) for j in range(k)]
     n = inst.n
-    for flat in _odometer(q, k * t):
+    for flat in iter_vectors(f, k * t):
         # C column-major: column c holds flat[c*k : (c+1)*k]
         rzero = True
         for c in range(t):
@@ -346,19 +350,3 @@ def sample_confusable(
         produced += 1
         yield K * C
 
-
-def _odometer(q: int, length: int) -> Iterator[tuple[int, ...]]:
-    digits = [0] * length
-    while True:
-        yield tuple(digits)
-        i = 0
-        while i < length:
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
-            i += 1
-        else:
-            return
-        if length == 0:
-            return

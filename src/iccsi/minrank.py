@@ -16,28 +16,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .galois import (
-    Matrix,
-    iter_subspace_bases,
-    mat_rank,
-    row_basis,
-    solve_left,
-    vstack,
-)
+from .galois import Matrix, iter_vectors, row_basis, solve_left, vstack
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
     intersection_basis,
     iter_confusable,
-    sample_confusable,
+    one_symbol_view,
 )
 
 
 def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
     """Per-user flags: can user i decode its request from L V_S X and V^(i) X.
 
-    User i succeeds exactly when R_i lies in rowspace([V^(i); L V_S]).
+    User i succeeds exactly when R_i lies in rowspace([V^(i); L V_S]).  The
+    kernel form of the same criterion, L V_S Z != 0 for every confusable Z,
+    is ``codec.verify_ecic(L, inst, 0)``.
     """
     if L.ncols != inst.d_S:
         raise ValueError(f"L has {L.ncols} columns, expected d_S={inst.d_S}")
@@ -47,56 +42,6 @@ def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
         stacked = vstack(u.V, lvs)
         out.append(solve_left(stacked, u.R) is not None)
     return out
-
-
-@dataclass(frozen=True)
-class KernelCheckResult:
-    per_user: tuple[bool, ...]
-    exhaustive: bool
-    trials: int
-
-    def all_ok(self) -> bool:
-        return all(self.per_user)
-
-
-def realizes_ic_kernel(
-    L: Matrix,
-    inst: IccsiInstance,
-    budget: int | None = None,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> KernelCheckResult:
-    """Same check through the confusable sets: L V_S Z != 0 for every Z.
-
-    Falls back to seeded random sampling of each confusable set when the
-    exhaustive enumeration would exceed the budget; the result is then only
-    evidence, flagged by ``exhaustive=False``.
-    """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    lvs = L * inst.V_S
-    flags = []
-    exhaustive = True
-    trials = 0
-    for i in range(inst.m):
-        try:
-            ok = True
-            for z in iter_confusable(inst, i, budget=budget):
-                trials += 1
-                if (lvs * z).is_zero():
-                    ok = False
-                    break
-            flags.append(ok)
-        except BudgetExceeded:
-            exhaustive = False
-            ok = True
-            for z in sample_confusable(inst, i, samples, seed):
-                trials += 1
-                if (lvs * z).is_zero():
-                    ok = False
-                    break
-            flags.append(ok)
-    return KernelCheckResult(tuple(flags), exhaustive, trials)
 
 
 @dataclass(frozen=True)
@@ -139,7 +84,7 @@ def min_rank(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
         rows = []
-        for coef in _coef_odometer(q, w.nrows):
+        for coef in iter_vectors(f, w.nrows):
             a = u.R
             if any(coef):
                 a = a + Matrix._trusted(f, (coef,), w.nrows) * w
@@ -204,45 +149,6 @@ def min_rank(
     return MinRankResult(best[0], witness, total)
 
 
-def _coef_odometer(q: int, length: int):
-    digits = [0] * length
-    while True:
-        yield tuple(digits)
-        i = 0
-        while i < length:
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
-            i += 1
-        else:
-            return
-        if length == 0:
-            return
-
-
-def min_rank_bruteforce_oracle(inst: IccsiInstance, budget: int | None = None) -> int:
-    """Independent min-rank: smallest k with a realizing k-dimensional code.
-
-    Whether L realizes the instance depends only on the row space of L V_S,
-    and enlarging the space never breaks realization, so it suffices to try
-    each subspace dimension in turn and test every canonical basis.
-    """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    from .galois import gaussian_binomial
-
-    d_S = inst.d_S
-    r_rank = mat_rank(inst.request_matrix())
-    for k in range(1, r_rank + 1):
-        if gaussian_binomial(d_S, k, inst.q) > budget:
-            raise BudgetExceeded(f"subspace enumeration at dimension {k} exceeds budget")
-        for L in iter_subspace_bases(inst.field, d_S, k):
-            if all(realizes_ic(L, inst)):
-                return k
-    return r_rank
-
-
 @dataclass(frozen=True)
 class AlphaResult:
     alpha: int
@@ -262,7 +168,7 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
         budget = DEFAULT_BUDGET
     f = inst.field
     q = f.q
-    one_view = inst if inst.t == 1 else IccsiInstance(f, 1, inst.n, inst.V_S, inst.users)
+    one_view = one_symbol_view(inst)
     union: set[tuple[int, ...]] = set()
     for i in range(inst.m):
         for z in iter_confusable(one_view, i, budget=budget):

@@ -9,7 +9,9 @@ so tests that need the original (non-reduced) rows keep their own copies.
 import numpy as np
 import pytest
 
-from iccsi import IccsiInstance, Matrix, field_new, make_instance
+from iccsi import BudgetExceeded, IccsiInstance, Matrix, field_new, make_instance, realizes_ic
+from iccsi.galois import gaussian_binomial, iter_subspace_bases, mat_rank
+from iccsi.instance import DEFAULT_BUDGET
 
 F2 = field_new(2, 1)
 
@@ -167,6 +169,24 @@ def random_instances(seed, count, n_max=4, m_max=4):
             continue
         made += 1
         yield inst
+
+
+def min_rank_bruteforce_oracle(inst, budget=DEFAULT_BUDGET):
+    """Independent min-rank: smallest k with a realizing k-dimensional code.
+
+    Whether L realizes the instance depends only on the row space of L V_S,
+    and enlarging the space never breaks realization, so it suffices to try
+    each subspace dimension in turn and test every canonical basis.
+    """
+    d_S = inst.d_S
+    r_rank = mat_rank(inst.request_matrix())
+    for k in range(1, r_rank + 1):
+        if gaussian_binomial(d_S, k, inst.q) > budget:
+            raise BudgetExceeded(f"subspace enumeration at dimension {k} exceeds budget")
+        for L in iter_subspace_bases(inst.field, d_S, k):
+            if all(realizes_ic(L, inst)):
+                return k
+    return r_rank
 
 
 def mat(field, rows):

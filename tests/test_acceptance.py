@@ -21,6 +21,7 @@ from conftest import (
     SYN_V4,
     TRAP_RECEIVED,
     TRAP_T,
+    min_rank_bruteforce_oracle,
     random_instances,
 )
 from iccsi import (
@@ -32,10 +33,8 @@ from iccsi import (
     iter_confusable,
     make_instance,
     min_rank,
-    min_rank_bruteforce_oracle,
     rank_trap_decode,
     realizes_ic,
-    realizes_ic_kernel,
     subspace_existence_prob,
     syndrome_decode,
     trap_pad,
@@ -114,9 +113,10 @@ def test_c3_realization_criteria_agree(mds_inst):
             )
         for L in candidates:
             by_span = realizes_ic(L, inst)
-            by_kernel = realizes_ic_kernel(L, inst)
-            assert by_kernel.exhaustive
-            assert list(by_kernel.per_user) == by_span
+            cert = verify_ecic(L, inst, 0)
+            failed = {j for j, _ in cert.violations}
+            assert cert.mode == "exhaustive"
+            assert [i not in failed for i in range(inst.m)] == by_span
             pairs += 1
             for flag in by_span:
                 seen[flag] += 1

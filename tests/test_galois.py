@@ -317,6 +317,23 @@ def test_iter_vectors_order_and_count():
     # first coordinate runs fastest
     assert vecs[0] == (0, 0) and vecs[1] == (1, 0) and vecs[3] == (0, 1)
 
+    def reference_odometer(q, n):
+        digits = [0] * n
+        while True:
+            yield tuple(digits)
+            i = 0
+            while i < n and digits[i] == q - 1:
+                digits[i] = 0
+                i += 1
+            if i == n:
+                return
+            digits[i] += 1
+
+    for q in (2, 3, 4):
+        for n in range(4):
+            assert list(iter_vectors(field_of_order(q), n)) == list(reference_odometer(q, n))
+    assert list(iter_vectors(f, 0)) == [()]
+
 
 def test_weights():
     f = field_new(2, 1)

@@ -387,6 +387,54 @@ def test_cli_decode_field_mismatch(inst_file, tmp_path, capsys):
     assert "field does not match" in capsys.readouterr().err
 
 
+_SYN_L_ROWS = [list(r) for r in SYN_L]
+
+
+@pytest.mark.parametrize(
+    "kind,doc",
+    [
+        ("instance", {"p": 2, "e": 1, "t": 1, "n": 2, "sender": ident(2),
+                      "users": [{"V": 5, "R": [1, 0]}]}),
+        ("encoder", {"N": 5, "provenance": "manual"}),
+        ("encoder", {"N": None, "L": _SYN_L_ROWS}),
+        ("encoder", {"N": 5, "L": _SYN_L_ROWS, "certificate": {}}),
+        ("side", {}),
+        ("side", {"rows": None}),
+    ],
+)
+def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if kind == "instance":
+        argv = ["validate", "--instance", str(bad)]
+    elif kind == "encoder":
+        argv = ["simulate", "--instance", inst_file, "--encoder", str(bad), "--trials", "1"]
+    else:
+        frame = tmp_path / "y.bin"
+        with open(frame, "wb") as fh:
+            write_frame(fh, Matrix.zeros(F2, 5, 1), v=0, ell=1)
+        argv = [
+            "decode", "--frame", str(frame), "--instance", inst_file,
+            "--user", "0", "--side", str(bad),
+        ]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["minrank", "--instance", "inst.json", "--delta", "-1"], "--delta"),
+        (["bounds", "--bound", "hamming", "--m", "0"], "--m"),
+    ],
+)
+def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be >= " in capsys.readouterr().err
+
+
 def test_cli_simulate(inst_file, tmp_path, capsys, syn_inst):
     enc_path = tmp_path / "enc.json"
     save_encoder(_syn_encoder(syn_inst), enc_path)

@@ -2,16 +2,17 @@
 
 import pytest
 
-from conftest import ALPHA3_SPAN, MDS_G, MDS_L, SYN_L, TRAP_L, build, random_instances
-from iccsi import (
-    Matrix,
-    alpha,
-    field_new,
-    min_rank,
+from conftest import (
+    ALPHA3_SPAN,
+    MDS_G,
+    MDS_L,
+    SYN_L,
+    TRAP_L,
+    build,
     min_rank_bruteforce_oracle,
-    realizes_ic,
-    realizes_ic_kernel,
+    random_instances,
 )
+from iccsi import Matrix, alpha, field_new, min_rank, realizes_ic, verify_ecic
 from iccsi.galois import iter_vectors, mat_rank, row_space_contains
 
 F2 = field_new(2, 1)
@@ -81,9 +82,10 @@ def test_kernel_criterion_agrees_exhaustive():
         nrows = int(rng.integers(1, inst.n + 1))
         L = Matrix(F2, rng.integers(0, 2, size=(nrows, inst.d_S)).tolist())
         by_span = realizes_ic(L, inst)
-        res = realizes_ic_kernel(L, inst)
-        assert list(res.per_user) == by_span
-        assert res.exhaustive
+        cert = verify_ecic(L, inst, 0)
+        failed = {j for j, _ in cert.violations}
+        assert [i not in failed for i in range(inst.m)] == by_span
+        assert cert.mode == "exhaustive"
         seen_false += by_span.count(False)
     assert seen_false > 0
 
