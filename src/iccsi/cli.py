@@ -23,6 +23,7 @@ from .bounds import (
     alpha_kappa_bracket,
     hamming_random_ecic_prob,
     rank_random_ecic_prob,
+    singleton_lb,
     subspace_existence_prob,
     zippel_ic_prob,
 )
@@ -46,7 +47,7 @@ from .decoders import (
     solve_demand,
     syndrome_decode,
 )
-from .galois import Matrix
+from .galois import MAX_FIELD_ORDER, Matrix, _prime_factors
 from .harness import SimConfig, run_simulation, wilson_interval
 from .instance import BudgetExceeded, InstanceError, load_instance
 from .minrank import alpha as alpha_search
@@ -71,17 +72,28 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``; argparse names the flag on error."""
+def _int_flag(ok, rule: str):
+    """argparse type: an integer with ok(value), else "<flag>: must be <rule>"."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports non-integers as "invalid int value"
     return parse
+
+
+def _int_at_least(low: int):
+    return _int_flag(lambda value: value >= low, f">= {low}")
+
+
+# A field order the package supports; the cap keeps _prime_factors short.
+_field_order = _int_flag(
+    lambda q: 2 <= q <= MAX_FIELD_ORDER and len(_prime_factors(q)) == 1,
+    f"a prime power in [2, {MAX_FIELD_ORDER}]",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,17 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank-metric existence verdicts per user class, q=2, n=20",
     )
     group.add_argument(
-        "--bound", choices=("zippel", "subspace", "hamming", "rank"),
+        "--bound", choices=tuple(_BOUNDS),
         help="single bound query",
     )
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--n", type=int, default=10, help="message rows")
-    p.add_argument("--dS", type=int, default=10, help="sender space dimension")
-    p.add_argument("--N", type=int, default=1, help="code length")
+    p.add_argument("--q", type=_field_order, default=2)
+    p.add_argument("--t", type=_int_at_least(1), default=1)
+    p.add_argument("--n", type=_int_at_least(0), default=10, help="message rows")
+    p.add_argument("--dS", type=_int_at_least(0), default=10, help="sender space dimension")
+    p.add_argument("--N", type=_int_at_least(0), default=1, help="code length")
     p.add_argument("--delta", type=_int_at_least(0), default=0)
     p.add_argument("--m", type=_int_at_least(1), default=1, help="users or user classes")
-    p.add_argument("--d", type=int, default=0, help="per-user cache dimension")
+    p.add_argument("--d", type=_int_at_least(0), default=0, help="per-user cache dimension")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_bounds)
 
@@ -271,6 +283,15 @@ def _table4_rows() -> list[list]:
     return rows
 
 
+# --bound queries: the call on the parsed flags, and whether the CSV shows --delta.
+_BOUNDS = {
+    "zippel": (lambda a: zippel_ic_prob(a.q, a.m, a.N, a.dS), False),
+    "subspace": (lambda a: subspace_existence_prob([a.d] * a.m, a.dS, a.N, a.q), False),
+    "hamming": (lambda a: hamming_random_ecic_prob([a.d] * a.m, a.n, a.N, a.delta, a.q), True),
+    "rank": (lambda a: rank_random_ecic_prob([a.d] * a.m, a.n, a.t, a.N, a.delta, a.q), True),
+}
+
+
 def _cmd_bounds(args) -> int:
     if args.table2:
         rows = _table2_rows()
@@ -278,20 +299,10 @@ def _cmd_bounds(args) -> int:
         rows = _table3_rows()
     elif args.table4:
         rows = _table4_rows()
-    elif args.bound == "zippel":
-        rows = [_bound_row(zippel_ic_prob(args.q, args.m, args.N, args.dS),
-                           args.q, args.t, args.n, args.N, 0, args.m)]
-    elif args.bound == "subspace":
-        rows = [_bound_row(subspace_existence_prob([args.d] * args.m, args.dS, args.N, args.q),
-                           args.q, args.t, args.n, args.N, 0, args.m)]
-    elif args.bound == "hamming":
-        rows = [_bound_row(
-            hamming_random_ecic_prob([args.d] * args.m, args.n, args.N, args.delta, args.q),
-            args.q, args.t, args.n, args.N, args.delta, args.m)]
-    elif args.bound == "rank":
-        rows = [_bound_row(
-            rank_random_ecic_prob([args.d] * args.m, args.n, args.t, args.N, args.delta, args.q),
-            args.q, args.t, args.n, args.N, args.delta, args.m)]
+    elif args.bound:
+        call, uses_delta = _BOUNDS[args.bound]
+        delta = args.delta if uses_delta else 0
+        rows = [_bound_row(call(args), args.q, args.t, args.n, args.N, delta, args.m)]
     else:
         raise ValueError("choose a preset table or --bound")
     if args.out:
@@ -318,7 +329,7 @@ def _cmd_encode(args) -> int:
     elif args.method == "random":
         length = args.length
         if length is None:
-            length = min_rank(inst).kappa + 2 * delta
+            length = singleton_lb(min_rank(inst).kappa, delta)
         res = random_ic_search(
             inst, length, delta, args.metric, max_attempts=args.attempts, seed=args.seed
         )
@@ -334,7 +345,7 @@ def _cmd_encode(args) -> int:
         kappa = min_rank(inst).kappa
         length = args.length
         if length is None:
-            length = kappa + 2 * delta
+            length = singleton_lb(kappa, delta)
         outer = extended_rs_generator(inst.q, length, kappa).transpose()
         enc = concat_kappa_bound(inst, delta, outer)
     print(f"N={enc.N} provenance={enc.provenance}")

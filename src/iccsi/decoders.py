@@ -31,6 +31,7 @@ from itertools import combinations
 
 from .galois import (
     Matrix,
+    RrefResult,
     field_new,
     hstack,
     mat_rank,
@@ -256,19 +257,18 @@ def rank_trap_decode(received: Matrix, v: int, N: int, ell: int) -> TrapResult:
             f"received shape {received.nrows}x{received.ncols} does not match "
             f"layout v={v}, N={N}, ell={ell}"
         )
+    payload = received.take_rows(range(v, v + N)).take_cols(range(v, v + ell))
+    if v == 0:
+        return TrapResult(payload)
     w11 = received.take_rows(range(v)).take_cols(range(v))
     w12 = received.take_rows(range(v)).take_cols(range(v, v + ell))
     w21 = received.take_rows(range(v, v + N)).take_cols(range(v))
-    payload = received.take_rows(range(v, v + N)).take_cols(range(v, v + ell))
-    r11 = mat_rank(w11)
-    if v and mat_rank(vstack(w11, w21)) > r11:
+    # w21 escapes the row space of w11 exactly when it has no solution.
+    res = mat_rref(w11)
+    T = _solve_left_rref(res, w21)
+    if T is None:
         return TrapResult(None, TRAP_FAILURE_DETECTED)
-    risk = v > 0 and r11 == v
-    if v == 0:
-        return TrapResult(payload, risk_flag=risk)
-    T = solve_left(w11, w21)
-    assert T is not None
-    return TrapResult(payload - T * w12, risk_flag=risk)
+    return TrapResult(payload - T * w12, risk_flag=res.rank == v)
 
 
 def solve_demand(
@@ -291,9 +291,12 @@ def solve_demand(
     left = vstack(u.V, lvs)
     right = vstack(lam, Y) if u.d else Y
     res = mat_rref(hstack(left, right))
-    S = res.rref.take_cols(range(inst.n))
-    T = res.rref.take_cols(range(inst.n, inst.n + Y.ncols))
-    z = solve_left(S, u.R)
+    n = inst.n
+    S = res.rref.take_cols(range(n))
+    T = res.rref.take_cols(range(n, n + Y.ncols))
+    # S is already in RREF: its pivots are those below n, its transform is I.
+    piv = tuple(c for c in res.pivots if c < n)
+    z = _solve_left_rref(RrefResult(S, piv, Matrix.identity(S.field, S.nrows)), u.R)
     if z is None:
         raise ValueError(f"user {i}: request not in the decoded span")
     return z * T

@@ -22,9 +22,10 @@ lexicographically smallest monic irreducible polynomial is used, which keeps
 element encodings reproducible across runs.
 
 Matrices are immutable row-major tuples of tuples over a fixed field.  The
-solvers are canonical: Gaussian elimination scans columns left to right, and
-underdetermined systems are resolved by setting every free variable to zero,
-so equal inputs always produce identical outputs.
+solvers are canonical: RREF, solve and null space scan columns left to right,
+and underdetermined systems are resolved by setting every free variable to
+zero, so equal inputs always produce identical outputs.  Rank comes from one
+row-insertion reduction, which the min-rank search shares.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -308,20 +309,12 @@ def field_of_order(q: int) -> Field:
     """Return F_q for a prime power q, factoring q as p^e."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
     return field_new(p, e)
 
 
@@ -552,27 +545,19 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _clear_column(work: list, col: int, r: int, start: int, sub, mul) -> None:
-    """Zero column col in every row of work[start:] except pivot row r.
+def _clear_column(work: list, col: int, r: int, sub, mul) -> None:
+    """Zero column col in every row of work except pivot row r.
 
     Each row op is a whole-row map.  In characteristic 2 sub is XOR, so the
     map runs in C; only a multiplier other than 1 costs a call per entry.
     """
     rowr = work[r]
-    for i in range(start, len(work)):
+    for i in range(len(work)):
         if i != r:
             x = work[i][col]
             if x:
                 scaled = rowr if x == 1 else map(mul, repeat(x), rowr)
                 work[i] = tuple(map(sub, work[i], scaled))
-
-
-def _normalize_pivot(work: list, col: int, r: int, sel: int, mul, inv) -> None:
-    """Move row sel to position r and scale it so column col holds 1."""
-    work[r], work[sel] = work[sel], work[r]
-    piv = work[r][col]
-    if piv != 1:
-        work[r] = tuple(map(mul, repeat(inv(piv)), work[r]))
 
 
 def mat_rref(m: Matrix) -> RrefResult:
@@ -587,8 +572,11 @@ def mat_rref(m: Matrix) -> RrefResult:
         sel = next((i for i in range(r, n) if work[i][col]), None)
         if sel is None:
             continue
-        _normalize_pivot(work, col, r, sel, mul, inv)
-        _clear_column(work, col, r, 0, sub, mul)
+        work[r], work[sel] = work[sel], work[r]
+        piv = work[r][col]
+        if piv != 1:
+            work[r] = tuple(map(mul, repeat(inv(piv)), work[r]))
+        _clear_column(work, col, r, sub, mul)
         pivots.append(col)
         r += 1
         if r == n:
@@ -598,23 +586,35 @@ def mat_rref(m: Matrix) -> RrefResult:
     return RrefResult(red, tuple(pivots), tr)
 
 
+def _echelon_insert(basis: list, row: tuple, sub, mul, inv) -> tuple | None:
+    """Reduce row against ``basis``, (pivot column, row) pairs in insertion order.
+
+    Each pair's row is 1 at its pivot and 0 at the earlier pivots, so one
+    pass clears them all.  Returns the remainder as a new pair with pivot
+    entry 1, or None when row lies in the span of the basis.
+    """
+    for col, prow in basis:
+        x = row[col]
+        if x:
+            row = tuple(map(sub, row, prow if x == 1 else map(mul, repeat(x), prow)))
+    for col, x in enumerate(row):
+        if x:
+            return col, (row if x == 1 else tuple(map(mul, repeat(inv(x)), row)))
+    return None
+
+
 def mat_rank(m: Matrix) -> int:
-    """Rank by plain forward elimination, cheaper than the full RREF."""
+    """Rank by inserting the rows one by one into an echelon basis."""
     f = m.field
     sub, mul, inv = f.sub, f.mul, f.inv
-    work = list(m.rows)
-    n, c = m.nrows, m.ncols
-    r = 0
-    for col in range(c):
-        sel = next((i for i in range(r, n) if work[i][col]), None)
-        if sel is None:
-            continue
-        _normalize_pivot(work, col, r, sel, mul, inv)
-        _clear_column(work, col, r, r + 1, sub, mul)
-        r += 1
-        if r == n:
-            break
-    return r
+    basis: list = []
+    for row in m.rows:
+        pair = _echelon_insert(basis, row, sub, mul, inv)
+        if pair is not None:
+            basis.append(pair)
+            if len(basis) == m.ncols:
+                break
+    return len(basis)
 
 
 def row_basis(m: Matrix) -> Matrix:

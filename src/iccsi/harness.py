@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .bounds import singleton_lb
 from .codec import (
     HAMMING,
     RANK,
@@ -116,7 +117,7 @@ def resolve_encoder(cfg: SimConfig, inst: IccsiInstance) -> EncodingMatrix:
     if cfg.encoder == "coset":
         return coset_encoder(inst)
     if cfg.encoder == "random":
-        length = min_rank(inst).kappa + 2 * cfg.delta
+        length = singleton_lb(min_rank(inst).kappa, cfg.delta)
         res = random_ic_search(
             inst, length, cfg.delta, cfg.metric, max_attempts=1000, seed=cfg.seed
         )

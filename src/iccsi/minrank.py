@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .galois import Matrix, iter_vectors, row_basis, solve_left, vstack
+from .galois import Matrix, _echelon_insert, iter_vectors, row_basis, solve_left, vstack
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -91,26 +91,9 @@ def min_rank(
             rows.append(a.rows[0])
         per_user_rows.append(rows)
     m, n = inst.m, inst.n
-    add, mul, inv, neg = f.add, f.mul, f.inv, f.neg
+    sub, mul, inv = f.sub, f.mul, f.inv
 
     best = [None, None]  # rank, chosen row indices
-
-    def reduce_row(pivrows: list[tuple[int, list[int]]], row) -> list[int] | None:
-        vec = list(row)
-        for col, prow in pivrows:
-            c = vec[col]
-            if c:
-                cf = neg(c)
-                for j in range(col, n):
-                    if prow[j]:
-                        vec[j] = add(vec[j], mul(cf, prow[j]))
-        for col in range(n):
-            if vec[col]:
-                piv = inv(vec[col])
-                if piv != 1:
-                    vec = [mul(piv, x) for x in vec]
-                return vec
-        return None
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.
@@ -125,13 +108,12 @@ def min_rank(
             return best[0] <= lower_bound
         for idx, row in enumerate(per_user_rows[user]):
             choice[user] = idx
-            red = reduce_row(pivrows, row)
-            if red is None:
+            pair = _echelon_insert(pivrows, row, sub, mul, inv)
+            if pair is None:
                 if walk(user - 1, pivrows):
                     return True
             else:
-                col = next(j for j in range(n) if red[j])
-                pivrows.append((col, red))
+                pivrows.append(pair)
                 done = walk(user - 1, pivrows)
                 pivrows.pop()
                 if done:

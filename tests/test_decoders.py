@@ -46,6 +46,7 @@ from iccsi.galois import (
     hstack,
     iter_vectors,
     mat_rank,
+    mat_rref,
     rank_weight,
     solve_left,
     vstack,
@@ -338,7 +339,12 @@ def _trap_blocks(W, v, N, ell):
 
 
 def test_trap_exhaustive_q2():
-    """Every 5x3 error: trapped errors decode exactly, escapes are flagged."""
+    """Every 5x3 error: trapped errors decode exactly, escapes are flagged.
+
+    Also pins what every undetected outcome returns, silent failures
+    included: the payload block minus solve_left(w11, w21) * w12, with the
+    risk flag set exactly when the top-left block has full rank.
+    """
     v, N, ell = 2, 3, 1
     Q = Matrix(F2, ((1,), (0,), (1,)))
     P = trap_pad(Q, v)
@@ -349,14 +355,20 @@ def test_trap_exhaustive_q2():
             [flat[i * (v + ell) : (i + 1) * (v + ell)] for i in range(v + N)],
         )
         w11, w21 = _trap_blocks(W, v, N, ell)
-        escaped = mat_rank(vstack(w11, w21)) > mat_rank(w11)
-        res = rank_trap_decode(P + W, v=v, N=N, ell=ell)
+        r11 = mat_rank(w11)
+        escaped = mat_rank(vstack(w11, w21)) > r11
+        received = P + W
+        res = rank_trap_decode(received, v=v, N=N, ell=ell)
+        assert res.risk_flag == (r11 == v)
         if escaped:
             escaped_seen += 1
             assert res.failure == TRAP_FAILURE_DETECTED
             continue
         assert res.failure is None
-        if mat_rank(w11) == rank_weight(W):
+        w12 = received.take_rows(range(v)).take_cols(range(v, v + ell))
+        payload = received.take_rows(range(v, v + N)).take_cols(range(v, v + ell))
+        assert res.Q == payload - solve_left(w11, w21) * w12
+        if r11 == rank_weight(W):
             trapped_seen += 1
             assert res.Q == Q
         elif res.Q != Q:
@@ -374,6 +386,18 @@ def test_trap_shape_validation():
 # -- demand solving ---------------------------------------------------
 
 
+def _two_step_demand(inst, i, lvs, Y, lam):
+    """Reference for solve_demand: RREF of the stacked system, then the
+    canonical solve of R_i over its left block, applied to the right block.
+    None where R_i is not in the left block's row space."""
+    u = inst.users[i]
+    res = mat_rref(hstack(vstack(u.V, lvs), vstack(lam, Y)))
+    S = res.rref.take_cols(range(inst.n))
+    T = res.rref.take_cols(range(inst.n, inst.n + Y.ncols))
+    z = solve_left(S, u.R)
+    return None if z is None else z * T
+
+
 def test_solve_demand_all_users(trap_inst):
     L = Matrix(F2, TRAP_L)
     lvs = L * trap_inst.V_S
@@ -383,6 +407,28 @@ def test_solve_demand_all_users(trap_inst):
         lam = trap_inst.users[i].V * X
         got = solve_demand(trap_inst, i, lvs, Y, lam)
         assert got == trap_inst.users[i].R * X
+    # Inconsistent broadcasts Y + E, E every single-entry error: the result
+    # is the two-step reference, or ValueError exactly when the reference
+    # finds no solution.  The second lvs repeats the sum of L's rows, so the
+    # stacked system has dependent rows and the choice of solution shows in
+    # the result; the one-row lvs serves user 1 only, so both outcomes occur.
+    served = unserved = 0
+    redundant = vstack(lvs, Matrix(F2, ((1, 0, 0, 1),)) * trap_inst.V_S)
+    for lvs in (lvs, redundant, Matrix(F2, ((0, 1, 0, 0),))):
+        clean = lvs * X
+        for r in range(clean.nrows):
+            Y = clean + Matrix(F2, [[int(k == r)] for k in range(clean.nrows)])
+            for i in range(trap_inst.m):
+                lam = trap_inst.users[i].V * X
+                want = _two_step_demand(trap_inst, i, lvs, Y, lam)
+                if want is None:
+                    unserved += 1
+                    with pytest.raises(ValueError):
+                        solve_demand(trap_inst, i, lvs, Y, lam)
+                else:
+                    served += 1
+                    assert solve_demand(trap_inst, i, lvs, Y, lam) == want
+    assert served > 0 and unserved > 0
 
 
 def test_solve_demand_block_length_two(syn_inst):

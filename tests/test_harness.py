@@ -426,13 +426,24 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
     [
         (["minrank", "--instance", "inst.json", "--delta", "-1"], "--delta"),
         (["bounds", "--bound", "hamming", "--m", "0"], "--m"),
+        (["bounds", "--bound", "hamming", "--n", "-3"], "--n"),
+        (["bounds", "--bound", "hamming", "--q", "1"], "--q"),
+        (["bounds", "--bound", "zippel", "--q", "6"], "--q"),
+        (["bounds", "--bound", "rank", "--d", "-1"], "--d"),
+        (["bounds", "--bound", "rank", "--t", "0"], "--t"),
+        (["bounds", "--bound", "zippel", "--N", "-1"], "--N"),
+        (["bounds", "--bound", "subspace", "--dS", "-1"], "--dS"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"error: argument {flag}: must be >= " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # --q is a field order, refused by value; the others by a lower bound.
+    message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
+    assert f"error: argument {flag}: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_simulate(inst_file, tmp_path, capsys, syn_inst):
