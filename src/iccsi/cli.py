@@ -149,9 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--delta", type=_int_at_least(0), default=0)
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
-    p.add_argument("--length", type=int, help="code length (default: shortest)")
+    p.add_argument(
+        "--length", type=_int_at_least(1), help="code length (default: shortest)"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=1000)
+    p.add_argument("--attempts", type=_int_at_least(1), default=1000)
     p.add_argument("--out", help="encoder JSON output path")
     p.set_defaults(func=_cmd_encode)
 

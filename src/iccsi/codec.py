@@ -36,11 +36,11 @@ from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
-    iter_confusable,
+    _confusable_walk,
     one_symbol_view,
     sample_confusable,
 )
-from .minrank import min_rank, realizes_ic
+from .minrank import _user_realized, min_rank, realizes_ic
 
 HAMMING = "hamming"
 RANK = "rank"
@@ -154,7 +154,8 @@ def random_ic_search(
     for attempt in range(1, max_attempts + 1):
         L = _random_matrix(rng, inst.field, N, inst.d_S)
         if delta == 0:
-            if all(realizes_ic(L, inst)):
+            lvs = L * inst.V_S
+            if all(_user_realized(u, lvs) for u in inst.users):
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
                 return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
         else:
@@ -206,12 +207,14 @@ def verify_ecic(
             raise BudgetExceeded(
                 f"user {i}: confusable set size {size} exceeds budget {budget}"
             )
-        if sampled:
-            out_mode = "sampled"
-            gen = sample_confusable(view, i, samples, seed)
-        else:
-            gen = iter_confusable(view, i, budget=budget)
-        for z in gen:
+        if not sampled:
+            tested, z = _walk_user(view, i, lvs, metric, need, budget)
+            trials += tested
+            if z is not None:
+                violations.append((i, z))
+            continue
+        out_mode = "sampled"
+        for z in sample_confusable(view, i, samples, seed):
             if metric == RANK and rank_weight(z) < need:
                 continue
             trials += 1
@@ -219,6 +222,40 @@ def verify_ecic(
                 violations.append((i, z))
                 break
     return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
+
+
+def _walk_user(
+    view: IccsiInstance, i: int, lvs: Matrix, metric: str, need: int, budget: int
+) -> tuple[int, Matrix | None]:
+    """Exhaustive check of user i: (confusables tested, first violation or None).
+
+    Reads weight(L V_S Z) off the L V_S K C block of the incremental walk.
+    Hamming checks run on the one-symbol view, so the block is one column.
+    In the rank metric the block is the transpose of L V_S Z, and K has
+    independent columns, so rank(L V_S Z) <= rank(C) = rank(Z) <= the number
+    of nonzero columns of C, which are the nonzero walk columns.  So too few
+    nonzero columns skip the confusable unranked, a block of rank >= need
+    is a tested confusable that passes, and rank(Z) is needed only below.
+    """
+    f = view.field
+    n, N, t = view.n, lvs.nrows, view.t
+    zero = (0,) * (1 + n + N)
+    tested = 0
+    for cols in _confusable_walk(view, i, budget, extra=lvs):
+        if metric == HAMMING:
+            block = cols[0][n + 1:]
+            w = N - block.count(0)
+        elif t - cols.count(zero) < need:
+            continue
+        else:
+            w = mat_rank(Matrix._trusted(f, tuple(col[n + 1:] for col in cols), N))
+        if w < need:
+            zcols = tuple(col[1:n + 1] for col in cols)
+            if metric == RANK and mat_rank(Matrix._trusted(f, zcols, n)) < need:
+                continue
+            return tested + 1, Matrix._trusted(f, tuple(zip(*zcols)), t)
+        tested += 1
+    return tested, None
 
 
 def min_distance_cols(g: Matrix, budget: int | None = None) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from io import BufferedIOBase
 from itertools import combinations
 
@@ -136,6 +137,11 @@ class UserDecoder:
     parity: ParityData
     support_rref: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def cache_cols(self) -> Matrix:
+        """The first d_i columns of L', the ones the cached symbols multiply."""
+        return self.parity.L_prime.take_cols(range(self.transform.A.ncols - 1))
+
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
     ut = build_user_transform(inst, i)
@@ -171,7 +177,7 @@ def syndrome_decode(
     pd = ctx.parity
     f = pd.H.field
     d = ctx.transform.A.ncols - 1
-    known = pd.L_prime.take_cols(range(d)) * lam if d else None
+    known = ctx.cache_cols * lam if d else None
     diff = Y - known if known is not None else Y
     syndrome = pd.H * diff
     alpha = syndrome.take_rows((0,))
@@ -321,15 +327,20 @@ def write_frame(
     ell: int,
     flags: int = 0,
 ) -> None:
-    """Serialize a (v+N) x (v+ell) broadcast matrix."""
+    """Serialize a (v+N) x (v+ell) broadcast matrix.
+
+    Raises ValueError when the shape does not match the layout or a header
+    field does not fit its 16 bits.
+    """
     f = payload.field
+    N = payload.nrows - v
+    for name, value in (("v", v), ("N", N), ("ell", ell), ("flags", flags)):
+        if not 0 <= value <= 0xFFFF:
+            raise ValueError(f"frame field {name}={value} outside [0, 65535]")
     if payload.ncols != v + ell:
         raise ValueError(
             f"payload has {payload.ncols} columns, expected v+ell={v + ell}"
         )
-    N = payload.nrows - v
-    if N < 0:
-        raise ValueError("payload has fewer rows than the pad size")
     out.write(_HEADER.pack(FRAME_MAGIC, f.p, f.e, v, N, ell, flags))
     bits = (f.p - 1).bit_length()
     acc = 0
@@ -344,7 +355,11 @@ def write_frame(
 
 
 def read_frame(inp: BufferedIOBase) -> tuple[Matrix, dict]:
-    """Parse a broadcast frame; returns the matrix and the layout header."""
+    """Parse a broadcast frame; returns the matrix and the layout header.
+
+    Raises :class:`FrameError` for a bad header, a truncated payload, a digit
+    out of range or nonzero pad bits after the last digit.
+    """
     head = inp.read(_HEADER.size)
     if len(head) != _HEADER.size:
         raise FrameError("truncated header")
@@ -379,5 +394,7 @@ def read_frame(inp: BufferedIOBase) -> tuple[Matrix, dict]:
                 scale *= p
             row.append(val)
         rows.append(row)
+    if acc >> pos:
+        raise FrameError("nonzero pad bits after the last digit")
     payload = Matrix(f, rows, v + ell)
     return payload, {"v": v, "N": N, "ell": ell, "flags": flags}

@@ -25,7 +25,8 @@ Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: RREF, solve and null space scan columns left to right,
 and underdetermined systems are resolved by setting every free variable to
 zero, so equal inputs always produce identical outputs.  Rank comes from one
-row-insertion reduction, which the min-rank search shares.
+row-insertion reduction, which the min-rank search and the realization test
+share.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -38,14 +39,16 @@ modules of the package compute the same way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_FIELD_ORDER = 1 << 16
+# Largest field whose q x q product table Field.scaler keeps.
+_SCALE_TABLE_MAX = 256
 
 # Shipped moduli, little-endian coefficient tuples including the leading 1.
 _CANONICAL_MODULI = {
@@ -227,6 +230,14 @@ class Field:
         self.generator = gen
         self._exp = exp
         self._log = log
+        self._scale_rows = None
+        if q <= _SCALE_TABLE_MAX:
+            # Row a of the product table: a * x = exp[log a + log x] for x != 0.
+            ext = exp + exp
+            logs = log[1:]
+            self._scale_rows = ((0,) * q,) + tuple(
+                (0, *[ext[la + lx] for lx in logs]) for la in logs
+            )
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -261,6 +272,12 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    def scaler(self, a: int):
+        """The map x -> a * x; a product-table row lookup, in C, for q <= 256."""
+        if self._scale_rows is not None:
+            return self._scale_rows[a].__getitem__
+        return functools.partial(self.mul, a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -452,7 +469,7 @@ class Matrix:
             raise ValueError("fields differ")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        add, mul = f.add, f.mul
+        add, scaler = f.add, f.scaler
         brows = other.rows
         zero = (0,) * other.ncols
         out = []
@@ -461,14 +478,14 @@ class Matrix:
             for a, rb in zip(ra, brows):
                 if a:
                     if a != 1:
-                        rb = tuple(map(mul, repeat(a), rb))
+                        rb = tuple(map(scaler(a), rb))
                     acc = tuple(map(add, acc, rb))
             out.append(acc)
         return Matrix._trusted(f, tuple(out), other.ncols)
 
     def scale(self, c: int) -> "Matrix":
-        mul = self.field.mul
-        rows = tuple(tuple(map(mul, repeat(c), r)) for r in self.rows)
+        scale = self.field.scaler(c)
+        rows = tuple(tuple(map(scale, r)) for r in self.rows)
         return Matrix._trusted(self.field, rows, self.ncols)
 
     def transpose(self) -> "Matrix":
@@ -545,25 +562,26 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _clear_column(work: list, col: int, r: int, sub, mul) -> None:
+def _clear_column(work: list, col: int, r: int, sub, scaler) -> None:
     """Zero column col in every row of work except pivot row r.
 
     Each row op is a whole-row map.  In characteristic 2 sub is XOR, so the
-    map runs in C; only a multiplier other than 1 costs a call per entry.
+    map runs in C, and so does the scaling by a multiplier other than 1
+    for q <= 256 (a product-table row lookup).
     """
     rowr = work[r]
     for i in range(len(work)):
         if i != r:
             x = work[i][col]
             if x:
-                scaled = rowr if x == 1 else map(mul, repeat(x), rowr)
+                scaled = rowr if x == 1 else map(scaler(x), rowr)
                 work[i] = tuple(map(sub, work[i], scaled))
 
 
 def mat_rref(m: Matrix) -> RrefResult:
     """Canonical reduced row echelon form, scanning columns left to right."""
     f = m.field
-    sub, mul, inv = f.sub, f.mul, f.inv
+    sub, scaler, inv = f.sub, f.scaler, f.inv
     n, c = m.nrows, m.ncols
     work = [r + u for r, u in zip(m.rows, _unit_rows(n))]
     pivots: list[int] = []
@@ -575,8 +593,8 @@ def mat_rref(m: Matrix) -> RrefResult:
         work[r], work[sel] = work[sel], work[r]
         piv = work[r][col]
         if piv != 1:
-            work[r] = tuple(map(mul, repeat(inv(piv)), work[r]))
-        _clear_column(work, col, r, sub, mul)
+            work[r] = tuple(map(scaler(inv(piv)), work[r]))
+        _clear_column(work, col, r, sub, scaler)
         pivots.append(col)
         r += 1
         if r == n:
@@ -586,7 +604,7 @@ def mat_rref(m: Matrix) -> RrefResult:
     return RrefResult(red, tuple(pivots), tr)
 
 
-def _echelon_insert(basis: list, row: tuple, sub, mul, inv) -> tuple | None:
+def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
     """Reduce row against ``basis``, (pivot column, row) pairs in insertion order.
 
     Each pair's row is 1 at its pivot and 0 at the earlier pivots, so one
@@ -596,20 +614,20 @@ def _echelon_insert(basis: list, row: tuple, sub, mul, inv) -> tuple | None:
     for col, prow in basis:
         x = row[col]
         if x:
-            row = tuple(map(sub, row, prow if x == 1 else map(mul, repeat(x), prow)))
+            row = tuple(map(sub, row, prow if x == 1 else map(scaler(x), prow)))
     for col, x in enumerate(row):
         if x:
-            return col, (row if x == 1 else tuple(map(mul, repeat(inv(x)), row)))
+            return col, (row if x == 1 else tuple(map(scaler(inv(x)), row)))
     return None
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank by inserting the rows one by one into an echelon basis."""
     f = m.field
-    sub, mul, inv = f.sub, f.mul, f.inv
+    sub, scaler, inv = f.sub, f.scaler, f.inv
     basis: list = []
     for row in m.rows:
-        pair = _echelon_insert(basis, row, sub, mul, inv)
+        pair = _echelon_insert(basis, row, sub, scaler, inv)
         if pair is not None:
             basis.append(pair)
             if len(basis) == m.ncols:
@@ -668,7 +686,7 @@ def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
     f = res.rref.field
     if b.field != f or b.ncols != res.rref.ncols:
         raise ValueError("solve_left shape or field mismatch")
-    add, sub, mul = f.add, f.sub, f.mul
+    add, sub, scaler = f.add, f.sub, f.scaler
     red = res.rref.rows
     trans = res.transform.rows
     zero = (0,) * res.transform.ncols
@@ -684,7 +702,8 @@ def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
                 if c == 1:
                     rr, tr = red[i], trans[i]
                 else:
-                    rr, tr = map(mul, repeat(c), red[i]), map(mul, repeat(c), trans[i])
+                    scale = scaler(c)
+                    rr, tr = map(scale, red[i]), map(scale, trans[i])
                 vec = tuple(map(sub, vec, rr))
                 xrow = tuple(map(add, xrow, tr))
         if any(vec):

@@ -33,8 +33,6 @@ from .galois import (
     Matrix,
     _random_matrix,
     field_new,
-    iter_vectors,
-    mat_rank,
     null_space,
     row_basis,
     row_space_contains,
@@ -275,6 +273,63 @@ def confusable_count(inst: IccsiInstance, i: int) -> int:
     return q ** (k * t) - q ** ((k - 1) * t)
 
 
+def _confusable_walk(
+    inst: IccsiInstance,
+    i: int,
+    budget: int | None = None,
+    extra: Matrix | None = None,
+) -> Iterator[list[tuple[int, ...]]]:
+    """Walk user i's confusable set Z = K C, one column add per step.
+
+    K is the canonical kernel basis of V^(i) (n x k) and C runs over
+    F_q^{k x t} in :func:`iter_vectors` order, column-major with entry
+    (0, 0) fastest.  The walk keeps the t columns of G C, where G stacks
+    R_i K (one row), K (n rows) and, when given, ``extra`` K.  Raising one
+    digit of C from a to a + 1 (mod q) adds the precomputed column
+    (a + 1 - a) g_j to one column of G C, so a step costs q / (q - 1)
+    column adds on average, and no matrix is built.
+
+    Yields the list of the t columns whenever R_i K C is nonzero: entry 0
+    is R_i Z, entries 1..n are Z and the rest are ``extra`` Z.  The list
+    is updated in place by the next step.  Raises :class:`BudgetExceeded`
+    when q^(k t) exceeds the budget.
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    u = inst.users[i]
+    K = null_space(u.V)  # n x k
+    k = K.ncols
+    t = inst.t
+    f = inst.field
+    q = f.q
+    if q ** (k * t) > budget:
+        raise BudgetExceeded(
+            f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
+        )
+    G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
+    add, sub, scaler = f.add, f.sub, f.scaler
+    # steps[j][a]: the column added when a digit on g_j moves from a to a + 1.
+    steps = [
+        [tuple(map(scaler(sub((a + 1) % q, a)), g)) for a in range(q)]
+        for g in G.transpose().rows
+    ]
+    plan = [(c, steps[j]) for c in range(t) for j in range(k)]
+    digits = [0] * (k * t)
+    cols = [(0,) * G.nrows] * t
+    while True:
+        if any(col[0] for col in cols):
+            yield cols
+        for pos, (c, step) in enumerate(plan):
+            a = digits[pos]
+            cols[c] = tuple(map(add, cols[c], step[a]))
+            if a + 1 < q:
+                digits[pos] = a + 1
+                break
+            digits[pos] = 0
+        else:
+            return
+
+
 def iter_confusable(
     inst: IccsiInstance, i: int, budget: int | None = None
 ) -> Iterator[Matrix]:
@@ -286,46 +341,10 @@ def iter_confusable(
     fastest, column-major).  Raises :class:`BudgetExceeded` when q^(k t)
     exceeds the budget.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    u = inst.users[i]
-    K = null_space(u.V)  # n x k
-    k = K.ncols
-    t = inst.t
-    q = inst.q
-    if q ** (k * t) > budget:
-        raise BudgetExceeded(
-            f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
-        )
-    RK = u.R * K  # 1 x k, detects R_i (K C) = 0 cheaply
     f = inst.field
-    add, mul = f.add, f.mul
-    kcols = [K.col(j) for j in range(k)]
-    n = inst.n
-    for flat in iter_vectors(f, k * t):
-        # C column-major: column c holds flat[c*k : (c+1)*k]
-        rzero = True
-        for c in range(t):
-            acc = 0
-            for j in range(k):
-                v = flat[c * k + j]
-                if v and RK.rows[0][j]:
-                    acc = add(acc, mul(RK.rows[0][j], v))
-            if acc:
-                rzero = False
-                break
-        if rzero:
-            continue
-        rows = [[0] * t for _ in range(n)]
-        for c in range(t):
-            for j in range(k):
-                v = flat[c * k + j]
-                if v:
-                    col = kcols[j]
-                    for r in range(n):
-                        if col[r]:
-                            rows[r][c] = add(rows[r][c], mul(v, col[r]))
-        yield Matrix._trusted(f, tuple(map(tuple, rows)), t)
+    stop = inst.n + 1
+    for cols in _confusable_walk(inst, i, budget):
+        yield Matrix._trusted(f, tuple(zip(*(col[1:stop] for col in cols))), inst.t)
 
 
 def sample_confusable(

@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .galois import Matrix, _echelon_insert, iter_vectors, row_basis, solve_left, vstack
+from .galois import Matrix, _echelon_insert, iter_vectors, row_basis, solve_left
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
+    UserSpec,
     intersection_basis,
     iter_confusable,
     one_symbol_view,
@@ -37,11 +38,19 @@ def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
     if L.ncols != inst.d_S:
         raise ValueError(f"L has {L.ncols} columns, expected d_S={inst.d_S}")
     lvs = L * inst.V_S
-    out = []
-    for u in inst.users:
-        stacked = vstack(u.V, lvs)
-        out.append(solve_left(stacked, u.R) is not None)
-    return out
+    return [_user_realized(u, lvs) for u in inst.users]
+
+
+def _user_realized(u: UserSpec, lvs: Matrix) -> bool:
+    """R_i in rowspace([V^(i); lvs]), by echelon insertion of the rows."""
+    f = lvs.field
+    sub, scaler, inv = f.sub, f.scaler, f.inv
+    basis: list = []
+    for row in itertools.chain(u.V.rows, lvs.rows):
+        pair = _echelon_insert(basis, row, sub, scaler, inv)
+        if pair is not None:
+            basis.append(pair)
+    return _echelon_insert(basis, u.R.rows[0], sub, scaler, inv) is None
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def min_rank(
             rows.append(a.rows[0])
         per_user_rows.append(rows)
     m, n = inst.m, inst.n
-    sub, mul, inv = f.sub, f.mul, f.inv
+    sub, scaler, inv = f.sub, f.scaler, f.inv
 
     best = [None, None]  # rank, chosen row indices
 
@@ -108,7 +117,7 @@ def min_rank(
             return best[0] <= lower_bound
         for idx, row in enumerate(per_user_rows[user]):
             choice[user] = idx
-            pair = _echelon_insert(pivrows, row, sub, mul, inv)
+            pair = _echelon_insert(pivrows, row, sub, scaler, inv)
             if pair is None:
                 if walk(user - 1, pivrows):
                     return True
@@ -157,7 +166,7 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
             union.add(z.col(0))
     cands = sorted(union)
     index = {v: k for k, v in enumerate(cands)}
-    add, mul = f.add, f.mul
+    add, scaler = f.add, f.scaler
     n = inst.n
     nodes = 0
 
@@ -165,7 +174,7 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
         return tuple(map(add, a, b))
 
     def vec_scale(c, a):
-        return a if c == 1 else tuple(map(mul, itertools.repeat(c), a))
+        return a if c == 1 else tuple(map(scaler(c), a))
 
     best_basis: list[list[tuple[int, ...]]] = [[]]
 

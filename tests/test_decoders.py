@@ -222,6 +222,19 @@ def test_support_memo_reused_and_outside_equality(syn_inst):
     assert syndrome_decode(cold, Y, lam, delta=1) == first
 
 
+def test_cache_cols_sliced_once(syn_inst):
+    # on a built decoder and on one constructed directly from its parts;
+    # the cached slice takes no part in equality
+    L = Matrix(F2, SYN_L)
+    for ctx in (build_user_decoder(syn_inst, L, 3), _walkthrough_user4_decoder(syn_inst)):
+        cols = ctx.cache_cols
+        assert cols == ctx.parity.L_prime.take_cols(range(syn_inst.d(3)))
+        assert ctx.cache_cols is cols
+    built = build_user_decoder(syn_inst, L, 3)
+    assert built.cache_cols.ncols == 2
+    assert built == build_user_decoder(syn_inst, L, 3)
+
+
 def test_syndrome_full_sweep(syn_inst):
     """All users, all messages, all errors of weight at most one."""
     L = Matrix(F2, SYN_L)
@@ -522,6 +535,29 @@ def test_frame_rejects_bad_digit():
     payload = bytes([0b11])
     with pytest.raises(FrameError):
         read_frame(io.BytesIO(header + payload))
+
+
+def test_frame_rejects_nonzero_pad_bits():
+    # one GF(2) digit in a payload byte whose seven pad bits must be zero
+    import struct
+
+    header = struct.pack("<4sIHHHHH", b"ICC1", 2, 1, 0, 1, 1, 0)
+    back, _ = read_frame(io.BytesIO(header + bytes([0b1])))
+    assert back.rows == ((1,),)
+    with pytest.raises(FrameError, match="pad bits"):
+        read_frame(io.BytesIO(header + bytes([0b11])))
+
+
+@pytest.mark.parametrize(
+    "name,shape,v,ell",
+    [("v", (2, 3), 65536, 0), ("N", (65536, 1), 0, 1), ("ell", (1, 65536), 0, 65536)],
+)
+def test_write_frame_rejects_oversized_field(name, shape, v, ell):
+    # The header fields are checked before the payload shape, so v needs no
+    # 65536-row payload.
+    payload = Matrix.zeros(field_new(2, 1), *shape)
+    with pytest.raises(ValueError, match=f"frame field {name}=65536"):
+        write_frame(io.BytesIO(), payload, v=v, ell=ell)
 
 
 def test_frame_rejects_bad_field():

@@ -45,6 +45,15 @@ def test_field_axioms_exhaustive(f):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8), (2, 9), (3, 6)])
+def test_scaler_is_mul(p, e):
+    # a product-table row up to q = 256, a partial of mul above
+    f = field_new(p, e)
+    for a in range(0, f.q, max(1, f.q // 40)):
+        scale = f.scaler(a)
+        assert list(map(scale, f.elements())) == [f.mul(a, x) for x in f.elements()]
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"GF{f.q}")
 def test_field_inverses_and_powers(f):
     for a in f.elements():

@@ -433,6 +433,10 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["bounds", "--bound", "rank", "--t", "0"], "--t"),
         (["bounds", "--bound", "zippel", "--N", "-1"], "--N"),
         (["bounds", "--bound", "subspace", "--dS", "-1"], "--dS"),
+        (["encode", "--instance", "i.json", "--method", "random", "--length", "-1"], "--length"),
+        (["encode", "--instance", "i.json", "--method", "random", "--length", "0"], "--length"),
+        (["encode", "--instance", "i.json", "--method", "concat-rs", "--length", "0"], "--length"),
+        (["encode", "--instance", "i.json", "--method", "random", "--attempts", "0"], "--attempts"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
