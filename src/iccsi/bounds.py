@@ -19,6 +19,20 @@ from .galois import gaussian_binomial, sphere_vol_hamming, sphere_vol_rank, row_
 from .instance import IccsiInstance, intersection_basis
 
 
+# Cap on the bit length of an exact power q^k a bound may build.  The
+# exponents grow with the flags (q^(N t) for the rank bound), and exact
+# arithmetic past this size takes seconds to hours.
+MAX_POWER_BITS = 1 << 15
+
+
+def _check_power(q: int, exponent: int, what: str) -> None:
+    """ValueError when q^exponent has more than MAX_POWER_BITS bits."""
+    if exponent * math.log2(q) > MAX_POWER_BITS:
+        raise ValueError(
+            f"{what} = {q}^{exponent} exceeds the {MAX_POWER_BITS}-bit cap on exact powers"
+        )
+
+
 def render_decimal(x: Fraction, sig: int = 4) -> str:
     """Decimal string of an exact rational at ``sig`` significant figures."""
     if x == 0:
@@ -80,6 +94,7 @@ def zippel_ic_prob(q: int, m_prime: int, N: int, d_S: int) -> BoundReport:
     certifies existence of a realizing L of length N.
     """
     params = {"q": q, "m_prime": m_prime, "N": N, "d_S": d_S}
+    _check_power(q, N * d_S, "q^(N d_S)")
     if q <= m_prime:
         return BoundReport.probability(
             "zippel_ic_prob", params, Fraction(0),
@@ -120,6 +135,7 @@ def subspace_existence_prob(
     strict-inequality verdict is the existence condition for length N.
     """
     params = {"w_list": list(w_list), "d_S": d_S, "N": N, "q": q}
+    _check_power(q, N * d_S, "q^(N d_S)")
     denom = gaussian_binomial(d_S, N, q)
     bad = 0
     for w in w_list:
@@ -148,6 +164,8 @@ def hamming_random_ecic_prob(
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    _check_power(q, N, "q^N")
+    _check_power(q, n, "q^n")
     params = {
         "d_list": list(d_list), "n": n, "N": N, "delta": delta, "q": q,
         "class_count": class_count,
@@ -323,6 +341,8 @@ def rank_random_ecic_prob(
     verdict is the exact existence condition sum |Z_delta| V < q^(N t).
     """
     params = {"d_list": list(d_list), "n": n, "t": t, "N": N, "delta": delta, "q": q}
+    _check_power(q, N * t, "q^(N t)")
+    _check_power(q, n * t, "q^(n t)")
     vol = sphere_vol_rank(N, t, 2 * delta, q)
     z_total = sum(z_delta_size(n, d, t, delta, q) for d in d_list)
     raw = 1 - Fraction(z_total * vol, q ** (N * t))

@@ -385,6 +385,9 @@ def _cmd_decode(args) -> int:
         raise InstanceError(f"user index {args.user} out of range")
     with open(args.frame, "rb") as fh:
         payload, layout = read_frame(fh)
+        # The file holds one frame and nothing after it.
+        if fh.read(1):
+            raise FrameError("trailing bytes after the frame")
     if payload.field != inst.field:
         raise InstanceError("frame field does not match the instance")
     lam = _load_side(args.side, inst, args.user)

@@ -8,8 +8,9 @@ For prime fields (e = 1) this is ordinary arithmetic mod p.  For p = 2 the
 encoding makes addition a bitwise XOR.
 
 Multiplication uses exp/log tables built from a generator of the
-multiplicative group, so q is capped at 2**16.  The moduli shipped for the
-fields used throughout the package are
+multiplicative group, so q is capped at 2**16; for p = 2 the tables are
+filled by shift-and-XOR multiplication by the generator.  The moduli
+shipped for the fields used throughout the package are
 
     F_4 : x^2 + x + 1
     F_8 : x^3 + x + 1
@@ -28,6 +29,14 @@ zero, so equal inputs always produce identical outputs.  Rank comes from one
 row-insertion reduction, which the min-rank search and the realization test
 share.
 
+Over GF(2) the L2 searches (``minrank.alpha``, the ``min_rank`` DFS and
+the confusable walk under ``iter_confusable`` and ``verify_ecic``) run on
+packed rows: a 0/1 row is an int bitmask with entry 0 the most significant
+bit, so int order is tuple order, add is ``^`` and Hamming weight is
+``int.bit_count()``.  :func:`_pack` and :func:`_unpack` convert, and
+:func:`_echelon_insert_gf2` and :func:`_gf2_rank` are the packed twins of
+the row insertion.  ``Matrix`` and every public result stay tuple-based.
+
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
 loaders and callers outside the package use.  Every matrix this module
@@ -41,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -121,6 +129,23 @@ def _prime_factors(n: int) -> list[int]:
         f += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def _clmul_mod(a: int, b: int, mod: int) -> int:
+    """Product of GF(2)[x] bitmasks a * b, bit i the x^i coefficient.
+
+    a must be reduced; mod is the modulus with its leading bit.
+    """
+    top = mod.bit_length() - 1
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> top & 1:
+            a ^= mod
     return out
 
 
@@ -220,13 +245,19 @@ class Field:
             for cand in range(1, q)
             if all(self._pow_raw(cand, k) != 1 for k in cofactors)
         )
+        if self.p == 2:
+            # Shift-and-XOR by the generator, reduced by the modulus bitmask.
+            mod = sum(c << i for i, c in enumerate(self.modulus))
+            times_gen = functools.partial(_clmul_mod, b=gen, mod=mod)
+        else:
+            times_gen = functools.partial(self._mul_raw, b=gen)
         exp = [1] * (q - 1)
         log = [0] * q
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._mul_raw(x, gen)
+            x = times_gen(x)
         self.generator = gen
         self._exp = exp
         self._log = log
@@ -635,6 +666,52 @@ def mat_rank(m: Matrix) -> int:
     return len(basis)
 
 
+# -- packed GF(2) rows ------------------------------------------------
+
+
+def _pack(row: Iterable[int]) -> int:
+    """A 0/1 row as an int bitmask, entry 0 the most significant bit."""
+    x = 0
+    for b in row:
+        x = x << 1 | b
+    return x
+
+
+# Every 0/1 row of length n <= 8, indexed by its packed value (itertools
+# order is packed order).  Short rows unpack to these shared tuples, so
+# results that are kept, such as certificates, hold no copies of them.
+_BIT_ROWS = [tuple(itertools.product((0, 1), repeat=n)) for n in range(9)]
+
+
+def _unpack(x: int, n: int) -> tuple[int, ...]:
+    """The length-n 0/1 row of the bitmask x; inverse of :func:`_pack`."""
+    if n < len(_BIT_ROWS):
+        return _BIT_ROWS[n][x]
+    return tuple(x >> s & 1 for s in range(n - 1, -1, -1))
+
+
+def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
+    """:func:`_echelon_insert` over GF(2) on packed rows.
+
+    Pivots are bit positions.  The leading bit is the first nonzero entry,
+    so the pairs, and the rows they span, match the tuple version's.
+    """
+    for bit, prow in basis:
+        if x >> bit & 1:
+            x ^= prow
+    return (x.bit_length() - 1, x) if x else None
+
+
+def _gf2_rank(masks: Iterable[int]) -> int:
+    """Rank of packed GF(2) rows, by :func:`_echelon_insert_gf2`."""
+    basis: list = []
+    for x in masks:
+        pair = _echelon_insert_gf2(basis, x)
+        if pair is not None:
+            basis.append(pair)
+    return len(basis)
+
+
 def row_basis(m: Matrix) -> Matrix:
     """Nonzero rows of the RREF: the canonical basis of the row space."""
     res = mat_rref(m)
@@ -763,7 +840,12 @@ def sphere_vol_hamming(n: int, radius: int, q: int) -> int:
     radius = min(radius, n)
     if radius < 0:
         return 0
-    return sum(math.comb(n, j) * (q - 1) ** j for j in range(radius + 1))
+    # term j is comb(n, j) (q - 1)^j, each from the last by one exact division.
+    total = term = 1
+    for j in range(radius):
+        term = term * (n - j) * (q - 1) // (j + 1)
+        total += term
+    return total
 
 
 def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:

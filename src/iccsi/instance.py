@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Sequence
 from .galois import (
     Field,
     Matrix,
+    _pack,
+    _unpack,
     _random_matrix,
     field_new,
     null_space,
@@ -290,9 +292,10 @@ def _confusable_walk(
     column adds on average, and no matrix is built.
 
     Yields the list of the t columns whenever R_i K C is nonzero: entry 0
-    is R_i Z, entries 1..n are Z and the rest are ``extra`` Z.  The list
-    is updated in place by the next step.  Raises :class:`BudgetExceeded`
-    when q^(k t) exceeds the budget.
+    is R_i Z, entries 1..n are Z and the rest are ``extra`` Z.  Over GF(2)
+    the columns are packed rows (see :mod:`iccsi.galois`), so R_i Z is the
+    top bit.  The list is updated in place by the next step.  Raises
+    :class:`BudgetExceeded` when q^(k t) exceeds the budget.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -307,6 +310,9 @@ def _confusable_walk(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
     G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
+    if q == 2:
+        yield from _confusable_walk_gf2(G, k, t)
+        return
     add, sub, scaler = f.add, f.sub, f.scaler
     # steps[j][a]: the column added when a digit on g_j moves from a to a + 1.
     steps = [
@@ -330,6 +336,29 @@ def _confusable_walk(
             return
 
 
+def _confusable_walk_gf2(G: Matrix, k: int, t: int) -> Iterator[list[int]]:
+    """:func:`_confusable_walk` over GF(2), with the columns of G C packed.
+
+    C counts in binary, digit 0 lowest, so the step to count s flips digits
+    0..p, p the lowest set bit of s, and the column a digit on g_j adds is
+    g_j whichever way it flips.  ``flips[p]`` holds the XOR each column
+    takes for those digits.  The R_i K C entry is the top bit.
+    """
+    top = G.nrows - 1
+    gs = [_pack(g) for g in G.transpose().rows]
+    flips = []
+    acc = [0] * t
+    for p in range(k * t):
+        acc[p // k] ^= gs[p % k]
+        flips.append(list(enumerate(acc[: p // k + 1])))
+    cols = [0] * t
+    for s in range(1, 1 << (k * t)):
+        for c, x in flips[(s & -s).bit_length() - 1]:
+            cols[c] ^= x
+        if max(cols) >> top:
+            yield cols
+
+
 def iter_confusable(
     inst: IccsiInstance, i: int, budget: int | None = None
 ) -> Iterator[Matrix]:
@@ -342,7 +371,15 @@ def iter_confusable(
     exceeds the budget.
     """
     f = inst.field
-    stop = inst.n + 1
+    n = inst.n
+    if f.q == 2:
+        # Packed columns: Z is the low n bits below the R_i Z bit.
+        mask = (1 << n) - 1
+        for cols in _confusable_walk(inst, i, budget):
+            zcols = [_unpack(col & mask, n) for col in cols]
+            yield Matrix._trusted(f, tuple(zip(*zcols)), inst.t)
+        return
+    stop = n + 1
     for cols in _confusable_walk(inst, i, budget):
         yield Matrix._trusted(f, tuple(zip(*(col[1:stop] for col in cols))), inst.t)
 

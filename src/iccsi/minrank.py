@@ -13,10 +13,20 @@ confusable for some user (t = 1 view); it lower-bounds the min-rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .galois import Matrix, _echelon_insert, iter_vectors, row_basis, solve_left
+from .galois import (
+    Matrix,
+    _echelon_insert,
+    _echelon_insert_gf2,
+    _pack,
+    _unpack,
+    iter_vectors,
+    row_basis,
+    solve_left,
+)
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -100,28 +110,38 @@ def min_rank(
             rows.append(a.rows[0])
         per_user_rows.append(rows)
     m, n = inst.m, inst.n
-    sub, scaler, inv = f.sub, f.scaler, f.inv
-
-    best = [None, None]  # rank, chosen row indices
+    # Over GF(2) the search inserts packed rows; it visits the same nodes.
+    if q == 2:
+        cands = [list(map(_pack, rows)) for rows in per_user_rows]
+        insert = _echelon_insert_gf2
+    else:
+        cands = per_user_rows
+        insert = functools.partial(
+            _echelon_insert, sub=f.sub, scaler=f.scaler, inv=f.inv
+        )
 
     # Depth-first over users from the last down to user 0 so that user 0 is
-    # the innermost (fastest) index, matching odometer order.
+    # the innermost (fastest) index, matching odometer order.  Adding rows
+    # never lowers the rank, so a branch stops once it cannot beat the best.
+    best_rank = m + 1  # above the rank of any choice
+    best_choice: tuple[int, ...] = ()
     choice = [0] * m
 
     def walk(user: int, pivrows) -> bool:
-        if best[0] is not None and len(pivrows) >= best[0]:
-            return False
+        nonlocal best_rank, best_choice
         if user < 0:
-            best[0] = len(pivrows)
-            best[1] = tuple(choice)
-            return best[0] <= lower_bound
-        for idx, row in enumerate(per_user_rows[user]):
+            best_rank = len(pivrows)
+            best_choice = tuple(choice)
+            return best_rank <= lower_bound
+        for idx, row in enumerate(cands[user]):
+            if len(pivrows) >= best_rank:
+                return False
             choice[user] = idx
-            pair = _echelon_insert(pivrows, row, sub, scaler, inv)
+            pair = insert(pivrows, row)
             if pair is None:
                 if walk(user - 1, pivrows):
                     return True
-            else:
+            elif len(pivrows) + 1 < best_rank:
                 pivrows.append(pair)
                 done = walk(user - 1, pivrows)
                 pivrows.pop()
@@ -130,14 +150,13 @@ def min_rank(
         return False
 
     walk(m - 1, [])
-    assert best[0] is not None
     chosen = Matrix._trusted(
-        f, tuple(per_user_rows[i][best[1][i]] for i in range(m)), n
+        f, tuple(per_user_rows[i][best_choice[i]] for i in range(m)), n
     )
     basis = row_basis(chosen)
     witness = solve_left(inst.V_S, basis)
     assert witness is not None, "witness rows must lie in the sender space"
-    return MinRankResult(best[0], witness, total)
+    return MinRankResult(best_rank, witness, total)
 
 
 @dataclass(frozen=True)
@@ -153,21 +172,37 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     Works in the t = 1 view: collects every confusable vector of every user,
     then depth-first searches for the largest subspace all of whose nonzero
     vectors belong to the union.  Candidates are tried in encoded order, so
-    the reported witness is deterministic.
+    the reported witness is deterministic.  Over GF(2) with n <= 20 the
+    search runs on packed rows, whose int order is the tuple order, so it
+    visits the same nodes.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     f = inst.field
-    q = f.q
+    n = inst.n
     one_view = one_symbol_view(inst)
     union: set[tuple[int, ...]] = set()
     for i in range(inst.m):
         for z in iter_confusable(one_view, i, budget=budget):
             union.add(z.col(0))
+    if f.q == 2 and n <= _BITSET_MAX_N:
+        packed, nodes = _alpha_dfs_gf2(set(map(_pack, union)), n, budget)
+        basis_rows = [_unpack(x, n) for x in packed]
+    else:
+        basis_rows, nodes = _alpha_dfs(union, f, n, budget)
+    witness = (
+        row_basis(Matrix._trusted(f, tuple(basis_rows), n))
+        if basis_rows
+        else Matrix._trusted(f, (), n)
+    )
+    return AlphaResult(len(basis_rows), witness, nodes)
+
+
+def _alpha_dfs(union: set, f, n: int, budget: int) -> tuple[list, int]:
+    """The alpha DFS over F_q: the first largest basis found, and the nodes."""
+    q = f.q
     cands = sorted(union)
-    index = {v: k for k, v in enumerate(cands)}
     add, scaler = f.add, f.scaler
-    n = inst.n
     nodes = 0
 
     def vec_add(a, b):
@@ -216,10 +251,51 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     zero = (0,) * n
     span_set: set[tuple[int, ...]] = {zero}
     extend(0, [zero], [])
-    basis_rows = best_basis[0]
-    witness = (
-        row_basis(Matrix._trusted(f, tuple(basis_rows), n))
-        if basis_rows
-        else Matrix._trusted(f, (), n)
-    )
-    return AlphaResult(len(basis_rows), witness, nodes)
+    return best_basis[0], nodes
+
+
+# Largest n for the GF(2) alpha search's bitsets over F_2^n: n + 1 ints of
+# 2^n bits, 2.6 MB at n = 20.  Larger n runs the F_q search.
+_BITSET_MAX_N = 20
+
+
+def _alpha_dfs_gf2(union: set[int], n: int, budget: int) -> tuple[list[int], int]:
+    """:func:`_alpha_dfs` over GF(2) on packed rows, with candidate bitsets.
+
+    Bit v of a node's set is 1 when v + s is in the union for every s in
+    the node's span.  Adding z to the span keeps the v for which v and
+    v + z are both in the set: the set ANDed with its XOR translate by z.
+    0 is never confusable, so no span element is in the set, and its
+    members above the last basis vector are the candidates the F_q search
+    accepts, in the same order: the nodes and the witness are the same.
+    """
+    size = 1 << n
+    # halves[b]: the positions v with bit b of v clear.
+    halves = [
+        ((1 << (1 << b)) - 1) * ((1 << size) - 1) // ((1 << (2 << b)) - 1)
+        for b in range(n)
+    ]
+    best: list[int] = []
+    nodes = 0
+
+    def extend(cands: int, low: int, basis: list[int]) -> None:
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"alpha search exceeded budget {budget}")
+        if len(basis) > len(best):
+            best = list(basis)
+        rest = cands >> low << low
+        while rest:
+            z = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            moved = cands
+            for b, half in enumerate(halves):
+                if z >> b & 1:
+                    moved = (moved & half) << (1 << b) | (moved >> (1 << b)) & half
+            basis.append(z)
+            extend(cands & moved, z + 1, basis)
+            basis.pop()
+
+    extend(sum(1 << v for v in union), 0, [])
+    return best, nodes

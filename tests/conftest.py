@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from iccsi import BudgetExceeded, IccsiInstance, Matrix, field_new, make_instance, realizes_ic
-from iccsi.galois import gaussian_binomial, iter_subspace_bases, mat_rank
+from iccsi.galois import gaussian_binomial, iter_subspace_bases, iter_vectors, mat_rank
 from iccsi.instance import DEFAULT_BUDGET
 
 F2 = field_new(2, 1)
@@ -187,6 +187,32 @@ def min_rank_bruteforce_oracle(inst, budget=DEFAULT_BUDGET):
             if all(realizes_ic(L, inst)):
                 return k
     return r_rank
+
+
+def alpha_bruteforce_oracle(inst):
+    """Independent alpha: the largest dimension of a subspace of F_q^n whose
+    nonzero vectors are all confusable for some user in the t = 1 view.
+
+    A vector z is confusable for user i when V^(i) z = 0 and R_i z != 0.
+    Tests every canonical subspace basis from the top dimension down, so it
+    is meant for n <= 5.
+    """
+    f, n = inst.field, inst.n
+    union = set()
+    for v in iter_vectors(f, n):
+        z = Matrix.column_vector(f, v)
+        if any((u.V * z).is_zero() and not (u.R * z).is_zero() for u in inst.users):
+            union.add(v)
+    for dim in range(n, 0, -1):
+        for basis in iter_subspace_bases(f, n, dim):
+            span = (
+                (Matrix(f, [coef]) * basis).rows[0]
+                for coef in iter_vectors(f, dim)
+                if any(coef)
+            )
+            if all(v in union for v in span):
+                return dim
+    return 0
 
 
 def mat(field, rows):

@@ -108,6 +108,20 @@ def test_generator_matches_brute_force_search(p, e):
     assert [f._log[v] for v in exp] == list(range(f.q - 1))
 
 
+@pytest.mark.parametrize("e", range(1, 11))
+def test_char2_tables_match_mul_raw_fill(e):
+    # Characteristic 2 fills the tables by shift-and-XOR; the reference fill
+    # takes polynomial products with _mul_raw, generator found by brute force.
+    f = Field(2, e)
+    gen = _brute_force_generator(f)
+    exp, log, x = [], [0] * f.q, 1
+    for i in range(f.q - 1):
+        exp.append(x)
+        log[x] = i
+        x = f._mul_raw(x, gen)
+    assert (f.generator, f._exp, f._log) == (gen, exp, log)
+
+
 def test_field_construction_errors():
     with pytest.raises(ValueError):
         field_new(4, 1)

@@ -372,6 +372,31 @@ def test_cli_decode_failure_exit(inst_file, tmp_path, capsys, syn_inst):
     assert "SyndromeNotFound" in capsys.readouterr().err
 
 
+def test_cli_decode_rejects_trailing_bytes(inst_file, tmp_path, capsys, syn_inst):
+    # A frame file holds one frame; one more byte after it is malformed input.
+    enc_path = tmp_path / "enc.json"
+    save_encoder(_syn_encoder(syn_inst), enc_path)
+    X = Matrix.column_vector(F2, (1, 1, 1, 1))
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, Matrix(F2, SYN_L) * X, v=0, ell=1)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([list(r) for r in (syn_inst.users[3].V * X).rows]))
+    argv = [
+        "decode", "--frame", str(frame), "--instance", inst_file,
+        "--encoder", str(enc_path), "--user", "3", "--side", str(side),
+        "--delta", "1",
+    ]
+    assert main(argv) == 0
+    assert "demand: 1" in capsys.readouterr().out
+    with open(frame, "ab") as fh:
+        fh.write(b"\x00")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: trailing bytes after the frame" in captured.err
+    assert "demand" not in captured.out
+
+
 def test_cli_decode_field_mismatch(inst_file, tmp_path, capsys):
     f3 = field_new(3, 1)
     frame = tmp_path / "y3.bin"
@@ -437,17 +462,42 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["encode", "--instance", "i.json", "--method", "random", "--length", "0"], "--length"),
         (["encode", "--instance", "i.json", "--method", "concat-rs", "--length", "0"], "--length"),
         (["encode", "--instance", "i.json", "--method", "random", "--attempts", "0"], "--attempts"),
+        # Flag values whose exact powers are too large to compute: each took
+        # from 0.7 s to well over 20 s before the cap on exact powers.
+        (["bounds", "--bound", "rank", "--N", "26000", "--t", "10"], "q^(N t)"),
+        (["bounds", "--bound", "rank", "--n", "100000", "--t", "10"], "q^(n t)"),
+        (["bounds", "--bound", "hamming", "--N", "1000000"], "q^N"),
+        (["bounds", "--bound", "hamming", "--n", "10000000", "--q", "3"], "q^n"),
+        (["bounds", "--bound", "zippel", "--N", "100000"], "q^(N d_S)"),
+        (["bounds", "--bound", "subspace", "--N", "1000", "--dS", "2000"], "q^(N d_S)"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    with _deadline(10):
+        if flag.startswith("q^"):
+            assert main(argv) == 2
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
     err = capsys.readouterr().err
-    # --q is a field order, refused by value; the others by a lower bound.
-    message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
-    assert f"error: argument {flag}: {message}" in err
+    if flag.startswith("q^"):
+        # Refused by the bound itself, before any exact power is built.
+        assert f"error: {flag} = " in err and "-bit cap on exact powers" in err
+    else:
+        # --q is a field order, refused by value; the others by a lower bound.
+        message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
+        assert f"error: argument {flag}: {message}" in err
     assert "Traceback" not in err
+
+
+def test_cli_bounds_large_radius_finishes(capsys):
+    # Under the cap the Hamming sphere volume still has 15,001 terms of
+    # ~30,000 bits; summed term by term it took minutes.
+    with _deadline(10):
+        code = main(["bounds", "--bound", "hamming", "--N", "30000", "--delta", "7500"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("hamming_random_ecic_prob,2,")
 
 
 def test_cli_simulate(inst_file, tmp_path, capsys, syn_inst):
