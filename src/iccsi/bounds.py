@@ -94,12 +94,12 @@ def zippel_ic_prob(q: int, m_prime: int, N: int, d_S: int) -> BoundReport:
     certifies existence of a realizing L of length N.
     """
     params = {"q": q, "m_prime": m_prime, "N": N, "d_S": d_S}
-    _check_power(q, N * d_S, "q^(N d_S)")
     if q <= m_prime:
         return BoundReport.probability(
             "zippel_ic_prob", params, Fraction(0),
             note=f"inapplicable: requires q > m_prime, got q={q}, m_prime={m_prime}",
         )
+    _check_power(q, N * d_S, "q^(N d_S)")
     raw = Fraction(q - m_prime, q) ** (N * d_S)
     return BoundReport.probability("zippel_ic_prob", params, raw, verdict=raw > 0)
 
@@ -135,7 +135,8 @@ def subspace_existence_prob(
     strict-inequality verdict is the existence condition for length N.
     """
     params = {"w_list": list(w_list), "d_S": d_S, "N": N, "q": q}
-    _check_power(q, N * d_S, "q^(N d_S)")
+    if N <= d_S:  # else no N-dim subspace exists and no power is built
+        _check_power(q, N * d_S, "q^(N d_S)")
     denom = gaussian_binomial(d_S, N, q)
     bad = 0
     for w in w_list:
@@ -165,7 +166,7 @@ def hamming_random_ecic_prob(
     if delta < 0:
         raise ValueError("delta must be >= 0")
     _check_power(q, N, "q^N")
-    _check_power(q, n, "q^n")
+    _check_power(q, n - min(d_list) - 1, "q^(n-d-1)")
     params = {
         "d_list": list(d_list), "n": n, "N": N, "delta": delta, "q": q,
         "class_count": class_count,
@@ -342,7 +343,7 @@ def rank_random_ecic_prob(
     """
     params = {"d_list": list(d_list), "n": n, "t": t, "N": N, "delta": delta, "q": q}
     _check_power(q, N * t, "q^(N t)")
-    _check_power(q, n * t, "q^(n t)")
+    _check_power(q, (n - min(d_list, default=n)) * t, "q^((n-d) t)")
     vol = sphere_vol_rank(N, t, 2 * delta, q)
     z_total = sum(z_delta_size(n, d, t, delta, q) for d in d_list)
     raw = 1 - Fraction(z_total * vol, q ** (N * t))

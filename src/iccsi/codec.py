@@ -24,10 +24,7 @@ import numpy as np
 
 from .galois import (
     Matrix,
-    _gf2_rank,
-    _pack,
     _random_matrix,
-    _unpack,
     field_of_order,
     hamming_weight,
     iter_vectors,
@@ -40,6 +37,7 @@ from .instance import (
     BudgetExceeded,
     IccsiInstance,
     _confusable_walk,
+    _walk_blocks,
     one_symbol_view,
     sample_confusable,
 )
@@ -240,54 +238,21 @@ def _walk_user(
     nonzero columns skip the confusable unranked, a block of rank >= need
     is a tested confusable that passes, and rank(Z) is needed only below.
     """
-    if view.q == 2:
-        return _walk_user_gf2(view, i, lvs, metric, need, budget)
-    f = view.field
-    n, N, t = view.n, lvs.nrows, view.t
-    zero = (0,) * (1 + n + N)
+    N, t = lvs.nrows, view.t
+    blocks = _walk_blocks(view, N)
+    extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
     tested = 0
     for cols in _confusable_walk(view, i, budget, extra=lvs):
         if metric == HAMMING:
-            block = cols[0][n + 1:]
-            w = N - block.count(0)
+            w = extra_weight(cols[0])
         elif t - cols.count(zero) < need:
             continue
         else:
-            w = mat_rank(Matrix._trusted(f, tuple(col[n + 1:] for col in cols), N))
+            w = extra_rank(cols)
         if w < need:
-            zcols = tuple(col[1:n + 1] for col in cols)
-            if metric == RANK and mat_rank(Matrix._trusted(f, zcols, n)) < need:
+            if metric == RANK and blocks.z_rank(cols) < need:
                 continue
-            return tested + 1, Matrix._trusted(f, tuple(zip(*zcols)), t)
-        tested += 1
-    return tested, None
-
-
-def _walk_user_gf2(
-    view: IccsiInstance, i: int, lvs: Matrix, metric: str, need: int, budget: int
-) -> tuple[int, Matrix | None]:
-    """:func:`_walk_user` over GF(2) on the packed walk columns.
-
-    A column holds R_i Z, then Z in the next n bits, then the L V_S Z
-    block in the low N bits; a zero column is 0.
-    """
-    n, N, t = view.n, lvs.nrows, view.t
-    low = (1 << N) - 1
-    tested = 0
-    for cols in _confusable_walk(view, i, budget, extra=lvs):
-        if metric == HAMMING:
-            w = (cols[0] & low).bit_count()
-        elif t - cols.count(0) < need:
-            continue
-        else:
-            w = _gf2_rank([col & low for col in cols])
-        if w < need:
-            zcols = [col >> N & ((1 << n) - 1) for col in cols]
-            if metric == RANK and _gf2_rank(zcols) < need:
-                continue
-            # Packed rows of Z, unpacked to the shared short-row tuples.
-            rows = tuple(_unpack(_pack(r), t) for r in zip(*(_unpack(z, n) for z in zcols)))
-            return tested + 1, Matrix._trusted(view.field, rows, t)
+            return tested + 1, blocks.z(cols)
         tested += 1
     return tested, None
 

@@ -31,10 +31,12 @@ from typing import Iterable, Iterator, Sequence
 from .galois import (
     Field,
     Matrix,
+    _gf2_rank,
     _pack,
-    _unpack,
     _random_matrix,
+    _unpack,
     field_new,
+    mat_rank,
     null_space,
     row_basis,
     row_space_contains,
@@ -280,7 +282,7 @@ def _confusable_walk(
     i: int,
     budget: int | None = None,
     extra: Matrix | None = None,
-) -> Iterator[list[tuple[int, ...]]]:
+) -> Iterator[list]:
     """Walk user i's confusable set Z = K C, one column add per step.
 
     K is the canonical kernel basis of V^(i) (n x k) and C runs over
@@ -291,11 +293,11 @@ def _confusable_walk(
     (a + 1 - a) g_j to one column of G C, so a step costs q / (q - 1)
     column adds on average, and no matrix is built.
 
-    Yields the list of the t columns whenever R_i K C is nonzero: entry 0
-    is R_i Z, entries 1..n are Z and the rest are ``extra`` Z.  Over GF(2)
-    the columns are packed rows (see :mod:`iccsi.galois`), so R_i Z is the
-    top bit.  The list is updated in place by the next step.  Raises
-    :class:`BudgetExceeded` when q^(k t) exceeds the budget.
+    Yields the list of the t columns whenever R_i K C is nonzero; each
+    column holds R_i Z, Z and ``extra`` Z, tuples over F_q and packed rows
+    over GF(2), read through :func:`_walk_blocks`.  The list is updated in
+    place by the next step.  Raises :class:`BudgetExceeded` when q^(k t)
+    exceeds the budget.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -359,6 +361,75 @@ def _confusable_walk_gf2(G: Matrix, k: int, t: int) -> Iterator[list[int]]:
             yield cols
 
 
+class _WalkBlocks:
+    """Reads the blocks of the columns :func:`_confusable_walk` yields.
+
+    A column holds R_i Z, then Z (n entries), then the ``extra`` Z block
+    (N entries).  The readers take one column or the walk's list of t
+    columns; consumers use them and never index a column themselves.
+    """
+
+    def __init__(self, inst: IccsiInstance, N: int = 0):
+        self.field, self.n, self.t, self.N = inst.field, inst.n, inst.t, N
+        self.zero = (0,) * (1 + inst.n + N)  # a zero column
+
+    def z(self, cols: list) -> Matrix:
+        """Z, from the Z blocks of the t columns."""
+        stop = self.n + 1
+        return Matrix._trusted(self.field, tuple(zip(*(col[1:stop] for col in cols))), self.t)
+
+    def z_rank(self, cols: list) -> int:
+        """rank(Z), from the Z blocks of the t columns."""
+        stop = self.n + 1
+        return mat_rank(Matrix._trusted(self.field, tuple(col[1:stop] for col in cols), self.n))
+
+    def extra_weight(self, col) -> int:
+        """Hamming weight of one column's extra block."""
+        return self.N - col[self.n + 1:].count(0)
+
+    def extra_rank(self, cols: list) -> int:
+        """Rank of the t extra blocks, the transpose of extra Z."""
+        stop = self.n + 1
+        return mat_rank(Matrix._trusted(self.field, tuple(col[stop:] for col in cols), self.N))
+
+
+class _PackedWalkBlocks(_WalkBlocks):
+    """:class:`_WalkBlocks` over GF(2), where the walk packs each column
+    (see :mod:`iccsi.galois`): R_i Z is bit n + N, Z the next n bits and
+    the extra block the low N bits.
+    """
+
+    def __init__(self, inst: IccsiInstance, N: int = 0):
+        super().__init__(inst, N)
+        self.zero = 0
+        self._low = (1 << N) - 1
+
+    def z(self, cols: list) -> Matrix:
+        # Row r of Z packs bit n - 1 - r of each column's Z block.
+        zcols = [col >> self.N for col in cols]
+        rows = tuple(
+            _unpack(_pack([x >> s & 1 for x in zcols]), self.t)
+            for s in range(self.n - 1, -1, -1)
+        )
+        return Matrix._trusted(self.field, rows, self.t)
+
+    def z_rank(self, cols: list) -> int:
+        zmask = (1 << self.n) - 1
+        return _gf2_rank([col >> self.N & zmask for col in cols])
+
+    def extra_weight(self, col: int) -> int:
+        return (col & self._low).bit_count()
+
+    def extra_rank(self, cols: list) -> int:
+        low = self._low
+        return _gf2_rank([col & low for col in cols])
+
+
+def _walk_blocks(inst: IccsiInstance, N: int = 0) -> _WalkBlocks:
+    """The block readers for walks of ``inst`` with an N-row ``extra``."""
+    return _PackedWalkBlocks(inst, N) if inst.q == 2 else _WalkBlocks(inst, N)
+
+
 def iter_confusable(
     inst: IccsiInstance, i: int, budget: int | None = None
 ) -> Iterator[Matrix]:
@@ -370,18 +441,9 @@ def iter_confusable(
     fastest, column-major).  Raises :class:`BudgetExceeded` when q^(k t)
     exceeds the budget.
     """
-    f = inst.field
-    n = inst.n
-    if f.q == 2:
-        # Packed columns: Z is the low n bits below the R_i Z bit.
-        mask = (1 << n) - 1
-        for cols in _confusable_walk(inst, i, budget):
-            zcols = [_unpack(col & mask, n) for col in cols]
-            yield Matrix._trusted(f, tuple(zip(*zcols)), inst.t)
-        return
-    stop = n + 1
+    blocks = _walk_blocks(inst)
     for cols in _confusable_walk(inst, i, budget):
-        yield Matrix._trusted(f, tuple(zip(*(col[1:stop] for col in cols))), inst.t)
+        yield blocks.z(cols)
 
 
 def sample_confusable(

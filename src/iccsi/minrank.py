@@ -172,9 +172,9 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     Works in the t = 1 view: collects every confusable vector of every user,
     then depth-first searches for the largest subspace all of whose nonzero
     vectors belong to the union.  Candidates are tried in encoded order, so
-    the reported witness is deterministic.  Over GF(2) with n <= 20 the
-    search runs on packed rows, whose int order is the tuple order, so it
-    visits the same nodes.
+    the reported witness is deterministic.  Over GF(2) the search runs on
+    packed rows, whose int order is the tuple order, so it visits the same
+    nodes.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -185,8 +185,8 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     for i in range(inst.m):
         for z in iter_confusable(one_view, i, budget=budget):
             union.add(z.col(0))
-    if f.q == 2 and n <= _BITSET_MAX_N:
-        packed, nodes = _alpha_dfs_gf2(set(map(_pack, union)), n, budget)
+    if f.q == 2:
+        packed, nodes = _alpha_dfs_gf2(set(map(_pack, union)), budget)
         basis_rows = [_unpack(x, n) for x in packed]
     else:
         basis_rows, nodes = _alpha_dfs(union, f, n, budget)
@@ -254,48 +254,37 @@ def _alpha_dfs(union: set, f, n: int, budget: int) -> tuple[list, int]:
     return best_basis[0], nodes
 
 
-# Largest n for the GF(2) alpha search's bitsets over F_2^n: n + 1 ints of
-# 2^n bits, 2.6 MB at n = 20.  Larger n runs the F_q search.
-_BITSET_MAX_N = 20
+def _alpha_dfs_gf2(union: set[int], budget: int) -> tuple[list[int], int]:
+    """:func:`_alpha_dfs` over GF(2) on packed rows.
 
-
-def _alpha_dfs_gf2(union: set[int], n: int, budget: int) -> tuple[list[int], int]:
-    """:func:`_alpha_dfs` over GF(2) on packed rows, with candidate bitsets.
-
-    Bit v of a node's set is 1 when v + s is in the union for every s in
-    the node's span.  Adding z to the span keeps the v for which v and
-    v + z are both in the set: the set ANDed with its XOR translate by z.
-    0 is never confusable, so no span element is in the set, and its
-    members above the last basis vector are the candidates the F_q search
-    accepts, in the same order: the nodes and the witness are the same.
+    The only nonzero scalar is 1, so adding z to the span adds z ^ s for
+    each span element s.  A z already in the span meets z ^ z = 0, which
+    is never confusable, so the union test rejects it without a span set.
+    Candidates are the sorted packed union, which is the tuple search's
+    order: the nodes and the witness are the same.
     """
-    size = 1 << n
-    # halves[b]: the positions v with bit b of v clear.
-    halves = [
-        ((1 << (1 << b)) - 1) * ((1 << size) - 1) // ((1 << (2 << b)) - 1)
-        for b in range(n)
-    ]
+    cands = sorted(union)
+    span = [0]
     best: list[int] = []
     nodes = 0
 
-    def extend(cands: int, low: int, basis: list[int]) -> None:
+    def extend(start: int, basis: list[int]) -> None:
         nonlocal nodes, best
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"alpha search exceeded budget {budget}")
         if len(basis) > len(best):
             best = list(basis)
-        rest = cands >> low << low
-        while rest:
-            z = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            moved = cands
-            for b, half in enumerate(halves):
-                if z >> b & 1:
-                    moved = (moved & half) << (1 << b) | (moved >> (1 << b)) & half
+        for j in range(start, len(cands)):
+            z = cands[j]
+            new_elems = [z ^ s for s in span]
+            if not union.issuperset(new_elems):
+                continue
+            span.extend(new_elems)
             basis.append(z)
-            extend(cands & moved, z + 1, basis)
+            extend(j + 1, basis)
             basis.pop()
+            del span[len(span) - len(new_elems):]
 
-    extend(sum(1 << v for v in union), 0, [])
+    extend(0, [])
     return best, nodes

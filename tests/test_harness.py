@@ -465,9 +465,9 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         # Flag values whose exact powers are too large to compute: each took
         # from 0.7 s to well over 20 s before the cap on exact powers.
         (["bounds", "--bound", "rank", "--N", "26000", "--t", "10"], "q^(N t)"),
-        (["bounds", "--bound", "rank", "--n", "100000", "--t", "10"], "q^(n t)"),
+        (["bounds", "--bound", "rank", "--n", "100000", "--t", "10"], "q^((n-d) t)"),
         (["bounds", "--bound", "hamming", "--N", "1000000"], "q^N"),
-        (["bounds", "--bound", "hamming", "--n", "10000000", "--q", "3"], "q^n"),
+        (["bounds", "--bound", "hamming", "--n", "10000000", "--q", "3"], "q^(n-d-1)"),
         (["bounds", "--bound", "zippel", "--N", "100000"], "q^(N d_S)"),
         (["bounds", "--bound", "subspace", "--N", "1000", "--dS", "2000"], "q^(N d_S)"),
     ],
@@ -498,6 +498,21 @@ def test_cli_bounds_large_radius_finishes(capsys):
         code = main(["bounds", "--bound", "hamming", "--N", "30000", "--delta", "7500"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("hamming_random_ecic_prob,2,")
+
+
+@pytest.mark.parametrize(
+    "argv,row",
+    [
+        # Large flags whose big powers are never built: the cap lets them by.
+        (["zippel", "--q", "2", "--m", "5", "--N", "100000"], "zippel_ic_prob,2,1,10,100000,0,5,-,"),
+        (["hamming", "--n", "10000000", "--d", "9999999"], "hamming_random_ecic_prob,2,1,10000000,1,0,1,0.5,true"),
+        (["rank", "--n", "100000", "--d", "99999", "--t", "10"], "rank_random_ecic_prob,2,10,100000,1,0,1,0.0009766,true"),
+    ],
+)
+def test_cli_bounds_large_flags_without_large_powers(argv, row, capsys):
+    with _deadline(10):
+        assert main(["bounds", "--bound", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
 
 
 def test_cli_simulate(inst_file, tmp_path, capsys, syn_inst):

@@ -24,7 +24,6 @@ from iccsi import (
     field_new,
     make_instance,
     min_rank,
-    minrank,
     verify_ecic,
 )
 from iccsi.codec import HAMMING, RANK
@@ -200,17 +199,6 @@ def test_alpha_matches_reference(n, t, seed):
         assert got.alpha == alpha_bruteforce_oracle(inst)
     small = got.node_count - 1
     assert outcome(alpha, inst, small) == outcome(ref_alpha, inst, small)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_alpha_large_n_uses_fq_search(seed, monkeypatch):
-    # Above the bitset size cap GF(2) runs the F_q search, with equal results.
-    rng = np.random.default_rng([seed, 5])
-    inst = gf2_instance(rng, 5, 1, K_MAX[1])
-    packed = alpha(inst)
-    monkeypatch.setattr(minrank, "_BITSET_MAX_N", 4)
-    assert alpha(inst) == packed
-    assert alpha(inst) == ref_alpha(inst)
 
 
 @pytest.mark.parametrize("n,t,seed", CASES)
