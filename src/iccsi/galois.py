@@ -29,13 +29,14 @@ zero, so equal inputs always produce identical outputs.  Rank comes from one
 row-insertion reduction, which the min-rank search and the realization test
 share.
 
-Over GF(2) the L2 searches (``minrank.alpha``, the ``min_rank`` DFS and
-the confusable walk under ``iter_confusable`` and ``verify_ecic``) run on
-packed rows: a 0/1 row is an int bitmask with entry 0 the most significant
-bit, so int order is tuple order, add is ``^`` and Hamming weight is
-``int.bit_count()``.  :func:`_pack` and :func:`_unpack` convert, and
-:func:`_echelon_insert_gf2` and :func:`_gf2_rank` are the packed twins of
-the row insertion.  ``Matrix`` and every public result stay tuple-based.
+Over GF(2) the L2 searches (the ``minrank.alpha`` union and search, the
+``min_rank`` DFS and the confusable walk under ``iter_confusable``,
+``alpha`` and ``verify_ecic``) run on packed rows: a 0/1 row is an int
+bitmask with entry 0 the most significant bit, so int order is tuple
+order, add is ``^`` and Hamming weight is ``int.bit_count()``.
+:func:`_pack` and :func:`_unpack` convert, and :func:`_echelon_insert_gf2`
+and :func:`_gf2_rank` are the packed twins of the row insertion.
+``Matrix`` and every public result stay tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -55,6 +56,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_FIELD_ORDER = 1 << 16
+# Largest extension degree below the order cap (p >= 2).
+_MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1
 # Largest field whose q x q product table Field.scaler keeps.
 _SCALE_TABLE_MAX = 256
 
@@ -164,6 +167,16 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
+        # Size caps first: the primality test and p**e cost time and memory
+        # that grow with p and e.
+        if p > MAX_FIELD_ORDER:
+            raise ValueError(
+                f"field characteristic {p} exceeds supported maximum {MAX_FIELD_ORDER}"
+            )
+        if e > _MAX_DEGREE:
+            raise ValueError(
+                f"field extension degree {e} exceeds supported maximum {_MAX_DEGREE}"
+            )
         if not _is_prime(p):
             raise ValueError(f"field characteristic {p} is not prime")
         if e < 1:

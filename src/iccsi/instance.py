@@ -37,6 +37,7 @@ from .galois import (
     _unpack,
     field_new,
     mat_rank,
+    mat_rref,
     null_space,
     row_basis,
     row_space_contains,
@@ -160,6 +161,10 @@ def parse_instance(source: str | dict) -> IccsiInstance:
     except (TypeError, ValueError):
         raise InstanceError("p, e, t, n must be integers") from None
     modulus = doc.get("modulus")
+    if modulus is not None and not (
+        isinstance(modulus, list) and all(isinstance(c, int) for c in modulus)
+    ):
+        raise InstanceError("modulus must be a list of integers")
     try:
         fld = field_new(p, e, modulus)
     except ValueError as exc:
@@ -244,23 +249,21 @@ def from_icsi(
 def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     """Canonical basis of rowspace(a) meet rowspace(b), one basis row per line.
 
-    Uses the kernel of the stacked matrix: a left-kernel vector (x | y) of
-    [a; b] gives x*a = -(y*b), an element of the intersection.
+    Zassenhaus: one RREF of [a a; b 0].  Its rows with a pivot in the
+    right half are zero on the left, and their right halves are the reduced
+    echelon basis of the intersection.
     """
     if a.field != b.field or a.ncols != b.ncols:
         raise ValueError("intersection shape or field mismatch")
-    ra = row_basis(a)
-    rb = row_basis(b)
-    if ra.nrows == 0 or rb.nrows == 0:
-        return Matrix._trusted(a.field, (), a.ncols)
-    stacked = vstack(ra, rb)
-    left_kernel = null_space(stacked.transpose())  # columns are (x | y)
-    rows = []
-    for k in range(left_kernel.ncols):
-        coef = left_kernel.col(k)[: ra.nrows]
-        vec = Matrix._trusted(a.field, (coef,), ra.nrows) * ra
-        rows.append(vec.rows[0])
-    return row_basis(Matrix._trusted(a.field, tuple(rows), a.ncols))
+    n = a.ncols
+    zero = (0,) * n
+    rows = tuple(r + r for r in a.rows) + tuple(r + zero for r in b.rows)
+    res = mat_rref(Matrix._trusted(a.field, rows, 2 * n))
+    return Matrix._trusted(
+        a.field,
+        tuple(res.rref.rows[k][n:] for k, col in enumerate(res.pivots) if col >= n),
+        n,
+    )
 
 
 def one_symbol_view(inst: IccsiInstance) -> IccsiInstance:
@@ -373,15 +376,18 @@ class _WalkBlocks:
         self.field, self.n, self.t, self.N = inst.field, inst.n, inst.t, N
         self.zero = (0,) * (1 + inst.n + N)  # a zero column
 
+    def z_vec(self, col):
+        """One column's Z block: a tuple here, a packed int over GF(2),
+        hashable and ordered as the tuple either way."""
+        return col[1:self.n + 1]
+
     def z(self, cols: list) -> Matrix:
         """Z, from the Z blocks of the t columns."""
-        stop = self.n + 1
-        return Matrix._trusted(self.field, tuple(zip(*(col[1:stop] for col in cols))), self.t)
+        return Matrix._trusted(self.field, tuple(zip(*map(self.z_vec, cols))), self.t)
 
     def z_rank(self, cols: list) -> int:
         """rank(Z), from the Z blocks of the t columns."""
-        stop = self.n + 1
-        return mat_rank(Matrix._trusted(self.field, tuple(col[1:stop] for col in cols), self.n))
+        return mat_rank(Matrix._trusted(self.field, tuple(map(self.z_vec, cols)), self.n))
 
     def extra_weight(self, col) -> int:
         """Hamming weight of one column's extra block."""
@@ -403,6 +409,10 @@ class _PackedWalkBlocks(_WalkBlocks):
         super().__init__(inst, N)
         self.zero = 0
         self._low = (1 << N) - 1
+        self._zmask = (1 << inst.n) - 1
+
+    def z_vec(self, col: int) -> int:
+        return col >> self.N & self._zmask
 
     def z(self, cols: list) -> Matrix:
         # Row r of Z packs bit n - 1 - r of each column's Z block.
@@ -414,8 +424,8 @@ class _PackedWalkBlocks(_WalkBlocks):
         return Matrix._trusted(self.field, rows, self.t)
 
     def z_rank(self, cols: list) -> int:
-        zmask = (1 << self.n) - 1
-        return _gf2_rank([col >> self.N & zmask for col in cols])
+        N, zmask = self.N, self._zmask
+        return _gf2_rank([col >> N & zmask for col in cols])
 
     def extra_weight(self, col: int) -> int:
         return (col & self._low).bit_count()

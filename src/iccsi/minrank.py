@@ -8,7 +8,9 @@ R stacks the request rows and row i of A ranges over the intersection of the
 user's cached space with the sender space.
 
 alpha is the largest dimension of a subspace whose nonzero vectors are all
-confusable for some user (t = 1 view); it lower-bounds the min-rank.
+confusable for some user (t = 1 view); it lower-bounds the min-rank.  One
+candidate-set depth-first search finds it over every field, with the
+pruning of exact clique search (Carraghan and Pardalos, 1990).
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .instance import (
     BudgetExceeded,
     IccsiInstance,
     UserSpec,
+    _confusable_walk,
+    _walk_blocks,
     intersection_basis,
-    iter_confusable,
     one_symbol_view,
 )
 
@@ -169,122 +172,60 @@ class AlphaResult:
 def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     """Largest dimension of a subspace inside the union of confusable sets.
 
-    Works in the t = 1 view: collects every confusable vector of every user,
-    then depth-first searches for the largest subspace all of whose nonzero
-    vectors belong to the union.  Candidates are tried in encoded order, so
-    the reported witness is deterministic.  Over GF(2) the search runs on
-    packed rows, whose int order is the tuple order, so it visits the same
-    nodes.
+    Works in the t = 1 view: walks every user's confusable set and collects
+    the Z vectors (packed rows over GF(2), tuples over F_q) into the union
+    U.  A depth-first search then grows bases z_1 < z_2 < ... in encoded
+    order.  A node with basis B keeps its candidate set C(B), the vectors c
+    with c + s in U for every s in span(B), so the root's set is U; adding
+    z keeps the c with c + a z in C(B) for every a != 0.  U is closed under
+    nonzero scalars, so z lies in C(B) exactly when every new vector of
+    span(B + z) lies in U.  The children of a node are its candidates after
+    its last basis vector, and the witness is the first largest basis
+    found, so it is deterministic.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     f = inst.field
     n = inst.n
-    one_view = one_symbol_view(inst)
-    union: set[tuple[int, ...]] = set()
+    view = one_symbol_view(inst)
+    z_vec = _walk_blocks(view).z_vec
+    union = set()
     for i in range(inst.m):
-        for z in iter_confusable(one_view, i, budget=budget):
-            union.add(z.col(0))
+        for cols in _confusable_walk(view, i, budget):
+            union.add(z_vec(cols[0]))
+    # narrow(C(B), z) is C(B + z), the only step that depends on the field.
     if f.q == 2:
-        packed, nodes = _alpha_dfs_gf2(set(map(_pack, union)), budget)
-        basis_rows = [_unpack(x, n) for x in packed]
+
+        def narrow(cset: set, z: int) -> set:
+            return {c for c in cset if c ^ z in cset}
+
     else:
-        basis_rows, nodes = _alpha_dfs(union, f, n, budget)
-    witness = (
-        row_basis(Matrix._trusted(f, tuple(basis_rows), n))
-        if basis_rows
-        else Matrix._trusted(f, (), n)
-    )
-    return AlphaResult(len(basis_rows), witness, nodes)
+        add, scaler = f.add, f.scaler
 
+        def narrow(cset: set, z: tuple) -> set:
+            steps = [tuple(map(scaler(a), z)) for a in range(1, f.q)]
+            return {
+                c for c in cset
+                if all(tuple(map(add, c, az)) in cset for az in steps)
+            }
 
-def _alpha_dfs(union: set, f, n: int, budget: int) -> tuple[list, int]:
-    """The alpha DFS over F_q: the first largest basis found, and the nodes."""
-    q = f.q
-    cands = sorted(union)
-    add, scaler = f.add, f.scaler
+    best: list = []
+    basis: list = []
     nodes = 0
 
-    def vec_add(a, b):
-        return tuple(map(add, a, b))
-
-    def vec_scale(c, a):
-        return a if c == 1 else tuple(map(scaler(c), a))
-
-    best_basis: list[list[tuple[int, ...]]] = [[]]
-
-    def extend(start: int, span: list[tuple[int, ...]], basis: list[tuple[int, ...]]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"alpha search exceeded budget {budget}")
-        if len(basis) > len(best_basis[0]):
-            best_basis[0] = list(basis)
-        for j in range(start, len(cands)):
-            z = cands[j]
-            if z in span_set:
-                continue
-            new_elems = []
-            ok = True
-            for c in range(1, q):
-                cz = vec_scale(c, z)
-                for s in span:
-                    e = vec_add(cz, s)
-                    if e not in union:
-                        ok = False
-                        break
-                    new_elems.append(e)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for e in new_elems:
-                span.append(e)
-                span_set.add(e)
-            basis.append(z)
-            extend(j + 1, span, basis)
-            basis.pop()
-            for e in new_elems:
-                span_set.discard(e)
-            del span[len(span) - len(new_elems):]
-
-    zero = (0,) * n
-    span_set: set[tuple[int, ...]] = {zero}
-    extend(0, [zero], [])
-    return best_basis[0], nodes
-
-
-def _alpha_dfs_gf2(union: set[int], budget: int) -> tuple[list[int], int]:
-    """:func:`_alpha_dfs` over GF(2) on packed rows.
-
-    The only nonzero scalar is 1, so adding z to the span adds z ^ s for
-    each span element s.  A z already in the span meets z ^ z = 0, which
-    is never confusable, so the union test rejects it without a span set.
-    Candidates are the sorted packed union, which is the tuple search's
-    order: the nodes and the witness are the same.
-    """
-    cands = sorted(union)
-    span = [0]
-    best: list[int] = []
-    nodes = 0
-
-    def extend(start: int, basis: list[int]) -> None:
+    def extend(cset: set, children: list) -> None:
         nonlocal nodes, best
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"alpha search exceeded budget {budget}")
         if len(basis) > len(best):
             best = list(basis)
-        for j in range(start, len(cands)):
-            z = cands[j]
-            new_elems = [z ^ s for s in span]
-            if not union.issuperset(new_elems):
-                continue
-            span.extend(new_elems)
+        for j, z in enumerate(children):
+            sub = narrow(cset, z)
             basis.append(z)
-            extend(j + 1, basis)
+            extend(sub, [c for c in children[j + 1:] if c in sub])
             basis.pop()
-            del span[len(span) - len(new_elems):]
 
-    extend(0, [])
-    return best, nodes
+    extend(union, sorted(union))
+    rows = tuple(_unpack(x, n) for x in best) if f.q == 2 else tuple(best)
+    return AlphaResult(len(rows), row_basis(Matrix._trusted(f, rows, n)), nodes)

@@ -425,6 +425,16 @@ _SYN_L_ROWS = [list(r) for r in SYN_L]
         ("encoder", {"N": 5, "L": _SYN_L_ROWS, "certificate": {}}),
         ("side", {}),
         ("side", {"rows": None}),
+        # A prime far above the order cap: trial division would take hours.
+        ("instance", {"p": 1000000000000000003, "e": 1, "t": 1, "n": 2,
+                      "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
+        # 2**400000000 is a 50 MB int.
+        ("instance", {"p": 2, "e": 400000000, "t": 1, "n": 2,
+                      "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
+        ("instance", {"p": 2, "e": 2, "t": 1, "n": 2, "modulus": 5,
+                      "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
+        ("instance", {"p": 2, "e": 2, "t": 1, "n": 2, "modulus": [[1], [1], [1]],
+                      "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
     ],
 )
 def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
@@ -442,7 +452,8 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
             "decode", "--frame", str(frame), "--instance", inst_file,
             "--user", "0", "--side", str(bad),
         ]
-    assert main(argv) == 2
+    with _deadline(10):
+        assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import build, ident, random_instances
@@ -19,7 +20,14 @@ from iccsi import (
     save_instance,
     serialize_instance,
 )
-from iccsi.galois import iter_vectors, mat_rank, row_space_contains
+from iccsi.galois import (
+    iter_vectors,
+    mat_rank,
+    null_space,
+    row_basis,
+    row_space_contains,
+    vstack,
+)
 from iccsi.instance import iter_confusable, sample_confusable
 
 F2 = field_new(2, 1)
@@ -133,6 +141,48 @@ def test_intersection_basis():
         Matrix(F2, ((1, 0, 0),)), Matrix(F2, ((0, 1, 0),))
     )
     assert disjoint.nrows == 0
+
+
+def ref_intersection_basis(a, b):
+    """The left-kernel construction: a kernel vector (x | y) of [a; b]
+    gives x a = -(y b), an element of both row spaces."""
+    ra, rb = row_basis(a), row_basis(b)
+    if ra.nrows == 0 or rb.nrows == 0:
+        return Matrix(a.field, [], a.ncols)
+    left_kernel = null_space(vstack(ra, rb).transpose())
+    rows = [
+        (Matrix(a.field, [left_kernel.col(k)[: ra.nrows]], ra.nrows) * ra).rows[0]
+        for k in range(left_kernel.ncols)
+    ]
+    return row_basis(Matrix(a.field, rows, a.ncols))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_intersection_basis_matches_kernel_construction(p, e):
+    # Random pairs of 0-4 rows, with zero rows, repeated rows and rows of
+    # one side copied into the other, so empty, dependent and nested
+    # inputs all occur.
+    f = field_new(p, e)
+    rng = np.random.default_rng([p, e, 9])
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        a = rng.integers(0, f.q, size=(int(rng.integers(0, 5)), n)).tolist()
+        b = rng.integers(0, f.q, size=(int(rng.integers(0, 5)), n)).tolist()
+        if a and rng.integers(2):
+            a[-1] = [0] * n
+        if a and rng.integers(2):
+            a.append(a[0])
+        if a and rng.integers(2):
+            b.append(a[int(rng.integers(len(a)))])
+        ma, mb = Matrix(f, a, n), Matrix(f, b, n)
+        assert intersection_basis(ma, mb) == ref_intersection_basis(ma, mb)
+
+
+def test_intersection_basis_rejects_mismatch():
+    with pytest.raises(ValueError, match="shape or field mismatch"):
+        intersection_basis(Matrix(F2, [[1, 0]]), Matrix(F2, [[1, 0, 0]]))
+    with pytest.raises(ValueError, match="shape or field mismatch"):
+        intersection_basis(Matrix(F2, [[1, 0]]), Matrix(F4, [[1, 0]]))
 
 
 def test_confusable_count_formula():
