@@ -15,14 +15,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .galois import gaussian_binomial, sphere_vol_hamming, sphere_vol_rank, row_basis, vstack
+from .galois import (
+    MAX_POWER_BITS,
+    gaussian_binomial,
+    sphere_vol_hamming,
+    sphere_vol_rank,
+    row_basis,
+    vstack,
+)
 from .instance import IccsiInstance, intersection_basis
-
-
-# Cap on the bit length of an exact power q^k a bound may build.  The
-# exponents grow with the flags (q^(N t) for the rank bound), and exact
-# arithmetic past this size takes seconds to hours.
-MAX_POWER_BITS = 1 << 15
 
 
 def _check_power(q: int, exponent: int, what: str) -> None:

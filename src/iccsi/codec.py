@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -29,17 +30,15 @@ from .galois import (
     hamming_weight,
     iter_vectors,
     mat_rank,
-    rank_weight,
-    weight,
 )
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
+    _confusable_draws,
     _confusable_walk,
     _walk_blocks,
     one_symbol_view,
-    sample_confusable,
 )
 from .minrank import _user_realized, min_rank, realizes_ic
 
@@ -203,34 +202,30 @@ def verify_ecic(
     out_mode = "exhaustive"
     for i in range(view.m):
         size = view.q ** ((view.n - view.users[i].d) * view.t)
-        sampled = mode == "sampled" or (mode == "auto" and size > budget)
         if mode == "exhaustive" and size > budget:
             raise BudgetExceeded(
                 f"user {i}: confusable set size {size} exceeds budget {budget}"
             )
-        if not sampled:
-            tested, z = _walk_user(view, i, lvs, metric, need, budget)
-            trials += tested
-            if z is not None:
-                violations.append((i, z))
-            continue
-        out_mode = "sampled"
-        for z in sample_confusable(view, i, samples, seed):
-            if metric == RANK and rank_weight(z) < need:
-                continue
-            trials += 1
-            if weight(lvs * z, metric) < need:
-                violations.append((i, z))
-                break
+        if mode == "sampled" or (mode == "auto" and size > budget):
+            out_mode = "sampled"
+            source = _confusable_draws(view, i, samples, seed, extra=lvs)
+        else:
+            source = _confusable_walk(view, i, budget, extra=lvs)
+        tested, z = _walk_user(view, source, lvs.nrows, metric, need)
+        trials += tested
+        if z is not None:
+            violations.append((i, z))
     return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
 
 
 def _walk_user(
-    view: IccsiInstance, i: int, lvs: Matrix, metric: str, need: int, budget: int
+    view: IccsiInstance, source: Iterator[list], N: int, metric: str, need: int
 ) -> tuple[int, Matrix | None]:
-    """Exhaustive check of user i: (confusables tested, first violation or None).
+    """Check one user's confusables: (tested, first violation or None).
 
-    Reads weight(L V_S Z) off the L V_S K C block of the incremental walk.
+    ``source`` yields walk columns with an N-row L V_S block, from
+    :func:`_confusable_walk` (exhaustive) or :func:`_confusable_draws`
+    (sampled), and weight(L V_S Z) is read off that L V_S K C block.
     Hamming checks run on the one-symbol view, so the block is one column.
     In the rank metric the block is the transpose of L V_S Z, and K has
     independent columns, so rank(L V_S Z) <= rank(C) = rank(Z) <= the number
@@ -238,11 +233,11 @@ def _walk_user(
     nonzero columns skip the confusable unranked, a block of rank >= need
     is a tested confusable that passes, and rank(Z) is needed only below.
     """
-    N, t = lvs.nrows, view.t
+    t = view.t
     blocks = _walk_blocks(view, N)
     extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
     tested = 0
-    for cols in _confusable_walk(view, i, budget, extra=lvs):
+    for cols in source:
         if metric == HAMMING:
             w = extra_weight(cols[0])
         elif t - cols.count(zero) < need:

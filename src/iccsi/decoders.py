@@ -32,7 +32,6 @@ from itertools import combinations
 
 from .galois import (
     Matrix,
-    RrefResult,
     field_new,
     hstack,
     mat_rank,
@@ -286,10 +285,12 @@ def solve_demand(
 ) -> Matrix:
     """Noiseless recovery of R_i X by row reduction.
 
-    Reduces the stacked system (V^(i) | lam; lvs | Y), expresses R_i over
-    the reduced left block, and applies the same combination to the right
-    block.  Raises ValueError when R_i is not recoverable, i.e. the encoder
-    does not serve user i.
+    Reduces the stacked system (V^(i) | lam; lvs | Y).  A reduced row with
+    pivot column pc < n is the only one with a nonzero entry there, so if
+    R_i lies in the left block's span it is the sum of R_i[pc] times those
+    rows, and the demand is the same sum of their right blocks.  Raises
+    ValueError when R_i is not recoverable, i.e. the encoder does not serve
+    user i.
     """
     u = inst.users[i]
     if lam.nrows != u.d or Y.nrows != lvs.nrows:
@@ -297,15 +298,16 @@ def solve_demand(
     left = vstack(u.V, lvs)
     right = vstack(lam, Y) if u.d else Y
     res = mat_rref(hstack(left, right))
-    n = inst.n
-    S = res.rref.take_cols(range(n))
-    T = res.rref.take_cols(range(n, n + Y.ncols))
-    # S is already in RREF: its pivots are those below n, its transform is I.
-    piv = tuple(c for c in res.pivots if c < n)
-    z = _solve_left_rref(RrefResult(S, piv, Matrix.identity(S.field, S.nrows)), u.R)
-    if z is None:
+    n, f, r = inst.n, inst.field, u.R.rows[0]
+    acc = (0,) * (n + Y.ncols)
+    for row, pc in zip(res.rref.rows, res.pivots):
+        if pc >= n:
+            break
+        if r[pc]:
+            acc = tuple(map(f.add, acc, map(f.scaler(r[pc]), row)))
+    if acc[:n] != r:
         raise ValueError(f"user {i}: request not in the decoded span")
-    return z * T
+    return Matrix._trusted(f, (acc[n:],), Y.ncols)
 
 
 # -- broadcast frames -------------------------------------------------

@@ -56,6 +56,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_FIELD_ORDER = 1 << 16
+# Cap on the bit length of an exact power q^k: of the bounds' q^(N t) and
+# the like, and of an instance's q^(n t).  Exact arithmetic past this size
+# takes seconds to hours.
+MAX_POWER_BITS = 1 << 15
 # Largest extension degree below the order cap (p >= 2).
 _MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1
 # Largest field whose q x q product table Field.scaler keeps.

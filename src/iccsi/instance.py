@@ -25,10 +25,12 @@ The JSON file format::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator, Sequence
 
 from .galois import (
+    MAX_POWER_BITS,
     Field,
     Matrix,
     _gf2_rank,
@@ -112,6 +114,13 @@ def make_instance(
         raise InstanceError(f"t must be >= 1, got {t}")
     if n < 1:
         raise InstanceError(f"n must be >= 1, got {n}")
+    # Message spaces are q^(n t), and the checks build powers up to that
+    # size.  Divided, not multiplied, so that no huge n t meets a float.
+    if n * t > MAX_POWER_BITS / math.log2(field.q):
+        raise InstanceError(
+            f"instance size q^(n t) = {field.q}^{n * t} exceeds the "
+            f"{MAX_POWER_BITS}-bit cap on exact powers"
+        )
     try:
         vs_raw = Matrix(field, sender_rows, n)
     except ValueError as exc:
@@ -280,6 +289,19 @@ def confusable_count(inst: IccsiInstance, i: int) -> int:
     return q ** (k * t) - q ** ((k - 1) * t)
 
 
+def _walk_setup(
+    inst: IccsiInstance, i: int, extra: Matrix | None = None
+) -> tuple[Matrix, int]:
+    """G = [R_i K; K; extra K] and k, for K (n x k) the canonical kernel
+    basis of V^(i); the column G c holds R_i Z, Z and ``extra`` Z for
+    Z = K c.
+    """
+    u = inst.users[i]
+    K = null_space(u.V)
+    G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
+    return G, K.ncols
+
+
 def _confusable_walk(
     inst: IccsiInstance,
     i: int,
@@ -304,9 +326,7 @@ def _confusable_walk(
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    u = inst.users[i]
-    K = null_space(u.V)  # n x k
-    k = K.ncols
+    G, k = _walk_setup(inst, i, extra)
     t = inst.t
     f = inst.field
     q = f.q
@@ -314,7 +334,6 @@ def _confusable_walk(
         raise BudgetExceeded(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
-    G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
     if q == 2:
         yield from _confusable_walk_gf2(G, k, t)
         return
@@ -456,25 +475,38 @@ def iter_confusable(
         yield blocks.z(cols)
 
 
+def _confusable_draws(
+    inst: IccsiInstance, i: int, count: int, seed: int, extra: Matrix | None = None
+) -> Iterator[list]:
+    """``count`` uniform draws from user i's confusable set, as walk columns.
+
+    Each draw is a uniform C in F_q^{k x t}, redrawn while R_i K C = 0, and
+    is yielded as the t columns of G C in :func:`_confusable_walk`'s format
+    (G as there), so :func:`_walk_blocks` reads them.  Each user gets its
+    own deterministic stream derived from (seed, i), so per-user checks stay
+    reproducible regardless of evaluation order.
+    """
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+    G, k = _walk_setup(inst, i, extra)
+    f, t = inst.field, inst.t
+    pack = _pack if f.q == 2 else tuple
+    top = pack((1,) + (0,) * (G.nrows - 1))  # the least column with R_i Z != 0
+    while count > 0:
+        cols = list(map(pack, (G * _random_matrix(rng, f, k, t)).transpose().rows))
+        if max(cols) >= top:
+            count -= 1
+            yield cols
+
+
 def sample_confusable(
     inst: IccsiInstance, i: int, count: int, seed: int
 ) -> Iterator[Matrix]:
     """Yield ``count`` uniform draws from user i's confusable set.
 
-    Each user gets its own deterministic stream derived from (seed, i), so
-    per-user checks stay reproducible regardless of evaluation order.
+    Reads Z off :func:`_confusable_draws`, where each user gets its own
+    deterministic stream derived from (seed, i), so per-user checks stay
+    reproducible regardless of evaluation order.
     """
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-    u = inst.users[i]
-    K = null_space(u.V)
-    k = K.ncols
-    produced = 0
-    while produced < count:
-        C = _random_matrix(rng, inst.field, k, inst.t)
-        if (u.R * K * C).is_zero():
-            continue
-        produced += 1
-        yield K * C
-
+    return map(_walk_blocks(inst).z, _confusable_draws(inst, i, count, seed))

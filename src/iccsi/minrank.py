@@ -25,7 +25,6 @@ from .galois import (
     _echelon_insert_gf2,
     _pack,
     _unpack,
-    iter_vectors,
     row_basis,
     solve_left,
 )
@@ -95,7 +94,8 @@ def min_rank(
     f = inst.field
     q = f.q
     # Candidate rows per user: R_i plus each vector of X^(i) meet X^(S),
-    # listed in coefficient odometer order (first basis vector fastest).
+    # listed in coefficient odometer order (first basis vector fastest):
+    # each basis row b extends the list by a * b, a the slowest index.
     per_user_rows: list[list[tuple[int, ...]]] = []
     total = 1
     for u in inst.users:
@@ -105,12 +105,10 @@ def min_rank(
             raise BudgetExceeded(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
-        rows = []
-        for coef in iter_vectors(f, w.nrows):
-            a = u.R
-            if any(coef):
-                a = a + Matrix._trusted(f, (coef,), w.nrows) * w
-            rows.append(a.rows[0])
+        rows = [u.R.rows[0]]
+        for b in w.rows:
+            multiples = [tuple(map(f.scaler(a), b)) for a in range(q)]
+            rows = [tuple(map(f.add, r, ab)) for ab in multiples for r in rows]
         per_user_rows.append(rows)
     m, n = inst.m, inst.n
     # Over GF(2) the search inserts packed rows; it visits the same nodes.

@@ -416,6 +416,23 @@ _SYN_L_ROWS = [list(r) for r in SYN_L]
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["encode", "--method", "coset", "--delta", "1", "--metric", "rank"]],
+    ids=["validate", "encode"],
+)
+def test_cli_huge_t_exits_2(argv, tmp_path, capsys):
+    # q^(n t) = 3^60000000: the rank check once built it exactly and hung.
+    doc = {"p": 3, "e": 1, "t": 20000000, "n": 3, "sender": ident(3),
+           "users": [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0, 0, 1]},
+                     {"V": [[0, 0, 1]], "R": [1, 0, 0]}]}
+    bad = tmp_path / "huge_t.json"
+    bad.write_text(json.dumps(doc))
+    with _deadline(10):
+        assert main([*argv, "--instance", str(bad)]) == 2
+    assert "bit cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "kind,doc",
     [
         ("instance", {"p": 2, "e": 1, "t": 1, "n": 2, "sender": ident(2),

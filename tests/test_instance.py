@@ -20,7 +20,9 @@ from iccsi import (
     save_instance,
     serialize_instance,
 )
+from iccsi import bounds
 from iccsi.galois import (
+    MAX_POWER_BITS,
     iter_vectors,
     mat_rank,
     null_space,
@@ -113,6 +115,19 @@ def test_parse_rejects_malformed():
         parse_instance(
             {"p": 6, "e": 1, "t": 1, "n": 2, "sender": ident(2), "users": []}
         )
+
+
+def test_instance_size_cap():
+    # q^(n t) may have at most MAX_POWER_BITS bits, the bounds' power cap.
+    assert bounds.MAX_POWER_BITS == MAX_POWER_BITS == 1 << 15
+    doc = {"p": 2, "e": 1, "t": MAX_POWER_BITS // 2, "n": 2, "sender": ident(2),
+           "users": [{"V": [[1, 0]], "R": [0, 1]}]}
+    assert parse_instance(doc).t == MAX_POWER_BITS // 2
+    for t in (MAX_POWER_BITS // 2 + 1, 10**400):
+        with pytest.raises(InstanceError, match="bit cap"):
+            parse_instance({**doc, "t": t})
+    with pytest.raises(InstanceError, match="bit cap"):
+        make_instance(field_new(3, 1), 20_000_000, 2, ident(2), [([[1, 0]], [0, 1])])
 
 
 def test_from_icsi_classic_side_information():
