@@ -38,7 +38,10 @@ from .galois import (
     mat_rref,
     null_space,
     right_inverse,
+    _pack,
+    _row_mul,
     _solve_left_rref,
+    _unpack,
     solve_left,
     vstack,
 )
@@ -126,10 +129,11 @@ class UserDecoder:
     """Bundle of the per-user precomputations both decode steps need.
 
     ``support_rref`` maps an error support (a tuple of row indices) to the
-    RREF of the transposed ``H_upper`` columns it selects.  The syndrome
-    search fills it on first use, so each support is eliminated once per
-    decoder rather than once per call.  It takes no part in equality or
-    hashing.
+    rows that, times the syndrome, give the demand and then Q_S beta (see
+    :meth:`_support_rows`); an empty tuple marks a support whose columns of
+    ``H_upper`` are dependent.  The syndrome search fills it on first use,
+    in scan order, so each support is eliminated once per decoder rather
+    than once per call.  It takes no part in equality or hashing.
     """
 
     transform: UserTransform
@@ -140,6 +144,33 @@ class UserDecoder:
     def cache_cols(self) -> Matrix:
         """The first d_i columns of L', the ones the cached symbols multiply."""
         return self.parity.L_prime.take_cols(range(self.transform.A.ncols - 1))
+
+    @cached_property
+    def syndrome_rows(self) -> tuple:
+        """Rows of [H | -H C], C = ``cache_cols``: times Y stacked over the
+        cached symbols lam it is H Y - (H C) lam, which is H (Y - C lam)."""
+        H = self.parity.H
+        return hstack(H, -(H * self.cache_cols)).rows
+
+    def _support_rows(self, support: tuple) -> tuple:
+        """Rows of [1, -h_S P_S; 0, Q_S] for the columns H_S of ``H_upper``
+        on ``support``, or () when they are dependent.
+
+        The transform T of the RREF of H_S has T H_S = [I; 0] when the
+        columns are independent: its first |S| rows are a left inverse P_S,
+        the rest a Q_S with Q_S H_S = 0 and full row rank, so beta lies in
+        the column span of H_S exactly when Q_S beta = 0, and then the error
+        values are P_S beta.  Times the syndrome [alpha; beta] the rows give
+        alpha - h_S P_S beta, the corrected demand, over Q_S beta.
+        """
+        pd = self.parity
+        size = len(support)
+        res = mat_rref(pd.H_upper.take_cols(support))
+        if res.rank < size:
+            return ()
+        P = res.transform.take_rows(range(size))
+        first = (1,) + (-(pd.h.take_cols(support) * P)).rows[0]
+        return (first,) + tuple((0,) + q for q in res.transform.rows[size:])
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
@@ -170,55 +201,53 @@ def syndrome_decode(
     Cancels the cached coordinates from Y, splits the syndrome H (Y - known)
     into the request part alpha and the error-only part beta, searches for
     an error pattern of at most delta nonzero rows matching beta (supports
-    enumerated by size then lexicographically, values solved canonically),
-    and reads the demand off the corrected request part.
+    enumerated by size then lexicographically), and reads the demand off
+    the corrected request part.  Raises ValueError unless Y has one row per
+    code symbol, lam one per cached symbol and the width of Y, both over
+    the decoder's field.  The work runs on rows, see :func:`_decode_rows`.
     """
-    pd = ctx.parity
-    f = pd.H.field
-    d = ctx.transform.A.ncols - 1
-    known = ctx.cache_cols * lam if d else None
-    diff = Y - known if known is not None else Y
-    syndrome = pd.H * diff
-    alpha = syndrome.take_rows((0,))
-    beta = syndrome.take_rows(range(1, syndrome.nrows))
-    eps = _match_syndrome(ctx, beta, delta)
-    if eps is None:
+    f = ctx.parity.H.field
+    if Y.field != f or lam.field != f:
+        raise ValueError("fields differ")
+    d = ctx.cache_cols.ncols
+    if Y.nrows != ctx.parity.H.ncols or lam.nrows != d or (d and lam.ncols != Y.ncols):
+        raise ValueError(
+            f"Y is {Y.nrows}x{Y.ncols} and lam {lam.nrows}x{lam.ncols}; expected "
+            f"{ctx.parity.H.ncols} and {d} rows of equal width"
+        )
+    t = Y.ncols
+    pack = _pack if f.q == 2 else tuple
+    row = _decode_rows(ctx, [*map(pack, Y.rows), *map(pack, lam.rows)], delta, t)
+    if row is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
-    corrected = alpha - pd.h * eps
-    inv_s = f.inv(pd.s)
-    demand = corrected if inv_s == 1 else corrected.scale(inv_s)
-    return DecodeOutcome(demand)
+    return DecodeOutcome(Matrix._trusted(f, (_unpack(row, t) if f.q == 2 else row,), t))
 
 
-def _match_syndrome(ctx: UserDecoder, beta: Matrix, delta: int) -> Matrix | None:
-    """First error pattern with <= delta nonzero rows whose syndrome is beta.
+def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tuple | None:
+    """:func:`syndrome_decode` on width-t rows in the format of
+    :func:`~iccsi.galois._row_mul`: ``y_lam`` is Y stacked over lam, and
+    the result is the demand row, or None when no error pattern matches.
 
-    Supports are scanned by increasing size, then lexicographically; the
-    per-support values come from the canonical linear solve, against the
-    support eliminations memoized on ``ctx``.  Returns an N x t matrix or
-    None.
+    The first support that matches has independent columns: a dependent one
+    spans what a smaller subset spans, and the scan reaches that subset
+    first.  So the matching error pattern is unique.
     """
-    h_upper = ctx.parity.H_upper
-    f = h_upper.field
-    n_rows = h_upper.ncols
-    t = beta.ncols
-    if beta.is_zero():
-        return Matrix.zeros(f, n_rows, t)
+    f = ctx.parity.H.field
+    syn = _row_mul(f, ctx.syndrome_rows, y_lam, t)
+    zeros = [0 if f.q == 2 else (0,) * t] * (len(syn) - 1)
+    if syn[1:] == zeros:
+        return syn[0]
     memo = ctx.support_rref
-    beta_t = beta.transpose()
     for size in range(1, delta + 1):
-        for support in combinations(range(n_rows), size):
-            res = memo.get(support)
-            if res is None:
-                res = memo[support] = mat_rref(h_upper.take_cols(support).transpose())
-            sol = _solve_left_rref(res, beta_t)
-            if sol is None:
-                continue
-            values = sol.transpose().rows
-            rows = [(0,) * t] * n_rows
-            for k, r in enumerate(support):
-                rows[r] = values[k]
-            return Matrix._trusted(f, tuple(rows), t)
+        for support in combinations(range(ctx.parity.H_upper.ncols), size):
+            rows = memo.get(support)
+            if rows is None:
+                rows = memo[support] = ctx._support_rows(support)
+            if rows:
+                out = _row_mul(f, rows, syn, t)
+                # An independent support leaves Q_S with r - size rows.
+                if out[1:] == zeros[size:]:
+                    return out[0]
     return None
 
 

@@ -35,8 +35,13 @@ Over GF(2) the L2 searches (the ``minrank.alpha`` union and search, the
 bitmask with entry 0 the most significant bit, so int order is tuple
 order, add is ``^`` and Hamming weight is ``int.bit_count()``.
 :func:`_pack` and :func:`_unpack` convert, and :func:`_echelon_insert_gf2`
-and :func:`_gf2_rank` are the packed twins of the row insertion.
-``Matrix`` and every public result stay tuple-based.
+and :func:`_gf2_rank` are the packed twins of the row insertion.  The
+Hamming trials of ``harness.run_simulation`` and the syndrome decoding of
+``decoders.syndrome_decode`` run on packed rows over GF(2) as well, from
+the draw of the message to the tally.  Each of their steps is a product
+by a fixed matrix, taken by :func:`_row_mul` on the row format: packed
+ints over GF(2), entry tuples over F_q.  ``Matrix`` and every public
+result stay tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -727,6 +732,34 @@ def _gf2_rank(masks: Iterable[int]) -> int:
         if pair is not None:
             basis.append(pair)
     return len(basis)
+
+
+def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+    """Rows of the product A B, with B and the result in the row format.
+
+    The row format is packed ints over GF(2) and entry tuples over F_q; A
+    comes as rows of entries and B as ``ncols``-wide rows.  Over GF(2) a
+    product row is the XOR of the B rows its A row selects.
+    """
+    if field.q == 2:
+        return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
+    add, scaler = field.add, field.scaler
+    zero = (0,) * ncols
+    out = []
+    for r in a:
+        acc = zero
+        for x, rb in zip(r, b):
+            if x:
+                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
+        out.append(acc)
+    return out
+
+
+def _random_rows(rng, field: Field, nrows: int, ncols: int) -> list:
+    """:func:`_random_matrix`'s draw, from the same ``rng.integers`` call,
+    as rows in the format of :func:`_row_mul`."""
+    entries = rng.integers(0, field.q, size=(nrows, ncols)).tolist()
+    return list(map(_pack if field.q == 2 else tuple, entries))
 
 
 def row_basis(m: Matrix) -> Matrix:

@@ -30,13 +30,22 @@ from .codec import (
     verify_ecic,
 )
 from .decoders import (
+    _decode_rows,
     build_user_decoder,
     rank_trap_decode,
     solve_demand,
-    syndrome_decode,
     trap_pad,
 )
-from .galois import Matrix, _random_matrix, hstack, rank_weight
+from .galois import (
+    Matrix,
+    _pack,
+    _random_matrix,
+    _random_rows,
+    _row_mul,
+    hstack,
+    rank_weight,
+    vstack,
+)
 from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
 
@@ -156,15 +165,16 @@ def run_simulation(
             raise ValueError(
                 f"encoder fails {cfg.metric} verification at delta={cfg.delta}"
             )
-    n, t, q, m = inst.n, inst.t, inst.q, inst.m
-    requests = [u.R for u in inst.users]
-    caches = [u.V for u in inst.users]
+    m = inst.m
     tallies = [[0, 0, 0] for _ in range(m)]
-    decoders = None
     if cfg.metric == HAMMING:
         if cfg.error_weight > enc.N:
             raise ValueError("error weight exceeds the code length")
         decoders = [build_user_decoder(inst, enc.L, i) for i in range(m)]
+        # [L V_S | I] times X stacked over the error is Y; the stacked
+        # (V^(i); R_i) times X gives each user's cache and then its demand.
+        send = hstack(enc.lvs, Matrix.identity(inst.field, enc.N)).rows
+        recv = vstack(*(vstack(u.V, u.R) for u in inst.users)).rows
     else:
         # A (v+N) x (v+ell) error cannot have rank above its smaller side.
         v = cfg.trap_pad
@@ -178,16 +188,10 @@ def run_simulation(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, trial]))
         )
-        X = _random_matrix(rng, inst.field, n, t)
-        wanted = [r * X for r in requests]
-        lams = [v * X for v in caches]
         if cfg.metric == HAMMING:
-            Y = enc.lvs * X + _hamming_error(rng, inst.field, enc.N, t, cfg.error_weight)
-            for i in range(m):
-                out = syndrome_decode(decoders[i], Y, lams[i], cfg.delta)
-                _tally(tallies[i], out.demand, wanted[i])
+            _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies)
         else:
-            _rank_trial(cfg, inst, enc, rng, X, lams, wanted, tallies)
+            _rank_trial(cfg, inst, enc, rng, tallies)
     report = SimReport(
         asdict(cfg),
         cfg.trials,
@@ -199,7 +203,7 @@ def run_simulation(
     return report
 
 
-def _tally(row: list[int], demand: Matrix | None, wanted: Matrix) -> None:
+def _tally(row: list[int], demand, wanted) -> None:
     if demand is None:
         row[1] += 1
     elif demand == wanted:
@@ -208,16 +212,32 @@ def _tally(row: list[int], demand: Matrix | None, wanted: Matrix) -> None:
         row[2] += 1
 
 
-def _hamming_error(rng, field, N: int, t: int, weight: int) -> Matrix:
-    rows = [(0,) * t] * N
+def _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies) -> None:
+    """One Hamming trial on rows in the format of ``galois._row_mul``."""
+    f, t = inst.field, inst.t
+    X = _random_rows(rng, f, inst.n, t)
+    Y = _row_mul(f, send, X + _hamming_error(rng, f, enc.N, t, cfg.error_weight), t)
+    known = _row_mul(f, recv, X, t)
+    start = 0
+    for i, u in enumerate(inst.users):
+        stop = start + u.d
+        out = _decode_rows(decoders[i], Y + known[start:stop], cfg.delta, t)
+        _tally(tallies[i], out, known[stop])
+        start = stop + 1
+
+
+def _hamming_error(rng, field, N: int, t: int, weight: int) -> list:
+    """N rows, ``weight`` of them nonzero, in the format of ``galois._row_mul``."""
+    pack = _pack if field.q == 2 else tuple
+    rows = [pack((0,) * t)] * N
     if weight:
         support = rng.choice(N, size=weight, replace=False)
         for r in support:
             vec = rng.integers(0, field.q, size=t)
             while not vec.any():
                 vec = rng.integers(0, field.q, size=t)
-            rows[int(r)] = tuple(vec.tolist())
-    return Matrix._trusted(field, tuple(rows), t)
+            rows[int(r)] = pack(vec.tolist())
+    return rows
 
 
 def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> Matrix:
@@ -234,7 +254,8 @@ def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> Matrix:
             return w
 
 
-def _rank_trial(cfg, inst, enc, rng, X, lams, wanted, tallies) -> None:
+def _rank_trial(cfg, inst, enc, rng, tallies) -> None:
+    X = _random_matrix(rng, inst.field, inst.n, inst.t)
     v = cfg.trap_pad
     if cfg.lvs_shared:
         Q = enc.lvs * X
@@ -256,9 +277,10 @@ def _rank_trial(cfg, inst, enc, rng, X, lams, wanted, tallies) -> None:
         Y_hat = tr.Q.take_cols(range(inst.d_S, inst.d_S + inst.t))
         lvs_hat = L_hat * inst.V_S
     for i in range(inst.m):
+        u = inst.users[i]
         try:
-            dem = solve_demand(inst, i, lvs_hat, Y_hat, lams[i])
+            dem = solve_demand(inst, i, lvs_hat, Y_hat, u.V * X)
         except ValueError:
             tallies[i][1] += 1
             continue
-        _tally(tallies[i], dem, wanted[i])
+        _tally(tallies[i], dem, u.R * X)
