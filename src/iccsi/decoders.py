@@ -38,10 +38,11 @@ from .galois import (
     mat_rref,
     null_space,
     right_inverse,
-    _pack,
+    _from_row,
     _row_mul,
     _solve_left_rref,
-    _unpack,
+    _to_rows,
+    _zero_row,
     solve_left,
     vstack,
 )
@@ -216,11 +217,10 @@ def syndrome_decode(
             f"{ctx.parity.H.ncols} and {d} rows of equal width"
         )
     t = Y.ncols
-    pack = _pack if f.q == 2 else tuple
-    row = _decode_rows(ctx, [*map(pack, Y.rows), *map(pack, lam.rows)], delta, t)
+    row = _decode_rows(ctx, _to_rows(f, Y.rows + lam.rows), delta, t)
     if row is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
-    return DecodeOutcome(Matrix._trusted(f, (_unpack(row, t) if f.q == 2 else row,), t))
+    return DecodeOutcome(Matrix._trusted(f, (_from_row(f, row, t),), t))
 
 
 def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tuple | None:
@@ -234,7 +234,7 @@ def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tup
     """
     f = ctx.parity.H.field
     syn = _row_mul(f, ctx.syndrome_rows, y_lam, t)
-    zeros = [0 if f.q == 2 else (0,) * t] * (len(syn) - 1)
+    zeros = [_zero_row(f, t)] * (len(syn) - 1)
     if syn[1:] == zeros:
         return syn[0]
     memo = ctx.support_rref

@@ -40,8 +40,11 @@ Hamming trials of ``harness.run_simulation`` and the syndrome decoding of
 ``decoders.syndrome_decode`` run on packed rows over GF(2) as well, from
 the draw of the message to the tally.  Each of their steps is a product
 by a fixed matrix, taken by :func:`_row_mul` on the row format: packed
-ints over GF(2), entry tuples over F_q.  ``Matrix`` and every public
-result stay tuple-based.
+ints over GF(2), entry tuples over F_q.  :func:`_to_rows`,
+:func:`_from_row` and :func:`_zero_row` are the one place that format is
+chosen; :func:`_tuple_mul` is the tuple product under both ``_row_mul``
+and ``Matrix.__mul__``.  ``Matrix`` and every public result stay
+tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -522,18 +525,7 @@ class Matrix:
             raise ValueError("fields differ")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        add, scaler = f.add, f.scaler
-        brows = other.rows
-        zero = (0,) * other.ncols
-        out = []
-        for ra in self.rows:
-            acc = zero
-            for a, rb in zip(ra, brows):
-                if a:
-                    if a != 1:
-                        rb = tuple(map(scaler(a), rb))
-                    acc = tuple(map(add, acc, rb))
-            out.append(acc)
+        out = _tuple_mul(f, self.rows, other.rows, other.ncols)
         return Matrix._trusted(f, tuple(out), other.ncols)
 
     def scale(self, c: int) -> "Matrix":
@@ -734,32 +726,54 @@ def _gf2_rank(masks: Iterable[int]) -> int:
     return len(basis)
 
 
-def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
-    """Rows of the product A B, with B and the result in the row format.
-
-    The row format is packed ints over GF(2) and entry tuples over F_q; A
-    comes as rows of entries and B as ``ncols``-wide rows.  Over GF(2) a
-    product row is the XOR of the B rows its A row selects.
-    """
-    if field.q == 2:
-        return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
+def _tuple_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+    """Rows of the product A B on entry tuples: row i is the sum of
+    a_ik * b_k over the ``ncols``-wide rows b_k of B."""
     add, scaler = field.add, field.scaler
     zero = (0,) * ncols
     out = []
-    for r in a:
+    for ra in a:
         acc = zero
-        for x, rb in zip(r, b):
+        for x, rb in zip(ra, b):
             if x:
-                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
+                if x != 1:
+                    rb = tuple(map(scaler(x), rb))
+                acc = tuple(map(add, acc, rb))
         out.append(acc)
     return out
 
 
-def _random_rows(rng, field: Field, nrows: int, ncols: int) -> list:
-    """:func:`_random_matrix`'s draw, from the same ``rng.integers`` call,
-    as rows in the format of :func:`_row_mul`."""
-    entries = rng.integers(0, field.q, size=(nrows, ncols)).tolist()
-    return list(map(_pack if field.q == 2 else tuple, entries))
+# -- the row format ----------------------------------------------------
+#
+# Hot loops that multiply by fixed matrices keep their operands as rows in
+# the field's row format: packed ints over GF(2), entry tuples over F_q.
+# These four helpers are the only code that knows which one a field uses.
+
+
+def _to_rows(field: Field, rows: Iterable[Sequence[int]]) -> list:
+    """Rows of entries (a ``Matrix``'s ``rows``, say) in the row format."""
+    return list(map(_pack if field.q == 2 else tuple, rows))
+
+
+def _from_row(field: Field, row, ncols: int) -> tuple[int, ...]:
+    """The ``ncols`` entries of a row in the row format; inverse of :func:`_to_rows`."""
+    return _unpack(row, ncols) if field.q == 2 else row
+
+
+def _zero_row(field: Field, ncols: int):
+    """The zero row of width ``ncols`` in the row format."""
+    return 0 if field.q == 2 else (0,) * ncols
+
+
+def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+    """Rows of the product A B, with B and the result in the row format.
+
+    A comes as rows of entries and B as ``ncols``-wide rows.  Over GF(2) a
+    product row is the XOR of the B rows its A row selects.
+    """
+    if field.q == 2:
+        return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
+    return _tuple_mul(field, a, b, ncols)
 
 
 def row_basis(m: Matrix) -> Matrix:

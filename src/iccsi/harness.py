@@ -38,10 +38,9 @@ from .decoders import (
 )
 from .galois import (
     Matrix,
-    _pack,
     _random_matrix,
-    _random_rows,
     _row_mul,
+    _to_rows,
     hstack,
     rank_weight,
     vstack,
@@ -215,7 +214,7 @@ def _tally(row: list[int], demand, wanted) -> None:
 def _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies) -> None:
     """One Hamming trial on rows in the format of ``galois._row_mul``."""
     f, t = inst.field, inst.t
-    X = _random_rows(rng, f, inst.n, t)
+    X = _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)
     Y = _row_mul(f, send, X + _hamming_error(rng, f, enc.N, t, cfg.error_weight), t)
     known = _row_mul(f, recv, X, t)
     start = 0
@@ -228,16 +227,15 @@ def _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies) -> None:
 
 def _hamming_error(rng, field, N: int, t: int, weight: int) -> list:
     """N rows, ``weight`` of them nonzero, in the format of ``galois._row_mul``."""
-    pack = _pack if field.q == 2 else tuple
-    rows = [pack((0,) * t)] * N
+    rows = [(0,) * t] * N
     if weight:
         support = rng.choice(N, size=weight, replace=False)
         for r in support:
             vec = rng.integers(0, field.q, size=t)
             while not vec.any():
                 vec = rng.integers(0, field.q, size=t)
-            rows[int(r)] = pack(vec.tolist())
-    return rows
+            rows[int(r)] = vec.tolist()
+    return _to_rows(field, rows)
 
 
 def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> Matrix:

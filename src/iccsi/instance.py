@@ -37,6 +37,7 @@ from .galois import (
     _pack,
     _random_matrix,
     _row_mul,
+    _to_rows,
     _unpack,
     field_new,
     mat_rank,
@@ -492,9 +493,8 @@ def _confusable_draws(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
     G, k = _walk_setup(inst, i, extra)
     f, t = inst.field, inst.t
-    pack = _pack if f.q == 2 else tuple
-    gs = list(map(pack, G.transpose().rows))
-    top = pack((1,) + (0,) * (G.nrows - 1))  # the least column with R_i Z != 0
+    gs = _to_rows(f, G.transpose().rows)
+    [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])  # the least column with R_i Z != 0
     while count > 0:
         # Column c of G C is the sum of C[j][c] g_j: row c of C^T times the g_j.
         cols = _row_mul(f, _random_matrix(rng, f, k, t).transpose().rows, gs, G.nrows)

@@ -23,8 +23,8 @@ from .galois import (
     Matrix,
     _echelon_insert,
     _echelon_insert_gf2,
+    _from_row,
     _pack,
-    _unpack,
     row_basis,
     solve_left,
 )
@@ -225,5 +225,5 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
             basis.pop()
 
     extend(union, sorted(union))
-    rows = tuple(_unpack(x, n) for x in best) if f.q == 2 else tuple(best)
+    rows = tuple(_from_row(f, x, n) for x in best)
     return AlphaResult(len(rows), row_basis(Matrix._trusted(f, rows, n)), nodes)

@@ -31,10 +31,13 @@ from iccsi.decoders import (
 )
 from iccsi.galois import (
     Matrix,
+    _from_row,
     _pack,
     _random_matrix,
-    _random_rows,
+    _row_mul,
     _solve_left_rref,
+    _to_rows,
+    _zero_row,
     mat_rref,
 )
 from iccsi.harness import SimConfig, SimReport, UserTally, _hamming_error, run_simulation
@@ -176,13 +179,19 @@ def test_reference_cases_cover_every_outcome():
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
-def test_row_draws_match_matrix_draws(p, e):
-    # Tallies can hide a changed draw, so the draws are compared directly.
+def test_row_format_matches_matrix(p, e):
+    # Tallies can hide a changed draw or product, so both are compared directly.
     f = field_new(p, e)
     pack = _pack if f.q == 2 else tuple
+    assert _to_rows(f, [(0, 0, 0)]) == [_zero_row(f, 3)]
     for seed in range(10):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _random_rows(a, f, 4, 3) == list(map(pack, _random_matrix(b, f, 4, 3).rows))
+        A, B = _random_matrix(a, f, 4, 5), _random_matrix(a, f, 5, 3)
+        rows = _to_rows(f, B.rows)
+        assert rows == list(map(pack, B.rows))
+        assert [_from_row(f, r, 3) for r in rows] == list(B.rows)
+        assert _row_mul(f, A.rows, rows, 3) == _to_rows(f, (A * B).rows)
+        _random_matrix(b, f, 4, 5), _random_matrix(b, f, 5, 3)
         for weight in range(4):
             got = _hamming_error(a, f, 6, 3, weight)
             assert got == list(map(pack, ref_hamming_error(b, f, 6, 3, weight).rows))
