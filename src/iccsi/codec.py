@@ -35,9 +35,9 @@ from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
+    _WalkBlocks,
     _confusable_draws,
     _confusable_walk,
-    _walk_blocks,
     one_symbol_view,
 )
 from .minrank import _user_realized, min_rank, realizes_ic
@@ -56,6 +56,16 @@ class EcicCertificate:
     and weight(L V_S Z) <= 2 delta; scanning a user stops at its first
     witness.  ``trials`` is the number of confusables tested; in sampled
     mode the certificate is evidence, not proof.
+
+    A Hamming certificate that passes means that every user corrects every
+    error of Hamming weight <= delta.  A rank certificate certifies less:
+    every confusable Z of rank >= 2 delta + 1 has rank(L V_S Z) >=
+    2 delta + 1, so two messages whose difference has rank >= 2 delta + 1
+    are told apart under errors of rank <= delta.  It does not claim that
+    every error of rank <= delta is corrected: for delta >= 1, a
+    confusable Z of rank 1 makes X = 0 with error L V_S Z and X = Z with
+    no error look alike to the user.  At t <= 2 delta no Z has rank
+    2 delta + 1, so a rank check passes with 0 trials.
     """
 
     delta: int
@@ -182,7 +192,10 @@ def verify_ecic(
     Hamming checks run on the one-symbol view, which is equivalent for any
     t.  Rank checks keep the instance's t and only confusables of rank at
     least 2 delta + 1 are constrained.  ``mode`` is "exhaustive", "sampled",
-    or "auto" (exhaustive per user while the set fits the budget).
+    or "auto" (exhaustive per user while the set fits the budget).  A
+    sampled user is charged ``samples`` times its k t kernel digits, and
+    :class:`BudgetExceeded` is raised before any draw when that exceeds the
+    budget, as it is for an exhaustive set larger than the budget.
     """
     if metric not in (HAMMING, RANK):
         raise ValueError(f"unknown metric {metric!r}")
@@ -207,6 +220,14 @@ def verify_ecic(
                 f"user {i}: confusable set size {size} exceeds budget {budget}"
             )
         if mode == "sampled" or (mode == "auto" and size > budget):
+            # A draw costs k t kernel digits, so the draws are charged
+            # samples * k t against the budget before any is made.
+            kt = (view.n - view.users[i].d) * view.t
+            if samples * kt > budget:
+                raise BudgetExceeded(
+                    f"user {i}: {samples} samples of k t = {kt} kernel digits each "
+                    f"exceed budget {budget}"
+                )
             out_mode = "sampled"
             source = _confusable_draws(view, i, samples, seed, extra=lvs)
         else:
@@ -234,7 +255,7 @@ def _walk_user(
     is a tested confusable that passes, and rank(Z) is needed only below.
     """
     t = view.t
-    blocks = _walk_blocks(view, N)
+    blocks = _WalkBlocks(view, N)
     extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
     tested = 0
     for cols in source:

@@ -29,22 +29,17 @@ zero, so equal inputs always produce identical outputs.  Rank comes from one
 row-insertion reduction, which the min-rank search and the realization test
 share.
 
-Over GF(2) the L2 searches (the ``minrank.alpha`` union and search, the
-``min_rank`` DFS and the confusable walk under ``iter_confusable``,
-``alpha`` and ``verify_ecic``) run on packed rows: a 0/1 row is an int
-bitmask with entry 0 the most significant bit, so int order is tuple
-order, add is ``^`` and Hamming weight is ``int.bit_count()``.
-:func:`_pack` and :func:`_unpack` convert, and :func:`_echelon_insert_gf2`
-and :func:`_gf2_rank` are the packed twins of the row insertion.  The
-Hamming trials of ``harness.run_simulation`` and the syndrome decoding of
-``decoders.syndrome_decode`` run on packed rows over GF(2) as well, from
-the draw of the message to the tally.  Each of their steps is a product
-by a fixed matrix, taken by :func:`_row_mul` on the row format: packed
-ints over GF(2), entry tuples over F_q.  :func:`_to_rows`,
-:func:`_from_row` and :func:`_zero_row` are the one place that format is
-chosen; :func:`_tuple_mul` is the tuple product under both ``_row_mul``
-and ``Matrix.__mul__``.  ``Matrix`` and every public result stay
-tuple-based.
+Hot loops keep their rows in one row format, chosen in this module alone:
+over GF(2) a 0/1 row is an int bitmask with entry 0 the most significant
+bit, so int order is tuple order, add is ``^`` and Hamming weight is
+``int.bit_count()``; over F_q it is an entry tuple.  :func:`_to_rows`,
+:func:`_from_row`, :func:`_zero_row` and the ``_row_*`` helpers are the
+only code that branches on the format (over GF(2) they run :func:`_pack`,
+:func:`_unpack`, :func:`_echelon_insert_gf2` and :func:`_gf2_rank`), so
+the confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
+decoder and the Hamming trials hold one body for every field.
+:func:`_tuple_mul` is the tuple product under both ``_row_mul`` and
+``Matrix.__mul__``.  ``Matrix`` and every public result stay tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -743,11 +738,10 @@ def _tuple_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int
     return out
 
 
-# -- the row format ----------------------------------------------------
+# -- the row format (see the module docstring) --------------------------
 #
-# Hot loops that multiply by fixed matrices keep their operands as rows in
-# the field's row format: packed ints over GF(2), entry tuples over F_q.
-# These four helpers are the only code that knows which one a field uses.
+# A helper that a loop calls per row returns a function of the row, picked
+# once per loop.
 
 
 def _to_rows(field: Field, rows: Iterable[Sequence[int]]) -> list:
@@ -774,6 +768,55 @@ def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) 
     if field.q == 2:
         return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
     return _tuple_mul(field, a, b, ncols)
+
+
+def _row_add(field: Field):
+    """The function (a, b) -> a + b on rows in the row format."""
+    if field.q == 2:
+        return operator.xor
+    add = field.add
+    return lambda a, b: tuple(map(add, a, b))
+
+
+def _row_scale(field: Field, a: int, row):
+    """The row a * row, for a field element a and a row in the row format."""
+    if field.q == 2:
+        return row if a else 0
+    return tuple(map(field.scaler(a), row))
+
+
+def _row_block(field: Field, start: int, stop: int, width: int):
+    """The function that reads entries [start, stop) of a ``width``-wide row
+    in the row format, as a row in the row format."""
+    if field.q == 2:
+        shift, mask = width - stop, (1 << (stop - start)) - 1
+        return lambda x: x >> shift & mask
+    return operator.itemgetter(slice(start, stop))
+
+
+def _row_weight(field: Field, start: int, stop: int, width: int):
+    """The function that gives the Hamming weight of entries [start, stop)
+    of a ``width``-wide row in the row format."""
+    if field.q == 2:
+        shift, mask = width - stop, (1 << (stop - start)) - 1
+        return lambda x: (x >> shift & mask).bit_count()
+    return lambda row: stop - start - row[start:stop].count(0)
+
+
+def _row_insert(field: Field):
+    """:func:`_echelon_insert` on rows in the row format, as f(basis, row)."""
+    if field.q == 2:
+        return _echelon_insert_gf2
+    return functools.partial(
+        _echelon_insert, sub=field.sub, scaler=field.scaler, inv=field.inv
+    )
+
+
+def _row_rank(field: Field, rows: Iterable, ncols: int) -> int:
+    """Rank of ``ncols``-wide rows in the row format."""
+    if field.q == 2:
+        return _gf2_rank(rows)
+    return mat_rank(Matrix._trusted(field, tuple(rows), ncols))
 
 
 def row_basis(m: Matrix) -> Matrix:

@@ -24,6 +24,7 @@ The JSON file format::
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -33,14 +34,17 @@ from .galois import (
     MAX_POWER_BITS,
     Field,
     Matrix,
-    _gf2_rank,
-    _pack,
+    _from_row,
     _random_matrix,
+    _row_add,
+    _row_block,
     _row_mul,
+    _row_rank,
+    _row_scale,
+    _row_weight,
     _to_rows,
-    _unpack,
+    _zero_row,
     field_new,
-    mat_rank,
     mat_rref,
     null_space,
     row_basis,
@@ -50,6 +54,8 @@ from .galois import (
 
 # Default cap on elements visited by exhaustive enumerations.
 DEFAULT_BUDGET = 1 << 22
+# :func:`_confusable_walk` lists fewer than 2**_LAP_BITS steps ahead.
+_LAP_BITS = 6
 
 
 class BudgetExceeded(RuntimeError):
@@ -293,15 +299,21 @@ def confusable_count(inst: IccsiInstance, i: int) -> int:
 
 def _walk_setup(
     inst: IccsiInstance, i: int, extra: Matrix | None = None
-) -> tuple[Matrix, int]:
-    """G = [R_i K; K; extra K] and k, for K (n x k) the canonical kernel
-    basis of V^(i); the column G c holds R_i Z, Z and ``extra`` Z for
-    Z = K c.
+) -> tuple[list, object, int]:
+    """The g_j, ``top`` and the width of G = [R_i K; K; extra K], for K
+    (n x k) the canonical kernel basis of V^(i).
+
+    The g_j are the k columns of G in the row format, so column c of G C is
+    the sum of C[j][c] g_j and holds R_i Z, Z and ``extra`` Z for Z = K C.
+    ``top`` is the row (1, 0, ..., 0): a column is at least ``top`` exactly
+    when its R_i Z entry is nonzero, in either format.
     """
     u = inst.users[i]
     K = null_space(u.V)
     G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
-    return G, K.ncols
+    f = inst.field
+    [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
+    return _to_rows(f, G.transpose().rows), top, G.nrows
 
 
 def _confusable_walk(
@@ -310,155 +322,110 @@ def _confusable_walk(
     budget: int | None = None,
     extra: Matrix | None = None,
 ) -> Iterator[list]:
-    """Walk user i's confusable set Z = K C, one column add per step.
+    """Walk user i's confusable set Z = K C, one precomputed change per step.
 
     K is the canonical kernel basis of V^(i) (n x k) and C runs over
     F_q^{k x t} in :func:`iter_vectors` order, column-major with entry
-    (0, 0) fastest.  The walk keeps the t columns of G C, where G stacks
-    R_i K (one row), K (n rows) and, when given, ``extra`` K.  Raising one
-    digit of C from a to a + 1 (mod q) adds the precomputed column
-    (a + 1 - a) g_j to one column of G C, so a step costs q / (q - 1)
-    column adds on average, and no matrix is built.
+    (0, 0) fastest: digit p of the odometer is C[p % k][p // k].  The walk
+    keeps the t columns of G C (G and the g_j as in :func:`_walk_setup`).
+    The step that rolls digits 0..p-1 over from q - 1 to 0 and raises digit
+    p from a to a + 1 adds ``steps[a][p]`` to them, one change per column
+    it touches, built once from the g_j in the row format.
 
-    Yields the list of the t columns whenever R_i K C is nonzero; each
-    column holds R_i Z, Z and ``extra`` Z, tuples over F_q and packed rows
-    over GF(2), read through :func:`_walk_blocks`.  The list is updated in
-    place by the next step.  Raises :class:`BudgetExceeded` when q^(k t)
-    exceeds the budget.
+    Yields the list of the t columns whenever R_i K C is nonzero;
+    :class:`_WalkBlocks` reads them.  The list is updated in place by the
+    next step.  Raises :class:`BudgetExceeded` when q^(k t) exceeds the
+    budget.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    G, k = _walk_setup(inst, i, extra)
-    t = inst.t
+    gs, top, width = _walk_setup(inst, i, extra)
+    k, t = len(gs), inst.t
     f = inst.field
     q = f.q
     if q ** (k * t) > budget:
         raise BudgetExceeded(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
-    if q == 2:
-        yield from _confusable_walk_gf2(G, k, t)
-        return
-    add, sub, scaler = f.add, f.sub, f.scaler
-    # steps[j][a]: the column added when a digit on g_j moves from a to a + 1.
-    steps = [
-        [tuple(map(scaler(sub((a + 1) % q, a)), g)) for a in range(q)]
-        for g in G.transpose().rows
-    ]
-    plan = [(c, steps[j]) for c in range(t) for j in range(k)]
-    digits = [0] * (k * t)
-    cols = [(0,) * G.nrows] * t
+    add = _row_add(f)
+    last = q - 1
+    drop = f.sub(0, last)  # the change of a digit rolled over to 0
+    # rolled[j]: the change of a column whose digits 0..j-1 roll over.
+    rolled = [_zero_row(f, width)]
+    for g in gs:
+        rolled.append(add(rolled[-1], _row_scale(f, drop, g)))
+    wholes = [list(zip(range(c), itertools.repeat(rolled[k]))) for c in range(t)]
+    steps = []
+    for a in range(last):
+        ups = [add(r, _row_scale(f, f.sub(a + 1, a), g)) for r, g in zip(rolled, gs)]
+        steps.append([wholes[c] + [(c, x)] for c in range(t) for x in ups])
+    # ``lap`` takes the low digits 0..low-1 through all their values: the
+    # lap below digit p, then, for each a < q - 1, the step that raises p
+    # from a and the lap below p again.  The walk runs one lap for each
+    # value of the high digits, after the step into that value.
+    low = min(k * t, _LAP_BITS // last.bit_length())
+    lap: list = []
+    for p in range(low):
+        below = lap[:]
+        for raises in steps:
+            lap.append(raises[p])
+            lap += below
+    digits = [0] * (k * t)  # only the high ones move
+    cols = [rolled[0]] * t
+    carry: list = []  # no step into C = 0
     while True:
-        if any(col[0] for col in cols):
-            yield cols
-        for pos, (c, step) in enumerate(plan):
-            a = digits[pos]
-            cols[c] = tuple(map(add, cols[c], step[a]))
-            if a + 1 < q:
-                digits[pos] = a + 1
+        for step in itertools.chain((carry,), lap):
+            for c, x in step:
+                cols[c] = add(cols[c], x)
+            if max(cols) >= top:
+                yield cols
+        for p in range(low, k * t):
+            a = digits[p]
+            if a != last:
                 break
-            digits[pos] = 0
+            digits[p] = 0
         else:
             return
-
-
-def _confusable_walk_gf2(G: Matrix, k: int, t: int) -> Iterator[list[int]]:
-    """:func:`_confusable_walk` over GF(2), with the columns of G C packed.
-
-    C counts in binary, digit 0 lowest, so the step to count s flips digits
-    0..p, p the lowest set bit of s, and the column a digit on g_j adds is
-    g_j whichever way it flips.  ``flips[p]`` holds the XOR each column
-    takes for those digits.  The R_i K C entry is the top bit.
-    """
-    top = G.nrows - 1
-    gs = [_pack(g) for g in G.transpose().rows]
-    flips = []
-    acc = [0] * t
-    for p in range(k * t):
-        acc[p // k] ^= gs[p % k]
-        flips.append(list(enumerate(acc[: p // k + 1])))
-    cols = [0] * t
-    for s in range(1, 1 << (k * t)):
-        for c, x in flips[(s & -s).bit_length() - 1]:
-            cols[c] ^= x
-        if max(cols) >> top:
-            yield cols
+        digits[p] = a + 1
+        carry = steps[a][p]
 
 
 class _WalkBlocks:
     """Reads the blocks of the columns :func:`_confusable_walk` yields.
 
     A column holds R_i Z, then Z (n entries), then the ``extra`` Z block
-    (N entries).  The readers take one column or the walk's list of t
-    columns; consumers use them and never index a column themselves.
+    (N entries), as one row in the row format.  The readers take one
+    column or the walk's list of t columns; consumers use them and never
+    index a column themselves.
     """
 
     def __init__(self, inst: IccsiInstance, N: int = 0):
-        self.field, self.n, self.t, self.N = inst.field, inst.n, inst.t, N
-        self.zero = (0,) * (1 + inst.n + N)  # a zero column
-
-    def z_vec(self, col):
-        """One column's Z block: a tuple here, a packed int over GF(2),
-        hashable and ordered as the tuple either way."""
-        return col[1:self.n + 1]
+        f = inst.field
+        self.field, self.n, self.t, self.N = f, inst.n, inst.t, N
+        width = 1 + inst.n + N
+        self.zero = _zero_row(f, width)  # a zero column
+        # One column's Z block: a row in the row format, hashable and
+        # ordered as its entry tuple.
+        self.z_vec = _row_block(f, 1, 1 + inst.n, width)
+        self._extra = _row_block(f, 1 + inst.n, width, width)
+        # extra_weight(col): the Hamming weight of one column's extra block.
+        self.extra_weight = _row_weight(f, 1 + inst.n, width, width)
 
     def z(self, cols: list) -> Matrix:
         """Z, from the Z blocks of the t columns."""
-        return Matrix._trusted(self.field, tuple(zip(*map(self.z_vec, cols))), self.t)
+        f, n, t = self.field, self.n, self.t
+        entries = zip(*(_from_row(f, x, n) for x in map(self.z_vec, cols)))
+        # The round trip through the row format keeps short GF(2) rows
+        # shared, so kept matrices hold no copies of them.
+        return Matrix._trusted(f, tuple(_from_row(f, r, t) for r in _to_rows(f, entries)), t)
 
     def z_rank(self, cols: list) -> int:
         """rank(Z), from the Z blocks of the t columns."""
-        return mat_rank(Matrix._trusted(self.field, tuple(map(self.z_vec, cols)), self.n))
-
-    def extra_weight(self, col) -> int:
-        """Hamming weight of one column's extra block."""
-        return self.N - col[self.n + 1:].count(0)
+        return _row_rank(self.field, map(self.z_vec, cols), self.n)
 
     def extra_rank(self, cols: list) -> int:
         """Rank of the t extra blocks, the transpose of extra Z."""
-        stop = self.n + 1
-        return mat_rank(Matrix._trusted(self.field, tuple(col[stop:] for col in cols), self.N))
-
-
-class _PackedWalkBlocks(_WalkBlocks):
-    """:class:`_WalkBlocks` over GF(2), where the walk packs each column
-    (see :mod:`iccsi.galois`): R_i Z is bit n + N, Z the next n bits and
-    the extra block the low N bits.
-    """
-
-    def __init__(self, inst: IccsiInstance, N: int = 0):
-        super().__init__(inst, N)
-        self.zero = 0
-        self._low = (1 << N) - 1
-        self._zmask = (1 << inst.n) - 1
-
-    def z_vec(self, col: int) -> int:
-        return col >> self.N & self._zmask
-
-    def z(self, cols: list) -> Matrix:
-        # Row r of Z packs bit n - 1 - r of each column's Z block.
-        zcols = [col >> self.N for col in cols]
-        rows = tuple(
-            _unpack(_pack([x >> s & 1 for x in zcols]), self.t)
-            for s in range(self.n - 1, -1, -1)
-        )
-        return Matrix._trusted(self.field, rows, self.t)
-
-    def z_rank(self, cols: list) -> int:
-        N, zmask = self.N, self._zmask
-        return _gf2_rank([col >> N & zmask for col in cols])
-
-    def extra_weight(self, col: int) -> int:
-        return (col & self._low).bit_count()
-
-    def extra_rank(self, cols: list) -> int:
-        low = self._low
-        return _gf2_rank([col & low for col in cols])
-
-
-def _walk_blocks(inst: IccsiInstance, N: int = 0) -> _WalkBlocks:
-    """The block readers for walks of ``inst`` with an N-row ``extra``."""
-    return _PackedWalkBlocks(inst, N) if inst.q == 2 else _WalkBlocks(inst, N)
+        return _row_rank(self.field, map(self._extra, cols), self.N)
 
 
 def iter_confusable(
@@ -472,9 +439,7 @@ def iter_confusable(
     fastest, column-major).  Raises :class:`BudgetExceeded` when q^(k t)
     exceeds the budget.
     """
-    blocks = _walk_blocks(inst)
-    for cols in _confusable_walk(inst, i, budget):
-        yield blocks.z(cols)
+    return map(_WalkBlocks(inst).z, _confusable_walk(inst, i, budget))
 
 
 def _confusable_draws(
@@ -484,20 +449,18 @@ def _confusable_draws(
 
     Each draw is a uniform C in F_q^{k x t}, redrawn while R_i K C = 0, and
     is yielded as the t columns of G C in :func:`_confusable_walk`'s format
-    (G as there), so :func:`_walk_blocks` reads them.  Each user gets its
+    (G as there), so :class:`_WalkBlocks` reads them.  Each user gets its
     own deterministic stream derived from (seed, i), so per-user checks stay
     reproducible regardless of evaluation order.
     """
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-    G, k = _walk_setup(inst, i, extra)
-    f, t = inst.field, inst.t
-    gs = _to_rows(f, G.transpose().rows)
-    [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])  # the least column with R_i Z != 0
+    gs, top, width = _walk_setup(inst, i, extra)
+    f, k, t = inst.field, len(gs), inst.t
     while count > 0:
         # Column c of G C is the sum of C[j][c] g_j: row c of C^T times the g_j.
-        cols = _row_mul(f, _random_matrix(rng, f, k, t).transpose().rows, gs, G.nrows)
+        cols = _row_mul(f, _random_matrix(rng, f, k, t).transpose().rows, gs, width)
         if max(cols) >= top:
             count -= 1
             yield cols
@@ -506,10 +469,6 @@ def _confusable_draws(
 def sample_confusable(
     inst: IccsiInstance, i: int, count: int, seed: int
 ) -> Iterator[Matrix]:
-    """Yield ``count`` uniform draws from user i's confusable set.
-
-    Reads Z off :func:`_confusable_draws`, where each user gets its own
-    deterministic stream derived from (seed, i), so per-user checks stay
-    reproducible regardless of evaluation order.
-    """
-    return map(_walk_blocks(inst).z, _confusable_draws(inst, i, count, seed))
+    """Yield ``count`` uniform draws from user i's confusable set, Z read
+    off :func:`_confusable_draws` (one seeded stream per user)."""
+    return map(_WalkBlocks(inst).z, _confusable_draws(inst, i, count, seed))

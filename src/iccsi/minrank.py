@@ -15,16 +15,17 @@ pruning of exact clique search (Carraghan and Pardalos, 1990).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .galois import (
     Matrix,
     _echelon_insert,
-    _echelon_insert_gf2,
     _from_row,
-    _pack,
+    _row_add,
+    _row_insert,
+    _row_scale,
+    _to_rows,
     row_basis,
     solve_left,
 )
@@ -33,8 +34,8 @@ from .instance import (
     BudgetExceeded,
     IccsiInstance,
     UserSpec,
+    _WalkBlocks,
     _confusable_walk,
-    _walk_blocks,
     intersection_basis,
     one_symbol_view,
 )
@@ -93,10 +94,11 @@ def min_rank(
         budget = DEFAULT_BUDGET
     f = inst.field
     q = f.q
-    # Candidate rows per user: R_i plus each vector of X^(i) meet X^(S),
-    # listed in coefficient odometer order (first basis vector fastest):
-    # each basis row b extends the list by a * b, a the slowest index.
-    per_user_rows: list[list[tuple[int, ...]]] = []
+    # Candidate rows per user in the row format: R_i plus each vector of
+    # X^(i) meet X^(S) in coefficient odometer order (first basis vector
+    # fastest): each basis row b extends the list by a * b, a slowest.
+    add = _row_add(f)
+    cands: list[list] = []
     total = 1
     for u in inst.users:
         w = intersection_basis(u.V, inst.V_S)
@@ -105,21 +107,13 @@ def min_rank(
             raise BudgetExceeded(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
-        rows = [u.R.rows[0]]
-        for b in w.rows:
-            multiples = [tuple(map(f.scaler(a), b)) for a in range(q)]
-            rows = [tuple(map(f.add, r, ab)) for ab in multiples for r in rows]
-        per_user_rows.append(rows)
+        rows = _to_rows(f, u.R.rows)
+        for b in _to_rows(f, w.rows):
+            multiples = [_row_scale(f, a, b) for a in range(q)]
+            rows = [add(r, ab) for ab in multiples for r in rows]
+        cands.append(rows)
     m, n = inst.m, inst.n
-    # Over GF(2) the search inserts packed rows; it visits the same nodes.
-    if q == 2:
-        cands = [list(map(_pack, rows)) for rows in per_user_rows]
-        insert = _echelon_insert_gf2
-    else:
-        cands = per_user_rows
-        insert = functools.partial(
-            _echelon_insert, sub=f.sub, scaler=f.scaler, inv=f.inv
-        )
+    insert = _row_insert(f)
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.  Adding rows
@@ -152,7 +146,7 @@ def min_rank(
 
     walk(m - 1, [])
     chosen = Matrix._trusted(
-        f, tuple(per_user_rows[i][best_choice[i]] for i in range(m)), n
+        f, tuple(_from_row(f, cands[i][best_choice[i]], n) for i in range(m)), n
     )
     basis = row_basis(chosen)
     witness = solve_left(inst.V_S, basis)
@@ -171,41 +165,40 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     """Largest dimension of a subspace inside the union of confusable sets.
 
     Works in the t = 1 view: walks every user's confusable set and collects
-    the Z vectors (packed rows over GF(2), tuples over F_q) into the union
-    U.  A depth-first search then grows bases z_1 < z_2 < ... in encoded
-    order.  A node with basis B keeps its candidate set C(B), the vectors c
-    with c + s in U for every s in span(B), so the root's set is U; adding
-    z keeps the c with c + a z in C(B) for every a != 0.  U is closed under
-    nonzero scalars, so z lies in C(B) exactly when every new vector of
-    span(B + z) lies in U.  The children of a node are its candidates after
-    its last basis vector, and the witness is the first largest basis
-    found, so it is deterministic.
+    the Z vectors, rows in the :mod:`iccsi.galois` row format, into the
+    union U.  A depth-first search then grows bases z_1 < z_2 < ... in
+    encoded order.  A node with basis B keeps its candidate set C(B), the
+    vectors c with c + s in U for every s in span(B), so the root's set is
+    U; adding z keeps the c with c + a z in C(B) for every a != 0.  U is
+    closed under nonzero scalars, so z lies in C(B) exactly when every new
+    vector of span(B + z) lies in U.  The children of a node are its
+    candidates after its last basis vector, and the witness is the first
+    largest basis found, so it is deterministic.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     f = inst.field
     n = inst.n
     view = one_symbol_view(inst)
-    z_vec = _walk_blocks(view).z_vec
-    union = set()
-    for i in range(inst.m):
-        for cols in _confusable_walk(view, i, budget):
-            union.add(z_vec(cols[0]))
-    # narrow(C(B), z) is C(B + z), the only step that depends on the field.
-    if f.q == 2:
+    z_vec = _WalkBlocks(view).z_vec
+    union = {
+        z_vec(cols[0]) for i in range(inst.m) for cols in _confusable_walk(view, i, budget)
+    }
+    # narrow(C(B), z) is C(B + z).  A step by s keeps the c whose c - s is
+    # in the set too, so steps by s_1, s_2, ... keep the c with c - v in
+    # C(B) for every sum v of some s_i; p - 1 steps by a z for each a in the
+    # F_p-basis p^j of F_q make the v every b z.  Each s is kept as an
+    # endless repeat, for ``map`` to pair with every c.
+    add = _row_add(f)
+    shifts = {
+        z: [itertools.repeat(_row_scale(f, f.p**j, z)) for j in range(f.e)] * (f.p - 1)
+        for z in union
+    }
 
-        def narrow(cset: set, z: int) -> set:
-            return {c for c in cset if c ^ z in cset}
-
-    else:
-        add, scaler = f.add, f.scaler
-
-        def narrow(cset: set, z: tuple) -> set:
-            steps = [tuple(map(scaler(a), z)) for a in range(1, f.q)]
-            return {
-                c for c in cset
-                if all(tuple(map(add, c, az)) in cset for az in steps)
-            }
+    def narrow(cset: set, z) -> set:
+        for s in shifts[z]:
+            cset = cset.intersection(map(add, cset, s))
+        return cset
 
     best: list = []
     basis: list = []
@@ -219,7 +212,8 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
         if len(basis) > len(best):
             best = list(basis)
         for j, z in enumerate(children):
-            sub = narrow(cset, z)
+            # The last child has no children, so it needs no candidate set.
+            sub = narrow(cset, z) if j + 1 < len(children) else cset
             basis.append(z)
             extend(sub, [c for c in children[j + 1:] if c in sub])
             basis.pop()

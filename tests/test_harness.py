@@ -8,14 +8,17 @@ import pytest
 
 from conftest import SYN_L, TRAP_L, ident
 from iccsi import (
+    BudgetExceeded,
     Matrix,
     SimConfig,
     field_new,
     make_encoder,
     make_instance,
+    parse_instance,
     run_simulation,
     save_encoder,
     save_instance,
+    verify_ecic,
     wilson_interval,
 )
 from iccsi.cli import main
@@ -430,6 +433,36 @@ def test_cli_huge_t_exits_2(argv, tmp_path, capsys):
     with _deadline(10):
         assert main([*argv, "--instance", str(bad)]) == 2
     assert "bit cap" in capsys.readouterr().err
+
+
+# The largest t the power-bit cap admits for q = 3, n = 3: each user's
+# confusable set, 3^(2 t), is far above the budget, so the rank check samples
+# it, and a draw costs k t = 13,782 kernel digits.
+_CAP_T_DOC = {"p": 3, "e": 1, "t": 6891, "n": 3, "sender": ident(3),
+              "users": [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0, 0, 1]},
+                        {"V": [[0, 0, 1]], "R": [1, 0, 0]}]}
+
+
+def test_sampled_verify_charges_draws_to_budget():
+    inst = parse_instance(_CAP_T_DOC)
+    L = Matrix(inst.field, [[1, 1, 1], [0, 1, 2]])
+    with _deadline(10), pytest.raises(BudgetExceeded) as exc:
+        verify_ecic(L, inst, 1, "rank")
+    assert str(exc.value) == (
+        "user 0: 100000 samples of k t = 13782 kernel digits each exceed budget 4194304"
+    )
+
+
+def test_cli_encode_sampled_rank_check_near_cap_exits_4(tmp_path, capsys):
+    path = tmp_path / "cap_t.json"
+    path.write_text(json.dumps(_CAP_T_DOC))
+    with _deadline(10):
+        code = main([
+            "encode", "--instance", str(path), "--method", "coset",
+            "--delta", "1", "--metric", "rank",
+        ])
+    assert code == 4
+    assert "100000 samples of k t = 13782" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
