@@ -41,6 +41,7 @@ from .codec import (
 from .decoders import (
     FLAG_LVS_SHARED,
     FrameError,
+    _split_payload,
     build_user_decoder,
     rank_trap_decode,
     read_frame,
@@ -412,17 +413,15 @@ def _cmd_decode(args) -> int:
     if not tr.ok:
         print(tr.failure, file=sys.stderr)
         return EXIT_DECODE
+    shared_lvs = None
     if flags & FLAG_LVS_SHARED:
         enc = _require_encoder(args, inst)
         if enc.N != N or ell != inst.t:
             raise InstanceError("frame layout does not match the encoder and instance")
-        lvs, Y = enc.lvs, tr.Q
-    else:
-        if ell != inst.d_S + inst.t:
-            raise InstanceError("frame layout does not match the instance")
-        L_hat = tr.Q.take_cols(range(inst.d_S))
-        Y = tr.Q.take_cols(range(inst.d_S, inst.d_S + inst.t))
-        lvs = L_hat * inst.V_S
+        shared_lvs = enc.lvs
+    elif ell != inst.d_S + inst.t:
+        raise InstanceError("frame layout does not match the instance")
+    lvs, Y = _split_payload(inst, tr.Q, shared_lvs)
     return _emit_demand_or_fail(inst, args.user, lvs, Y, lam)
 
 

@@ -34,16 +34,12 @@ from .galois import (
     Matrix,
     field_new,
     hstack,
-    mat_rank,
     mat_rref,
-    null_space,
-    right_inverse,
     _from_row,
     _row_mul,
     _solve_left_rref,
     _to_rows,
     _zero_row,
-    solve_left,
     vstack,
 )
 from .instance import IccsiInstance
@@ -56,8 +52,11 @@ TRAP_FAILURE_DETECTED = "TrapFailureDetected"
 class UserTransform:
     """Invertible change of basis M for user i with M = [A | B].
 
-    A is a right inverse of the stacked (cache; request) matrix G, B spans
-    its kernel, so V^(i) M = [I | 0] and R_i M is the (d_i+1)-th unit row.
+    M is T^T for the transform T of the RREF of G^T, G the stacked
+    (cache; request) matrix.  G has full row rank, so T G^T = [I; 0]:
+    A, the first d_i+1 columns, is a right inverse of G, and B, the rest,
+    spans its kernel.  Hence V^(i) M = [I | 0] and R_i M is the (d_i+1)-th
+    unit row.
     """
 
     i: int
@@ -68,31 +67,34 @@ class UserTransform:
 
 def build_user_transform(inst: IccsiInstance, i: int) -> UserTransform:
     u = inst.users[i]
-    g = vstack(u.V, u.R)
-    a = right_inverse(g)
-    assert a is not None, "instance validity guarantees full row rank of (V; R)"
-    b = null_space(g)
-    m = hstack(a, b) if b.ncols else a
-    assert mat_rank(m) == inst.n
-    return UserTransform(i, m, a, b)
+    res = mat_rref(vstack(u.V, u.R).transpose())
+    assert res.rank == u.d + 1, "instance validity guarantees full row rank of (V; R)"
+    m, k = res.transform.transpose(), res.rank
+    return UserTransform(i, m, m.take_cols(range(k)), m.take_cols(range(k, inst.n)))
 
 
 @dataclass(frozen=True)
 class ParityData:
-    """Per-user parity matrices for syndrome decoding an encoder L.
+    """Per-user parity matrix for syndrome decoding an encoder L.
 
-    ``L_prime`` is L V_S M.  ``H`` stacks ``h`` (annihilates the trailing
-    columns but not column d_i, normalized so s = h L'^{d_i+1} is 1) over
-    ``H_upper`` (annihilates column d_i and the trailing columns), so the
-    syndrome splits into a request part and an error-only part.
+    ``L_prime`` is L V_S M.  The first row ``h`` of ``H`` annihilates the
+    trailing columns d_i+1.. of L' and maps column d_i, the request, to 1;
+    the other rows ``H_upper`` are a basis of the left kernel of columns
+    d_i.., so the syndrome splits into a request part and an error-only
+    part.
     """
 
     i: int
     L_prime: Matrix
     H: Matrix
-    h: Matrix
-    H_upper: Matrix
-    s: int
+
+    @cached_property
+    def h(self) -> Matrix:
+        return self.H.take_rows((0,))
+
+    @cached_property
+    def H_upper(self) -> Matrix:
+        return self.H.take_rows(range(1, self.H.nrows))
 
 
 def build_parity(
@@ -101,28 +103,24 @@ def build_parity(
     i: int,
     transform: UserTransform | None = None,
 ) -> ParityData:
+    """H read off the RREF transform T of [trailing | request] of L' = L V_S M.
+
+    With the request column last, the last pivot falls on it exactly when
+    it escapes the span of the trailing columns.  T's row at that pivot
+    is then h, and the rows below it, which T maps to zero, are H_upper.
+    Raises ValueError when L does not serve user i.
+    """
     if transform is None:
         transform = build_user_transform(inst, i)
-    lvs = L * inst.V_S
-    lp = lvs * transform.M
+    lp = L * inst.V_S * transform.M
     d = inst.users[i].d
-    request_col = lp.take_cols((d,))
-    trailing = lp.take_cols(range(d + 1, inst.n))
-    block = hstack(request_col, trailing) if trailing.ncols else request_col
-    target = Matrix._trusted(inst.field, ((1,) + (0,) * trailing.ncols,), block.ncols)
-    h = solve_left(block, target)
-    if h is None:
+    res = mat_rref(lp.take_cols((*range(d + 1, inst.n), d)))
+    if res.pivots[-1:] != (inst.n - d - 1,):
         raise ValueError(
             f"user {i}: request column lies in the trailing column span; "
             "L does not realize the instance"
         )
-    h_upper = null_space(block.transpose()).transpose()
-    H = vstack(h, h_upper)
-    s = (h * request_col).rows[0][0]
-    assert s == 1
-    assert (H * trailing).is_zero() if trailing.ncols else True
-    assert (h_upper * request_col).is_zero()
-    return ParityData(i, lp, H, h, h_upper, s)
+    return ParityData(i, lp, res.transform.take_rows(range(res.rank - 1, L.nrows)))
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tup
         return syn[0]
     memo = ctx.support_rref
     for size in range(1, delta + 1):
-        for support in combinations(range(ctx.parity.H_upper.ncols), size):
+        for support in combinations(range(ctx.parity.H.ncols), size):
             rows = memo.get(support)
             if rows is None:
                 rows = memo[support] = ctx._support_rows(support)
@@ -303,6 +301,19 @@ def rank_trap_decode(received: Matrix, v: int, N: int, ell: int) -> TrapResult:
     if T is None:
         return TrapResult(None, TRAP_FAILURE_DETECTED)
     return TrapResult(payload - T * w12, risk_flag=res.rank == v)
+
+
+def _split_payload(inst: IccsiInstance, Q: Matrix, shared_lvs: Matrix | None) -> tuple:
+    """(L V_S, Y) of a trapped payload Q, for :func:`solve_demand`.
+
+    ``shared_lvs`` is the encoder's L V_S when the receivers share it, and
+    then Q is Y.  When it is None, Q is [L | Y] with L in its first d_S
+    columns.
+    """
+    if shared_lvs is not None:
+        return shared_lvs, Q
+    d_S = inst.d_S
+    return Q.take_cols(range(d_S)) * inst.V_S, Q.take_cols(range(d_S, Q.ncols))
 
 
 def solve_demand(

@@ -466,9 +466,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 
@@ -896,12 +893,6 @@ def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
     return Matrix._trusted(f, tuple(out_rows), res.transform.ncols)
 
 
-def right_inverse(a: Matrix) -> Matrix | None:
-    """Canonical B with a * B == identity, or None if a has deficient row rank."""
-    sol = solve_left(a.transpose(), Matrix.identity(a.field, a.nrows))
-    return sol.transpose() if sol is not None else None
-
-
 def row_space_contains(a: Matrix, v: Matrix) -> bool:
     """True when every row of v lies in the row space of a."""
     return solve_left(a, v) is not None
@@ -979,36 +970,3 @@ def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:
 def iter_vectors(field: Field, n: int) -> Iterator[tuple[int, ...]]:
     """All vectors of F_q^n in odometer order, first coordinate fastest."""
     return (v[::-1] for v in itertools.product(range(field.q), repeat=n))
-
-
-def iter_subspace_bases(field: Field, ambient: int, dim: int) -> Iterator[Matrix]:
-    """Canonical RREF bases of every dim-dimensional subspace of F_q^ambient.
-
-    Enumerates pivot column choices lexicographically, then the free entries
-    in odometer order, so each subspace appears exactly once.
-    """
-    if dim == 0:
-        yield Matrix._trusted(field, (), ambient)
-        return
-    if dim > ambient:
-        return
-    q = field.q
-    for pivots in itertools.combinations(range(ambient), dim):
-        # Free slots: entries (i, j) right of pivot i, excluding pivot columns
-        # of later rows (those are forced to 0 by reducedness).
-        slots = []
-        pivset = set(pivots)
-        for i in range(dim):
-            for j in range(pivots[i] + 1, ambient):
-                if j not in pivset:
-                    slots.append((i, j))
-        base = [[0] * ambient for _ in range(dim)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        if not slots:
-            yield Matrix._trusted(field, tuple(map(tuple, base)), ambient)
-            continue
-        for vals in iter_vectors(field, len(slots)):
-            for (i, j), v in zip(slots, vals):
-                base[i][j] = v
-            yield Matrix._trusted(field, tuple(map(tuple, base)), ambient)

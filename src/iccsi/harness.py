@@ -31,6 +31,7 @@ from .codec import (
 )
 from .decoders import (
     _decode_rows,
+    _split_payload,
     build_user_decoder,
     rank_trap_decode,
     solve_demand,
@@ -268,12 +269,7 @@ def _rank_trial(cfg, inst, enc, rng, tallies) -> None:
         for row in tallies:
             row[1] += 1
         return
-    if cfg.lvs_shared:
-        lvs_hat, Y_hat = enc.lvs, tr.Q
-    else:
-        L_hat = tr.Q.take_cols(range(inst.d_S))
-        Y_hat = tr.Q.take_cols(range(inst.d_S, inst.d_S + inst.t))
-        lvs_hat = L_hat * inst.V_S
+    lvs_hat, Y_hat = _split_payload(inst, tr.Q, enc.lvs if cfg.lvs_shared else None)
     for i in range(inst.m):
         u = inst.users[i]
         try:

@@ -6,11 +6,13 @@ exactly as in the source material; construction canonicalizes cache bases,
 so tests that need the original (non-reduced) rows keep their own copies.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from iccsi import BudgetExceeded, IccsiInstance, Matrix, field_new, make_instance, realizes_ic
-from iccsi.galois import gaussian_binomial, iter_subspace_bases, iter_vectors, mat_rank
+from iccsi.galois import gaussian_binomial, iter_vectors, mat_rank
 from iccsi.instance import DEFAULT_BUDGET
 
 F2 = field_new(2, 1)
@@ -169,6 +171,35 @@ def random_instances(seed, count, n_max=4, m_max=4):
             continue
         made += 1
         yield inst
+
+
+def iter_subspace_bases(field, ambient, dim):
+    """Canonical RREF bases of every dim-dimensional subspace of F_q^ambient.
+
+    Enumerates pivot column choices lexicographically, then the free entries
+    in odometer order, so each subspace appears exactly once.
+    """
+    if dim == 0:
+        yield Matrix(field, (), ambient)
+        return
+    if dim > ambient:
+        return
+    for pivots in itertools.combinations(range(ambient), dim):
+        # Free slots: entries (i, j) right of pivot i, excluding pivot columns
+        # of later rows (those are forced to 0 by reducedness).
+        slots = []
+        pivset = set(pivots)
+        for i in range(dim):
+            for j in range(pivots[i] + 1, ambient):
+                if j not in pivset:
+                    slots.append((i, j))
+        base = [[0] * ambient for _ in range(dim)]
+        for i, pc in enumerate(pivots):
+            base[i][pc] = 1
+        for vals in iter_vectors(field, len(slots)):
+            for (i, j), v in zip(slots, vals):
+                base[i][j] = v
+            yield Matrix(field, base, ambient)
 
 
 def min_rank_bruteforce_oracle(inst, budget=DEFAULT_BUDGET):

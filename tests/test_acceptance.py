@@ -270,10 +270,7 @@ def _walkthrough_decoder(syn_inst):
     h4 = Matrix(F2, SYN_H4)
     return UserDecoder(
         UserTransform(3, m4, m4.take_cols([0, 1, 2]), m4.take_cols([3])),
-        ParityData(
-            3, Matrix(F2, SYN_L) * syn_inst.V_S * m4, h4,
-            h4.take_rows([0]), h4.take_rows([1, 2, 3]), 1,
-        ),
+        ParityData(3, Matrix(F2, SYN_L) * syn_inst.V_S * m4, h4),
     )
 
 
@@ -283,7 +280,13 @@ def test_c6_syndrome_walkthrough_and_sweep(syn_inst):
     X = Matrix.column_vector(F2, (1, 1, 1, 1))
     Y = Matrix(F2, SYN_L) * X + Matrix.column_vector(F2, (0, 0, 0, 1, 0))
     lam = Matrix(F2, SYN_V4) * X
-    syndrome = ctx.parity.H * (Y - ctx.parity.L_prime.take_cols([0, 1]) * lam)
+    pd = ctx.parity
+    # h maps the request column to 1, H kills the trailing one, and
+    # H_upper is rows 1.. of H
+    assert (pd.h * pd.L_prime.take_cols([2])).rows == ((1,),)
+    assert (pd.H * pd.L_prime.take_cols([3])).is_zero()
+    assert pd.H_upper == pd.H.take_rows([1, 2, 3])
+    syndrome = pd.H * (Y - pd.L_prime.take_cols([0, 1]) * lam)
     assert syndrome.col(0) == (0, 1, 1, 1)  # alpha = 0, beta = (1,1,1)
     beta = syndrome.take_rows([1, 2, 3])
     # parity columns 3 and 4 coincide, so exactly two single-position
@@ -292,9 +295,9 @@ def test_c6_syndrome_walkthrough_and_sweep(syn_inst):
     solutions = set()
     for j in range(5):
         eps = Matrix(F2, tuple((1,) if r == j else (0,) for r in range(5)))
-        if ctx.parity.H_upper * eps == beta:
+        if pd.H_upper * eps == beta:
             solutions.add(j)
-            assert (syndrome.take_rows([0]) - ctx.parity.h * eps).rows[0][0] == 1
+            assert (syndrome.take_rows([0]) - pd.h * eps).rows[0][0] == 1
     assert solutions == {3, 4}
     out = syndrome_decode(ctx, Y, lam, delta=1)
     assert out.failure is None and out.demand.rows == ((1,),)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build, ident, random_instances
+from conftest import build, ident, iter_subspace_bases, random_instances
 from iccsi import (
     Matrix,
     confusable_count,
@@ -33,7 +33,6 @@ from iccsi.bounds import (
 )
 from iccsi.galois import (
     gaussian_binomial,
-    iter_subspace_bases,
     iter_vectors,
     mat_rank,
     sphere_vol_hamming,

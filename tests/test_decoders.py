@@ -100,13 +100,10 @@ def test_parity_shape_and_identities(syn_inst):
         request_col = pd.L_prime.take_cols([d])
         trailing = pd.L_prime.take_cols(list(range(d + 1, n)))
         # H annihilates the trailing block and maps the request column to
-        # a vector supported on the scalar row only
+        # the first unit vector: h times it is 1, H_upper times it is 0
         assert (pd.H * trailing).is_zero()
         hit = pd.H * request_col
-        assert hit.col(0) == tuple(
-            pd.s if r == 0 else 0 for r in range(pd.H.nrows)
-        )
-        assert pd.s != 0
+        assert hit.col(0) == tuple(int(r == 0) for r in range(pd.H.nrows))
         assert pd.h == pd.H.take_rows([0])
         assert pd.H_upper == pd.H.take_rows(list(range(1, pd.H.nrows)))
         code_dim = mat_rank(hstack(request_col, trailing))
@@ -118,7 +115,7 @@ def test_parity_walkthrough_shape(syn_inst):
     # so the stacked parity has 4 rows
     pd = build_parity(syn_inst, Matrix(F2, SYN_L), 3)
     assert pd.H.shape == (4, 5)
-    assert pd.s == 1
+    assert (pd.h * pd.L_prime.take_cols([2])).rows == ((1,),)
 
 
 def test_parity_degenerate_encoder_rejected(trap_inst):
@@ -144,14 +141,7 @@ def _walkthrough_user4_decoder(syn_inst):
         A=m4.take_cols([0, 1, 2]),
         B=m4.take_cols([3]),
     )
-    pd = ParityData(
-        i=3,
-        L_prime=L * syn_inst.V_S * m4,
-        H=h4,
-        h=h4.take_rows([0]),
-        H_upper=h4.take_rows([1, 2, 3]),
-        s=1,
-    )
+    pd = ParityData(i=3, L_prime=L * syn_inst.V_S * m4, H=h4)
     return UserDecoder(transform=tr, parity=pd)
 
 
@@ -169,6 +159,9 @@ def test_walkthrough_transform_and_parity_are_valid(syn_inst):
     trailing = pd.L_prime.take_cols([3])
     assert (pd.H * trailing).is_zero()
     assert (pd.H * request_col).col(0) == (1, 0, 0, 0)
+    assert (pd.h * request_col).rows == ((1,),)
+    assert pd.h == Matrix(F2, SYN_H4[:1])
+    assert pd.H_upper == Matrix(F2, SYN_H4[1:])
 
 
 def test_walkthrough_step_values(syn_inst):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import iter_subspace_bases
 
 from iccsi.galois import (
     Field,
@@ -13,13 +14,11 @@ from iccsi.galois import (
     gaussian_binomial,
     hamming_weight,
     hstack,
-    iter_subspace_bases,
     iter_vectors,
     mat_rank,
     mat_rref,
     null_space,
     rank_weight,
-    right_inverse,
     row_basis,
     row_space_contains,
     solve_left,
@@ -288,14 +287,6 @@ def test_solve_left_random_consistency():
                 assert x * a == b
             else:
                 assert not row_space_contains(a, b)
-
-
-def test_right_inverse():
-    f = field_new(3, 1)
-    a = Matrix(f, ((1, 0, 2), (0, 1, 1)))
-    ri = right_inverse(a)
-    assert a * ri == Matrix.identity(f, 2)
-    assert right_inverse(Matrix(f, ((1, 1, 1), (2, 2, 2)))) is None
 
 
 def test_gaussian_binomial_values():

@@ -22,7 +22,8 @@ from iccsi import (
     wilson_interval,
 )
 from iccsi.cli import main
-from iccsi.decoders import write_frame
+from iccsi.decoders import FLAG_LVS_SHARED, trap_pad, write_frame
+from iccsi.galois import hstack
 from iccsi.harness import resolve_encoder
 
 F2 = field_new(2, 1)
@@ -158,13 +159,20 @@ def test_sim_rank_mode_invariants(trap_inst):
 
 
 def test_sim_rank_noise_free_with_private_lvs(trap_inst):
-    enc = make_encoder(Matrix(F2, TRAP_L), trap_inst, "manual")
-    cfg = SimConfig(
-        instance="mem", metric="rank", error_weight=0, trap_pad=1,
-        trials=40, seed=2, lvs_shared=False,
+    # The second instance has a coded sender (V_S is not the identity and
+    # d_S < n), so the decoded L must go through V_S before the demand solve.
+    coded = make_instance(
+        F2, 1, 3, [[1, 0, 0], [0, 1, 1]],
+        [([[1, 0, 0]], [0, 1, 1]), ([[0, 1, 1]], [1, 0, 0])],
     )
-    rep = run_simulation(cfg, inst=trap_inst, encoder=enc)
-    assert all(u.success == 40 for u in rep.users)
+    for inst, L in ((trap_inst, TRAP_L), (coded, [[1, 1]])):
+        enc = make_encoder(Matrix(F2, L), inst, "manual")
+        cfg = SimConfig(
+            instance="mem", metric="rank", error_weight=0, trap_pad=1,
+            trials=40, seed=2, lvs_shared=False,
+        )
+        rep = run_simulation(cfg, inst=inst, encoder=enc)
+        assert all(u.success == 40 for u in rep.users)
 
 
 @contextlib.contextmanager
@@ -398,6 +406,35 @@ def test_cli_decode_rejects_trailing_bytes(inst_file, tmp_path, capsys, syn_inst
     captured = capsys.readouterr()
     assert "error: trailing bytes after the frame" in captured.err
     assert "demand" not in captured.out
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "private"])
+def test_cli_decode_trapped_frame(shared, inst_file, tmp_path, capsys, syn_inst):
+    # A rank-1 error that reaches the pad is trapped in either payload
+    # layout: Y alone with the encoder's L V_S, or [L | Y] with no encoder.
+    enc = _syn_encoder(syn_inst)
+    X = Matrix.column_vector(F2, (1, 0, 1, 1))
+    Y = enc.lvs * X
+    Q = Y if shared else hstack(enc.L, Y)
+    a = Matrix.column_vector(F2, (1, 0, 0, 1, 0, 1, 0))
+    b = Matrix.row_vector(F2, (0, 1, 1) + (0,) * (Q.ncols - 1))
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, trap_pad(Q, 2) + a * b, v=2, ell=Q.ncols,
+                    flags=FLAG_LVS_SHARED if shared else 0)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([list(r) for r in (syn_inst.users[3].V * X).rows]))
+    argv = ["decode", "--frame", str(frame), "--instance", inst_file,
+            "--user", "3", "--side", str(side)]
+    if shared:
+        assert main(argv) == 2  # the shared layout needs the encoder
+        assert "needs --encoder" in capsys.readouterr().err
+        enc_path = tmp_path / "enc.json"
+        save_encoder(enc, enc_path)
+        argv += ["--encoder", str(enc_path)]
+    assert main(argv) == 0
+    want = (syn_inst.users[3].R * X).rows[0][0]
+    assert capsys.readouterr().out == f"demand: {want}\n"
 
 
 def test_cli_decode_field_mismatch(inst_file, tmp_path, capsys):

@@ -10,12 +10,17 @@ supports by size, then lexicographically, each solved by the canonical
 an empty cache among them, delta 0-2, t 1-4, error weights 0..delta+1)
 must give the same outcomes and the same ``stable_json``, wrong decodes
 and ``SyndromeNotFound`` included.
+
+``ref_user_decoder`` restates the earlier construction of the fixed maps:
+M from a right inverse and a kernel of (cache; request), h from a left
+solve and H_upper from a left kernel.  Decoders built by one RREF each
+give the same outcomes, and refuse the same encoders.
 """
 
 import functools
 from collections import Counter
 from dataclasses import asdict
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -26,6 +31,9 @@ from iccsi.codec import HAMMING, make_encoder
 from iccsi.decoders import (
     SYNDROME_NOT_FOUND,
     DecodeOutcome,
+    ParityData,
+    UserDecoder,
+    UserTransform,
     build_user_decoder,
     syndrome_decode,
 )
@@ -38,7 +46,11 @@ from iccsi.galois import (
     _solve_left_rref,
     _to_rows,
     _zero_row,
+    hstack,
     mat_rref,
+    null_space,
+    solve_left,
+    vstack,
 )
 from iccsi.harness import SimConfig, SimReport, UserTally, _hamming_error, run_simulation
 from iccsi.instance import InstanceError, make_instance
@@ -78,6 +90,23 @@ def ref_syndrome_decode(ctx, Y, lam, delta):
     if eps is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     return DecodeOutcome(alpha - pd.h * eps)
+
+
+def ref_user_decoder(inst, L, i):
+    """User i's decoder from a right inverse, a kernel, a left solve and a
+    left kernel; raises ValueError when L does not serve user i."""
+    u, f = inst.users[i], inst.field
+    g = vstack(u.V, u.R)
+    A = solve_left(g.transpose(), Matrix.identity(f, u.d + 1)).transpose()
+    B = null_space(g)
+    M = hstack(A, B) if B.ncols else A
+    lp = L * inst.V_S * M
+    block = lp.take_cols(range(u.d, inst.n))
+    h = solve_left(block, Matrix(f, [[1] + [0] * (block.ncols - 1)]))
+    if h is None:
+        raise ValueError(f"user {i}: L does not realize the instance")
+    H = vstack(h, null_space(block.transpose()).transpose())
+    return UserDecoder(UserTransform(i, M, A, B), ParityData(i, lp, H))
 
 
 def ref_hamming_error(rng, field, N, t, weight):
@@ -125,18 +154,38 @@ def random_instance(rng, field, n, t):
             continue
 
 
+def user_decoders(inst, L, build):
+    """build(inst, L, i) for every user, or None when one of them raises."""
+    try:
+        return [build(inst, L, i) for i in range(inst.m)]
+    except ValueError:
+        return None
+
+
 def realizing_encoders(rng, inst, count):
-    """Random L of length d_S .. d_S + 4 that every user can decode."""
+    """Random L of length d_S .. d_S + 4 that every user can decode, with
+    their decoders built both ways.  Both ways refuse the same encoders."""
     out = []
     while len(out) < count:
         N = inst.d_S + int(rng.integers(0, 5))
         L = Matrix(inst.field, rng.integers(0, inst.q, size=(N, inst.d_S)).tolist())
-        try:
-            decoders = [build_user_decoder(inst, L, i) for i in range(inst.m)]
-        except ValueError:
-            continue
-        out.append((make_encoder(L, inst, "manual"), decoders))
+        decoders = user_decoders(inst, L, build_user_decoder)
+        refs = user_decoders(inst, L, ref_user_decoder)
+        assert (decoders is None) == (refs is None)
+        if decoders is not None:
+            out.append((make_encoder(L, inst, "manual"), decoders, refs))
     return out
+
+
+def every_error(field, N, t, weight):
+    """Every N x t error with exactly ``weight`` nonzero rows."""
+    nonzero = [r for r in product(range(field.q), repeat=t) if any(r)]
+    for support in combinations(range(N), weight):
+        for values in product(nonzero, repeat=weight):
+            rows = [(0,) * t] * N
+            for r, v in zip(support, values):
+                rows[r] = v
+            yield Matrix(field, rows, t)
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2)]
@@ -151,7 +200,7 @@ def decode_sweep(p, e, t):
     seen = Counter()
     for n in (3, 4):
         inst = random_instance(rng, field, n, t)
-        for enc, decoders in realizing_encoders(rng, inst, 2):
+        for enc, decoders, refs in realizing_encoders(rng, inst, 2):
             for delta in (0, 1, 2):
                 for weight in range(min(delta + 1, enc.N) + 1):
                     X = Matrix(field, rng.integers(0, field.q, size=(n, t)).tolist())
@@ -160,9 +209,20 @@ def decode_sweep(p, e, t):
                         lam = u.V * X
                         got = syndrome_decode(decoders[i], Y, lam, delta)
                         assert got == ref_syndrome_decode(decoders[i], Y, lam, delta)
+                        assert got == syndrome_decode(refs[i], Y, lam, delta)
                         seen["not_found"] += got.failure == SYNDROME_NOT_FOUND
                         seen["wrong"] += got.ok and got.demand != u.R * X
                         seen["empty_cache"] += u.d == 0
+                    if t == 1:
+                        # The syndrome depends on the error alone and the
+                        # message only adds R_i X, so at t = 1 every error
+                        # of this weight, with one message, covers them all.
+                        for W in every_error(field, enc.N, t, weight):
+                            Y = enc.lvs * X + W
+                            for i, u in enumerate(inst.users):
+                                got = syndrome_decode(decoders[i], Y, u.V * X, delta)
+                                assert got == syndrome_decode(refs[i], Y, u.V * X, delta)
+                                seen["every_error"] += 1
             for ctx in decoders:
                 seen["dependent"] += () in ctx.support_rref.values()
     return seen
@@ -175,7 +235,8 @@ def test_syndrome_decode_matches_reference(p, e, t):
 
 def test_reference_cases_cover_every_outcome():
     seen = sum((decode_sweep(*case) for case in CASES), Counter())
-    assert all(seen[k] for k in ("not_found", "wrong", "dependent", "empty_cache")), seen
+    kinds = ("not_found", "wrong", "dependent", "empty_cache", "every_error")
+    assert all(seen[k] for k in kinds), seen
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -202,7 +263,7 @@ def test_hamming_simulation_matches_reference(p, e, t):
     field = field_new(p, e)
     rng = np.random.default_rng([p, e, t, 22])
     inst = random_instance(rng, field, 3, t)
-    for enc, _ in realizing_encoders(rng, inst, 2):
+    for enc, _, _ in realizing_encoders(rng, inst, 2):
         for delta in (0, 1, 2):
             for weight in range(min(delta + 1, enc.N) + 1):
                 cfg = SimConfig(
