@@ -41,6 +41,7 @@ from .codec import (
 from .decoders import (
     FLAG_LVS_SHARED,
     FrameError,
+    _decoded_lvs,
     _split_payload,
     build_user_decoder,
     rank_trap_decode,
@@ -48,7 +49,7 @@ from .decoders import (
     solve_demand,
     syndrome_decode,
 )
-from .galois import MAX_FIELD_ORDER, Matrix, _prime_factors
+from .galois import MAX_FIELD_ORDER, Matrix, _from_rows, _prime_factors, _to_rows
 from .harness import SimConfig, run_simulation, wilson_interval
 from .instance import BudgetExceeded, InstanceError, load_instance
 from .minrank import alpha as alpha_search
@@ -421,8 +422,10 @@ def _cmd_decode(args) -> int:
         shared_lvs = enc.lvs
     elif ell != inst.d_S + inst.t:
         raise InstanceError("frame layout does not match the instance")
-    lvs, Y = _split_payload(inst, tr.Q, shared_lvs)
-    return _emit_demand_or_fail(inst, args.user, lvs, Y, lam)
+    f = inst.field
+    L, Y = _split_payload(inst, _to_rows(f, tr.Q.rows), ell, shared_lvs)
+    lvs = _decoded_lvs(inst, L, shared_lvs)
+    return _emit_demand_or_fail(inst, args.user, lvs, _from_rows(f, Y, inst.t), lam)
 
 
 def _require_encoder(args, inst):

@@ -13,8 +13,12 @@ Two decoding paths:
   in the pad that the receiver can cancel it from the payload block, or
   detect that trapping failed.
 
-A noiseless fallback, :func:`solve_demand`, recovers the request by row
-reduction of the stacked (cache | broadcast) system.
+The demand solve, :func:`solve_demand`, recovers the request from the
+stacked (cache | broadcast) system [V^(i) | lam; L V_S | Y].  Its left block
+is fixed for a given L V_S, so one RREF of it gives a fixed map, a row c
+with c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  When
+Q [lam; Y] = 0 the demand is c [lam; Y], which is what one RREF of the
+whole system gives; otherwise that RREF is run.
 
 The broadcast frame is a little-endian binary format: magic ``ICC1``, the
 field as (p, e), the pad/payload layout (v, N, ell), a flags word, then the
@@ -36,6 +40,9 @@ from .galois import (
     hstack,
     mat_rref,
     _from_row,
+    _echelon_reduce,
+    _from_rows,
+    _row_block,
     _row_mul,
     _solve_left_rref,
     _to_rows,
@@ -56,21 +63,27 @@ class UserTransform:
     (cache; request) matrix.  G has full row rank, so T G^T = [I; 0]:
     A, the first d_i+1 columns, is a right inverse of G, and B, the rest,
     spans its kernel.  Hence V^(i) M = [I | 0] and R_i M is the (d_i+1)-th
-    unit row.
+    unit row.  ``d`` is d_i; A and B are read-only views of M's columns.
     """
 
     i: int
     M: Matrix
-    A: Matrix
-    B: Matrix
+    d: int
+
+    @cached_property
+    def A(self) -> Matrix:
+        return self.M.take_cols(range(self.d + 1))
+
+    @cached_property
+    def B(self) -> Matrix:
+        return self.M.take_cols(range(self.d + 1, self.M.ncols))
 
 
 def build_user_transform(inst: IccsiInstance, i: int) -> UserTransform:
     u = inst.users[i]
     res = mat_rref(vstack(u.V, u.R).transpose())
     assert res.rank == u.d + 1, "instance validity guarantees full row rank of (V; R)"
-    m, k = res.transform.transpose(), res.rank
-    return UserTransform(i, m, m.take_cols(range(k)), m.take_cols(range(k, inst.n)))
+    return UserTransform(i, res.transform.transpose(), u.d)
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ class UserDecoder:
     @cached_property
     def cache_cols(self) -> Matrix:
         """The first d_i columns of L', the ones the cached symbols multiply."""
-        return self.parity.L_prime.take_cols(range(self.transform.A.ncols - 1))
+        return self.parity.L_prime.take_cols(range(self.transform.d))
 
     @cached_property
     def syndrome_rows(self) -> tuple:
@@ -218,7 +231,7 @@ def syndrome_decode(
     row = _decode_rows(ctx, _to_rows(f, Y.rows + lam.rows), delta, t)
     if row is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
-    return DecodeOutcome(Matrix._trusted(f, (_from_row(f, row, t),), t))
+    return DecodeOutcome(_from_rows(f, (row,), t))
 
 
 def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tuple | None:
@@ -282,38 +295,91 @@ def rank_trap_decode(received: Matrix, v: int, N: int, ell: int) -> TrapResult:
     bottom-left rows escape the span of the top-left ones the failure is
     detected, otherwise the error's contribution to the payload block is
     cancelled.  A full-rank top-left block saturates the trap, so an error
-    of rank above v could slip through; that case is only flagged.
+    of rank above v could slip through; that case is only flagged.  The
+    work runs on rows, see :func:`_trap_rows`.
     """
     if received.nrows != v + N or received.ncols != v + ell:
         raise ValueError(
             f"received shape {received.nrows}x{received.ncols} does not match "
             f"layout v={v}, N={N}, ell={ell}"
         )
-    payload = received.take_rows(range(v, v + N)).take_cols(range(v, v + ell))
-    if v == 0:
-        return TrapResult(payload)
-    w11 = received.take_rows(range(v)).take_cols(range(v))
-    w12 = received.take_rows(range(v)).take_cols(range(v, v + ell))
-    w21 = received.take_rows(range(v, v + N)).take_cols(range(v))
-    # w21 escapes the row space of w11 exactly when it has no solution.
-    res = mat_rref(w11)
-    T = _solve_left_rref(res, w21)
-    if T is None:
+    f = received.field
+    out = _trap_rows(f, _to_rows(f, received.rows), v, ell)
+    if out is None:
         return TrapResult(None, TRAP_FAILURE_DETECTED)
-    return TrapResult(payload - T * w12, risk_flag=res.rank == v)
+    payload, risk = out
+    return TrapResult(_from_rows(f, payload, ell), risk_flag=risk)
 
 
-def _split_payload(inst: IccsiInstance, Q: Matrix, shared_lvs: Matrix | None) -> tuple:
-    """(L V_S, Y) of a trapped payload Q, for :func:`solve_demand`.
+def _trap_rows(field, rows: list, v: int, ell: int) -> tuple | None:
+    """:func:`rank_trap_decode` on the (v+ell)-wide rows of ``received`` in
+    the format of :func:`~iccsi.galois._row_mul`.
+
+    Returns the payload rows and the risk flag, or None when the failure is
+    detected.  The pad rows [W_11 | W_12] are row-reduced on their first v
+    columns, which gives U [W_11 | W_12] for the transform U of the RREF of
+    W_11.  Reducing a row [W_21 | payload] against its pivot rows subtracts
+    T [W_11 | W_12] for the canonical solution T of T W_11 = W_21; the row
+    has no such T when its first v entries stay nonzero.
+    """
+    width = v + ell
+    if v == 0:
+        return rows, False
+    res = mat_rref(_from_rows(field, rows[:v], width), stop=v)
+    basis = list(zip(res.pivots, res.rref.rows))
+    payload = []
+    for row in _from_rows(field, rows[v:], width).rows:
+        row = _echelon_reduce(basis, row, field.sub, field.scaler)
+        if any(row[:v]):
+            return None
+        payload.append(row[v:])
+    return _to_rows(field, payload), res.rank == v
+
+
+def _split_payload(inst: IccsiInstance, Q: list, ell: int, shared_lvs: Matrix | None) -> tuple:
+    """(L, Y) of the ``ell``-wide rows Q of a trapped payload, in the
+    format of :func:`~iccsi.galois._row_mul`.
 
     ``shared_lvs`` is the encoder's L V_S when the receivers share it, and
-    then Q is Y.  When it is None, Q is [L | Y] with L in its first d_S
-    columns.
+    then Q is Y and L is None.  When it is None, Q is [L | Y] with L in its
+    first d_S columns, and L comes as a tuple of entry rows, a dict key
+    for :func:`_decoded_lvs`.
     """
     if shared_lvs is not None:
-        return shared_lvs, Q
-    d_S = inst.d_S
-    return Q.take_cols(range(d_S)) * inst.V_S, Q.take_cols(range(d_S, Q.ncols))
+        return None, Q
+    f, d_S = inst.field, inst.d_S
+    head = _row_block(f, 0, d_S, ell)
+    L = tuple(_from_row(f, head(r), d_S) for r in Q)
+    return L, list(map(_row_block(f, d_S, ell, ell), Q))
+
+
+def _decoded_lvs(inst: IccsiInstance, L: tuple | None, shared_lvs: Matrix | None) -> Matrix:
+    """The L V_S of an L from :func:`_split_payload`."""
+    if L is None:
+        return shared_lvs
+    return Matrix._trusted(inst.field, L, inst.d_S) * inst.V_S
+
+
+@dataclass(frozen=True)
+class DemandMap:
+    """User i's demand solve for one decoded L V_S.
+
+    ``left`` is [V^(i); L V_S].  ``rows`` holds, from the transform T of
+    its RREF, the row c with c ``left`` = R_i over the rows Q of T past the
+    rank, which annihilate ``left``; it is empty when R_i is outside the
+    row space of ``left``.
+    """
+
+    left: Matrix
+    rows: tuple
+
+
+def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> DemandMap:
+    u = inst.users[i]
+    left = vstack(u.V, lvs)
+    res = mat_rref(left)
+    c = _solve_left_rref(res, u.R)
+    return DemandMap(left, () if c is None else c.rows + res.transform.rows[res.rank:])
 
 
 def solve_demand(
@@ -323,31 +389,61 @@ def solve_demand(
     Y: Matrix,
     lam: Matrix,
 ) -> Matrix:
-    """Noiseless recovery of R_i X by row reduction.
+    """Noiseless recovery of R_i X from the system (V^(i) | lam; lvs | Y).
 
-    Reduces the stacked system (V^(i) | lam; lvs | Y).  A reduced row with
-    pivot column pc < n is the only one with a nonzero entry there, so if
-    R_i lies in the left block's span it is the sum of R_i[pc] times those
-    rows, and the demand is the same sum of their right blocks.  Raises
-    ValueError when R_i is not recoverable, i.e. the encoder does not serve
-    user i.
+    Builds user i's :class:`DemandMap` for ``lvs`` and applies it, see
+    :func:`_demand_rows`.  Raises ValueError when R_i is not recoverable,
+    i.e. the encoder does not serve user i, or when the shapes or fields
+    do not fit together.
     """
-    u = inst.users[i]
-    if lam.nrows != u.d or Y.nrows != lvs.nrows:
+    u, f = inst.users[i], inst.field
+    if Y.field != f or lam.field != f or lvs.field != f:
+        raise ValueError("fields differ")
+    if lam.nrows != u.d or Y.nrows != lvs.nrows or (u.d and lam.ncols != Y.ncols):
         raise ValueError("side information or broadcast shape mismatch")
-    left = vstack(u.V, lvs)
-    right = vstack(lam, Y) if u.d else Y
-    res = mat_rref(hstack(left, right))
-    n, f, r = inst.n, inst.field, u.R.rows[0]
-    acc = (0,) * (n + Y.ncols)
+    w = Y.ncols
+    row = _demand_rows(inst, i, _demand_map(inst, i, lvs), _to_rows(f, lam.rows + Y.rows), w)
+    return _from_rows(f, (row,), w)
+
+
+def _demand_rows(inst: IccsiInstance, i: int, dmap: DemandMap, right: list, w: int):
+    """:func:`solve_demand` on ``right``, the ``w``-wide rows of lam stacked
+    over Y in the format of :func:`~iccsi.galois._row_mul`; returns the
+    demand row.
+
+    When Q [lam; Y] = 0 the RREF of the whole system is T applied to it,
+    with no pivot in the right block, so its demand is c [lam; Y].
+    Otherwise :func:`_rref_demand` reduces the whole system.
+    """
+    if not dmap.rows:
+        raise ValueError(f"user {i}: request not in the decoded span")
+    f = inst.field
+    out = _row_mul(f, dmap.rows, right, w)
+    if out[1:] == [_zero_row(f, w)] * (len(out) - 1):
+        return out[0]
+    return _rref_demand(inst, i, dmap.left, right, w)
+
+
+def _rref_demand(inst: IccsiInstance, i: int, left: Matrix, right: list, w: int):
+    """The demand row of the system [left | right], by its RREF.
+
+    The rows with right-block pivots rewrite the right parts of the rows
+    above them, so no fixed map gives this case.  A reduced row with pivot
+    column pc < n is the only one with a nonzero entry there, so R_i, which
+    lies in the left block's span, is the sum of R_i[pc] times those rows,
+    and the demand is the same sum of their right blocks.
+    """
+    f = inst.field
+    res = mat_rref(hstack(left, _from_rows(f, right, w)))
+    n, r = inst.n, inst.users[i].R.rows[0]
+    acc = (0,) * (n + w)
     for row, pc in zip(res.rref.rows, res.pivots):
         if pc >= n:
             break
         if r[pc]:
             acc = tuple(map(f.add, acc, map(f.scaler(r[pc]), row)))
-    if acc[:n] != r:
-        raise ValueError(f"user {i}: request not in the decoded span")
-    return Matrix._trusted(f, (acc[n:],), Y.ncols)
+    assert acc[:n] == r, "the left block of the RREF is the RREF of the left block"
+    return _to_rows(f, (acc[n:],))[0]
 
 
 # -- broadcast frames -------------------------------------------------

@@ -33,11 +33,12 @@ Hot loops keep their rows in one row format, chosen in this module alone:
 over GF(2) a 0/1 row is an int bitmask with entry 0 the most significant
 bit, so int order is tuple order, add is ``^`` and Hamming weight is
 ``int.bit_count()``; over F_q it is an entry tuple.  :func:`_to_rows`,
-:func:`_from_row`, :func:`_zero_row` and the ``_row_*`` helpers are the
-only code that branches on the format (over GF(2) they run :func:`_pack`,
-:func:`_unpack`, :func:`_echelon_insert_gf2` and :func:`_gf2_rank`), so
-the confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
-decoder and the Hamming trials hold one body for every field.
+:func:`_from_row`, :func:`_from_rows`, :func:`_zero_row` and the
+``_row_*`` helpers are the only code that branches on the format (over
+GF(2) they run :func:`_pack`, :func:`_unpack`, :func:`_echelon_insert_gf2`
+and :func:`_gf2_rank`), so the confusable walk and its reader, ``alpha``,
+``min_rank``, the syndrome decoder, the rank-trap decoder, the demand solve
+and both kinds of trial hold one body for every field.
 :func:`_tuple_mul` is the tuple product under both ``_row_mul`` and
 ``Matrix.__mul__``.  ``Matrix`` and every public result stay tuple-based.
 
@@ -289,6 +290,8 @@ class Field:
             self._scale_rows = ((0,) * q,) + tuple(
                 (0, *[ext[la + lx] for lx in logs]) for la in logs
             )
+            # scaler(a) is then itself one C call, a tuple lookup.
+            self.scaler = tuple(row.__getitem__ for row in self._scale_rows).__getitem__
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -325,9 +328,9 @@ class Field:
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def scaler(self, a: int):
-        """The map x -> a * x; a product-table row lookup, in C, for q <= 256."""
-        if self._scale_rows is not None:
-            return self._scale_rows[a].__getitem__
+        """The map x -> a * x.  For q <= 256 an instance attribute set by
+        the table build replaces this method; its maps are product-table
+        row lookups, in C."""
         return functools.partial(self.mul, a)
 
     def inv(self, a: int) -> int:
@@ -615,15 +618,20 @@ def _clear_column(work: list, col: int, r: int, sub, scaler) -> None:
                 work[i] = tuple(map(sub, work[i], scaled))
 
 
-def mat_rref(m: Matrix) -> RrefResult:
-    """Canonical reduced row echelon form, scanning columns left to right."""
+def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
+    """Canonical reduced row echelon form, scanning columns left to right.
+
+    With ``stop`` the pivots are sought in the first ``stop`` columns only,
+    so the result is the transform of the RREF of those columns times all
+    of ``m``.
+    """
     f = m.field
     sub, scaler, inv = f.sub, f.scaler, f.inv
     n, c = m.nrows, m.ncols
     work = [r + u for r, u in zip(m.rows, _unit_rows(n))]
     pivots: list[int] = []
     r = 0
-    for col in range(c):
+    for col in range(c if stop is None else stop):
         sel = next((i for i in range(r, n) if work[i][col]), None)
         if sel is None:
             continue
@@ -641,17 +649,28 @@ def mat_rref(m: Matrix) -> RrefResult:
     return RrefResult(red, tuple(pivots), tr)
 
 
-def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
-    """Reduce row against ``basis``, (pivot column, row) pairs in insertion order.
+def _echelon_reduce(basis: Iterable, row: tuple, sub, scaler) -> tuple:
+    """Row minus the combination of the ``basis`` rows, (pivot column, row)
+    pairs, that clears every pivot column.
 
     Each pair's row is 1 at its pivot and 0 at the earlier pivots, so one
-    pass clears them all.  Returns the remainder as a new pair with pivot
-    entry 1, or None when row lies in the span of the basis.
+    pass in order clears them all.
     """
     for col, prow in basis:
         x = row[col]
         if x:
             row = tuple(map(sub, row, prow if x == 1 else map(scaler(x), prow)))
+    return row
+
+
+def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
+    """Reduce row against ``basis``, (pivot column, row) pairs in insertion
+    order, by :func:`_echelon_reduce`.
+
+    Returns the remainder as a new pair with pivot entry 1, or None when
+    row lies in the span of the basis.
+    """
+    row = _echelon_reduce(basis, row, sub, scaler)
     for col, x in enumerate(row):
         if x:
             return col, (row if x == 1 else tuple(map(scaler(inv(x)), row)))
@@ -728,9 +747,7 @@ def _tuple_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int
         acc = zero
         for x, rb in zip(ra, b):
             if x:
-                if x != 1:
-                    rb = tuple(map(scaler(x), rb))
-                acc = tuple(map(add, acc, rb))
+                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
         out.append(acc)
     return out
 
@@ -749,6 +766,11 @@ def _to_rows(field: Field, rows: Iterable[Sequence[int]]) -> list:
 def _from_row(field: Field, row, ncols: int) -> tuple[int, ...]:
     """The ``ncols`` entries of a row in the row format; inverse of :func:`_to_rows`."""
     return _unpack(row, ncols) if field.q == 2 else row
+
+
+def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
+    """The ``Matrix`` of ``ncols``-wide rows in the row format."""
+    return Matrix._trusted(field, tuple(_from_row(field, r, ncols) for r in rows), ncols)
 
 
 def _zero_row(field: Field, ncols: int):

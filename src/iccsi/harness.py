@@ -31,19 +31,22 @@ from .codec import (
 )
 from .decoders import (
     _decode_rows,
+    _decoded_lvs,
+    _demand_map,
+    _demand_rows,
     _split_payload,
+    _trap_rows,
     build_user_decoder,
-    rank_trap_decode,
-    solve_demand,
-    trap_pad,
 )
 from .galois import (
     Matrix,
     _random_matrix,
+    _row_add,
     _row_mul,
+    _row_rank,
     _to_rows,
+    _zero_row,
     hstack,
-    rank_weight,
     vstack,
 )
 from .instance import IccsiInstance, load_instance
@@ -167,14 +170,15 @@ def run_simulation(
             )
     m = inst.m
     tallies = [[0, 0, 0] for _ in range(m)]
+    # The stacked (V^(i); R_i) times X gives each user's cache and then its
+    # demand.
+    recv = vstack(*(vstack(u.V, u.R) for u in inst.users)).rows
     if cfg.metric == HAMMING:
         if cfg.error_weight > enc.N:
             raise ValueError("error weight exceeds the code length")
         decoders = [build_user_decoder(inst, enc.L, i) for i in range(m)]
-        # [L V_S | I] times X stacked over the error is Y; the stacked
-        # (V^(i); R_i) times X gives each user's cache and then its demand.
+        # [L V_S | I] times X stacked over the error is Y.
         send = hstack(enc.lvs, Matrix.identity(inst.field, enc.N)).rows
-        recv = vstack(*(vstack(u.V, u.R) for u in inst.users)).rows
     else:
         # A (v+N) x (v+ell) error cannot have rank above its smaller side.
         v = cfg.trap_pad
@@ -184,6 +188,19 @@ def run_simulation(
                 f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
                 f"{min(v + enc.N, v + ell)} for v={v}, N={enc.N}, ell={ell}"
             )
+        # The payload rows under the pad are [L | L V_S X] = [L | L V_S]
+        # diag(I, X) (private) or L V_S X (shared); ``head`` holds the rows
+        # of [I | 0], and every row of diag(I, X) starts with v zeros.
+        if cfg.lvs_shared:
+            send, head = enc.lvs.rows, []
+        else:
+            send = hstack(enc.L, enc.lvs).rows
+            unit = Matrix.identity(inst.field, inst.d_S).rows
+            head = _to_rows(inst.field, ((0,) * v + e + (0,) * inst.t for e in unit))
+        # The users' demand maps, keyed by the decoded L (None when shared).
+        # A trapped error leaves L the encoder's, so most trials share one
+        # entry; the dict lives for this call only.
+        maps: dict = {}
     for trial in range(cfg.trials):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, trial]))
@@ -191,7 +208,7 @@ def run_simulation(
         if cfg.metric == HAMMING:
             _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies)
         else:
-            _rank_trial(cfg, inst, enc, rng, tallies)
+            _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies)
     report = SimReport(
         asdict(cfg),
         cfg.trials,
@@ -239,42 +256,50 @@ def _hamming_error(rng, field, N: int, t: int, weight: int) -> list:
     return _to_rows(field, rows)
 
 
-def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> Matrix:
-    """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r.
+def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
+    """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r,
+    as rows in the format of ``galois._row_mul``.
 
     Terminates only for r <= min(nrows, ncols); run_simulation rejects
     larger ranks before any trial.
     """
     if r == 0:
-        return Matrix.zeros(field, nrows, ncols)
+        return [_zero_row(field, ncols)] * nrows
     while True:
-        w = _random_matrix(rng, field, nrows, r) * _random_matrix(rng, field, r, ncols)
-        if rank_weight(w) == r:
+        a = _random_matrix(rng, field, nrows, r)
+        b = _to_rows(field, _random_matrix(rng, field, r, ncols).rows)
+        w = _row_mul(field, a.rows, b, ncols)
+        if _row_rank(field, w, ncols) == r:
             return w
 
 
-def _rank_trial(cfg, inst, enc, rng, tallies) -> None:
-    X = _random_matrix(rng, inst.field, inst.n, inst.t)
-    v = cfg.trap_pad
-    if cfg.lvs_shared:
-        Q = enc.lvs * X
-        ell = inst.t
-    else:
-        Q = hstack(enc.L, enc.lvs * X)
-        ell = inst.d_S + inst.t
-    P = trap_pad(Q, v)
-    W = _rank_error(rng, inst.field, v + enc.N, v + ell, cfg.error_weight)
-    tr = rank_trap_decode(P + W, v, enc.N, ell)
-    if not tr.ok:
+def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
+    """One rank trial on rows in the format of ``galois._row_mul``."""
+    f, t, v = inst.field, inst.t, cfg.trap_pad
+    ell = t if cfg.lvs_shared else inst.d_S + t
+    X = _random_matrix(rng, f, inst.n, t).rows
+    wide = head + _to_rows(f, ((0,) * (v + ell - t) + x for x in X))
+    W = _rank_error(rng, f, v + enc.N, v + ell, cfg.error_weight)
+    received = W[:v] + list(map(_row_add(f), _row_mul(f, send, wide, v + ell), W[v:]))
+    trapped = _trap_rows(f, received, v, ell)
+    if trapped is None:
         for row in tallies:
             row[1] += 1
         return
-    lvs_hat, Y_hat = _split_payload(inst, tr.Q, enc.lvs if cfg.lvs_shared else None)
-    for i in range(inst.m):
-        u = inst.users[i]
+    shared_lvs = enc.lvs if cfg.lvs_shared else None
+    L, Y = _split_payload(inst, trapped[0], ell, shared_lvs)
+    dmaps = maps.get(L)
+    if dmaps is None:
+        lvs = _decoded_lvs(inst, L, shared_lvs)
+        dmaps = maps[L] = [_demand_map(inst, i, lvs) for i in range(inst.m)]
+    known = _row_mul(f, recv, _to_rows(f, X), t)
+    start = 0
+    for i, u in enumerate(inst.users):
+        stop = start + u.d
         try:
-            dem = solve_demand(inst, i, lvs_hat, Y_hat, u.V * X)
+            dem = _demand_rows(inst, i, dmaps[i], known[start:stop] + Y, t)
         except ValueError:
             tallies[i][1] += 1
-            continue
-        _tally(tallies[i], dem, u.R * X)
+        else:
+            _tally(tallies[i], dem, known[stop])
+        start = stop + 1

@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .galois import (
@@ -35,6 +36,7 @@ from .galois import (
     Field,
     Matrix,
     _from_row,
+    _from_rows,
     _random_matrix,
     _row_add,
     _row_block,
@@ -76,6 +78,12 @@ class UserSpec:
     @property
     def d(self) -> int:
         return self.V.nrows
+
+    @cached_property
+    def kernel(self) -> Matrix:
+        """The canonical kernel basis of V, the columns of an n x (n - d)
+        matrix, computed once per user."""
+        return null_space(self.V)
 
 
 @dataclass(frozen=True)
@@ -309,7 +317,7 @@ def _walk_setup(
     when its R_i Z entry is nonzero, in either format.
     """
     u = inst.users[i]
-    K = null_space(u.V)
+    K = u.kernel
     G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
     f = inst.field
     [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
@@ -417,7 +425,7 @@ class _WalkBlocks:
         entries = zip(*(_from_row(f, x, n) for x in map(self.z_vec, cols)))
         # The round trip through the row format keeps short GF(2) rows
         # shared, so kept matrices hold no copies of them.
-        return Matrix._trusted(f, tuple(_from_row(f, r, t) for r in _to_rows(f, entries)), t)
+        return _from_rows(f, _to_rows(f, entries), t)
 
     def z_rank(self, cols: list) -> int:
         """rank(Z), from the Z blocks of the t columns."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .galois import (
     Matrix,
     _echelon_insert,
-    _from_row,
+    _from_rows,
     _row_add,
     _row_insert,
     _row_scale,
@@ -145,9 +145,7 @@ def min_rank(
         return False
 
     walk(m - 1, [])
-    chosen = Matrix._trusted(
-        f, tuple(_from_row(f, cands[i][best_choice[i]], n) for i in range(m)), n
-    )
+    chosen = _from_rows(f, (cands[i][best_choice[i]] for i in range(m)), n)
     basis = row_basis(chosen)
     witness = solve_left(inst.V_S, basis)
     assert witness is not None, "witness rows must lie in the sender space"
@@ -219,5 +217,4 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
             basis.pop()
 
     extend(union, sorted(union))
-    rows = tuple(_from_row(f, x, n) for x in best)
-    return AlphaResult(len(rows), row_basis(Matrix._trusted(f, rows, n)), nodes)
+    return AlphaResult(len(best), row_basis(_from_rows(f, best, n)), nodes)

@@ -269,7 +269,7 @@ def _walkthrough_decoder(syn_inst):
     m4 = Matrix(F2, SYN_M4)
     h4 = Matrix(F2, SYN_H4)
     return UserDecoder(
-        UserTransform(3, m4, m4.take_cols([0, 1, 2]), m4.take_cols([3])),
+        UserTransform(3, m4, 2),
         ParityData(3, Matrix(F2, SYN_L) * syn_inst.V_S * m4, h4),
     )
 

@@ -135,12 +135,8 @@ def _walkthrough_user4_decoder(syn_inst):
     L = Matrix(F2, SYN_L)
     m4 = Matrix(F2, SYN_M4)
     h4 = Matrix(F2, SYN_H4)
-    tr = UserTransform(
-        i=3,
-        M=m4,
-        A=m4.take_cols([0, 1, 2]),
-        B=m4.take_cols([3]),
-    )
+    tr = UserTransform(i=3, M=m4, d=2)
+    assert tr.A == m4.take_cols([0, 1, 2]) and tr.B == m4.take_cols([3])
     pd = ParityData(i=3, L_prime=L * syn_inst.V_S * m4, H=h4)
     return UserDecoder(transform=tr, parity=pd)
 

@@ -106,7 +106,7 @@ def ref_user_decoder(inst, L, i):
     if h is None:
         raise ValueError(f"user {i}: L does not realize the instance")
     H = vstack(h, null_space(block.transpose()).transpose())
-    return UserDecoder(UserTransform(i, M, A, B), ParityData(i, lp, H))
+    return UserDecoder(UserTransform(i, M, u.d), ParityData(i, lp, H))
 
 
 def ref_hamming_error(rng, field, N, t, weight):
