@@ -25,6 +25,7 @@ import numpy as np
 
 from .galois import (
     Matrix,
+    _as_int,
     _random_matrix,
     field_of_order,
     hamming_weight,
@@ -385,12 +386,12 @@ def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
     if cert_doc is not None:
         try:
             cert = EcicCertificate(
-                int(cert_doc["delta"]),
+                _as_int(cert_doc["delta"]),
                 cert_doc["metric"],
                 cert_doc["mode"],
-                int(cert_doc["trials"]),
+                _as_int(cert_doc["trials"]),
                 tuple(
-                    (int(i), Matrix(inst.field, rows, len(rows[0])))
+                    (_as_int(i), Matrix(inst.field, rows, len(rows[0])))
                     for i, rows in cert_doc["violations"]
                 ),
             )

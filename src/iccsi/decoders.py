@@ -17,8 +17,9 @@ The demand solve, :func:`solve_demand`, recovers the request from the
 stacked (cache | broadcast) system [V^(i) | lam; L V_S | Y].  Its left block
 is fixed for a given L V_S, so one RREF of it gives a fixed map, a row c
 with c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  When
-Q [lam; Y] = 0 the demand is c [lam; Y], which is what one RREF of the
-whole system gives; otherwise that RREF is run.
+Q [lam; Y] = 0 the demand is c [lam; Y]; otherwise it is c [lam; Y]
+reduced against the RREF of the w-wide rows Q [lam; Y].  Both are what one
+RREF of the whole system gives.
 
 The broadcast frame is a little-endian binary format: magic ``ICC1``, the
 field as (p, e), the pad/payload layout (v, N, ell), a flags word, then the
@@ -360,26 +361,17 @@ def _decoded_lvs(inst: IccsiInstance, L: tuple | None, shared_lvs: Matrix | None
     return Matrix._trusted(inst.field, L, inst.d_S) * inst.V_S
 
 
-@dataclass(frozen=True)
-class DemandMap:
+def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> tuple:
     """User i's demand solve for one decoded L V_S.
 
-    ``left`` is [V^(i); L V_S].  ``rows`` holds, from the transform T of
-    its RREF, the row c with c ``left`` = R_i over the rows Q of T past the
-    rank, which annihilate ``left``; it is empty when R_i is outside the
-    row space of ``left``.
+    From the transform T of the RREF of [V^(i); lvs], the row c with
+    c [V^(i); lvs] = R_i over the rows Q of T past the rank, which
+    annihilate [V^(i); lvs]; empty when R_i is outside its row space.
     """
-
-    left: Matrix
-    rows: tuple
-
-
-def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> DemandMap:
     u = inst.users[i]
-    left = vstack(u.V, lvs)
-    res = mat_rref(left)
+    res = mat_rref(vstack(u.V, lvs))
     c = _solve_left_rref(res, u.R)
-    return DemandMap(left, () if c is None else c.rows + res.transform.rows[res.rank:])
+    return () if c is None else c.rows + res.transform.rows[res.rank:]
 
 
 def solve_demand(
@@ -391,7 +383,7 @@ def solve_demand(
 ) -> Matrix:
     """Noiseless recovery of R_i X from the system (V^(i) | lam; lvs | Y).
 
-    Builds user i's :class:`DemandMap` for ``lvs`` and applies it, see
+    Builds user i's demand map for ``lvs`` and applies it, see
     :func:`_demand_rows`.  Raises ValueError when R_i is not recoverable,
     i.e. the encoder does not serve user i, or when the shapes or fields
     do not fit together.
@@ -406,44 +398,36 @@ def solve_demand(
     return _from_rows(f, (row,), w)
 
 
-def _demand_rows(inst: IccsiInstance, i: int, dmap: DemandMap, right: list, w: int):
+def _demand_rows(inst: IccsiInstance, i: int, dmap: tuple, right: list, w: int):
     """:func:`solve_demand` on ``right``, the ``w``-wide rows of lam stacked
     over Y in the format of :func:`~iccsi.galois._row_mul`; returns the
     demand row.
 
     When Q [lam; Y] = 0 the RREF of the whole system is T applied to it,
     with no pivot in the right block, so its demand is c [lam; Y].
-    Otherwise :func:`_rref_demand` reduces the whole system.
     """
-    if not dmap.rows:
+    if not dmap:
         raise ValueError(f"user {i}: request not in the decoded span")
     f = inst.field
-    out = _row_mul(f, dmap.rows, right, w)
+    out = _row_mul(f, dmap, right, w)
     if out[1:] == [_zero_row(f, w)] * (len(out) - 1):
         return out[0]
-    return _rref_demand(inst, i, dmap.left, right, w)
+    return _inconsistent_demand(f, out, w)
 
 
-def _rref_demand(inst: IccsiInstance, i: int, left: Matrix, right: list, w: int):
-    """The demand row of the system [left | right], by its RREF.
+def _inconsistent_demand(field, out: list, w: int):
+    """The demand row from ``out``, the ``w``-wide rows c [lam; Y] over
+    Q [lam; Y] != 0 in the row format: c [lam; Y] reduced against the RREF
+    of Q [lam; Y].
 
-    The rows with right-block pivots rewrite the right parts of the rows
-    above them, so no fixed map gives this case.  A reduced row with pivot
-    column pc < n is the only one with a nonzero entry there, so R_i, which
-    lies in the left block's span, is the sum of R_i[pc] times those rows,
-    and the demand is the same sum of their right blocks.
+    Past T, the RREF of the whole system row-reduces [0 | Q [lam; Y]] and
+    clears their pivot columns from the rows above, which is unique and
+    linear, as an RREF row is 1 at its pivot and 0 at the others.
     """
-    f = inst.field
-    res = mat_rref(hstack(left, _from_rows(f, right, w)))
-    n, r = inst.n, inst.users[i].R.rows[0]
-    acc = (0,) * (n + w)
-    for row, pc in zip(res.rref.rows, res.pivots):
-        if pc >= n:
-            break
-        if r[pc]:
-            acc = tuple(map(f.add, acc, map(f.scaler(r[pc]), row)))
-    assert acc[:n] == r, "the left block of the RREF is the RREF of the left block"
-    return _to_rows(f, (acc[n:],))[0]
+    res = mat_rref(_from_rows(field, out[1:], w))
+    pairs = zip(res.pivots, res.rref.rows)
+    row = _echelon_reduce(pairs, _from_row(field, out[0], w), field.sub, field.scaler)
+    return _to_rows(field, (row,))[0]
 
 
 # -- broadcast frames -------------------------------------------------
@@ -452,6 +436,7 @@ FRAME_MAGIC = b"ICC1"
 FLAG_LVS_SHARED = 1
 
 _HEADER = struct.Struct("<4sIHHHHH")
+_READ_CHUNK = 1 << 16
 
 
 class FrameError(ValueError):
@@ -511,9 +496,14 @@ def read_frame(inp: BufferedIOBase) -> tuple[Matrix, dict]:
     bits = (p - 1).bit_length()
     ndigits = (v + N) * (v + ell) * e
     nbytes = (ndigits * bits + 7) // 8
-    data = inp.read(nbytes)
-    if len(data) != nbytes:
-        raise FrameError("truncated payload")
+    # In chunks: a file-backed read(n) allocates n bytes up front, and the
+    # header alone can declare tens of gigabytes.
+    data = bytearray()
+    while len(data) < nbytes:
+        chunk = inp.read(min(nbytes - len(data), _READ_CHUNK))
+        if not chunk:
+            raise FrameError("truncated payload")
+        data += chunk
     acc = int.from_bytes(data, "little")
     mask = (1 << bits) - 1
     rows = []

@@ -25,9 +25,11 @@ element encodings reproducible across runs.
 Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: RREF, solve and null space scan columns left to right,
 and underdetermined systems are resolved by setting every free variable to
-zero, so equal inputs always produce identical outputs.  Rank comes from one
-row-insertion reduction, which the min-rank search and the realization test
-share.
+zero, so equal inputs always produce identical outputs.  Beside the RREF
+there is one reduction, :func:`_echelon_reduce`, of a row against an echelon
+basis.  Solves run it against the RREF rows widened by their transform
+rows, and :func:`_row_insert` (over GF(2) in its packed form) on each new
+row, for rank, the min-rank search and the realization test alike.
 
 Hot loops keep their rows in one row format, chosen in this module alone:
 over GF(2) a 0/1 row is an int bitmask with entry 0 the most significant
@@ -35,8 +37,8 @@ bit, so int order is tuple order, add is ``^`` and Hamming weight is
 ``int.bit_count()``; over F_q it is an entry tuple.  :func:`_to_rows`,
 :func:`_from_row`, :func:`_from_rows`, :func:`_zero_row` and the
 ``_row_*`` helpers are the only code that branches on the format (over
-GF(2) they run :func:`_pack`, :func:`_unpack`, :func:`_echelon_insert_gf2`
-and :func:`_gf2_rank`), so the confusable walk and its reader, ``alpha``,
+GF(2) they run :func:`_pack`, :func:`_unpack` and
+:func:`_echelon_insert_gf2`), so the confusable walk and its reader, ``alpha``,
 ``min_rank``, the syndrome decoder, the rank-trap decoder, the demand solve
 and both kinds of trial hold one body for every field.
 :func:`_tuple_mul` is the tuple product under both ``_row_mul`` and
@@ -393,20 +395,28 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
+def _as_int(x) -> int:
+    """x as an int when it is an integer (a numpy integer too); TypeError
+    for a bool, a float, a string or anything else."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 class Matrix:
     """Immutable matrix over a :class:`Field`, rows stored as tuples of ints.
 
     ``Matrix(field, rows, ncols)`` validates its input and raises ValueError
     unless the rows are integer sequences of equal length with every entry in
-    ``range(q)``.  Kernels build their results with
-    :meth:`_trusted`, which skips those checks.
+    ``range(q)``; see :func:`_as_int` for what counts as an integer.  Kernels
+    build their results with :meth:`_trusted`, which skips those checks.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[int]], ncols: int | None = None):
         try:
-            data = tuple(tuple(int(x) for x in r) for r in rows)
+            data = tuple(tuple(map(_as_int, r)) for r in rows)
         except TypeError:
             raise ValueError("rows must be a list of lists of integers") from None
         if data:
@@ -461,7 +471,7 @@ class Matrix:
 
     @classmethod
     def column_vector(cls, field: Field, entries: Iterable[int]) -> "Matrix":
-        return cls(field, ((int(x),) for x in entries), 1)
+        return cls(field, ((x,) for x in entries), 1)
 
     # -- basic accessors ----------------------------------------------
 
@@ -679,16 +689,7 @@ def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
 
 def mat_rank(m: Matrix) -> int:
     """Rank by inserting the rows one by one into an echelon basis."""
-    f = m.field
-    sub, scaler, inv = f.sub, f.scaler, f.inv
-    basis: list = []
-    for row in m.rows:
-        pair = _echelon_insert(basis, row, sub, scaler, inv)
-        if pair is not None:
-            basis.append(pair)
-            if len(basis) == m.ncols:
-                break
-    return len(basis)
+    return _row_rank(m.field, _to_rows(m.field, m.rows))
 
 
 # -- packed GF(2) rows ------------------------------------------------
@@ -725,16 +726,6 @@ def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
         if x >> bit & 1:
             x ^= prow
     return (x.bit_length() - 1, x) if x else None
-
-
-def _gf2_rank(masks: Iterable[int]) -> int:
-    """Rank of packed GF(2) rows, by :func:`_echelon_insert_gf2`."""
-    basis: list = []
-    for x in masks:
-        pair = _echelon_insert_gf2(basis, x)
-        if pair is not None:
-            basis.append(pair)
-    return len(basis)
 
 
 def _tuple_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
@@ -831,11 +822,15 @@ def _row_insert(field: Field):
     )
 
 
-def _row_rank(field: Field, rows: Iterable, ncols: int) -> int:
-    """Rank of ``ncols``-wide rows in the row format."""
-    if field.q == 2:
-        return _gf2_rank(rows)
-    return mat_rank(Matrix._trusted(field, tuple(rows), ncols))
+def _row_rank(field: Field, rows: Iterable) -> int:
+    """Rank of rows in the row format, by :func:`_row_insert`."""
+    insert = _row_insert(field)
+    basis: list = []
+    for row in rows:
+        pair = insert(basis, row)
+        if pair is not None:
+            basis.append(pair)
+    return len(basis)
 
 
 def row_basis(m: Matrix) -> Matrix:
@@ -882,36 +877,24 @@ def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
     """:func:`solve_left` for an ``a`` whose :func:`mat_rref` is ``res``.
 
     Lets a caller that solves many systems with the same ``a`` eliminate it
-    once.  Raises ValueError unless ``b`` has ``a.ncols`` columns over the
-    same field: the row reduction below zips rows, and would silently drop
-    the extra columns of a wider ``b``.
+    once.  A row [b_row | 0] reduced against the rows [rref | transform]
+    leaves [0 | -x] with x a = b_row, or a nonzero left part.  Raises
+    ValueError unless ``b`` has ``a.ncols`` columns over the same field: the
+    reduction zips rows, and would silently drop the extra columns of a
+    wider ``b``.
     """
     f = res.rref.field
-    if b.field != f or b.ncols != res.rref.ncols:
+    c = res.rref.ncols
+    if b.field != f or b.ncols != c:
         raise ValueError("solve_left shape or field mismatch")
-    add, sub, scaler = f.add, f.sub, f.scaler
-    red = res.rref.rows
-    trans = res.transform.rows
+    basis = list(zip(res.pivots, map(operator.add, res.rref.rows, res.transform.rows)))
     zero = (0,) * res.transform.ncols
     out_rows = []
     for brow in b.rows:
-        # Reduce brow against the RREF rows; the same combination of the
-        # transform rows expresses it through the original rows.
-        vec = brow
-        xrow = zero
-        for i, pc in enumerate(res.pivots):
-            c = vec[pc]
-            if c:
-                if c == 1:
-                    rr, tr = red[i], trans[i]
-                else:
-                    scale = scaler(c)
-                    rr, tr = map(scale, red[i]), map(scale, trans[i])
-                vec = tuple(map(sub, vec, rr))
-                xrow = tuple(map(add, xrow, tr))
-        if any(vec):
+        vec = _echelon_reduce(basis, brow + zero, f.sub, f.scaler)
+        if any(vec[:c]):
             return None
-        out_rows.append(xrow)
+        out_rows.append(tuple(map(f.neg, vec[c:])))
     return Matrix._trusted(f, tuple(out_rows), res.transform.ncols)
 
 

@@ -269,7 +269,7 @@ def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
         a = _random_matrix(rng, field, nrows, r)
         b = _to_rows(field, _random_matrix(rng, field, r, ncols).rows)
         w = _row_mul(field, a.rows, b, ncols)
-        if _row_rank(field, w, ncols) == r:
+        if _row_rank(field, w) == r:
             return w
 
 

@@ -35,6 +35,7 @@ from .galois import (
     MAX_POWER_BITS,
     Field,
     Matrix,
+    _as_int,
     _from_row,
     _from_rows,
     _random_matrix,
@@ -182,12 +183,13 @@ def parse_instance(source: str | dict) -> IccsiInstance:
     if missing:
         raise InstanceError(f"missing keys: {sorted(missing)}")
     try:
-        p, e, t, n = (int(doc[k]) for k in ("p", "e", "t", "n"))
-    except (TypeError, ValueError):
+        p, e, t, n = (_as_int(doc[k]) for k in ("p", "e", "t", "n"))
+    except TypeError:
         raise InstanceError("p, e, t, n must be integers") from None
     modulus = doc.get("modulus")
     if modulus is not None and not (
-        isinstance(modulus, list) and all(isinstance(c, int) for c in modulus)
+        isinstance(modulus, list)
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in modulus)
     ):
         raise InstanceError("modulus must be a list of integers")
     try:
@@ -429,11 +431,11 @@ class _WalkBlocks:
 
     def z_rank(self, cols: list) -> int:
         """rank(Z), from the Z blocks of the t columns."""
-        return _row_rank(self.field, map(self.z_vec, cols), self.n)
+        return _row_rank(self.field, map(self.z_vec, cols))
 
     def extra_rank(self, cols: list) -> int:
         """Rank of the t extra blocks, the transpose of extra Z."""
-        return _row_rank(self.field, map(self._extra, cols), self.N)
+        return _row_rank(self.field, map(self._extra, cols))
 
 
 def iter_confusable(

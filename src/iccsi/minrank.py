@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .galois import (
     Matrix,
-    _echelon_insert,
     _from_rows,
     _row_add,
     _row_insert,
@@ -57,13 +56,13 @@ def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
 def _user_realized(u: UserSpec, lvs: Matrix) -> bool:
     """R_i in rowspace([V^(i); lvs]), by echelon insertion of the rows."""
     f = lvs.field
-    sub, scaler, inv = f.sub, f.scaler, f.inv
+    insert = _row_insert(f)
     basis: list = []
-    for row in itertools.chain(u.V.rows, lvs.rows):
-        pair = _echelon_insert(basis, row, sub, scaler, inv)
+    for row in _to_rows(f, itertools.chain(u.V.rows, lvs.rows)):
+        pair = insert(basis, row)
         if pair is not None:
             basis.append(pair)
-    return _echelon_insert(basis, u.R.rows[0], sub, scaler, inv) is None
+    return insert(basis, _to_rows(f, u.R.rows)[0]) is None
 
 
 @dataclass(frozen=True)

@@ -516,6 +516,27 @@ def test_frame_truncated():
         read_frame(io.BytesIO(raw[:-1]))
 
 
+def test_read_frame_allocates_only_the_bytes_present(tmp_path):
+    # The header declares v = N = ell = 4000 over GF(2), an 8000 x 8000 bit
+    # payload of 8 MB, and six bytes follow.  A file-backed read of the
+    # declared size would allocate all 8 MB before finding the file short.
+    import struct
+    import tracemalloc
+
+    path = tmp_path / "hostile.bin"
+    path.write_bytes(struct.pack("<4sIHHHHH", b"ICC1", 2, 1, 4000, 4000, 4000, 0) + bytes(6))
+    field_new(2, 1)
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="truncated payload"):
+                read_frame(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_frame_rejects_bad_digit():
     # a p=3 frame whose packed payload contains the digit value 3
     import struct

@@ -184,6 +184,21 @@ def test_matrix_shape_mismatch():
         a * a  # 1x2 times 1x2
 
 
+def test_matrix_takes_integers_only():
+    import numpy as np
+
+    f = field_new(3, 1)
+    for rows in (np.array([[1, 0], [2, 1]]), np.array([[1, 0], [2, 1]], dtype=np.uint8)):
+        m = Matrix(f, rows)
+        assert m.rows == ((1, 0), (2, 1)) and all(type(x) is int for r in m.rows for x in r)
+    assert Matrix.column_vector(f, np.arange(3)).rows == ((0,), (1,), (2,))
+    for bad in (1.0, 1.7, "1", True, np.float64(1.0), np.True_):
+        with pytest.raises(ValueError, match="integers"):
+            Matrix(f, [[0, bad]])
+        with pytest.raises(ValueError, match="integers"):
+            Matrix.column_vector(f, [0, bad])
+
+
 def test_stacking():
     f = field_new(2, 1)
     a = Matrix(f, ((1, 0),))

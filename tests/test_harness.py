@@ -452,6 +452,61 @@ def test_cli_decode_field_mismatch(inst_file, tmp_path, capsys):
     assert "field does not match" in capsys.readouterr().err
 
 
+# Integers only: each edit below keeps the value an int() truncation would
+# give, so only the integer check can refuse it.
+_NOT_INTEGERS = [lambda x: x + 0.5, float, str, bool]
+
+
+def _edit_entry(doc, where, spoil):
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = spoil(doc[where[-1]])
+
+
+@pytest.mark.parametrize("spoil", _NOT_INTEGERS, ids=["x+0.5", "float", "str", "bool"])
+@pytest.mark.parametrize(
+    "where",
+    [("sender", 0, 0), ("users", 1, "V", 0, 1), ("users", 0, "R", 0), ("t",), ("n",), ("e",)],
+    ids=lambda w: ".".join(map(str, w)),
+)
+def test_cli_validate_rejects_non_integer_entries(inst_file, tmp_path, capsys, where, spoil):
+    with open(inst_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _edit_entry(doc, where, spoil)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil", _NOT_INTEGERS, ids=["x+0.5", "float", "str", "bool"])
+@pytest.mark.parametrize("target", ["encoder", "side"])
+def test_cli_decode_rejects_non_integer_entries(
+    inst_file, tmp_path, capsys, syn_inst, target, spoil
+):
+    enc_path = tmp_path / "enc.json"
+    save_encoder(_syn_encoder(syn_inst), enc_path)
+    X = Matrix.column_vector(F2, (1, 1, 1, 1))
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, Matrix(F2, SYN_L) * X, v=0, ell=1)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([list(r) for r in (syn_inst.users[3].V * X).rows]))
+    argv = [
+        "decode", "--frame", str(frame), "--instance", inst_file,
+        "--encoder", str(enc_path), "--user", "3", "--side", str(side),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, where = (enc_path, ("L", 1, 0)) if target == "encoder" else (side, (1, 0))
+    doc = json.loads(path.read_text())
+    _edit_entry(doc, where, spoil)
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "integer" in captured.err and "demand" not in captured.out
+
+
 _SYN_L_ROWS = [list(r) for r in SYN_L]
 
 

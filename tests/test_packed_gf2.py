@@ -30,8 +30,8 @@ from iccsi.codec import HAMMING, RANK
 from iccsi.galois import (
     _echelon_insert,
     _echelon_insert_gf2,
-    _gf2_rank,
     _pack,
+    _row_rank,
     _unpack,
     iter_vectors,
     mat_rank,
@@ -185,7 +185,7 @@ def test_echelon_insert_gf2_matches_tuple_insert(seed):
             if pair is not None:
                 basis.append(pair)
                 packed.append(got)
-        assert _gf2_rank(map(_pack, rows)) == len(basis) == mat_rank(Matrix(F2, rows, n))
+        assert _row_rank(F2, map(_pack, rows)) == len(basis) == mat_rank(Matrix(F2, rows, n))
 
 
 @pytest.mark.parametrize("n,t,seed", CASES)

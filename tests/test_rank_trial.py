@@ -174,20 +174,20 @@ def rank_sweep(p, e):
     demand map falls back to the full RREF or finds R_i outside the span.
     At rank 0 the fallback must not run."""
     seen = Counter()
-    real_rref, real_map = decoders._rref_demand, harness._demand_map
+    real_fallback, real_map = decoders._inconsistent_demand, harness._demand_map
 
-    def rref_spy(*args):
+    def fallback_spy(*args):
         seen["fallback"] += 1
-        return real_rref(*args)
+        return real_fallback(*args)
 
     def map_spy(*args):
         dmap = real_map(*args)
         seen["maps"] += 1
-        seen["not_in_span"] += not dmap.rows
+        seen["not_in_span"] += not dmap
         return dmap
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decoders, "_rref_demand", rref_spy)
+        mp.setattr(decoders, "_inconsistent_demand", fallback_spy)
         mp.setattr(harness, "_demand_map", map_spy)
         for k, (_, inst, enc) in enumerate(cases(p, e, 41)):
             for shared, v in product((True, False), range(4)):
