@@ -37,12 +37,8 @@ from .codec import (
 )
 from .decoders import (
     DecodeOutcome,
-    ParityData,
     TrapResult,
-    UserTransform,
-    build_parity,
     build_user_decoder,
-    build_user_transform,
     rank_trap_decode,
     read_frame,
     solve_demand,

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--length", type=_int_at_least(1), help="code length (default: shortest)"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--attempts", type=_int_at_least(1), default=1000)
     p.add_argument("--out", help="encoder JSON output path")
     p.set_defaults(func=_cmd_encode)
@@ -181,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
     p.add_argument("--delta", type=_int_at_least(0), default=0, help="design delta of the decoder")
     p.add_argument(
-        "--error-weight", type=int, default=0, help="injected error magnitude"
+        "--error-weight", type=_int_at_least(0), default=0, help="injected error magnitude"
     )
-    p.add_argument("--pad", type=int, default=0, help="rank-mode trap pad v")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pad", type=_int_at_least(0), default=0, help="rank-mode trap pad v")
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
         "--lvs-shared", action=argparse.BooleanOptionalAction, default=True,
         help="rank mode: receivers already know L V_S",

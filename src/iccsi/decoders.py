@@ -1,25 +1,24 @@
 """Receiver-side decoding and the binary broadcast frame format.
 
-Two decoding paths:
+User i decodes from the stacked (cache | broadcast) system
+[V^(i) | lam; L V_S | Y].  Its left block is fixed for a given L V_S, so
+one RREF of it gives user i's demand map, :func:`_demand_map`: a row c with
+c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  Both
+decoding paths read that one map.
 
-* Hamming syndrome decoding.  User i changes basis with an invertible M so
-  that its cache reads off the first d_i coordinates and its request the
-  next one, then cancels the known part of the received word, matches the
-  remaining syndrome against error patterns of at most delta nonzero rows,
-  and extracts the requested symbol from the corrected word.
+* Hamming syndrome decoding.  Times lam stacked over Y the map gives the
+  demand part c [lam; Y] over the syndrome Q [lam; Y], which depends on the
+  error alone.  The decoder matches the syndrome against error patterns of
+  at most delta nonzero rows and corrects the demand part.
 
-* Rank error trapping.  The sender pads the payload Q with v zero rows and
+* Rank error trapping.  The sender pads the payload with v zero rows and
   columns; a rank-r additive error W then exposes enough of its row space
   in the pad that the receiver can cancel it from the payload block, or
-  detect that trapping failed.
-
-The demand solve, :func:`solve_demand`, recovers the request from the
-stacked (cache | broadcast) system [V^(i) | lam; L V_S | Y].  Its left block
-is fixed for a given L V_S, so one RREF of it gives a fixed map, a row c
-with c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  When
-Q [lam; Y] = 0 the demand is c [lam; Y]; otherwise it is c [lam; Y]
-reduced against the RREF of the w-wide rows Q [lam; Y].  Both are what one
-RREF of the whole system gives.
+  detect that trapping failed.  The demand solve, :func:`solve_demand`,
+  then applies the map of the decoded L V_S: when Q [lam; Y] = 0 the demand
+  is c [lam; Y]; otherwise it is c [lam; Y] reduced against the RREF of
+  the w-wide rows Q [lam; Y].  Both are what one RREF of the whole system
+  gives.
 
 The broadcast frame is a little-endian binary format: magic ``ICC1``, the
 field as (p, e), the pad/payload layout (v, N, ell), a flags word, then the
@@ -31,11 +30,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from io import BufferedIOBase
 from itertools import combinations
 
 from .galois import (
+    Field,
     Matrix,
     field_new,
     hstack,
@@ -57,138 +56,60 @@ TRAP_FAILURE_DETECTED = "TrapFailureDetected"
 
 
 @dataclass(frozen=True)
-class UserTransform:
-    """Invertible change of basis M for user i with M = [A | B].
-
-    M is T^T for the transform T of the RREF of G^T, G the stacked
-    (cache; request) matrix.  G has full row rank, so T G^T = [I; 0]:
-    A, the first d_i+1 columns, is a right inverse of G, and B, the rest,
-    spans its kernel.  Hence V^(i) M = [I | 0] and R_i M is the (d_i+1)-th
-    unit row.  ``d`` is d_i; A and B are read-only views of M's columns.
-    """
-
-    i: int
-    M: Matrix
-    d: int
-
-    @cached_property
-    def A(self) -> Matrix:
-        return self.M.take_cols(range(self.d + 1))
-
-    @cached_property
-    def B(self) -> Matrix:
-        return self.M.take_cols(range(self.d + 1, self.M.ncols))
-
-
-def build_user_transform(inst: IccsiInstance, i: int) -> UserTransform:
-    u = inst.users[i]
-    res = mat_rref(vstack(u.V, u.R).transpose())
-    assert res.rank == u.d + 1, "instance validity guarantees full row rank of (V; R)"
-    return UserTransform(i, res.transform.transpose(), u.d)
-
-
-@dataclass(frozen=True)
-class ParityData:
-    """Per-user parity matrix for syndrome decoding an encoder L.
-
-    ``L_prime`` is L V_S M.  The first row ``h`` of ``H`` annihilates the
-    trailing columns d_i+1.. of L' and maps column d_i, the request, to 1;
-    the other rows ``H_upper`` are a basis of the left kernel of columns
-    d_i.., so the syndrome splits into a request part and an error-only
-    part.
-    """
-
-    i: int
-    L_prime: Matrix
-    H: Matrix
-
-    @cached_property
-    def h(self) -> Matrix:
-        return self.H.take_rows((0,))
-
-    @cached_property
-    def H_upper(self) -> Matrix:
-        return self.H.take_rows(range(1, self.H.nrows))
-
-
-def build_parity(
-    inst: IccsiInstance,
-    L: Matrix,
-    i: int,
-    transform: UserTransform | None = None,
-) -> ParityData:
-    """H read off the RREF transform T of [trailing | request] of L' = L V_S M.
-
-    With the request column last, the last pivot falls on it exactly when
-    it escapes the span of the trailing columns.  T's row at that pivot
-    is then h, and the rows below it, which T maps to zero, are H_upper.
-    Raises ValueError when L does not serve user i.
-    """
-    if transform is None:
-        transform = build_user_transform(inst, i)
-    lp = L * inst.V_S * transform.M
-    d = inst.users[i].d
-    res = mat_rref(lp.take_cols((*range(d + 1, inst.n), d)))
-    if res.pivots[-1:] != (inst.n - d - 1,):
-        raise ValueError(
-            f"user {i}: request column lies in the trailing column span; "
-            "L does not realize the instance"
-        )
-    return ParityData(i, lp, res.transform.take_rows(range(res.rank - 1, L.nrows)))
-
-
-@dataclass(frozen=True)
 class UserDecoder:
-    """Bundle of the per-user precomputations both decode steps need.
+    """User i's syndrome decoder for one encoder L.
 
-    ``support_rref`` maps an error support (a tuple of row indices) to the
-    rows that, times the syndrome, give the demand and then Q_S beta (see
-    :meth:`_support_rows`); an empty tuple marks a support whose columns of
-    ``H_upper`` are dependent.  The syndrome search fills it on first use,
-    in scan order, so each support is eliminated once per decoder rather
-    than once per call.  It takes no part in equality or hashing.
+    ``rows`` is the demand map of L V_S (see :func:`_demand_map`): a row c
+    over rows Q, each ``d`` + ``N`` wide, ``d`` being d_i and ``N`` the code
+    length.  Times lam stacked over Y they give the demand c [lam; Y] over
+    the syndrome Q [lam; Y], which depends on the error alone.
+
+    ``support_rref`` maps an error support (a tuple of row indices of Y) to
+    the rows that, times that product, give the corrected demand and then
+    Q_S beta (see :meth:`_support_rows`); an empty tuple marks a support
+    whose columns of Q are dependent.  The syndrome search fills it on first
+    use, in scan order, so each support is eliminated once per decoder
+    rather than once per call.  It takes no part in equality or hashing.
     """
 
-    transform: UserTransform
-    parity: ParityData
+    field: Field
+    d: int
+    N: int
+    rows: tuple
     support_rref: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
-    def cache_cols(self) -> Matrix:
-        """The first d_i columns of L', the ones the cached symbols multiply."""
-        return self.parity.L_prime.take_cols(range(self.transform.d))
-
-    @cached_property
-    def syndrome_rows(self) -> tuple:
-        """Rows of [H | -H C], C = ``cache_cols``: times Y stacked over the
-        cached symbols lam it is H Y - (H C) lam, which is H (Y - C lam)."""
-        H = self.parity.H
-        return hstack(H, -(H * self.cache_cols)).rows
-
     def _support_rows(self, support: tuple) -> tuple:
-        """Rows of [1, -h_S P_S; 0, Q_S] for the columns H_S of ``H_upper``
-        on ``support``, or () when they are dependent.
+        """Rows of [1, -c_S P_S; 0, Q_S] for the columns B of Q at the Y
+        positions d_i + S, or () when they are dependent.
 
-        The transform T of the RREF of H_S has T H_S = [I; 0] when the
-        columns are independent: its first |S| rows are a left inverse P_S,
-        the rest a Q_S with Q_S H_S = 0 and full row rank, so beta lies in
-        the column span of H_S exactly when Q_S beta = 0, and then the error
-        values are P_S beta.  Times the syndrome [alpha; beta] the rows give
-        alpha - h_S P_S beta, the corrected demand, over Q_S beta.
+        The transform T of the RREF of B has T B = [I; 0] when the columns
+        are independent: its first |S| rows are a left inverse P_S, the rest
+        a Q_S with Q_S B = 0 and full row rank, so beta lies in the column
+        span of B exactly when Q_S beta = 0, and then the error values are
+        P_S beta.  c_S is c at the same positions.  Times [alpha; beta] the
+        rows give alpha - c_S P_S beta, the corrected demand, over Q_S beta.
         """
-        pd = self.parity
         size = len(support)
-        res = mat_rref(pd.H_upper.take_cols(support))
+        cols = [self.d + j for j in support]
+        width = self.d + self.N
+        res = mat_rref(Matrix._trusted(self.field, self.rows[1:], width).take_cols(cols))
         if res.rank < size:
             return ()
         P = res.transform.take_rows(range(size))
-        first = (1,) + (-(pd.h.take_cols(support) * P)).rows[0]
+        c_S = Matrix._trusted(self.field, self.rows[:1], width).take_cols(cols)
+        first = (1,) + (-(c_S * P)).rows[0]
         return (first,) + tuple((0,) + q for q in res.transform.rows[size:])
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
-    ut = build_user_transform(inst, i)
-    return UserDecoder(ut, build_parity(inst, L, i, transform=ut))
+    """User i's decoder for the encoder L, built on its demand map of
+    L V_S.  Raises ValueError when L does not serve user i."""
+    rows = _demand_map(inst, i, L * inst.V_S)
+    if not rows:
+        raise ValueError(
+            f"user {i}: request not in the span of L V_S; L does not realize the instance"
+        )
+    return UserDecoder(inst.field, inst.users[i].d, L.nrows, rows)
 
 
 @dataclass(frozen=True)
@@ -211,47 +132,46 @@ def syndrome_decode(
 ) -> DecodeOutcome:
     """Recover R_i X from Y = L V_S X + W assuming at most delta error rows.
 
-    Cancels the cached coordinates from Y, splits the syndrome H (Y - known)
-    into the request part alpha and the error-only part beta, searches for
-    an error pattern of at most delta nonzero rows matching beta (supports
-    enumerated by size then lexicographically), and reads the demand off
-    the corrected request part.  Raises ValueError unless Y has one row per
-    code symbol, lam one per cached symbol and the width of Y, both over
-    the decoder's field.  The work runs on rows, see :func:`_decode_rows`.
+    Applies the decoder's demand map to lam stacked over Y, which gives the
+    demand part alpha over the syndrome beta, searches for an error pattern
+    of at most delta nonzero rows matching beta (supports enumerated by size
+    then lexicographically), and reads the demand off the corrected alpha.
+    Raises ValueError unless Y has one row per code symbol, lam one per
+    cached symbol and the width of Y, both over the decoder's field.  The
+    work runs on rows, see :func:`_decode_rows`.
     """
-    f = ctx.parity.H.field
+    f, d = ctx.field, ctx.d
     if Y.field != f or lam.field != f:
         raise ValueError("fields differ")
-    d = ctx.cache_cols.ncols
-    if Y.nrows != ctx.parity.H.ncols or lam.nrows != d or (d and lam.ncols != Y.ncols):
+    if Y.nrows != ctx.N or lam.nrows != d or (d and lam.ncols != Y.ncols):
         raise ValueError(
             f"Y is {Y.nrows}x{Y.ncols} and lam {lam.nrows}x{lam.ncols}; expected "
-            f"{ctx.parity.H.ncols} and {d} rows of equal width"
+            f"{ctx.N} and {d} rows of equal width"
         )
     t = Y.ncols
-    row = _decode_rows(ctx, _to_rows(f, Y.rows + lam.rows), delta, t)
+    row = _decode_rows(ctx, _to_rows(f, lam.rows + Y.rows), delta, t)
     if row is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     return DecodeOutcome(_from_rows(f, (row,), t))
 
 
-def _decode_rows(ctx: UserDecoder, y_lam: list, delta: int, t: int) -> int | tuple | None:
+def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int) -> int | tuple | None:
     """:func:`syndrome_decode` on width-t rows in the format of
-    :func:`~iccsi.galois._row_mul`: ``y_lam`` is Y stacked over lam, and
+    :func:`~iccsi.galois._row_mul`: ``right`` is lam stacked over Y, and
     the result is the demand row, or None when no error pattern matches.
 
     The first support that matches has independent columns: a dependent one
     spans what a smaller subset spans, and the scan reaches that subset
     first.  So the matching error pattern is unique.
     """
-    f = ctx.parity.H.field
-    syn = _row_mul(f, ctx.syndrome_rows, y_lam, t)
+    f = ctx.field
+    syn = _row_mul(f, ctx.rows, right, t)
     zeros = [_zero_row(f, t)] * (len(syn) - 1)
     if syn[1:] == zeros:
         return syn[0]
     memo = ctx.support_rref
     for size in range(1, delta + 1):
-        for support in combinations(range(ctx.parity.H.ncols), size):
+        for support in combinations(range(ctx.N), size):
             rows = memo.get(support)
             if rows is None:
                 rows = memo[support] = ctx._support_rows(support)
@@ -362,7 +282,7 @@ def _decoded_lvs(inst: IccsiInstance, L: tuple | None, shared_lvs: Matrix | None
 
 
 def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> tuple:
-    """User i's demand solve for one decoded L V_S.
+    """User i's demand map for one L V_S, which both decoders read.
 
     From the transform T of the RREF of [V^(i); lvs], the row c with
     c [V^(i); lvs] = R_i over the rows Q of T past the rank, which

@@ -612,22 +612,6 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _clear_column(work: list, col: int, r: int, sub, scaler) -> None:
-    """Zero column col in every row of work except pivot row r.
-
-    Each row op is a whole-row map.  In characteristic 2 sub is XOR, so the
-    map runs in C, and so does the scaling by a multiplier other than 1
-    for q <= 256 (a product-table row lookup).
-    """
-    rowr = work[r]
-    for i in range(len(work)):
-        if i != r:
-            x = work[i][col]
-            if x:
-                scaled = rowr if x == 1 else map(scaler(x), rowr)
-                work[i] = tuple(map(sub, work[i], scaled))
-
-
 def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
     """Canonical reduced row echelon form, scanning columns left to right.
 
@@ -649,7 +633,10 @@ def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
         piv = work[r][col]
         if piv != 1:
             work[r] = tuple(map(scaler(inv(piv)), work[r]))
-        _clear_column(work, col, r, sub, scaler)
+        pivot = ((col, work[r]),)
+        for i in range(n):
+            if i != r and work[i][col]:
+                work[i] = _echelon_reduce(pivot, work[i], sub, scaler)
         pivots.append(col)
         r += 1
         if r == n:
@@ -817,9 +804,9 @@ def _row_insert(field: Field):
     """:func:`_echelon_insert` on rows in the row format, as f(basis, row)."""
     if field.q == 2:
         return _echelon_insert_gf2
-    return functools.partial(
-        _echelon_insert, sub=field.sub, scaler=field.scaler, inv=field.inv
-    )
+    # A positional closure: a keyword partial merges its keywords per call.
+    sub, scaler, inv = field.sub, field.scaler, field.inv
+    return lambda basis, row: _echelon_insert(basis, row, sub, scaler, inv)
 
 
 def _row_rank(field: Field, rows: Iterable) -> int:

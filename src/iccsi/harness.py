@@ -238,7 +238,7 @@ def _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies) -> None:
     start = 0
     for i, u in enumerate(inst.users):
         stop = start + u.d
-        out = _decode_rows(decoders[i], Y + known[start:stop], cfg.delta, t)
+        out = _decode_rows(decoders[i], known[start:stop] + Y, cfg.delta, t)
         _tally(tallies[i], out, known[stop])
         start = stop + 1
 

@@ -49,7 +49,9 @@ def syn_inst():
 
 # The walkthrough matrices for user 4 of syn_inst.  SYN_V4 is the cache
 # basis as originally written (construction stores its reduced form), and
-# SYN_M4 / SYN_H4 are one valid transform/parity pair for that basis.
+# SYN_M4 / SYN_H4 are the walkthrough's change of basis M and parity H for
+# that basis, checked as plain Matrix arithmetic; the library decoder does
+# not use them.
 SYN_L = ((1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0))
 SYN_V4 = ((1, 1, 0, 1), (0, 1, 1, 0))
 SYN_M4 = ((1, 0, 1, 1), (0, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0))

@@ -42,7 +42,7 @@ from iccsi import (
     zippel_ic_prob,
 )
 from iccsi.bounds import alpha_kappa_bracket, rank_random_ecic_prob
-from iccsi.decoders import ParityData, UserDecoder, UserTransform, build_user_decoder
+from iccsi.decoders import build_user_decoder
 from iccsi.galois import iter_vectors, mat_rank, rank_weight, solve_left, vstack
 
 F2 = field_new(2, 1)
@@ -264,29 +264,19 @@ def test_c5_random_encoder_rate():
 # -- criterion 6: syndrome decoder walkthrough and sweep --------------
 
 
-def _walkthrough_decoder(syn_inst):
-    """User-4 decoder assembled from the originally written matrices."""
-    m4 = Matrix(F2, SYN_M4)
-    h4 = Matrix(F2, SYN_H4)
-    return UserDecoder(
-        UserTransform(3, m4, 2),
-        ParityData(3, Matrix(F2, SYN_L) * syn_inst.V_S * m4, h4),
-    )
-
-
 def test_c6_syndrome_walkthrough_and_sweep(syn_inst):
     t0 = time.perf_counter()
-    ctx = _walkthrough_decoder(syn_inst)
+    # The walkthrough's M and H for user 4, with L' = L V_S M.
+    lp = Matrix(F2, SYN_L) * syn_inst.V_S * Matrix(F2, SYN_M4)
+    H = Matrix(F2, SYN_H4)
+    h, H_upper = H.take_rows([0]), H.take_rows([1, 2, 3])
     X = Matrix.column_vector(F2, (1, 1, 1, 1))
     Y = Matrix(F2, SYN_L) * X + Matrix.column_vector(F2, (0, 0, 0, 1, 0))
     lam = Matrix(F2, SYN_V4) * X
-    pd = ctx.parity
-    # h maps the request column to 1, H kills the trailing one, and
-    # H_upper is rows 1.. of H
-    assert (pd.h * pd.L_prime.take_cols([2])).rows == ((1,),)
-    assert (pd.H * pd.L_prime.take_cols([3])).is_zero()
-    assert pd.H_upper == pd.H.take_rows([1, 2, 3])
-    syndrome = pd.H * (Y - pd.L_prime.take_cols([0, 1]) * lam)
+    # h maps the request column to 1 and H kills the trailing one
+    assert (h * lp.take_cols([2])).rows == ((1,),)
+    assert (H * lp.take_cols([3])).is_zero()
+    syndrome = H * (Y - lp.take_cols([0, 1]) * lam)
     assert syndrome.col(0) == (0, 1, 1, 1)  # alpha = 0, beta = (1,1,1)
     beta = syndrome.take_rows([1, 2, 3])
     # parity columns 3 and 4 coincide, so exactly two single-position
@@ -295,11 +285,12 @@ def test_c6_syndrome_walkthrough_and_sweep(syn_inst):
     solutions = set()
     for j in range(5):
         eps = Matrix(F2, tuple((1,) if r == j else (0,) for r in range(5)))
-        if pd.H_upper * eps == beta:
+        if H_upper * eps == beta:
             solutions.add(j)
-            assert (syndrome.take_rows([0]) - pd.h * eps).rows[0][0] == 1
+            assert (syndrome.take_rows([0]) - h * eps).rows[0][0] == 1
     assert solutions == {3, 4}
-    out = syndrome_decode(ctx, Y, lam, delta=1)
+    ctx = build_user_decoder(syn_inst, Matrix(F2, SYN_L), 3)
+    out = syndrome_decode(ctx, Y, syn_inst.users[3].V * X, delta=1)
     assert out.failure is None and out.demand.rows == ((1,),)
     assert out.demand.rows[0][0] == X.col(0)[3]  # output equals X_4
 

@@ -17,13 +17,10 @@ from conftest import (
     TRAP_X,
     build,
     ident,
-    random_instances,
 )
 from iccsi import (
     Matrix,
-    build_parity,
     build_user_decoder,
-    build_user_transform,
     field_new,
     make_instance,
     rank_trap_decode,
@@ -38,9 +35,6 @@ from iccsi.decoders import (
     SYNDROME_NOT_FOUND,
     TRAP_FAILURE_DETECTED,
     FrameError,
-    ParityData,
-    UserDecoder,
-    UserTransform,
 )
 from iccsi.galois import (
     hstack,
@@ -55,132 +49,87 @@ from iccsi.galois import (
 F2 = field_new(2, 1)
 
 
-# -- user transform ---------------------------------------------------
-
-
-def _assert_transform_shape(inst, i, tr):
-    d = inst.d(i)
-    vm = inst.users[i].V * tr.M
-    for r in range(d):
-        assert vm.rows[r] == tuple(1 if j == r else 0 for j in range(inst.n))
-    rm = inst.users[i].R * tr.M
-    assert rm.rows[0] == tuple(1 if j == d else 0 for j in range(inst.n))
-    assert mat_rank(tr.M) == inst.n
-
-
-def test_transform_identities(syn_inst, trap_inst):
-    for inst in (syn_inst, trap_inst):
-        for i in range(inst.m):
-            _assert_transform_shape(inst, i, build_user_transform(inst, i))
-
-
-def test_transform_blocks(syn_inst):
-    tr = build_user_transform(syn_inst, 0)
-    g = vstack(syn_inst.users[0].V, syn_inst.users[0].R)
-    assert g * tr.A == Matrix.identity(F2, 3)
-    assert (g * tr.B).is_zero()
-    assert tr.M == hstack(tr.A, tr.B)
-
-
-def test_transform_on_random_instances():
-    for inst in random_instances(seed=101, count=10):
-        for i in range(inst.m):
-            _assert_transform_shape(inst, i, build_user_transform(inst, i))
-
-
-# -- parity data ------------------------------------------------------
-
-
-def test_parity_shape_and_identities(syn_inst):
-    L = Matrix(F2, SYN_L)
-    for i in range(syn_inst.m):
-        pd = build_parity(syn_inst, L, i)
-        d = syn_inst.d(i)
-        n, N = syn_inst.n, L.nrows
-        request_col = pd.L_prime.take_cols([d])
-        trailing = pd.L_prime.take_cols(list(range(d + 1, n)))
-        # H annihilates the trailing block and maps the request column to
-        # the first unit vector: h times it is 1, H_upper times it is 0
-        assert (pd.H * trailing).is_zero()
-        hit = pd.H * request_col
-        assert hit.col(0) == tuple(int(r == 0) for r in range(pd.H.nrows))
-        assert pd.h == pd.H.take_rows([0])
-        assert pd.H_upper == pd.H.take_rows(list(range(1, pd.H.nrows)))
-        code_dim = mat_rank(hstack(request_col, trailing))
-        assert pd.H.nrows == N - code_dim + 1
-
-
-def test_parity_walkthrough_shape(syn_inst):
-    # for user 4 the request+trailing span is 2-dimensional inside F_2^5,
-    # so the stacked parity has 4 rows
-    pd = build_parity(syn_inst, Matrix(F2, SYN_L), 3)
-    assert pd.H.shape == (4, 5)
-    assert (pd.h * pd.L_prime.take_cols([2])).rows == ((1,),)
-
-
-def test_parity_degenerate_encoder_rejected(trap_inst):
-    # a single broadcast row cannot separate the request from the trailing
-    # block for this instance
-    L = Matrix(F2, ((1, 1, 1, 1),))
-    with pytest.raises(ValueError):
-        build_parity(trap_inst, L, 0)
-
-
 # -- syndrome decoding ------------------------------------------------
 
 
-def _walkthrough_user4_decoder(syn_inst):
-    """Decoder context for user 4 assembled from the walkthrough matrices
-    rather than our canonical constructions."""
+def test_parity_degenerate_encoder_rejected(trap_inst):
+    # a single broadcast row cannot separate the request from the rest of
+    # the broadcast span for this instance
+    L = Matrix(F2, ((1, 1, 1, 1),))
+    with pytest.raises(ValueError, match="does not realize"):
+        build_user_decoder(trap_inst, L, 0)
+
+
+def test_parity_shape_and_identities(syn_inst):
+    # The decoder's map [c; Q]: c [V^(i); L V_S] = R_i, and Q annihilates
+    # [V^(i); L V_S] with full row rank, one row per dependency of its rows.
     L = Matrix(F2, SYN_L)
+    lvs = L * syn_inst.V_S
+    for i in range(syn_inst.m):
+        u = syn_inst.users[i]
+        ctx = build_user_decoder(syn_inst, L, i)
+        G = vstack(u.V, lvs)
+        c, Q = Matrix(F2, ctx.rows[:1]), Matrix(F2, ctx.rows[1:], G.nrows)
+        assert (ctx.d, ctx.N) == (u.d, L.nrows)
+        assert c * G == u.R
+        assert (Q * G).is_zero()
+        assert mat_rank(Q) == Q.nrows == G.nrows - mat_rank(G)
+
+
+def test_parity_walkthrough_shape(syn_inst):
+    # For user 4, [V^(4); L V_S] has rank 4 in 7 rows, so the map has c and
+    # three rows of Q, and the Y part of Q spans what the walkthrough's
+    # H_upper spans.
+    ctx = build_user_decoder(syn_inst, Matrix(F2, SYN_L), 3)
+    assert len(ctx.rows) == len(SYN_H4) and {len(r) for r in ctx.rows} == {7}
+    q_y = Matrix(F2, ctx.rows[1:]).take_cols(range(2, 7))
+    h_upper = Matrix(F2, SYN_H4[1:])
+    assert mat_rank(q_y) == mat_rank(h_upper) == mat_rank(vstack(q_y, h_upper)) == 3
+
+
+def _walkthrough_parity(syn_inst):
+    """L' = L V_S M and H for user 4 from the walkthrough matrices."""
     m4 = Matrix(F2, SYN_M4)
-    h4 = Matrix(F2, SYN_H4)
-    tr = UserTransform(i=3, M=m4, d=2)
-    assert tr.A == m4.take_cols([0, 1, 2]) and tr.B == m4.take_cols([3])
-    pd = ParityData(i=3, L_prime=L * syn_inst.V_S * m4, H=h4)
-    return UserDecoder(transform=tr, parity=pd)
+    return Matrix(F2, SYN_L) * syn_inst.V_S * m4, Matrix(F2, SYN_H4)
 
 
 def test_walkthrough_transform_and_parity_are_valid(syn_inst):
-    """The fixture M and H satisfy the defining identities for the
+    """The walkthrough M and H satisfy the defining identities for the
     originally written cache basis."""
     v4 = Matrix(F2, SYN_V4)
     r4 = syn_inst.users[3].R
     m4 = Matrix(F2, SYN_M4)
     assert (v4 * m4) == hstack(Matrix.identity(F2, 2), Matrix.zeros(F2, 2, 2))
     assert (r4 * m4).rows[0] == (0, 0, 1, 0)
-    ctx = _walkthrough_user4_decoder(syn_inst)
-    pd = ctx.parity
-    request_col = pd.L_prime.take_cols([2])
-    trailing = pd.L_prime.take_cols([3])
-    assert (pd.H * trailing).is_zero()
-    assert (pd.H * request_col).col(0) == (1, 0, 0, 0)
-    assert (pd.h * request_col).rows == ((1,),)
-    assert pd.h == Matrix(F2, SYN_H4[:1])
-    assert pd.H_upper == Matrix(F2, SYN_H4[1:])
+    lp, H = _walkthrough_parity(syn_inst)
+    request_col = lp.take_cols([2])
+    trailing = lp.take_cols([3])
+    assert (H * trailing).is_zero()
+    assert (H * request_col).col(0) == (1, 0, 0, 0)
 
 
 def test_walkthrough_step_values(syn_inst):
-    ctx = _walkthrough_user4_decoder(syn_inst)
+    lp, H = _walkthrough_parity(syn_inst)
     X = Matrix.column_vector(F2, (1, 1, 1, 1))
     Y = Matrix(F2, SYN_L) * X + Matrix.column_vector(F2, (0, 0, 0, 1, 0))
     assert Y.col(0) == (0, 1, 0, 0, 1)
     lam = Matrix(F2, SYN_V4) * X
     assert lam.col(0) == (1, 0)
-    known = ctx.parity.L_prime.take_cols([0, 1]) * lam
-    syndrome = ctx.parity.H * (Y - known)
+    syndrome = H * (Y - lp.take_cols([0, 1]) * lam)
     assert syndrome.col(0) == (0, 1, 1, 1)  # alpha = 0, beta = (1,1,1)
-    out = syndrome_decode(ctx, Y, lam, delta=1)
+    ctx = build_user_decoder(syn_inst, Matrix(F2, SYN_L), 3)
+    out = syndrome_decode(ctx, Y, syn_inst.users[3].V * X, delta=1)
     assert out.failure is None
     assert out.demand.rows == ((1,),)
     # exactly two single-position corrections explain beta; both give the
     # same demand
+    h, H_upper = H.take_rows([0]), H.take_rows([1, 2, 3])
     solutions = []
     for j in range(5):
         eps = Matrix(F2, tuple((1,) if r == j else (0,) for r in range(5)))
-        if ctx.parity.H_upper * eps == syndrome.take_rows([1, 2, 3]):
+        if H_upper * eps == syndrome.take_rows([1, 2, 3]):
             solutions.append(j)
-            recomputed = (syndrome.take_rows([0]) - ctx.parity.h * eps).rows[0][0]
+            recomputed = (syndrome.take_rows([0]) - h * eps).rows[0][0]
             assert recomputed == 1
     assert solutions == [3, 4]
 
@@ -209,19 +158,6 @@ def test_support_memo_reused_and_outside_equality(syn_inst):
     assert syndrome_decode(warm, Y, lam, delta=1) == first
     assert all(warm.support_rref[k] is v for k, v in filled.items())
     assert syndrome_decode(cold, Y, lam, delta=1) == first
-
-
-def test_cache_cols_sliced_once(syn_inst):
-    # on a built decoder and on one constructed directly from its parts;
-    # the cached slice takes no part in equality
-    L = Matrix(F2, SYN_L)
-    for ctx in (build_user_decoder(syn_inst, L, 3), _walkthrough_user4_decoder(syn_inst)):
-        cols = ctx.cache_cols
-        assert cols == ctx.parity.L_prime.take_cols(range(syn_inst.d(3)))
-        assert ctx.cache_cols is cols
-    built = build_user_decoder(syn_inst, L, 3)
-    assert built.cache_cols.ncols == 2
-    assert built == build_user_decoder(syn_inst, L, 3)
 
 
 def test_syndrome_full_sweep(syn_inst):

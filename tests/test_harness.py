@@ -623,6 +623,13 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["bounds", "--bound", "hamming", "--n", "10000000", "--q", "3"], "q^(n-d-1)"),
         (["bounds", "--bound", "zippel", "--N", "100000"], "q^(N d_S)"),
         (["bounds", "--bound", "subspace", "--N", "1000", "--dS", "2000"], "q^(N d_S)"),
+        # Seeds and simulate's counts, refused by the parser, which names
+        # the flag, before numpy or run_simulation sees them.
+        (["encode", "--instance", "i.json", "--method", "random", "--seed", "-1"], "--seed"),
+        (["simulate", "--instance", "i.json", "--seed", "-1"], "--seed"),
+        (["simulate", "--instance", "i.json", "--pad", "-1"], "--pad"),
+        (["simulate", "--instance", "i.json", "--error-weight", "-1"], "--error-weight"),
+        (["simulate", "--instance", "i.json", "--trials", "0"], "--trials"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):

@@ -1,25 +1,24 @@
 """Row-format syndrome decoding and Hamming trials against the Matrix
 pipeline they replaced.
 
-``syndrome_decode`` and the Hamming trials of ``run_simulation`` now run on
-rows (packed ints over GF(2), tuples over F_q) with per-support products
-built once per decoder.  The references below restate the earlier code:
-the syndrome H (Y - C lam) in ``Matrix`` arithmetic, and a scan of error
-supports by size, then lexicographically, each solved by the canonical
-``_solve_left_rref``.  Seeded GF(2), GF(3) and GF(4) instances (users with
-an empty cache among them, delta 0-2, t 1-4, error weights 0..delta+1)
-must give the same outcomes and the same ``stable_json``, wrong decodes
-and ``SyndromeNotFound`` included.
-
-``ref_user_decoder`` restates the earlier construction of the fixed maps:
-M from a right inverse and a kernel of (cache; request), h from a left
-solve and H_upper from a left kernel.  Decoders built by one RREF each
-give the same outcomes, and refuse the same encoders.
+``syndrome_decode`` and the Hamming trials of ``run_simulation`` run on
+rows (packed ints over GF(2), tuples over F_q) with a per-user demand map
+and per-support products built once per decoder.  The references below
+restate the earlier change-of-basis decoder in ``Matrix`` arithmetic: M
+from a right inverse and a kernel of (cache; request), h from a left solve
+and H_upper from a left kernel of L' = L V_S M, the syndrome H (Y - C lam),
+and a scan of error supports by size, then lexicographically, each solved
+by the canonical ``_solve_left_rref``.  Seeded GF(2), GF(3), GF(4) and
+GF(9) instances (users with an empty cache among them, delta 0-2, error
+weights 0..delta+1) must give the same outcomes and the same
+``stable_json``, wrong decodes and ``SyndromeNotFound`` included; both
+decoders must refuse the same encoders and find the same dependent
+supports.
 """
 
 import functools
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations, product
 
 import numpy as np
@@ -31,9 +30,6 @@ from iccsi.codec import HAMMING, make_encoder
 from iccsi.decoders import (
     SYNDROME_NOT_FOUND,
     DecodeOutcome,
-    ParityData,
-    UserDecoder,
-    UserTransform,
     build_user_decoder,
     syndrome_decode,
 )
@@ -56,9 +52,35 @@ from iccsi.harness import SimConfig, SimReport, UserTally, _hamming_error, run_s
 from iccsi.instance import InstanceError, make_instance
 
 
+@dataclass(frozen=True)
+class RefDecoder:
+    """User i's earlier decoder: the cache columns C of L' = L V_S M and
+    the parity H = [h; H_upper].
+
+    ``supports`` maps each scanned error support to the RREF of its columns
+    of H_upper, transposed; a rank below the support size marks a dependent
+    support.
+    """
+
+    C: Matrix
+    H: Matrix
+    supports: dict = dc_field(default_factory=dict, compare=False)
+
+    @property
+    def h(self):
+        return self.H.take_rows((0,))
+
+    @property
+    def H_upper(self):
+        return self.H.take_rows(range(1, self.H.nrows))
+
+    def dependent(self):
+        return {k for k, res in self.supports.items() if res.rank < len(k)}
+
+
 def ref_match_syndrome(ctx, beta, delta):
     """First error pattern with <= delta nonzero rows whose syndrome is beta."""
-    h_upper = ctx.parity.H_upper
+    h_upper = ctx.H_upper
     f = h_upper.field
     n_rows = h_upper.ncols
     t = beta.ncols
@@ -67,7 +89,9 @@ def ref_match_syndrome(ctx, beta, delta):
     beta_t = beta.transpose()
     for size in range(1, delta + 1):
         for support in combinations(range(n_rows), size):
-            res = mat_rref(h_upper.take_cols(support).transpose())
+            res = ctx.supports.get(support)
+            if res is None:
+                res = ctx.supports[support] = mat_rref(h_upper.take_cols(support).transpose())
             sol = _solve_left_rref(res, beta_t)
             if sol is None:
                 continue
@@ -80,16 +104,14 @@ def ref_match_syndrome(ctx, beta, delta):
 
 
 def ref_syndrome_decode(ctx, Y, lam, delta):
-    pd = ctx.parity
-    d = ctx.transform.A.ncols - 1
-    diff = Y - ctx.cache_cols * lam if d else Y
-    syndrome = pd.H * diff
+    diff = Y - ctx.C * lam if ctx.C.ncols else Y
+    syndrome = ctx.H * diff
     alpha = syndrome.take_rows((0,))
     beta = syndrome.take_rows(range(1, syndrome.nrows))
     eps = ref_match_syndrome(ctx, beta, delta)
     if eps is None:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
-    return DecodeOutcome(alpha - pd.h * eps)
+    return DecodeOutcome(alpha - ctx.h * eps)
 
 
 def ref_user_decoder(inst, L, i):
@@ -106,7 +128,7 @@ def ref_user_decoder(inst, L, i):
     if h is None:
         raise ValueError(f"user {i}: L does not realize the instance")
     H = vstack(h, null_space(block.transpose()).transpose())
-    return UserDecoder(UserTransform(i, M, u.d), ParityData(i, lp, H))
+    return RefDecoder(lp.take_cols(range(u.d)), H)
 
 
 def ref_hamming_error(rng, field, N, t, weight):
@@ -122,7 +144,7 @@ def ref_hamming_error(rng, field, N, t, weight):
 
 def ref_hamming_report(cfg, inst, enc):
     """The Hamming trial loop of run_simulation in Matrix arithmetic."""
-    decoders = [build_user_decoder(inst, enc.L, i) for i in range(inst.m)]
+    decoders = [ref_user_decoder(inst, enc.L, i) for i in range(inst.m)]
     tallies = [[0, 0, 0] for _ in range(inst.m)]
     for trial in range(cfg.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, trial])))
@@ -162,9 +184,10 @@ def user_decoders(inst, L, build):
         return None
 
 
-def realizing_encoders(rng, inst, count):
+def realizing_encoders(rng, inst, count, seen=None):
     """Random L of length d_S .. d_S + 4 that every user can decode, with
-    their decoders built both ways.  Both ways refuse the same encoders."""
+    their decoders built both ways.  Both ways refuse the same encoders,
+    which ``seen`` counts."""
     out = []
     while len(out) < count:
         N = inst.d_S + int(rng.integers(0, 5))
@@ -174,6 +197,8 @@ def realizing_encoders(rng, inst, count):
         assert (decoders is None) == (refs is None)
         if decoders is not None:
             out.append((make_encoder(L, inst, "manual"), decoders, refs))
+        elif seen is not None:
+            seen["refused"] += 1
     return out
 
 
@@ -189,7 +214,8 @@ def every_error(field, N, t, weight):
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2)]
-CASES = [(p, e, t) for p, e in FIELDS for t in (1, 2, 3, 4)]
+# GF(9) adds odd characteristic over an extension field, at t <= 2.
+CASES = [(p, e, t) for p, e in FIELDS for t in (1, 2, 3, 4)] + [(3, 2, 1), (3, 2, 2)]
 
 
 @functools.cache
@@ -200,7 +226,7 @@ def decode_sweep(p, e, t):
     seen = Counter()
     for n in (3, 4):
         inst = random_instance(rng, field, n, t)
-        for enc, decoders, refs in realizing_encoders(rng, inst, 2):
+        for enc, decoders, refs in realizing_encoders(rng, inst, 2, seen):
             for delta in (0, 1, 2):
                 for weight in range(min(delta + 1, enc.N) + 1):
                     X = Matrix(field, rng.integers(0, field.q, size=(n, t)).tolist())
@@ -208,12 +234,12 @@ def decode_sweep(p, e, t):
                     for i, u in enumerate(inst.users):
                         lam = u.V * X
                         got = syndrome_decode(decoders[i], Y, lam, delta)
-                        assert got == ref_syndrome_decode(decoders[i], Y, lam, delta)
-                        assert got == syndrome_decode(refs[i], Y, lam, delta)
+                        assert got == ref_syndrome_decode(refs[i], Y, lam, delta)
+                        seen["correct"] += got.ok and got.demand == u.R * X
                         seen["not_found"] += got.failure == SYNDROME_NOT_FOUND
                         seen["wrong"] += got.ok and got.demand != u.R * X
                         seen["empty_cache"] += u.d == 0
-                    if t == 1:
+                    if t == 1 and (field.q <= 4 or weight <= 1):
                         # The syndrome depends on the error alone and the
                         # message only adds R_i X, so at t = 1 every error
                         # of this weight, with one message, covers them all.
@@ -221,10 +247,14 @@ def decode_sweep(p, e, t):
                             Y = enc.lvs * X + W
                             for i, u in enumerate(inst.users):
                                 got = syndrome_decode(decoders[i], Y, u.V * X, delta)
-                                assert got == syndrome_decode(refs[i], Y, u.V * X, delta)
+                                assert got == ref_syndrome_decode(refs[i], Y, u.V * X, delta)
                                 seen["every_error"] += 1
-            for ctx in decoders:
-                seen["dependent"] += () in ctx.support_rref.values()
+            for ctx, ref in zip(decoders, refs):
+                # Both scan the same supports and stop at the same match.
+                assert ctx.support_rref.keys() == ref.supports.keys()
+                dependent = {k for k, rows in ctx.support_rref.items() if rows == ()}
+                assert dependent == ref.dependent()
+                seen["dependent"] += len(dependent)
     return seen
 
 
@@ -235,7 +265,7 @@ def test_syndrome_decode_matches_reference(p, e, t):
 
 def test_reference_cases_cover_every_outcome():
     seen = sum((decode_sweep(*case) for case in CASES), Counter())
-    kinds = ("not_found", "wrong", "dependent", "empty_cache", "every_error")
+    kinds = ("correct", "not_found", "wrong", "dependent", "refused", "empty_cache", "every_error")
     assert all(seen[k] for k in kinds), seen
 
 
@@ -275,19 +305,21 @@ def test_hamming_simulation_matches_reference(p, e, t):
 
 
 def test_dependent_support_is_skipped():
-    # Here L' = L and its request column is e_1 + e_2, so H_upper, which
-    # annihilates that column, has equal columns 1 and 2: the support
-    # (1, 2) is dependent and gets an empty entry.
+    # The cache column of [V; L] at the request is 0 and rows 1 and 2 of L
+    # are the only ones with a 1 there, so Q, which annihilates [V; L], has
+    # equal columns at Y positions 1 and 2: the support (1, 2) is dependent
+    # and gets an empty entry.
     f = field_new(2)
     inst = make_instance(f, 1, 2, [[1, 0], [0, 1]], [([[1, 0]], [0, 1])])
     L = Matrix(f, [[1, 0], [0, 1], [0, 1], [1, 0], [1, 0]])
-    ctx = build_user_decoder(inst, L, 0)
+    ctx, ref = build_user_decoder(inst, L, 0), ref_user_decoder(inst, L, 0)
     assert ctx._support_rows((1, 2)) == ()
     lam = Matrix(f, [[1]])
     for err in ((0, 1, 1, 0, 0), (1, 0, 0, 1, 0), (0, 0, 0, 1, 1), (1, 1, 1, 1, 1)):
         Y = L * Matrix(f, [[1], [0]]) + Matrix(f, [[x] for x in err])
-        assert syndrome_decode(ctx, Y, lam, 2) == ref_syndrome_decode(ctx, Y, lam, 2)
+        assert syndrome_decode(ctx, Y, lam, 2) == ref_syndrome_decode(ref, Y, lam, 2)
     assert ctx.support_rref[(1, 2)] == ()
+    assert (1, 2) in ref.dependent()
 
 
 def test_syndrome_decode_rejects_bad_shapes(syn_inst):
