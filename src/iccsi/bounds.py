@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .galois import (
     MAX_POWER_BITS,
+    _rank_count,
     gaussian_binomial,
     sphere_vol_hamming,
     sphere_vol_rank,
@@ -304,10 +305,7 @@ def alpha_kappa_bracket(
 
 def hom_count(family_size: int, t: int, r: int, q: int) -> int:
     """Matrices with t columns whose column space lies in a family of r-spaces."""
-    out = family_size
-    for j in range(r):
-        out *= q**t - q**j
-    return out
+    return family_size * _rank_count(t, r, r, q)
 
 
 def z_delta_size(n: int, d_i: int, t: int, delta: int, q: int) -> int:
@@ -317,15 +315,10 @@ def z_delta_size(n: int, d_i: int, t: int, delta: int, q: int) -> int:
     the request-restricted kernel, times full-rank maps from F_q^t.
     """
     k = n - d_i
-    total = 0
-    for r in range(2 * delta + 1, min(t, k) + 1):
-        inner = 1
-        outer = 1
-        for j in range(r):
-            outer *= q**k - q**j
-            inner *= q ** (k - 1) - q**j
-        total += (outer - inner) * gaussian_binomial(t, r, q)
-    return total
+    return sum(
+        _rank_count(k, t, r, q) - _rank_count(k - 1, t, r, q)
+        for r in range(2 * delta + 1, min(t, k) + 1)
+    )
 
 
 def rank_random_ecic_prob(

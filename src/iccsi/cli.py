@@ -401,8 +401,6 @@ def _cmd_decode(args) -> int:
         delta = args.delta
         if delta is None:
             delta = enc.certificate.delta if enc.certificate is not None else 0
-        if delta == 0:
-            return _emit_demand_or_fail(inst, args.user, enc.lvs, payload, lam)
         ctx = build_user_decoder(inst, enc.L, args.user)
         out = syndrome_decode(ctx, payload, lam, delta)
         if not out.ok:
@@ -425,23 +423,19 @@ def _cmd_decode(args) -> int:
     f = inst.field
     L, Y = _split_payload(inst, _to_rows(f, tr.Q.rows), ell, shared_lvs)
     lvs = _decoded_lvs(inst, L, shared_lvs)
-    return _emit_demand_or_fail(inst, args.user, lvs, _from_rows(f, Y, inst.t), lam)
+    try:
+        demand = solve_demand(inst, args.user, lvs, _from_rows(f, Y, inst.t), lam)
+    except ValueError as exc:
+        print(f"decode failed: {exc}", file=sys.stderr)
+        return EXIT_DECODE
+    _print_demand(demand)
+    return EXIT_OK
 
 
 def _require_encoder(args, inst):
     if not args.encoder:
         raise InstanceError("this frame needs --encoder")
     return load_encoder(args.encoder, inst)
-
-
-def _emit_demand_or_fail(inst, user, lvs, Y, lam) -> int:
-    try:
-        demand = solve_demand(inst, user, lvs, Y, lam)
-    except ValueError as exc:
-        print(f"decode failed: {exc}", file=sys.stderr)
-        return EXIT_DECODE
-    _print_demand(demand)
-    return EXIT_OK
 
 
 def _print_demand(demand: Matrix) -> None:

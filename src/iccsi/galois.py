@@ -4,12 +4,15 @@ Field elements are plain Python ints in ``range(q)``.  An element encodes the
 coefficient vector of a residue polynomial in base p, least significant digit
 first: the integer ``d0 + d1*p + ... + d_{e-1}*p^(e-1)`` stands for
 ``d0 + d1*x + ... + d_{e-1}*x^(e-1)`` modulo the field's irreducible modulus.
-For prime fields (e = 1) this is ordinary arithmetic mod p.  For p = 2 the
-encoding makes addition a bitwise XOR.
 
-Multiplication uses exp/log tables built from a generator of the
+Multiplication uses exp/log tables built from a generator g of the
 multiplicative group, so q is capped at 2**16; for p = 2 the tables are
-filled by shift-and-XOR multiplication by the generator.  The moduli
+filled by shift-and-XOR multiplication by the generator.  Addition takes one
+path per kind of field: a bitwise XOR in characteristic 2, where the encoding
+adds digit by digit without carries; ordinary arithmetic mod p in prime
+fields; and in odd extension fields a Zech-logarithm table, 1 + g^k = g^z(k),
+built once from the exp/log tables, so a + b = a (1 + b/a) is three lookups.
+Odd fields negate by one table lookup, -1 being g^((q-1)/2).  The moduli
 shipped for the fields used throughout the package are
 
     F_4 : x^2 + x + 1
@@ -41,8 +44,9 @@ GF(2) they run :func:`_pack`, :func:`_unpack` and
 :func:`_echelon_insert_gf2`), so the confusable walk and its reader, ``alpha``,
 ``min_rank``, the syndrome decoder, the rank-trap decoder, the demand solve
 and both kinds of trial hold one body for every field.
-:func:`_tuple_mul` is the tuple product under both ``_row_mul`` and
-``Matrix.__mul__``.  ``Matrix`` and every public result stay tuple-based.
+:func:`_row_mul` is the only matrix product, ``Matrix.__mul__`` included,
+so GF(2) products XOR packed rows.  ``Matrix`` and every public result stay
+tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -219,14 +223,37 @@ class Field:
             self.neg = operator.pos
             if q == 2:
                 self.mul = operator.and_
-        elif e == 1:
+            return
+        # -1 = g^((q-1)/2) in every odd field, so -a is one table lookup.
+        exp, log, half = self._exp, self._log, (q - 1) // 2
+        self.neg = neg = ((0,) + tuple(exp[(la + half) % (q - 1)] for la in log[1:])).__getitem__
+        if e == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: (-a) % p
-        else:
-            self.add = self._add_digits
-            self.sub = self._sub_digits
-            self.neg = self._neg_digits
+            return
+        # Zech logarithms: 1 + g^k = g^zech[k], None where 1 + g^k = 0.
+        # Adding 1 raises the low base-p digit of g^k by one, mod p.  Then
+        # a + b = g^la (1 + g^(lb - la)): lb - la lies in (-(q-1), q-1), so
+        # it indexes zech mod q - 1, and la + zech[.] < 2(q-1) indexes the
+        # doubled exp table.
+        zech = [None] * (q - 1)
+        for k, x in enumerate(exp):
+            y = x - x % p + (x + 1) % p
+            if y:
+                zech[k] = log[y]
+        ext = exp + exp
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else ext[la + z]
+
+        self.add = add
+        self.sub = lambda a, b: add(a, neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product of encoded elements, reduced by the modulus."""
@@ -294,35 +321,6 @@ class Field:
             )
             # scaler(a) is then itself one C call, a tuple lookup.
             self.scaler = tuple(row.__getitem__ for row in self._scale_rows).__getitem__
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def _sub_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a - b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -522,7 +520,7 @@ class Matrix:
         return Matrix._trusted(self.field, rows, self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Product by row combination: row i is the sum of a_ik * row_k(other)."""
+        """Product by row combination, :func:`_row_mul` in the row format."""
         if not isinstance(other, Matrix):
             return NotImplemented
         f = self.field
@@ -530,8 +528,8 @@ class Matrix:
             raise ValueError("fields differ")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        out = _tuple_mul(f, self.rows, other.rows, other.ncols)
-        return Matrix._trusted(f, tuple(out), other.ncols)
+        n = other.ncols
+        return _from_rows(f, _row_mul(f, self.rows, _to_rows(f, other.rows), n), n)
 
     def scale(self, c: int) -> "Matrix":
         scale = self.field.scaler(c)
@@ -715,21 +713,6 @@ def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
     return (x.bit_length() - 1, x) if x else None
 
 
-def _tuple_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
-    """Rows of the product A B on entry tuples: row i is the sum of
-    a_ik * b_k over the ``ncols``-wide rows b_k of B."""
-    add, scaler = field.add, field.scaler
-    zero = (0,) * ncols
-    out = []
-    for ra in a:
-        acc = zero
-        for x, rb in zip(ra, b):
-            if x:
-                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
-        out.append(acc)
-    return out
-
-
 # -- the row format (see the module docstring) --------------------------
 #
 # A helper that a loop calls per row returns a function of the row, picked
@@ -748,7 +731,9 @@ def _from_row(field: Field, row, ncols: int) -> tuple[int, ...]:
 
 def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
     """The ``Matrix`` of ``ncols``-wide rows in the row format."""
-    return Matrix._trusted(field, tuple(_from_row(field, r, ncols) for r in rows), ncols)
+    if field.q == 2:
+        rows = (_unpack(r, ncols) for r in rows)
+    return Matrix._trusted(field, tuple(rows), ncols)
 
 
 def _zero_row(field: Field, ncols: int):
@@ -759,12 +744,22 @@ def _zero_row(field: Field, ncols: int):
 def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
     """Rows of the product A B, with B and the result in the row format.
 
-    A comes as rows of entries and B as ``ncols``-wide rows.  Over GF(2) a
-    product row is the XOR of the B rows its A row selects.
+    A comes as rows of entries and B as ``ncols``-wide rows.  Row i is the
+    sum of a_ik * b_k; over GF(2) that is the XOR of the B rows its A row
+    selects.
     """
     if field.q == 2:
         return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
-    return _tuple_mul(field, a, b, ncols)
+    add, scaler = field.add, field.scaler
+    zero = (0,) * ncols
+    out = []
+    for ra in a:
+        acc = zero
+        for x, rb in zip(ra, b):
+            if x:
+                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
+        out.append(acc)
+    return out
 
 
 def _row_add(field: Field):
@@ -938,22 +933,22 @@ def sphere_vol_hamming(n: int, radius: int, q: int) -> int:
     return total
 
 
-def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:
-    """Number of nrows x ncols matrices over F_q of rank at most ``radius``.
+def _rank_count(nrows: int, ncols: int, r: int, q: int) -> int:
+    """Number of nrows x ncols matrices over F_q of rank exactly r.
 
-    Counts rank-r matrices as (choices of column space) x (full-rank maps
+    (Choices of an r-space of F_q^ncols, the row space) x (full-rank maps
     onto it): prod_{j<r} (q^nrows - q^j) * qbinom(ncols, r).
     """
+    out = gaussian_binomial(ncols, r, q)
+    for j in range(r):
+        out *= q**nrows - q**j
+    return out
+
+
+def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:
+    """Number of nrows x ncols matrices over F_q of rank at most ``radius``."""
     radius = min(radius, nrows, ncols)
-    if radius < 0:
-        return 0
-    total = 0
-    for r in range(radius + 1):
-        surj = 1
-        for j in range(r):
-            surj *= q**nrows - q**j
-        total += surj * gaussian_binomial(ncols, r, q)
-    return total
+    return sum(_rank_count(nrows, ncols, r, q) for r in range(radius + 1))
 
 
 # -- enumeration helpers ----------------------------------------------

@@ -23,8 +23,10 @@ from .galois import (
     _from_rows,
     _row_add,
     _row_insert,
+    _row_mul,
     _row_scale,
     _to_rows,
+    iter_vectors,
     row_basis,
     solve_left,
 )
@@ -93,10 +95,10 @@ def min_rank(
         budget = DEFAULT_BUDGET
     f = inst.field
     q = f.q
+    m, n = inst.m, inst.n
     # Candidate rows per user in the row format: R_i plus each vector of
-    # X^(i) meet X^(S) in coefficient odometer order (first basis vector
-    # fastest): each basis row b extends the list by a * b, a slowest.
-    add = _row_add(f)
+    # X^(i) meet X^(S), the coefficient vectors in odometer order (first
+    # basis vector fastest), all as one product [1 | c] [R_i; W].
     cands: list[list] = []
     total = 1
     for u in inst.users:
@@ -106,12 +108,8 @@ def min_rank(
             raise BudgetExceeded(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
-        rows = _to_rows(f, u.R.rows)
-        for b in _to_rows(f, w.rows):
-            multiples = [_row_scale(f, a, b) for a in range(q)]
-            rows = [add(r, ab) for ab in multiples for r in rows]
-        cands.append(rows)
-    m, n = inst.m, inst.n
+        coeffs = ((1,) + c for c in iter_vectors(f, w.nrows))
+        cands.append(_row_mul(f, coeffs, _to_rows(f, u.R.rows + w.rows), n))
     insert = _row_insert(f)
 
     # Depth-first over users from the last down to user 0 so that user 0 is

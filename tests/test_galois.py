@@ -1,6 +1,7 @@
 """Exact finite-field arithmetic and the small linear-algebra kernel."""
 
 import itertools
+import operator
 
 import pytest
 from conftest import iter_subspace_bases
@@ -121,6 +122,46 @@ def test_char2_tables_match_mul_raw_fill(e):
     assert (f.generator, f._exp, f._log) == (gen, exp, log)
 
 
+def _digitwise(p, e, a, b, op):
+    """op(a, b) digit by digit in base p, each digit reduced mod p: the
+    definition of + and - on the encoding, with 0 - b the negative.  Runs
+    on ints and, entry by entry, on numpy arrays."""
+    out, shift = 0, 1
+    for _ in range(e):
+        out = out + op(a % p, b % p) % p * shift
+        a, b, shift = a // p, b // p, shift * p
+    return out
+
+
+ODD_FIELDS_TO_256 = [(p, e) for p, e in PRIME_POWERS_TO_256 if p > 2]
+
+
+@pytest.mark.parametrize("p,e", ODD_FIELDS_TO_256, ids=lambda v: str(v))
+def test_odd_field_add_sub_neg_match_digitwise_exhaustive(p, e):
+    import numpy as np
+
+    f = field_new(p, e)
+    q = f.q
+    els = np.arange(q)
+    plus = _digitwise(p, e, els[:, None], els[None, :], operator.add).tolist()
+    minus = _digitwise(p, e, els[:, None], els[None, :], operator.sub).tolist()
+    for a in range(q):
+        assert list(map(f.add, itertools.repeat(a, q), range(q))) == plus[a]
+        assert list(map(f.sub, itertools.repeat(a, q), range(q))) == minus[a]
+    assert list(map(f.neg, range(q))) == minus[0]
+
+
+@pytest.mark.parametrize("p,e", [(3, 7), (5, 4)])
+def test_odd_field_add_sub_neg_match_digitwise_sampled(p, e):
+    import numpy as np
+
+    f = field_new(p, e)
+    a, b = np.random.default_rng(p * 100 + e).integers(0, f.q, size=(2, 20000))
+    for op, fop in ((operator.add, f.add), (operator.sub, f.sub)):
+        assert list(map(fop, a.tolist(), b.tolist())) == _digitwise(p, e, a, b, op).tolist()
+    assert list(map(f.neg, b.tolist())) == _digitwise(p, e, 0, b, operator.sub).tolist()
+
+
 def test_field_construction_errors():
     with pytest.raises(ValueError):
         field_new(4, 1)
@@ -182,6 +223,36 @@ def test_matrix_shape_mismatch():
         a + b
     with pytest.raises(ValueError):
         a * a  # 1x2 times 1x2
+
+
+def _tuple_product(f, a, b):
+    """A B entry by entry: entry (i, j) is the sum over k of a_ik b_kj."""
+    rows = []
+    for ra in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for x, rb in zip(ra, b.rows):
+                acc = f.add(acc, f.mul(x, rb[j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_matrix_mul_matches_tuple_product(q):
+    import numpy as np
+
+    f = field_of_order(q)
+    rng = np.random.default_rng(q)
+    dims = [0, 1, 3, 8, 9, 13]
+    for nr, inner, nc in itertools.product(dims, repeat=3):
+        a = Matrix(f, rng.integers(0, q, size=(nr, inner)).tolist(), inner)
+        b = Matrix(f, rng.integers(0, q, size=(inner, nc)).tolist(), nc)
+        got = a * b
+        assert (got.nrows, got.ncols) == (nr, nc)
+        assert got.rows == _tuple_product(f, a, b)
+        assert all(type(x) is int for r in got.rows for x in r)
 
 
 def test_matrix_takes_integers_only():

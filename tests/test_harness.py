@@ -383,6 +383,49 @@ def test_cli_decode_failure_exit(inst_file, tmp_path, capsys, syn_inst):
     assert "SyndromeNotFound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", [["--delta", "0"], []], ids=["delta0", "default"])
+@pytest.mark.parametrize(
+    "error", [(0, 0, 0, 1, 0), (1, 0, 0, 1, 0), (1, 1, 0, 0, 0)], ids=str
+)
+def test_cli_decode_delta0_detects_error(inst_file, tmp_path, capsys, syn_inst, error, delta):
+    # At delta 0 (the default of an encoder without a certificate) the
+    # syndrome decoder accepts only a zero syndrome, so an error that moves
+    # the syndrome is reported as detected, not decoded to a wrong demand.
+    enc_path = tmp_path / "enc.json"
+    save_encoder(_syn_encoder(syn_inst), enc_path)
+    X = Matrix.column_vector(F2, (1, 1, 1, 1))
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, Matrix(F2, SYN_L) * X + Matrix.column_vector(F2, error), v=0, ell=1)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([list(r) for r in (syn_inst.users[3].V * X).rows]))
+    code = main([
+        "decode", "--frame", str(frame), "--instance", inst_file,
+        "--encoder", str(enc_path), "--user", "3", "--side", str(side), *delta,
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "SyndromeNotFound" in captured.err and "demand" not in captured.out
+
+
+def test_cli_decode_delta0_encoder_not_serving_user_exits_2(inst_file, tmp_path, capsys, syn_inst):
+    # The one broadcast row lies in user 3's cache, so the encoder does not
+    # serve user 3: bad input at every delta, 0 included.
+    enc_path = tmp_path / "enc.json"
+    save_encoder(make_encoder(Matrix(F2, ((0, 1, 1, 0),)), syn_inst, "manual"), enc_path)
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, Matrix.zeros(F2, 1, 1), v=0, ell=1)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([[0], [0]]))
+    code = main([
+        "decode", "--frame", str(frame), "--instance", inst_file,
+        "--encoder", str(enc_path), "--user", "3", "--side", str(side), "--delta", "0",
+    ])
+    assert code == 2
+    assert "does not realize" in capsys.readouterr().err
+
+
 def test_cli_decode_rejects_trailing_bytes(inst_file, tmp_path, capsys, syn_inst):
     # A frame file holds one frame; one more byte after it is malformed input.
     enc_path = tmp_path / "enc.json"
