@@ -40,11 +40,12 @@ from .galois import (
     hstack,
     mat_rref,
     _from_row,
-    _echelon_reduce,
     _from_rows,
+    _rref_basis,
     _row_block,
     _row_mul,
-    _solve_left_rref,
+    _row_reduce,
+    _solve_left_kernel,
     _to_rows,
     _zero_row,
     vstack,
@@ -246,15 +247,17 @@ def _trap_rows(field, rows: list, v: int, ell: int) -> tuple | None:
     width = v + ell
     if v == 0:
         return rows, False
-    res = mat_rref(_from_rows(field, rows[:v], width), stop=v)
-    basis = list(zip(res.pivots, res.rref.rows))
+    basis = _rref_basis(field, rows[:v], width, stop=v)
+    reduce = _row_reduce(field, width)
+    pad, tail = _row_block(field, 0, v, width), _row_block(field, v, width, width)
+    zero = _zero_row(field, v)
     payload = []
-    for row in _from_rows(field, rows[v:], width).rows:
-        row = _echelon_reduce(basis, row, field.sub, field.scaler)
-        if any(row[:v]):
+    for row in rows[v:]:
+        row = reduce(basis, row)
+        if pad(row) != zero:
             return None
-        payload.append(row[v:])
-    return _to_rows(field, payload), res.rank == v
+        payload.append(tail(row))
+    return payload, len(basis) == v
 
 
 def _split_payload(inst: IccsiInstance, Q: list, ell: int, shared_lvs: Matrix | None) -> tuple:
@@ -289,9 +292,8 @@ def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> tuple:
     annihilate [V^(i); lvs]; empty when R_i is outside its row space.
     """
     u = inst.users[i]
-    res = mat_rref(vstack(u.V, lvs))
-    c = _solve_left_rref(res, u.R)
-    return () if c is None else c.rows + res.transform.rows[res.rank:]
+    c, kernel = _solve_left_kernel(vstack(u.V, lvs), u.R)
+    return () if c is None else c + kernel
 
 
 def solve_demand(
@@ -344,10 +346,7 @@ def _inconsistent_demand(field, out: list, w: int):
     clears their pivot columns from the rows above, which is unique and
     linear, as an RREF row is 1 at its pivot and 0 at the others.
     """
-    res = mat_rref(_from_rows(field, out[1:], w))
-    pairs = zip(res.pivots, res.rref.rows)
-    row = _echelon_reduce(pairs, _from_row(field, out[0], w), field.sub, field.scaler)
-    return _to_rows(field, (row,))[0]
+    return _row_reduce(field, w)(_rref_basis(field, out[1:], w), out[0])
 
 
 # -- broadcast frames -------------------------------------------------

@@ -6,12 +6,16 @@ first: the integer ``d0 + d1*p + ... + d_{e-1}*p^(e-1)`` stands for
 ``d0 + d1*x + ... + d_{e-1}*x^(e-1)`` modulo the field's irreducible modulus.
 
 Multiplication uses exp/log tables built from a generator g of the
-multiplicative group, so q is capped at 2**16; for p = 2 the tables are
-filled by shift-and-XOR multiplication by the generator.  Addition takes one
+multiplicative group, so q is capped at 2**16.  The exp table steps from
+g^k to g^(k+1): by shift-and-XOR multiplication in characteristic 2, by one
+product mod p in prime fields, and in odd extension fields through a table
+of g y for every y, one vectorised product of base-p digits and one
+reduction.  Addition takes one
 path per kind of field: a bitwise XOR in characteristic 2, where the encoding
 adds digit by digit without carries; ordinary arithmetic mod p in prime
 fields; and in odd extension fields a Zech-logarithm table, 1 + g^k = g^z(k),
-built once from the exp/log tables, so a + b = a (1 + b/a) is three lookups.
+built once from the exp/log tables, so a + b = a (1 + b/a) is three lookups,
+and so is a - b, log(-b) being log(b) + (q-1)/2.
 Odd fields negate by one table lookup, -1 being g^((q-1)/2).  The moduli
 shipped for the fields used throughout the package are
 
@@ -28,25 +32,34 @@ element encodings reproducible across runs.
 Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: RREF, solve and null space scan columns left to right,
 and underdetermined systems are resolved by setting every free variable to
-zero, so equal inputs always produce identical outputs.  Beside the RREF
-there is one reduction, :func:`_echelon_reduce`, of a row against an echelon
-basis.  Solves run it against the RREF rows widened by their transform
-rows, and :func:`_row_insert` (over GF(2) in its packed form) on each new
-row, for rank, the min-rank search and the realization test alike.
+zero, so equal inputs always produce identical outputs.  They all run one
+RREF on rows, :func:`_row_rref`, and one reduction of a row against an
+echelon basis, :func:`_row_reduce`, whose basis pairs :func:`_row_insert`
+makes; rank, the min-rank search, the realization test, the trap decoder
+and the solves alike.
 
-Hot loops keep their rows in one row format, chosen in this module alone:
-over GF(2) a 0/1 row is an int bitmask with entry 0 the most significant
-bit, so int order is tuple order, add is ``^`` and Hamming weight is
-``int.bit_count()``; over F_q it is an entry tuple.  :func:`_to_rows`,
-:func:`_from_row`, :func:`_from_rows`, :func:`_zero_row` and the
-``_row_*`` helpers are the only code that branches on the format (over
-GF(2) they run :func:`_pack`, :func:`_unpack` and
-:func:`_echelon_insert_gf2`), so the confusable walk and its reader, ``alpha``,
-``min_rank``, the syndrome decoder, the rank-trap decoder, the demand solve
-and both kinds of trial hold one body for every field.
-:func:`_row_mul` is the only matrix product, ``Matrix.__mul__`` included,
-so GF(2) products XOR packed rows.  ``Matrix`` and every public result stay
-tuple-based.
+Hot loops keep their rows in one row format, chosen in this module alone.
+In characteristic 2 up to GF(16) a row of w entries is one int of e w bits:
+e-bit lanes, entry 0 in the top lane, so int order is tuple order and add
+is ``^``.  GF(2) is the case e = 1, with Hamming weight
+``int.bit_count()``.  The q multiples a r of a row r come from e - 1
+lane-wise multiplications by x, each a shift plus the modulus's low bits in
+every lane whose top bit it shifted out, and q - 2 XORs (:func:`_lane_ops`;
+rows of a width with few values share one table of them).  A product
+XORs one multiple per term, and a basis row keeps its multiples, scaled to
+1 at its pivot lane, so reducing a row by it is one XOR with the multiple
+the row's pivot lane selects; over GF(2) the bodies select whole rows by a
+bit.  Odd fields and characteristic-2 fields above GF(16) keep entry
+tuples, since there building q multiples per row costs more than
+entrywise arithmetic does (see ``_LANE_MAX_ORDER``).  :func:`_to_rows`,
+:func:`_from_row`, :func:`_from_rows`, :func:`_zero_row`,
+:func:`_rref_transform` and the ``_row_*`` helpers are the only code that
+branches on the format, so the
+confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
+decoder, the rank-trap decoder, the demand solve and both kinds of trial
+hold one body for every field.  :func:`_row_mul` is the only matrix
+product, ``Matrix.__mul__`` included.  ``Matrix`` and every public result
+stay tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -74,6 +87,15 @@ MAX_POWER_BITS = 1 << 15
 _MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1
 # Largest field whose q x q product table Field.scaler keeps.
 _SCALE_TABLE_MAX = 256
+# Largest characteristic-2 field whose rows are e-bit lanes in one int.  A
+# product or an elimination builds all q multiples of a row, q - 2 XORs, so
+# past GF(16) that costs more than the entry tuples save: rank trials took
+# 0.54-0.72x the time of tuples over GF(4) to GF(16) on dense matrices and
+# 0.80-0.91x on unit-vector ones, but 1.37x and 2.00x over GF(32) and 3.74x
+# and 5.75x over GF(256).
+_LANE_MAX_ORDER = 16
+# Largest table, in entries, of the multiples of every row of one width.
+_LANE_TABLE_MAX = 4096
 
 # Shipped moduli, little-endian coefficient tuples including the leading 1.
 _CANONICAL_MODULI = {
@@ -125,6 +147,8 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
         return False
     if deg == 1:
         return True
+    if mod[0] == 0:
+        return False  # x divides it
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             den = list(tail) + [1]
@@ -215,6 +239,19 @@ class Field:
         self.q = q
         self.modulus: tuple[int, ...] = tuple(modulus)
         self._build_tables()
+        # The row format (see the module docstring): e-bit lanes in
+        # characteristic 2 up to the lane bound, entry tuples otherwise.
+        self._lanes = p == 2 and q <= _LANE_MAX_ORDER
+        if self._lanes:
+            # x^e = the modulus below its leading term, as a lane.
+            self._lane_low = sum(c << i for i, c in enumerate(self.modulus[:e]))
+            self._short_rows, self._pack, self._unpack = _lane_codec(q, e)
+            # The product-table row of 1/a, x -> x / a, for each a != 0, and
+            # the functions of _lane_ops by row width.
+            self._inv_rows = (None,) + tuple(
+                self._scale_rows[self.inv(a)] for a in range(1, q)
+            )
+            self._lane_ops: dict = {}
         if p == 2:
             # Characteristic 2: the base-2 digit encoding makes + and - XOR,
             # and every element is its own negative.
@@ -226,7 +263,7 @@ class Field:
             return
         # -1 = g^((q-1)/2) in every odd field, so -a is one table lookup.
         exp, log, half = self._exp, self._log, (q - 1) // 2
-        self.neg = neg = ((0,) + tuple(exp[(la + half) % (q - 1)] for la in log[1:])).__getitem__
+        self.neg = ((0,) + tuple(exp[(la + half) % (q - 1)] for la in log[1:])).__getitem__
         if e == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
@@ -252,8 +289,22 @@ class Field:
             z = zech[log[b] - la]
             return 0 if z is None else ext[la + z]
 
+        # a - b = a + (-b), and log(-b) = log(b) + (q-1)/2: lb - la lies in
+        # (-(q-1), 3(q-1)/2), which the doubled zech table indexes.
+        zech2 = zech + zech
+
+        def sub(a: int, b: int) -> int:
+            if not b:
+                return a
+            lb = log[b] + half
+            if not a:
+                return ext[lb]
+            la = log[a]
+            z = zech2[lb - la]
+            return 0 if z is None else ext[la + z]
+
         self.add = add
-        self.sub = lambda a, b: add(a, neg(b))
+        self.sub = sub
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product of encoded elements, reduced by the modulus."""
@@ -285,6 +336,26 @@ class Field:
                 a = self._mul_raw(a, a)
         return out
 
+    def _times_table(self, g: int) -> list[int]:
+        """The products g * y for every y in range(q), in an odd extension
+        field: every element's base-p digits times those of g in one
+        vectorised polynomial product, then one reduction by the monic
+        modulus, top digit first."""
+        import numpy as np
+
+        p, e, q = self.p, self.e, self.q
+        powers = p ** np.arange(e, dtype=np.int32)
+        digits = np.arange(q, dtype=np.int32)[:, None] // powers % p
+        prod = np.zeros((q, 2 * e - 1), dtype=np.int32)
+        for j in range(e):
+            c = g // p**j % p
+            if c:
+                prod[:, j:j + e] += c * digits
+        low = np.array(self.modulus[:e], dtype=np.int32)
+        for k in range(2 * e - 2, e - 1, -1):
+            prod[:, k - e:k] -= (prod[:, k] % p)[:, None] * low
+        return ((prod[:, :e] % p) @ powers).tolist()
+
     def _build_tables(self) -> None:
         q = self.q
         # The first candidate of multiplicative order q - 1 generates the
@@ -299,8 +370,10 @@ class Field:
             # Shift-and-XOR by the generator, reduced by the modulus bitmask.
             mod = sum(c << i for i, c in enumerate(self.modulus))
             times_gen = functools.partial(_clmul_mod, b=gen, mod=mod)
-        else:
+        elif self.e == 1:
             times_gen = functools.partial(self._mul_raw, b=gen)
+        else:
+            times_gen = self._times_table(gen).__getitem__
         exp = [1] * (q - 1)
         log = [0] * q
         x = 1
@@ -566,10 +639,13 @@ def _random_matrix(rng, field: Field, nrows: int, ncols: int) -> Matrix:
     """Uniform nrows x ncols matrix drawn from a numpy Generator.
 
     ``rng.integers(0, q)`` draws only from ``range(q)``, so the result is
-    built unchecked.
+    built unchecked.  One flat draw, cut into rows: numpy fills a shaped
+    draw with the same stream in row-major order, and a flat one skips its
+    shape arithmetic.
     """
-    entries = rng.integers(0, field.q, size=(nrows, ncols)).tolist()
-    return Matrix._trusted(field, tuple(map(tuple, entries)), ncols)
+    flat = rng.integers(0, field.q, size=nrows * ncols).tolist()
+    rows = tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows))
+    return Matrix._trusted(field, rows, ncols)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -615,33 +691,29 @@ def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
 
     With ``stop`` the pivots are sought in the first ``stop`` columns only,
     so the result is the transform of the RREF of those columns times all
-    of ``m``.
+    of ``m``.  The work is :func:`_rref_transform`'s.
     """
     f = m.field
-    sub, scaler, inv = f.sub, f.scaler, f.inv
     n, c = m.nrows, m.ncols
-    work = [r + u for r, u in zip(m.rows, _unit_rows(n))]
-    pivots: list[int] = []
-    r = 0
-    for col in range(c if stop is None else stop):
-        sel = next((i for i in range(r, n) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = work[r][col]
-        if piv != 1:
-            work[r] = tuple(map(scaler(inv(piv)), work[r]))
-        pivot = ((col, work[r]),)
-        for i in range(n):
-            if i != r and work[i][col]:
-                work[i] = _echelon_reduce(pivot, work[i], sub, scaler)
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    red = Matrix._trusted(f, tuple(w[:c] for w in work), c)
-    tr = Matrix._trusted(f, tuple(w[c:] for w in work), n)
+    work, pivots = _rref_transform(m, stop)
+    red = _from_rows(f, map(_row_block(f, 0, c, c + n), work), c)
+    tr = _from_rows(f, map(_row_block(f, c, c + n, c + n), work), n)
     return RrefResult(red, tuple(pivots), tr)
+
+
+def _rref_transform(m: Matrix, stop: int | None = None) -> tuple:
+    """(rows, pivots) of the RREF of [m | I] in the row format by
+    :func:`_row_rref`, pivots sought in the first ``stop`` columns of m
+    (all by default): the RREF of m beside its transform."""
+    f = m.field
+    n, c = m.nrows, m.ncols
+    rows = _to_rows(f, m.rows)
+    if f._lanes:
+        e = f.e
+        rows = [x << e * n | 1 << e * i for i, x in zip(range(n - 1, -1, -1), rows)]
+    else:
+        rows = list(map(operator.add, rows, _unit_rows(n)))
+    return _row_rref(f, rows, c + n, c if stop is None else stop)
 
 
 def _echelon_reduce(basis: Iterable, row: tuple, sub, scaler) -> tuple:
@@ -674,35 +746,122 @@ def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
 
 def mat_rank(m: Matrix) -> int:
     """Rank by inserting the rows one by one into an echelon basis."""
-    return _row_rank(m.field, _to_rows(m.field, m.rows))
+    return _row_rank(m.field, _to_rows(m.field, m.rows), m.ncols)
 
 
-# -- packed GF(2) rows ------------------------------------------------
+# -- lanes: the row format in characteristic 2 ----------------------------
 
 
-def _pack(row: Iterable[int]) -> int:
-    """A 0/1 row as an int bitmask, entry 0 the most significant bit."""
-    x = 0
-    for b in row:
-        x = x << 1 | b
+def _lane_codec(q: int, e: int) -> tuple:
+    """The short rows of GF(2^e), q = 2^e, and the functions ``pack(row)``
+    and ``unpack(x, n)`` between rows of entries and ints of e-bit lanes,
+    entry 0 in the top lane.
+
+    ``short[n]`` lists every row of n <= 8 // e entries, indexed by its
+    packed value (itertools order is packed order).  Short rows pack by one
+    lookup in the inverse table and unpack to the shared tuples, so kept
+    results, certificates say, hold no copies of them; longer rows unpack
+    through the table in chunks of 8 // e lanes.
+    """
+    k = 8 // e
+    bits = e * k
+    short = [tuple(itertools.product(range(q), repeat=n)) for n in range(k + 1)]
+    index = {row: x for rows in short for x, row in enumerate(rows)}
+    chunk, mask = short[k], (1 << bits) - 1
+
+    def pack(row: Sequence[int]) -> int:
+        if len(row) <= k:
+            return index[tuple(row)]
+        x = 0
+        for a in row:
+            x = x << e | a
+        return x
+
+    def unpack(x: int, n: int) -> tuple[int, ...]:
+        if n <= k:
+            return short[n][x]
+        full, first = divmod(n, k)
+        shift = bits * full
+        out = short[first][x >> shift]
+        for s in range(shift - bits, -1, -bits):
+            out += chunk[x >> s & mask]
+        return out
+
+    return short, pack, unpack
+
+
+def _lane_ones(e: int, width: int) -> int:
+    """The int with bit 0 of each of ``width`` e-bit lanes set."""
+    return ((1 << e * width) - 1) // ((1 << e) - 1)
+
+
+def _lane_ops(field: Field, width: int) -> tuple:
+    """(multiples, pivot, reduce, insert) on ``width``-lane rows of a lane
+    field with e >= 2, built once per field and width.
+
+    ``multiples(r)`` is the list whose entry a is a * r, read-only: when
+    the width has at most _LANE_TABLE_MAX / q rows, all of them are built
+    once and every row shares its list.  x^j r is
+    x^(j-1) r shifted up one bit in every lane, plus the modulus's low bits
+    in each lane whose top bit it shifted out, and entry a is the XOR of
+    x^j r over the bits j of a, built in doubling steps, m[a + 2^j] =
+    m[a] ^ x^j r for a < 2^j: e - 1 lane shifts and q - 2 XORs.
+
+    ``pivot(x)`` is the basis pair of a nonzero row: the shift of its
+    leading lane and the multiples of x scaled to 1 there, which are those
+    of x permuted, (b / a) x = m[b a^-1].  ``reduce`` and ``insert`` are
+    :func:`_row_reduce` and :func:`_row_insert` on such pairs.
+    """
+    ops = field._lane_ops.get(width)
+    if ops is not None:
+        return ops
+    e, mask, inv_rows = field.e, field.q - 1, field._inv_rows
+    top, low, down = _lane_ones(e, width) << (e - 1), field._lane_low, e - 1
+
+    def multiples(r: int) -> list:
+        t = r & top
+        xr = (r ^ t) << 1 ^ (t >> down) * low
+        m = [0, r, xr, r ^ xr]
+        for _ in range(e - 2):
+            t = xr & top
+            xr = (xr ^ t) << 1 ^ (t >> down) * low
+            m += [y ^ xr for y in m]
+        return m
+
+    if field.q << e * width <= _LANE_TABLE_MAX:
+        multiples = list(map(multiples, range(1 << e * width))).__getitem__
+
+    def pivot(x: int) -> tuple:
+        s = (x.bit_length() - 1) // e * e
+        m = multiples(x)
+        a = x >> s
+        return s, (m if a == 1 else list(map(m.__getitem__, inv_rows[a])))
+
+    def reduce(basis, x: int) -> int:
+        for s, m in basis:
+            x ^= m[x >> s & mask]
+        return x
+
+    def insert(basis, x: int) -> tuple | None:
+        for s, m in basis:
+            x ^= m[x >> s & mask]
+        return pivot(x) if x else None
+
+    ops = field._lane_ops[width] = (multiples, pivot, reduce, insert)
+    return ops
+
+
+def _echelon_reduce_gf2(basis: Iterable, x: int) -> int:
+    """:func:`_echelon_reduce` over GF(2) on lanes of one bit, the pairs'
+    pivots being bit positions."""
+    for bit, prow in basis:
+        if x >> bit & 1:
+            x ^= prow
     return x
 
 
-# Every 0/1 row of length n <= 8, indexed by its packed value (itertools
-# order is packed order).  Short rows unpack to these shared tuples, so
-# results that are kept, such as certificates, hold no copies of them.
-_BIT_ROWS = [tuple(itertools.product((0, 1), repeat=n)) for n in range(9)]
-
-
-def _unpack(x: int, n: int) -> tuple[int, ...]:
-    """The length-n 0/1 row of the bitmask x; inverse of :func:`_pack`."""
-    if n < len(_BIT_ROWS):
-        return _BIT_ROWS[n][x]
-    return tuple(x >> s & 1 for s in range(n - 1, -1, -1))
-
-
 def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
-    """:func:`_echelon_insert` over GF(2) on packed rows.
+    """:func:`_echelon_insert` over GF(2) on lanes of one bit.
 
     Pivots are bit positions.  The leading bit is the first nonzero entry,
     so the pairs, and the rows they span, match the tuple version's.
@@ -721,35 +880,45 @@ def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
 
 def _to_rows(field: Field, rows: Iterable[Sequence[int]]) -> list:
     """Rows of entries (a ``Matrix``'s ``rows``, say) in the row format."""
-    return list(map(_pack if field.q == 2 else tuple, rows))
+    return list(map(field._pack if field._lanes else tuple, rows))
 
 
 def _from_row(field: Field, row, ncols: int) -> tuple[int, ...]:
     """The ``ncols`` entries of a row in the row format; inverse of :func:`_to_rows`."""
-    return _unpack(row, ncols) if field.q == 2 else row
+    return field._unpack(row, ncols) if field._lanes else row
 
 
 def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
     """The ``Matrix`` of ``ncols``-wide rows in the row format."""
-    if field.q == 2:
-        rows = (_unpack(r, ncols) for r in rows)
+    if field._lanes:
+        short = field._short_rows
+        if ncols < len(short):
+            rows = map(short[ncols].__getitem__, rows)
+        else:
+            unpack = field._unpack
+            rows = [unpack(r, ncols) for r in rows]
     return Matrix._trusted(field, tuple(rows), ncols)
 
 
 def _zero_row(field: Field, ncols: int):
     """The zero row of width ``ncols`` in the row format."""
-    return 0 if field.q == 2 else (0,) * ncols
+    return 0 if field._lanes else (0,) * ncols
 
 
 def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
     """Rows of the product A B, with B and the result in the row format.
 
     A comes as rows of entries and B as ``ncols``-wide rows.  Row i is the
-    sum of a_ik * b_k; over GF(2) that is the XOR of the B rows its A row
-    selects.
+    sum of a_ik * b_k: on lanes the XOR of entry a_ik of the multiples of
+    each b_k, built once per product, and over GF(2) the XOR of the B rows
+    its A row selects.
     """
     if field.q == 2:
         return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
+    if field._lanes:
+        mults = list(map(_lane_ops(field, ncols)[0], b))
+        pick = list.__getitem__
+        return [functools.reduce(operator.xor, map(pick, mults, r), 0) for r in a]
     add, scaler = field.add, field.scaler
     zero = (0,) * ncols
     out = []
@@ -764,24 +933,39 @@ def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) 
 
 def _row_add(field: Field):
     """The function (a, b) -> a + b on rows in the row format."""
-    if field.q == 2:
+    if field._lanes:
         return operator.xor
     add = field.add
     return lambda a, b: tuple(map(add, a, b))
 
 
+def _row_join(field: Field, width: int):
+    """The function (a, b) -> [a | b] on rows in the row format, for b
+    ``width`` entries wide."""
+    if field._lanes:
+        shift = field.e * width
+        return lambda a, b: a << shift | b
+    return operator.add
+
+
 def _row_scale(field: Field, a: int, row):
     """The row a * row, for a field element a and a row in the row format."""
+    if a == 1:
+        return row
     if field.q == 2:
-        return row if a else 0
+        return 0
+    if field._lanes:
+        # Lanes above the row's are zero, so its bit length gives a width.
+        return _lane_ops(field, -(-row.bit_length() // field.e))[0](row)[a]
     return tuple(map(field.scaler(a), row))
 
 
 def _row_block(field: Field, start: int, stop: int, width: int):
     """The function that reads entries [start, stop) of a ``width``-wide row
     in the row format, as a row in the row format."""
-    if field.q == 2:
-        shift, mask = width - stop, (1 << (stop - start)) - 1
+    if field._lanes:
+        e = field.e
+        shift, mask = e * (width - stop), (1 << e * (stop - start)) - 1
         return lambda x: x >> shift & mask
     return operator.itemgetter(slice(start, stop))
 
@@ -789,24 +973,59 @@ def _row_block(field: Field, start: int, stop: int, width: int):
 def _row_weight(field: Field, start: int, stop: int, width: int):
     """The function that gives the Hamming weight of entries [start, stop)
     of a ``width``-wide row in the row format."""
-    if field.q == 2:
-        shift, mask = width - stop, (1 << (stop - start)) - 1
+    if not field._lanes:
+        return lambda row: stop - start - row[start:stop].count(0)
+    e = field.e
+    shift, mask = e * (width - stop), (1 << e * (stop - start)) - 1
+    if e == 1:
         return lambda x: (x >> shift & mask).bit_count()
-    return lambda row: stop - start - row[start:stop].count(0)
+    # Adding the low e - 1 bits of each lane to all-ones there carries into
+    # the top bit exactly when they are nonzero; the top bits then mark
+    # the nonzero lanes.
+    ones = _lane_ones(e, stop - start)
+    low, top = ones * ((1 << (e - 1)) - 1), ones << (e - 1)
+
+    def weight(x: int) -> int:
+        x = x >> shift & mask
+        return (((x & low) + low | x) & top).bit_count()
+
+    return weight
 
 
-def _row_insert(field: Field):
-    """:func:`_echelon_insert` on rows in the row format, as f(basis, row)."""
+def _row_reduce(field: Field, width: int):
+    """The function (basis, row) -> row reduced against ``basis``, pairs of
+    :func:`_row_insert` in insertion order, on ``width``-wide rows in the
+    row format: :func:`_echelon_reduce` on lanes.
+
+    A lane pair's multiples are 1 at its pivot lane, so the multiple that
+    the row's pivot lane selects clears it in one XOR.
+    """
+    if field.q == 2:
+        return _echelon_reduce_gf2
+    if field._lanes:
+        return _lane_ops(field, width)[2]
+    sub, scaler = field.sub, field.scaler
+    return lambda basis, row: _echelon_reduce(basis, row, sub, scaler)
+
+
+def _row_insert(field: Field, width: int):
+    """:func:`_echelon_insert` on ``width``-wide rows in the row format, as
+    f(basis, row): the remainder of row against ``basis`` as a new pair, or
+    None when it is zero.  A lane pair is the shift of its pivot lane and
+    the q multiples of the row scaled to 1 there, so that
+    :func:`_row_reduce` clears a pivot with one XOR."""
     if field.q == 2:
         return _echelon_insert_gf2
+    if field._lanes:
+        return _lane_ops(field, width)[3]
     # A positional closure: a keyword partial merges its keywords per call.
     sub, scaler, inv = field.sub, field.scaler, field.inv
     return lambda basis, row: _echelon_insert(basis, row, sub, scaler, inv)
 
 
-def _row_rank(field: Field, rows: Iterable) -> int:
-    """Rank of rows in the row format, by :func:`_row_insert`."""
-    insert = _row_insert(field)
+def _row_rank(field: Field, rows: Iterable, width: int) -> int:
+    """Rank of ``width``-wide rows in the row format, by :func:`_row_insert`."""
+    insert = _row_insert(field, width)
     basis: list = []
     for row in rows:
         pair = insert(basis, row)
@@ -815,10 +1034,85 @@ def _row_rank(field: Field, rows: Iterable) -> int:
     return len(basis)
 
 
+def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None) -> tuple:
+    """(RREF rows, pivot columns) of ``width``-wide rows in the row format,
+    pivots sought in the first ``stop`` columns (all by default).
+
+    The algorithm of :func:`mat_rref`: for each column, the first row at or
+    below the next pivot row that is nonzero there is swapped up, scaled
+    to 1 at the column, and subtracted from every other row as often as it
+    has the column's entry; on lanes that is one XOR with a multiple.
+    """
+    work = list(rows)
+    n = len(work)
+    pivots: list[int] = []
+    if stop is None:
+        stop = width
+    r = 0
+    if field._lanes:
+        # The rows from r on are zero before the column scanned, so the
+        # largest of them leads in the next column that is nonzero in any,
+        # and the columns between hold no pivot.
+        e, mask = field.e, field.q - 1
+        pivot = _lane_ops(field, width)[1] if e > 1 else None
+        while r < n:
+            lead = max(work[r:]).bit_length() - 1
+            col = width - 1 - lead // e
+            if lead < 0 or col >= stop:
+                break
+            s = lead - lead % e
+            sel = r
+            while not work[sel] >> s:
+                sel += 1
+            row = work[sel]
+            work[sel] = work[r]
+            if e == 1:
+                # GF(2): the row is 1 at its pivot bit, and rows with that
+                # bit set subtract it.
+                work = [x ^ row if x >> s & 1 else x for x in work]
+            else:
+                m = pivot(row)[1]
+                work = [x ^ m[x >> s & mask] for x in work]
+                row = m[1]
+            work[r] = row
+            pivots.append(col)
+            r += 1
+        return work, pivots
+    sub, scaler, inv = field.sub, field.scaler, field.inv
+    for col in range(stop):
+        if r == n:
+            break
+        sel = next((i for i in range(r, n) if work[i][col]), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        piv = work[r][col]
+        if piv != 1:
+            work[r] = tuple(map(scaler(inv(piv)), work[r]))
+        pair = ((col, work[r]),)
+        for i in range(n):
+            if i != r and work[i][col]:
+                work[i] = _echelon_reduce(pair, work[i], sub, scaler)
+        pivots.append(col)
+        r += 1
+    return work, pivots
+
+
+def _rref_basis(field: Field, rows: Iterable, width: int, stop: int | None = None) -> list:
+    """The pairs of :func:`_row_insert` for the nonzero rows of
+    :func:`_row_rref`.  An RREF row is 1 at its pivot, its leading entry,
+    and 0 at the other pivots, so it is its own remainder against an empty
+    basis."""
+    work, pivots = _row_rref(field, rows, width, stop)
+    insert = _row_insert(field, width)
+    return [insert((), row) for row in work[: len(pivots)]]
+
+
 def row_basis(m: Matrix) -> Matrix:
     """Nonzero rows of the RREF: the canonical basis of the row space."""
-    res = mat_rref(m)
-    return res.rref.take_rows(range(res.rank))
+    f = m.field
+    work, pivots = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    return _from_rows(f, work[: len(pivots)], m.ncols)
 
 
 def null_space(m: Matrix) -> Matrix:
@@ -829,16 +1123,16 @@ def null_space(m: Matrix) -> Matrix:
     is always the zero matrix and the columns are linearly independent.
     """
     f = m.field
-    res = mat_rref(m)
-    piv = set(res.pivots)
+    work, pivots = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    piv = set(pivots)
     free = [j for j in range(m.ncols) if j not in piv]
     neg = f.neg
-    red = res.rref.rows
+    red = _from_rows(f, work[: len(pivots)], m.ncols).rows
     cols = []
     for j in free:
         v = [0] * m.ncols
         v[j] = 1
-        for i, pc in enumerate(res.pivots):
+        for i, pc in enumerate(pivots):
             v[pc] = neg(red[i][j])
         cols.append(v)
     if not cols:
@@ -851,33 +1145,41 @@ def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
 
     Free variables are set to zero, so X uses only the pivot rows of ``a``.
     Solves row by row: each row of ``b`` must lie in the row space of ``a``.
+    Raises ValueError unless ``b`` has ``a.ncols`` columns over the same
+    field.
     """
-    return _solve_left_rref(mat_rref(a), b)
+    x, _ = _solve_left_kernel(a, b)
+    return None if x is None else Matrix._trusted(a.field, x, a.nrows)
 
 
-def _solve_left_rref(res: RrefResult, b: Matrix) -> Matrix | None:
-    """:func:`solve_left` for an ``a`` whose :func:`mat_rref` is ``res``.
+def _solve_left_kernel(a: Matrix, b: Matrix) -> tuple:
+    """(X, K) as rows of entries: X the canonical solution of X a = b, or
+    None when there is none, and K the rows of the transform of the RREF of
+    ``a`` past its rank, which span the left kernel of ``a``.
 
-    Lets a caller that solves many systems with the same ``a`` eliminate it
-    once.  A row [b_row | 0] reduced against the rows [rref | transform]
+    One elimination of [a | I] by :func:`_rref_transform` gives both.  A
+    row [b_row | 0] reduced against its pivot rows [rref | transform]
     leaves [0 | -x] with x a = b_row, or a nonzero left part.  Raises
-    ValueError unless ``b`` has ``a.ncols`` columns over the same field: the
-    reduction zips rows, and would silently drop the extra columns of a
-    wider ``b``.
+    ValueError unless ``b`` has ``a.ncols`` columns over the same field.
     """
-    f = res.rref.field
-    c = res.rref.ncols
+    f, c, k = a.field, a.ncols, a.nrows
     if b.field != f or b.ncols != c:
         raise ValueError("solve_left shape or field mismatch")
-    basis = list(zip(res.pivots, map(operator.add, res.rref.rows, res.transform.rows)))
-    zero = (0,) * res.transform.ncols
-    out_rows = []
-    for brow in b.rows:
-        vec = _echelon_reduce(basis, brow + zero, f.sub, f.scaler)
-        if any(vec[:c]):
-            return None
-        out_rows.append(tuple(map(f.neg, vec[c:])))
-    return Matrix._trusted(f, tuple(out_rows), res.transform.ncols)
+    work, pivots = _rref_transform(a)
+    width = c + k
+    insert, reduce = _row_insert(f, width), _row_reduce(f, width)
+    basis = [insert((), row) for row in work[: len(pivots)]]
+    left, right = _row_block(f, 0, c, width), _row_block(f, c, width, width)
+    zero, minus = _zero_row(f, c), f.neg(1)
+    x: list | None = []
+    for row in map(_row_join(f, k), _to_rows(f, b.rows), itertools.repeat(_zero_row(f, k))):
+        row = reduce(basis, row)
+        if left(row) != zero:
+            x = None
+            break
+        x.append(_row_scale(f, minus, right(row)))
+    kernel = _from_rows(f, map(right, work[len(pivots):]), k).rows
+    return (None if x is None else _from_rows(f, x, k).rows), kernel
 
 
 def row_space_contains(a: Matrix, v: Matrix) -> bool:

@@ -42,6 +42,7 @@ from .galois import (
     Matrix,
     _random_matrix,
     _row_add,
+    _row_join,
     _row_mul,
     _row_rank,
     _to_rows,
@@ -188,15 +189,12 @@ def run_simulation(
                 f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
                 f"{min(v + enc.N, v + ell)} for v={v}, N={enc.N}, ell={ell}"
             )
-        # The payload rows under the pad are [L | L V_S X] = [L | L V_S]
-        # diag(I, X) (private) or L V_S X (shared); ``head`` holds the rows
-        # of [I | 0], and every row of diag(I, X) starts with v zeros.
-        if cfg.lvs_shared:
-            send, head = enc.lvs.rows, []
-        else:
-            send = hstack(enc.L, enc.lvs).rows
-            unit = Matrix.identity(inst.field, inst.d_S).rows
-            head = _to_rows(inst.field, ((0,) * v + e + (0,) * inst.t for e in unit))
+        # A sent row is the pad's v zeros, then in private mode the row of
+        # L, then the row of L V_S X: each row of ``send`` X after its row
+        # of ``head``.
+        send = enc.lvs.rows
+        rows_of_L = ((),) * enc.N if cfg.lvs_shared else enc.L.rows
+        head = _to_rows(inst.field, ((0,) * v + row for row in rows_of_L))
         # The users' demand maps, keyed by the decoded L (None when shared).
         # A trapped error leaves L the encoder's, so most trials share one
         # entry; the dict lives for this call only.
@@ -269,7 +267,7 @@ def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
         a = _random_matrix(rng, field, nrows, r)
         b = _to_rows(field, _random_matrix(rng, field, r, ncols).rows)
         w = _row_mul(field, a.rows, b, ncols)
-        if _row_rank(field, w) == r:
+        if _row_rank(field, w, ncols) == r:
             return w
 
 
@@ -277,10 +275,10 @@ def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
     """One rank trial on rows in the format of ``galois._row_mul``."""
     f, t, v = inst.field, inst.t, cfg.trap_pad
     ell = t if cfg.lvs_shared else inst.d_S + t
-    X = _random_matrix(rng, f, inst.n, t).rows
-    wide = head + _to_rows(f, ((0,) * (v + ell - t) + x for x in X))
+    X = _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)
     W = _rank_error(rng, f, v + enc.N, v + ell, cfg.error_weight)
-    received = W[:v] + list(map(_row_add(f), _row_mul(f, send, wide, v + ell), W[v:]))
+    sent = map(_row_join(f, t), head, _row_mul(f, send, X, t))
+    received = W[:v] + list(map(_row_add(f), sent, W[v:]))
     trapped = _trap_rows(f, received, v, ell)
     if trapped is None:
         for row in tallies:
@@ -292,7 +290,7 @@ def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
     if dmaps is None:
         lvs = _decoded_lvs(inst, L, shared_lvs)
         dmaps = maps[L] = [_demand_map(inst, i, lvs) for i in range(inst.m)]
-    known = _row_mul(f, recv, _to_rows(f, X), t)
+    known = _row_mul(f, recv, X, t)
     start = 0
     for i, u in enumerate(inst.users):
         stop = start + u.d

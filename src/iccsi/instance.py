@@ -43,12 +43,12 @@ from .galois import (
     _row_block,
     _row_mul,
     _row_rank,
+    _row_rref,
     _row_scale,
     _row_weight,
     _to_rows,
     _zero_row,
     field_new,
-    mat_rref,
     null_space,
     row_basis,
     row_space_contains,
@@ -282,15 +282,12 @@ def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.field != b.field or a.ncols != b.ncols:
         raise ValueError("intersection shape or field mismatch")
-    n = a.ncols
+    f, n = a.field, a.ncols
     zero = (0,) * n
-    rows = tuple(r + r for r in a.rows) + tuple(r + zero for r in b.rows)
-    res = mat_rref(Matrix._trusted(a.field, rows, 2 * n))
-    return Matrix._trusted(
-        a.field,
-        tuple(res.rref.rows[k][n:] for k, col in enumerate(res.pivots) if col >= n),
-        n,
-    )
+    rows = [r + r for r in a.rows] + [r + zero for r in b.rows]
+    work, pivots = _row_rref(f, _to_rows(f, rows), 2 * n)
+    right = _row_block(f, n, 2 * n, 2 * n)
+    return _from_rows(f, [right(work[k]) for k, col in enumerate(pivots) if col >= n], n)
 
 
 def one_symbol_view(inst: IccsiInstance) -> IccsiInstance:
@@ -431,11 +428,11 @@ class _WalkBlocks:
 
     def z_rank(self, cols: list) -> int:
         """rank(Z), from the Z blocks of the t columns."""
-        return _row_rank(self.field, map(self.z_vec, cols))
+        return _row_rank(self.field, map(self.z_vec, cols), self.n)
 
     def extra_rank(self, cols: list) -> int:
         """Rank of the t extra blocks, the transpose of extra Z."""
-        return _row_rank(self.field, map(self._extra, cols))
+        return _row_rank(self.field, map(self._extra, cols), self.N)
 
 
 def iter_confusable(

@@ -58,7 +58,7 @@ def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
 def _user_realized(u: UserSpec, lvs: Matrix) -> bool:
     """R_i in rowspace([V^(i); lvs]), by echelon insertion of the rows."""
     f = lvs.field
-    insert = _row_insert(f)
+    insert = _row_insert(f, lvs.ncols)
     basis: list = []
     for row in _to_rows(f, itertools.chain(u.V.rows, lvs.rows)):
         pair = insert(basis, row)
@@ -110,7 +110,7 @@ def min_rank(
             )
         coeffs = ((1,) + c for c in iter_vectors(f, w.nrows))
         cands.append(_row_mul(f, coeffs, _to_rows(f, u.R.rows + w.rows), n))
-    insert = _row_insert(f)
+    insert = _row_insert(f, n)
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.  Adding rows

@@ -1,4 +1,6 @@
-"""Property tests for the Matrix kernels over GF(2), GF(4), GF(7) and GF(9).
+"""Property tests for the Matrix kernels over GF(2), GF(4), GF(7), GF(9),
+GF(8), GF(16), GF(256) and GF(512): lanes of 1 to 4 bits, and entry tuples
+in odd characteristic and above GF(16).
 
 The kernels build their results without validation, so besides the
 algebraic invariants every output is checked to be exactly what the
@@ -20,9 +22,13 @@ from iccsi.galois import (
     vstack,
 )
 
-FIELDS = [field_new(2), field_new(2, 2), field_new(7), field_new(3, 2)]
+FIELDS = [field_new(2), field_new(2, 2), field_new(7), field_new(3, 2)] + [
+    field_new(2, e) for e in (3, 4, 8, 9)
+]
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+# Fields drawn per example: 20 examples per field on average.
+SAMPLED = settings(PROPERTY, max_examples=160)
 
 fields = st.sampled_from(FIELDS)
 dims = st.integers(0, 5)
@@ -92,7 +98,7 @@ def naive_product(a, b):
     return Matrix(f, rows, b.ncols)
 
 
-@PROPERTY
+@SAMPLED
 @given(products())
 def test_product_matches_triple_loop(ab):
     a, b = ab
@@ -101,7 +107,7 @@ def test_product_matches_triple_loop(ab):
     assert out == naive_product(a, b)
 
 
-@PROPERTY
+@SAMPLED
 @given(matrices())
 def test_rref_transform_and_rank(m):
     res = mat_rref(m)
@@ -116,7 +122,7 @@ def test_rref_transform_and_rank(m):
     assert all(not any(r) for r in res.rref.rows[res.rank:])
 
 
-@PROPERTY
+@SAMPLED
 @given(matrices())
 def test_null_space_is_a_kernel_basis(m):
     ns = null_space(m)
@@ -127,7 +133,7 @@ def test_null_space_is_a_kernel_basis(m):
     assert mat_rank(ns) == ns.ncols
 
 
-@PROPERTY
+@SAMPLED
 @given(systems())
 def test_solve_left_solves_when_it_answers(ab):
     a, b = ab
@@ -140,7 +146,7 @@ def test_solve_left_solves_when_it_answers(ab):
         assert x * a == b
 
 
-@PROPERTY
+@SAMPLED
 @given(matrices(), st.data())
 def test_elementwise_and_shape_kernels_stay_valid(m, data):
     f = m.field
@@ -161,7 +167,7 @@ def test_elementwise_and_shape_kernels_stay_valid(m, data):
     assert m * Matrix.identity(f, m.ncols) == m
 
 
-@PROPERTY
+@SAMPLED
 @given(fields, st.integers(1, 4), st.integers(1, 4), st.data())
 def test_public_constructor_rejects_bad_entries(f, nrows, ncols, data):
     rows = data.draw(
@@ -177,7 +183,7 @@ def test_public_constructor_rejects_bad_entries(f, nrows, ncols, data):
         Matrix(f, rows, ncols)
 
 
-@PROPERTY
+@SAMPLED
 @given(fields, st.integers(2, 4), st.integers(1, 4), st.data())
 def test_public_constructor_rejects_ragged_rows(f, nrows, ncols, data):
     rows = [[0] * ncols for _ in range(nrows)]

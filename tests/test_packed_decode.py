@@ -2,14 +2,15 @@
 pipeline they replaced.
 
 ``syndrome_decode`` and the Hamming trials of ``run_simulation`` run on
-rows (packed ints over GF(2), tuples over F_q) with a per-user demand map
-and per-support products built once per decoder.  The references below
-restate the earlier change-of-basis decoder in ``Matrix`` arithmetic: M
-from a right inverse and a kernel of (cache; request), h from a left solve
-and H_upper from a left kernel of L' = L V_S M, the syndrome H (Y - C lam),
-and a scan of error supports by size, then lexicographically, each solved
-by the canonical ``_solve_left_rref``.  Seeded GF(2), GF(3), GF(4) and
-GF(9) instances (users with an empty cache among them, delta 0-2, error
+rows (ints of e-bit lanes over GF(2^e) up to GF(16), tuples otherwise)
+with a per-user demand map and per-support products built once per
+decoder.  The references below restate the earlier change-of-basis
+decoder in ``Matrix`` arithmetic: M from a right inverse and a kernel of
+(cache; request), h from a left solve and H_upper from a left kernel of
+L' = L V_S M, the syndrome H (Y - C lam), and a scan of error supports by
+size, then lexicographically, each solved by the canonical left solve
+against its RREF (``ref_solve_left_rref``).  Seeded GF(2), GF(3), GF(4)
+and GF(9) instances (users with an empty cache among them, delta 0-2, error
 weights 0..delta+1) must give the same outcomes and the same
 ``stable_json``, wrong decodes and ``SyndromeNotFound`` included; both
 decoders must refuse the same encoders and find the same dependent
@@ -24,6 +25,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from conftest import SYN_L
+from test_elimination_reference import ref_solve_left_rref
 
 from iccsi import field_new
 from iccsi.codec import HAMMING, make_encoder
@@ -36,10 +38,8 @@ from iccsi.decoders import (
 from iccsi.galois import (
     Matrix,
     _from_row,
-    _pack,
     _random_matrix,
     _row_mul,
-    _solve_left_rref,
     _to_rows,
     _zero_row,
     hstack,
@@ -92,7 +92,7 @@ def ref_match_syndrome(ctx, beta, delta):
             res = ctx.supports.get(support)
             if res is None:
                 res = ctx.supports[support] = mat_rref(h_upper.take_cols(support).transpose())
-            sol = _solve_left_rref(res, beta_t)
+            sol = ref_solve_left_rref(res, beta_t)
             if sol is None:
                 continue
             values = sol.transpose().rows
@@ -273,7 +273,7 @@ def test_reference_cases_cover_every_outcome():
 def test_row_format_matches_matrix(p, e):
     # Tallies can hide a changed draw or product, so both are compared directly.
     f = field_new(p, e)
-    pack = _pack if f.q == 2 else tuple
+    pack = f._pack if f._lanes else tuple
     assert _to_rows(f, [(0, 0, 0)]) == [_zero_row(f, 3)]
     for seed in range(10):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)

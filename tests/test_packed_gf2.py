@@ -30,9 +30,8 @@ from iccsi.codec import HAMMING, RANK
 from iccsi.galois import (
     _echelon_insert,
     _echelon_insert_gf2,
-    _pack,
     _row_rank,
-    _unpack,
+    _to_rows,
     iter_vectors,
     mat_rank,
     row_basis,
@@ -164,10 +163,10 @@ def test_pack_order_and_round_trip():
     # rows up to length 8 unpack from a table, longer ones bit by bit.
     for n in range(0, 11):
         rows = list(iter_vectors(F2, n))
-        masks = [_pack(r) for r in rows]
-        assert sorted(masks) == [_pack(r) for r in sorted(rows)]
-        assert [_unpack(x, n) for x in masks] == rows
-    assert _pack((1, 0, 0)) == 4 and _unpack(1, 3) == (0, 0, 1)
+        masks = [F2._pack(r) for r in rows]
+        assert sorted(masks) == [F2._pack(r) for r in sorted(rows)]
+        assert [F2._unpack(x, n) for x in masks] == rows
+    assert F2._pack((1, 0, 0)) == 4 and F2._unpack(1, 3) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -180,12 +179,12 @@ def test_echelon_insert_gf2_matches_tuple_insert(seed):
         basis, packed = [], []
         for row in rows:
             pair = _echelon_insert(basis, row, F2.sub, F2.scaler, F2.inv)
-            got = _echelon_insert_gf2(packed, _pack(row))
-            assert got == (None if pair is None else (n - 1 - pair[0], _pack(pair[1])))
+            got = _echelon_insert_gf2(packed, F2._pack(row))
+            assert got == (None if pair is None else (n - 1 - pair[0], F2._pack(pair[1])))
             if pair is not None:
                 basis.append(pair)
                 packed.append(got)
-        assert _row_rank(F2, map(_pack, rows)) == len(basis) == mat_rank(Matrix(F2, rows, n))
+        assert _row_rank(F2, _to_rows(F2, rows), n) == len(basis) == mat_rank(Matrix(F2, rows, n))
 
 
 @pytest.mark.parametrize("n,t,seed", CASES)

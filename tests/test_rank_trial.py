@@ -1,14 +1,15 @@
 """Row-format rank trials, trap decoding and demand maps against the Matrix
 pipeline they replaced.
 
-The rank trials of ``run_simulation`` now run on rows (packed ints over
-GF(2), tuples over F_q), the trap decoder reduces the pad rows on their
+The rank trials of ``run_simulation`` now run on rows (ints of e-bit lanes
+over GF(2^e) up to GF(16), tuples otherwise), the trap decoder reduces the
+pad rows on their
 first v columns, and each user's demand is read off a map fixed per decoded
 L V_S, with a full row reduction when the map's consistency rows Q do not
 vanish.  The references below restate the earlier code: the trap by a
 solve against W_11, the demand by one RREF of the stacked system, and the
-trial in ``Matrix`` arithmetic.  Seeded GF(2), GF(3), GF(4) and GF(9)
-instances, one of them with a coded sender (d_S < n), with shared and
+trial in ``Matrix`` arithmetic.  Seeded GF(2), GF(3), GF(4), GF(8), GF(9)
+and GF(16) instances, one of them with a coded sender (d_S < n), with shared and
 private L V_S, pads 0-3 and every error rank the harness accepts, must give
 the same ``stable_json``; ``solve_demand`` must give the same value or the
 same error on every single-entry corruption of its input.
@@ -34,11 +35,11 @@ from iccsi.decoders import (
 from iccsi.galois import (
     Matrix,
     _random_matrix,
-    _solve_left_rref,
     hstack,
     mat_rank,
     mat_rref,
     rank_weight,
+    solve_left,
     vstack,
 )
 from iccsi.harness import SimConfig, SimReport, UserTally, run_simulation
@@ -53,7 +54,7 @@ def ref_rank_trap_decode(received, v, N, ell):
     w12 = received.take_rows(range(v)).take_cols(range(v, v + ell))
     w21 = received.take_rows(range(v, v + N)).take_cols(range(v))
     res = mat_rref(w11)
-    T = _solve_left_rref(res, w21)
+    T = solve_left(w11, w21)
     if T is None:
         return TrapResult(None, TRAP_FAILURE_DETECTED)
     return TrapResult(payload - T * w12, risk_flag=res.rank == v)
@@ -154,7 +155,9 @@ def encoders(rng, inst):
     return out
 
 
-FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+# GF(8) and GF(16) run the trap, the demand maps and the fallback on 3- and
+# 4-bit lanes.
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4)]
 # (n, d_S, t): the sender holds everything, or a coded 3-dimensional space.
 SHAPES = [(3, 3, 1), (4, 3, 2)]
 

@@ -1,5 +1,5 @@
-"""Round-trip properties of the serialized formats over GF(2), GF(4), GF(7)
-and GF(9): broadcast frames, instance JSON and encoder JSON.
+"""Round-trip properties of the serialized formats over the fields of
+``test_kernel_properties``: broadcast frames, instance JSON and encoder JSON.
 
 Examples are derandomized as in ``test_kernel_properties``, so a run is
 reproducible and writes no example database.
