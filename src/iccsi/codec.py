@@ -161,7 +161,7 @@ def random_ic_search(
     """
     if N <= 0:
         return RandomSearchResult(None, 0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = np.random.default_rng([seed])
     for attempt in range(1, max_attempts + 1):
         L = _random_matrix(rng, inst.field, N, inst.d_S)
         if delta == 0:

@@ -9,7 +9,9 @@ decoding paths read that one map.
 * Hamming syndrome decoding.  Times lam stacked over Y the map gives the
   demand part c [lam; Y] over the syndrome Q [lam; Y], which depends on the
   error alone.  The decoder matches the syndrome against error patterns of
-  at most delta nonzero rows and corrects the demand part.
+  at most delta nonzero rows and corrects the demand part.  Its row form,
+  :func:`_decode_rows`, decodes systems side by side as the blocks of one
+  wide row, with one product per support for all of them.
 
 * Rank error trapping.  The sender pads the payload with v zero rows and
   columns; a rank-r additive error W then exposes enough of its row space
@@ -28,6 +30,8 @@ bits per digit.  Frames carry only fields with the canonical modulus.
 
 from __future__ import annotations
 
+import functools
+import operator
 import struct
 from dataclasses import dataclass, field as dc_field
 from io import BufferedIOBase
@@ -38,13 +42,17 @@ from .galois import (
     Matrix,
     field_new,
     hstack,
-    mat_rref,
     _from_row,
     _from_rows,
     _rref_basis,
+    _rref_transform,
+    _row_add,
     _row_block,
+    _row_keep_blocks,
     _row_mul,
+    _row_nonzero_blocks,
     _row_reduce,
+    _row_scale,
     _solve_left_kernel,
     _to_rows,
     _zero_row,
@@ -89,28 +97,35 @@ class UserDecoder:
         span of B exactly when Q_S beta = 0, and then the error values are
         P_S beta.  c_S is c at the same positions.  Times [alpha; beta] the
         rows give alpha - c_S P_S beta, the corrected demand, over Q_S beta.
+        T comes from the RREF of [B | I] in the row format.
         """
-        size = len(support)
+        f, size = self.field, len(support)
         cols = [self.d + j for j in support]
-        width = self.d + self.N
-        res = mat_rref(Matrix._trusted(self.field, self.rows[1:], width).take_cols(cols))
-        if res.rank < size:
+        r = len(self.rows) - 1
+        B = tuple(tuple(row[c] for c in cols) for row in self.rows[1:])
+        work, pivots = _rref_transform(Matrix._trusted(f, B, size))
+        if len(pivots) < size:
             return ()
-        P = res.transform.take_rows(range(size))
-        c_S = Matrix._trusted(self.field, self.rows[:1], width).take_cols(cols)
-        first = (1,) + (-(c_S * P)).rows[0]
-        return (first,) + tuple((0,) + q for q in res.transform.rows[size:])
+        T = list(map(_row_block(f, size, size + r, size + r), work))
+        neg_c = [[f.neg(self.rows[0][c]) for c in cols]]
+        first = (1,) + _from_row(f, _row_mul(f, neg_c, T[:size], r)[0], r)
+        return (first,) + tuple((0,) + _from_row(f, q, r) for q in T[size:])
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
     """User i's decoder for the encoder L, built on its demand map of
     L V_S.  Raises ValueError when L does not serve user i."""
-    rows = _demand_map(inst, i, L * inst.V_S)
+    return _user_decoder(inst, L * inst.V_S, i)
+
+
+def _user_decoder(inst: IccsiInstance, lvs: Matrix, i: int) -> UserDecoder:
+    """:func:`build_user_decoder` for the encoder whose L V_S is ``lvs``."""
+    rows = _demand_map(inst, i, lvs)
     if not rows:
         raise ValueError(
             f"user {i}: request not in the span of L V_S; L does not realize the instance"
         )
-    return UserDecoder(inst.field, inst.users[i].d, L.nrows, rows)
+    return UserDecoder(inst.field, inst.users[i].d, lvs.nrows, rows)
 
 
 @dataclass(frozen=True)
@@ -150,26 +165,35 @@ def syndrome_decode(
             f"{ctx.N} and {d} rows of equal width"
         )
     t = Y.ncols
-    row = _decode_rows(ctx, _to_rows(f, lam.rows + Y.rows), delta, t)
-    if row is None:
+    row, missed = _decode_rows(ctx, _to_rows(f, lam.rows + Y.rows), delta, t, 1)
+    if missed:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     return DecodeOutcome(_from_rows(f, (row,), t))
 
 
-def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int) -> int | tuple | None:
-    """:func:`syndrome_decode` on width-t rows in the format of
-    :func:`~iccsi.galois._row_mul`: ``right`` is lam stacked over Y, and
-    the result is the demand row, or None when no error pattern matches.
+def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int, count: int) -> tuple:
+    """:func:`syndrome_decode` of ``count`` systems at once, on rows of
+    ``count`` blocks of t entries in the format of
+    :func:`~iccsi.galois._row_mul`: block k of ``right`` is lam stacked
+    over Y of system k.
 
-    The first support that matches has independent columns: a dependent one
-    spans what a smaller subset spans, and the scan reaches that subset
-    first.  So the matching error pattern is unique.
+    Returns the demand row, zero in the blocks that no error pattern
+    matches, and the block mask of those blocks (see
+    :func:`~iccsi.galois._row_nonzero_blocks`).  The support scan multiplies
+    each support's rows once for every block still pending, and a block
+    keeps its first match.  That match has independent columns: a
+    dependent support spans what a smaller subset spans, and the scan
+    reaches that subset first.  So the matching error pattern is unique.
     """
-    f = ctx.field
-    syn = _row_mul(f, ctx.rows, right, t)
-    zeros = [_zero_row(f, t)] * (len(syn) - 1)
-    if syn[1:] == zeros:
-        return syn[0]
+    f, w = ctx.field, t * count
+    nonzero = _row_nonzero_blocks(f, t, count)
+    syn = _row_mul(f, ctx.rows, right, w)
+    pending = functools.reduce(operator.or_, map(nonzero, syn[1:]), 0)
+    if not pending:
+        return syn[0], 0
+    add, keep = _row_add(f), _row_keep_blocks(f, t, count)
+    # syn[0] less its pending blocks; each match adds its block back.
+    demand = add(syn[0], _row_scale(f, f.neg(1), keep(syn[0], pending)))
     memo = ctx.support_rref
     for size in range(1, delta + 1):
         for support in combinations(range(ctx.N), size):
@@ -177,11 +201,14 @@ def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int) -> int | tup
             if rows is None:
                 rows = memo[support] = ctx._support_rows(support)
             if rows:
-                out = _row_mul(f, rows, syn, t)
-                # An independent support leaves Q_S with r - size rows.
-                if out[1:] == zeros[size:]:
-                    return out[0]
-    return None
+                out = _row_mul(f, rows, syn, w)
+                hit = pending & ~functools.reduce(operator.or_, map(nonzero, out[1:]), 0)
+                if hit:
+                    demand = add(demand, keep(out[0], hit))
+                    pending ^= hit
+                    if not pending:
+                        return demand, 0
+    return demand, pending
 
 
 @dataclass(frozen=True)

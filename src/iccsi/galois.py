@@ -57,7 +57,13 @@ entrywise arithmetic does (see ``_LANE_MAX_ORDER``).  :func:`_to_rows`,
 branches on the format, so the
 confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
 decoder, the rank-trap decoder, the demand solve and both kinds of trial
-hold one body for every field.  :func:`_row_mul` is the only matrix
+hold one body for every field.  Two of the helpers read a row as blocks
+of equal size, which the Hamming trials use to run side by side in one
+wide row: :func:`_row_nonzero_blocks` gives the mask of the nonzero blocks
+(on lanes a nonzero-lane test on lanes of e times the block size bits;
+:func:`_row_weight` counts blocks of one entry) and
+:func:`_row_keep_blocks` zeroes the blocks outside a mask (on lanes one
+AND).  :func:`_row_mul` is the only matrix
 product, ``Matrix.__mul__`` included.  ``Matrix`` and every public result
 stay tuple-based.
 
@@ -972,24 +978,48 @@ def _row_block(field: Field, start: int, stop: int, width: int):
 
 def _row_weight(field: Field, start: int, stop: int, width: int):
     """The function that gives the Hamming weight of entries [start, stop)
-    of a ``width``-wide row in the row format."""
-    if not field._lanes:
-        return lambda row: stop - start - row[start:stop].count(0)
-    e = field.e
-    shift, mask = e * (width - stop), (1 << e * (stop - start)) - 1
-    if e == 1:
-        return lambda x: (x >> shift & mask).bit_count()
-    # Adding the low e - 1 bits of each lane to all-ones there carries into
-    # the top bit exactly when they are nonzero; the top bits then mark
-    # the nonzero lanes.
-    ones = _lane_ones(e, stop - start)
-    low, top = ones * ((1 << (e - 1)) - 1), ones << (e - 1)
+    of a ``width``-wide row in the row format: the number of its nonzero
+    blocks of one entry."""
+    block = _row_block(field, start, stop, width)
+    nonzero = _row_nonzero_blocks(field, 1, stop - start)
+    return lambda row: nonzero(block(row)).bit_count()
 
-    def weight(x: int) -> int:
-        x = x >> shift & mask
-        return (((x & low) + low | x) & top).bit_count()
 
-    return weight
+def _row_nonzero_blocks(field: Field, size: int, count: int):
+    """The function that gives the block mask of the nonzero blocks of a
+    row of ``count`` blocks of ``size`` entries in the row format.
+
+    Block k is entries [k size, (k + 1) size).  A block mask is an int
+    with one bit per block, block 0's the highest, so ``bit_count()``
+    counts blocks and masks combine by ``&``, ``|`` and ``^``: on lanes
+    block k's bit is the low bit of its e size bits, elsewhere bit
+    count - 1 - k.
+    """
+    if field._lanes:
+        # Adding the low b - 1 bits of each b-bit lane to all-ones there
+        # carries into the top bit exactly when they are nonzero; the top
+        # bits then mark the nonzero lanes.  Blocks of no entries are zero,
+        # and read as lanes of one zero bit.
+        b = field.e * size or 1
+        ones = _lane_ones(b, count)
+        low, top = ones * ((1 << (b - 1)) - 1), ones << (b - 1)
+        return lambda x: (((x & low) + low | x) & top) >> (b - 1)
+    zero = (0,) * size
+    spans = [(k * size, (k + 1) * size, 1 << (count - 1 - k)) for k in range(count)]
+    return lambda row: sum(bit for a, b, bit in spans if row[a:b] != zero)
+
+
+def _row_keep_blocks(field: Field, size: int, count: int):
+    """The function (row, mask) -> the row with the blocks outside the
+    block mask set to zero, for rows of ``count`` blocks of ``size``
+    entries in the row format (see :func:`_row_nonzero_blocks`)."""
+    if field._lanes:
+        fill = (1 << field.e * size) - 1
+        return lambda x, mask: x & mask * fill
+    zero = (0,) * size
+    spans = [(k * size, (k + 1) * size, 1 << (count - 1 - k)) for k in range(count)]
+    chain = itertools.chain.from_iterable
+    return lambda row, mask: tuple(chain(row[a:b] if mask & bit else zero for a, b, bit in spans))
 
 
 def _row_reduce(field: Field, width: int):

@@ -8,6 +8,12 @@ detected failures, and silently wrong answers.
 Every trial derives its own random stream from (seed, trial index), so
 reports are bit-identical across runs and independent of evaluation order;
 ``SimReport.stable_json`` excludes the wall time for that comparison.
+
+Hamming trials run as blocks of one wide row, in chunks of at most
+``_HAMMING_CHUNK`` trials: trial k of a chunk holds entries [k t, (k+1) t)
+of every row (the galois row format), so the chunk shares each product
+and each user's syndrome search, and every trial still draws from its own
+stream.  Rank trials run one at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .decoders import (
     _demand_rows,
     _split_payload,
     _trap_rows,
-    build_user_decoder,
+    _user_decoder,
 )
 from .galois import (
     Matrix,
@@ -44,7 +50,9 @@ from .galois import (
     _row_add,
     _row_join,
     _row_mul,
+    _row_nonzero_blocks,
     _row_rank,
+    _row_scale,
     _to_rows,
     _zero_row,
     hstack,
@@ -52,6 +60,11 @@ from .galois import (
 )
 from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
+
+# Hamming trials run in chunks of at most this many, as blocks of one wide
+# row: joining a trial onto rows of k blocks costs their width, so a chunk
+# of k trials costs time quadratic in k.
+_HAMMING_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,8 @@ class SimConfig:
     guarantee: bool = False
 
 
-@dataclass(frozen=True)
+# Slotted: a caller that keeps many reports keeps m tallies for each.
+@dataclass(frozen=True, slots=True)
 class UserTally:
     success: int
     detected: int
@@ -177,9 +191,12 @@ def run_simulation(
     if cfg.metric == HAMMING:
         if cfg.error_weight > enc.N:
             raise ValueError("error weight exceeds the code length")
-        decoders = [build_user_decoder(inst, enc.L, i) for i in range(m)]
+        decoders = [_user_decoder(inst, enc.lvs, i) for i in range(m)]
         # [L V_S | I] times X stacked over the error is Y.
         send = hstack(enc.lvs, Matrix.identity(inst.field, enc.N)).rows
+        for start in range(0, cfg.trials, _HAMMING_CHUNK):
+            trials = range(start, min(start + _HAMMING_CHUNK, cfg.trials))
+            _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies)
     else:
         # A (v+N) x (v+ell) error cannot have rank above its smaller side.
         v = cfg.trap_pad
@@ -199,13 +216,8 @@ def run_simulation(
         # A trapped error leaves L the encoder's, so most trials share one
         # entry; the dict lives for this call only.
         maps: dict = {}
-    for trial in range(cfg.trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.seed, trial]))
-        )
-        if cfg.metric == HAMMING:
-            _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies)
-        else:
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng([cfg.seed, trial])
             _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies)
     report = SimReport(
         asdict(cfg),
@@ -218,26 +230,32 @@ def run_simulation(
     return report
 
 
-def _tally(row: list[int], demand, wanted) -> None:
-    if demand is None:
-        row[1] += 1
-    elif demand == wanted:
-        row[0] += 1
-    else:
-        row[2] += 1
-
-
-def _hamming_trial(cfg, inst, enc, rng, decoders, send, recv, tallies) -> None:
-    """One Hamming trial on rows in the format of ``galois._row_mul``."""
-    f, t = inst.field, inst.t
-    X = _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)
-    Y = _row_mul(f, send, X + _hamming_error(rng, f, enc.N, t, cfg.error_weight), t)
-    known = _row_mul(f, recv, X, t)
+def _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies) -> None:
+    """The Hamming trials of the range ``trials`` as blocks of one wide row:
+    the k-th of them holds entries [k t, (k + 1) t) of every row, so one
+    product and one syndrome search per user serve them all.  Each trial
+    draws X and its error from its own stream, as a single trial would."""
+    f, t, count = inst.field, inst.t, len(trials)
+    join = _row_join(f, t)
+    X, E = [_zero_row(f, 0)] * inst.n, [_zero_row(f, 0)] * enc.N
+    for trial in trials:
+        rng = np.random.default_rng([cfg.seed, trial])
+        X = list(map(join, X, _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)))
+        E = list(map(join, E, _hamming_error(rng, f, enc.N, t, cfg.error_weight)))
+    w = t * count
+    Y = _row_mul(f, send, X + E, w)
+    known = _row_mul(f, recv, X, w)
+    nonzero, add, minus_one = _row_nonzero_blocks(f, t, count), _row_add(f), f.neg(1)
     start = 0
     for i, u in enumerate(inst.users):
         stop = start + u.d
-        out = _decode_rows(decoders[i], known[start:stop] + Y, cfg.delta, t)
-        _tally(tallies[i], out, known[stop])
+        demand, missed = _decode_rows(decoders[i], known[start:stop] + Y, cfg.delta, t, count)
+        wrong = nonzero(add(demand, _row_scale(f, minus_one, known[stop]))) & ~missed
+        missed, wrong = missed.bit_count(), wrong.bit_count()
+        row = tallies[i]
+        row[0] += count - missed - wrong
+        row[1] += missed
+        row[2] += wrong
         start = stop + 1
 
 
@@ -299,5 +317,5 @@ def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
         except ValueError:
             tallies[i][1] += 1
         else:
-            _tally(tallies[i], dem, known[stop])
+            tallies[i][0 if dem == known[stop] else 2] += 1
         start = stop + 1

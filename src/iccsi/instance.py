@@ -462,7 +462,7 @@ def _confusable_draws(
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+    rng = np.random.default_rng([seed, i])
     gs, top, width = _walk_setup(inst, i, extra)
     f, k, t = inst.field, len(gs), inst.t
     while count > 0:

@@ -4,17 +4,19 @@ pipeline they replaced.
 ``syndrome_decode`` and the Hamming trials of ``run_simulation`` run on
 rows (ints of e-bit lanes over GF(2^e) up to GF(16), tuples otherwise)
 with a per-user demand map and per-support products built once per
-decoder.  The references below restate the earlier change-of-basis
+decoder; ``run_simulation`` runs a call's trials as blocks of one wide
+row, in chunks, and the reports must not depend on that.  The references below restate the earlier change-of-basis
 decoder in ``Matrix`` arithmetic: M from a right inverse and a kernel of
 (cache; request), h from a left solve and H_upper from a left kernel of
 L' = L V_S M, the syndrome H (Y - C lam), and a scan of error supports by
 size, then lexicographically, each solved by the canonical left solve
 against its RREF (``ref_solve_left_rref``).  Seeded GF(2), GF(3), GF(4)
 and GF(9) instances (users with an empty cache among them, delta 0-2, error
-weights 0..delta+1) must give the same outcomes and the same
-``stable_json``, wrong decodes and ``SyndromeNotFound`` included; both
-decoders must refuse the same encoders and find the same dependent
-supports.
+weights 0..delta+1), and GF(8) and GF(16) ones in simulation, must give the
+same outcomes and the same ``stable_json``, wrong decodes and
+``SyndromeNotFound`` included; both decoders must refuse the same encoders
+and find the same dependent supports, and each support's rows must be the
+ones ``Matrix`` arithmetic gives.
 """
 
 import functools
@@ -32,6 +34,7 @@ from iccsi.codec import HAMMING, make_encoder
 from iccsi.decoders import (
     SYNDROME_NOT_FOUND,
     DecodeOutcome,
+    UserDecoder,
     build_user_decoder,
     syndrome_decode,
 )
@@ -48,7 +51,14 @@ from iccsi.galois import (
     solve_left,
     vstack,
 )
-from iccsi.harness import SimConfig, SimReport, UserTally, _hamming_error, run_simulation
+from iccsi.harness import (
+    _HAMMING_CHUNK,
+    SimConfig,
+    SimReport,
+    UserTally,
+    _hamming_error,
+    run_simulation,
+)
 from iccsi.instance import InstanceError, make_instance
 
 
@@ -288,20 +298,28 @@ def test_row_format_matches_matrix(p, e):
             assert got == list(map(pack, ref_hamming_error(b, f, 6, 3, weight).rows))
 
 
-@pytest.mark.parametrize("p,e,t", CASES)
+# GF(8) and GF(16) put blocks of e t bits with e > 1 in the wide rows.
+HAMMING_CASES = CASES + [(2, 3, 1), (2, 3, 2), (2, 4, 1), (2, 4, 3)]
+
+
+@pytest.mark.parametrize("p,e,t", HAMMING_CASES)
 def test_hamming_simulation_matches_reference(p, e, t):
+    # A call runs its trials as blocks of one wide row, in chunks of
+    # _HAMMING_CHUNK: one trial, a dozen, and one more than a chunk.
     field = field_new(p, e)
     rng = np.random.default_rng([p, e, t, 22])
     inst = random_instance(rng, field, 3, t)
-    for enc, _, _ in realizing_encoders(rng, inst, 2):
+    for k, (enc, _, _) in enumerate(realizing_encoders(rng, inst, 2)):
         for delta in (0, 1, 2):
             for weight in range(min(delta + 1, enc.N) + 1):
-                cfg = SimConfig(
-                    "inline", metric=HAMMING, delta=delta, error_weight=weight,
-                    trials=12, seed=delta * 10 + weight,
-                )
-                got = run_simulation(cfg, inst, enc).stable_json()
-                assert got == ref_hamming_report(cfg, inst, enc)
+                counts = (1, 12) if k or delta != 1 else (1, 12, _HAMMING_CHUNK + 1)
+                for trials in counts:
+                    cfg = SimConfig(
+                        "inline", metric=HAMMING, delta=delta, error_weight=weight,
+                        trials=trials, seed=delta * 10 + weight,
+                    )
+                    got = run_simulation(cfg, inst, enc).stable_json()
+                    assert got == ref_hamming_report(cfg, inst, enc)
 
 
 def test_dependent_support_is_skipped():
@@ -320,6 +338,73 @@ def test_dependent_support_is_skipped():
         assert syndrome_decode(ctx, Y, lam, 2) == ref_syndrome_decode(ref, Y, lam, 2)
     assert ctx.support_rref[(1, 2)] == ()
     assert (1, 2) in ref.dependent()
+
+
+def test_dependent_support_is_reached_by_simulation(monkeypatch):
+    # The instance and L of test_dependent_support_is_skipped: at delta 2
+    # and error weight 2 the blocks the supports (0, 1) and (0, 2) leave
+    # pending reach the dependent (1, 2), and the tallies match the
+    # reference's.
+    f = field_new(2)
+    inst = make_instance(f, 1, 2, [[1, 0], [0, 1]], [([[1, 0]], [0, 1])])
+    enc = make_encoder(Matrix(f, [[1, 0], [0, 1], [0, 1], [1, 0], [1, 0]]), inst, "manual")
+    dependent = []
+    support_rows = UserDecoder._support_rows
+
+    def spy(ctx, support):
+        rows = support_rows(ctx, support)
+        if not rows:
+            dependent.append(support)
+        return rows
+
+    monkeypatch.setattr(UserDecoder, "_support_rows", spy)
+    for trials in (1, 40):
+        cfg = SimConfig("inline", metric=HAMMING, delta=2, error_weight=2, trials=trials, seed=3)
+        assert run_simulation(cfg, inst, enc).stable_json() == ref_hamming_report(cfg, inst, enc)
+    assert (1, 2) in dependent
+
+
+def ref_support_rows(ctx, support):
+    """The rows of UserDecoder._support_rows by Matrix arithmetic: the RREF
+    of the columns of Q at the support, its transform split into P_S and
+    Q_S, and the row (1, -c_S P_S)."""
+    size, width = len(support), ctx.d + ctx.N
+    cols = [ctx.d + j for j in support]
+    res = mat_rref(Matrix(ctx.field, ctx.rows[1:], width).take_cols(cols))
+    if res.rank < size:
+        return ()
+    P = res.transform.take_rows(range(size))
+    c_S = Matrix(ctx.field, ctx.rows[:1], width).take_cols(cols)
+    first = (1,) + (-(c_S * P)).rows[0]
+    return (first,) + tuple((0,) + q for q in res.transform.rows[size:])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)])
+def test_support_rows_match_matrix_construction(p, e):
+    field = field_new(p, e)
+    rng = np.random.default_rng([p, e, 23])
+    seen = Counter()
+    for n, t in ((3, 1), (4, 2)):
+        inst = random_instance(rng, field, n, t)
+        for enc, decoders, _ in realizing_encoders(rng, inst, 2):
+            for ctx in decoders:
+                for size in (1, 2, 3):
+                    for support in combinations(range(ctx.N), size):
+                        rows = ctx._support_rows(support)
+                        assert rows == ref_support_rows(ctx, support)
+                        seen[size, bool(rows)] += 1
+    # Every size, with independent supports, and dependent ones at 2 and 3.
+    assert all(seen[size, True] for size in (1, 2, 3)), seen
+    assert seen[2, False] and seen[3, False], seen
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_syndrome_decode_of_zero_width_broadcast(p, e):
+    f = field_new(p, e)
+    inst = make_instance(f, 1, 2, [[1, 0], [0, 1]], [([[1, 0]], [0, 1])])
+    ctx = build_user_decoder(inst, Matrix(f, [[1, 0], [0, 1], [0, 1], [1, 0], [1, 0]]), 0)
+    got = syndrome_decode(ctx, Matrix(f, [[]] * 5, 0), Matrix(f, [[]], 0), 1)
+    assert got == DecodeOutcome(Matrix(f, [[]], 0))
 
 
 def test_syndrome_decode_rejects_bad_shapes(syn_inst):

@@ -7,7 +7,9 @@ RREF (with and without ``stop``) must agree with loops written here with
 ``Field.mul``, ``Field.add``, ``Field.neg`` and ``Field.inv`` alone, for
 every e from 1 to 8, on seeded rows of every width from 0 to 19, so both
 sides of each table chunk are crossed.  GF(2^9) and GF(9) take the tuple
-path.
+path.  The block helpers, which treat a row as blocks of equal size, are
+checked block by block for e from 1 to 4 and on tuples, with blocks of 1
+to 5 entries.
 """
 
 import itertools
@@ -22,7 +24,9 @@ from iccsi.galois import (
     _row_add,
     _row_block,
     _row_insert,
+    _row_keep_blocks,
     _row_mul,
+    _row_nonzero_blocks,
     _row_rank,
     _row_reduce,
     _row_rref,
@@ -184,3 +188,28 @@ def test_rref_with_and_without_stop(p, e):
                 want = ref_rref(f, rows, n if stop is None else stop)
                 work, pivots = _row_rref(f, _to_rows(f, rows), n, stop)
                 assert ([_from_row(f, x, n) for x in work], pivots) == want
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2)])
+def test_block_mask_and_keep(p, e):
+    f = field_of(p, e)
+    rng = np.random.default_rng([p, e, 6])
+    for size, count in itertools.product(range(1, 6), (1, 2, 3, 6)):
+        n = size * count
+        nonzero, keep = _row_nonzero_blocks(f, size, count), _row_keep_blocks(f, size, count)
+        zero = (0,) * size
+        # The mask of block k alone: one bit, block 0's the highest.
+        unit = [
+            nonzero(_to_rows(f, [zero * k + (1,) * size + zero * (count - 1 - k)])[0])
+            for k in range(count)
+        ]
+        assert [m.bit_count() for m in unit] == [1] * count
+        assert unit == sorted(set(unit), reverse=True)
+        for _ in range(5):
+            blocks = [b if rng.integers(0, 2) else zero for b in rows_over(rng, f, count, size)]
+            x = _to_rows(f, [sum(blocks, ())])[0]
+            assert nonzero(x) == sum(m for m, b in zip(unit, blocks) if any(b))
+            for chosen in itertools.product((False, True), repeat=count):
+                mask = sum(m for m, c in zip(unit, chosen) if c)
+                want = sum((b if c else zero for b, c in zip(blocks, chosen)), ())
+                assert _from_row(f, keep(x, mask), n) == want
