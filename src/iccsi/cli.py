@@ -7,7 +7,9 @@ tables), ``encode`` (build and export an encoder), ``decode`` (one-shot
 decode of a broadcast frame), ``simulate`` (Monte-Carlo noisy broadcasts).
 
 Exit codes: 0 success, 2 validation error, 3 decode failure, 4 enumeration
-budget exceeded.
+budget exceeded.  ``decode`` checks a frame against the instance and the
+encoder before any decoding, so a mismatch exits 2 whatever the payload
+holds.
 """
 
 from __future__ import annotations
@@ -40,17 +42,20 @@ from .codec import (
 )
 from .decoders import (
     FLAG_LVS_SHARED,
+    TRAP_FAILURE_DETECTED,
     FrameError,
     _decoded_lvs,
+    _demand_map,
+    _demand_rows,
+    _payload_width,
     _split_payload,
-    build_user_decoder,
-    rank_trap_decode,
+    _trap_rows,
+    _user_decoder,
     read_frame,
-    solve_demand,
     syndrome_decode,
 )
-from .galois import MAX_FIELD_ORDER, Matrix, _from_rows, _prime_factors, _to_rows
-from .harness import SimConfig, run_simulation, wilson_interval
+from .galois import MAX_FIELD_ORDER, Matrix, _from_row, _prime_factors, _to_rows
+from .harness import SimConfig, run_simulation
 from .instance import BudgetExceeded, InstanceError, load_instance
 from .minrank import alpha as alpha_search
 from .minrank import min_rank
@@ -394,52 +399,40 @@ def _cmd_decode(args) -> int:
         raise InstanceError("frame field does not match the instance")
     lam = _load_side(args.side, inst, args.user)
     v, N, ell, flags = layout["v"], layout["N"], layout["ell"], layout["flags"]
+    # The one frame check, before any decoding: a shared L V_S (always at
+    # v = 0) needs the encoder, and it fixes N.
+    shared = v == 0 or bool(flags & FLAG_LVS_SHARED)
+    if shared and not args.encoder:
+        raise InstanceError("this frame needs --encoder")
+    enc = load_encoder(args.encoder, inst) if shared else None
+    if ell != _payload_width(inst, shared) or (enc is not None and enc.N != N):
+        against = "the encoder and instance" if shared else "the instance"
+        raise InstanceError(f"frame layout does not match {against}")
     if v == 0:
-        enc = _require_encoder(args, inst)
-        if enc.N != N or ell != inst.t:
-            raise InstanceError("frame layout does not match the encoder and instance")
         delta = args.delta
         if delta is None:
             delta = enc.certificate.delta if enc.certificate is not None else 0
-        ctx = build_user_decoder(inst, enc.L, args.user)
-        out = syndrome_decode(ctx, payload, lam, delta)
+        out = syndrome_decode(_user_decoder(inst, enc.lvs, args.user), payload, lam, delta)
         if not out.ok:
             print(out.failure, file=sys.stderr)
             return EXIT_DECODE
-        _print_demand(out.demand)
+        print("demand: " + " ".join(map(str, out.demand.rows[0])))
         return EXIT_OK
-    tr = rank_trap_decode(payload, v, N, ell)
-    if not tr.ok:
-        print(tr.failure, file=sys.stderr)
+    f, t = inst.field, inst.t
+    trapped = _trap_rows(f, _to_rows(f, payload.rows), v, ell)
+    if trapped is None:
+        print(TRAP_FAILURE_DETECTED, file=sys.stderr)
         return EXIT_DECODE
-    shared_lvs = None
-    if flags & FLAG_LVS_SHARED:
-        enc = _require_encoder(args, inst)
-        if enc.N != N or ell != inst.t:
-            raise InstanceError("frame layout does not match the encoder and instance")
-        shared_lvs = enc.lvs
-    elif ell != inst.d_S + inst.t:
-        raise InstanceError("frame layout does not match the instance")
-    f = inst.field
-    L, Y = _split_payload(inst, _to_rows(f, tr.Q.rows), ell, shared_lvs)
-    lvs = _decoded_lvs(inst, L, shared_lvs)
+    shared_lvs = enc.lvs if shared else None
+    L, Y = _split_payload(inst, trapped[0], ell, shared_lvs)
+    dmap = _demand_map(inst, args.user, _decoded_lvs(inst, L, shared_lvs))
     try:
-        demand = solve_demand(inst, args.user, lvs, _from_rows(f, Y, inst.t), lam)
+        row = _demand_rows(inst, args.user, dmap, _to_rows(f, lam.rows) + Y, t)
     except ValueError as exc:
         print(f"decode failed: {exc}", file=sys.stderr)
         return EXIT_DECODE
-    _print_demand(demand)
+    print("demand: " + " ".join(map(str, _from_row(f, row, t))))
     return EXIT_OK
-
-
-def _require_encoder(args, inst):
-    if not args.encoder:
-        raise InstanceError("this frame needs --encoder")
-    return load_encoder(args.encoder, inst)
-
-
-def _print_demand(demand: Matrix) -> None:
-    print("demand: " + " ".join(str(x) for x in demand.rows[0]))
 
 
 def _cmd_simulate(args) -> int:
@@ -456,18 +449,18 @@ def _cmd_simulate(args) -> int:
         guarantee=args.guarantee,
     )
     rep = run_simulation(cfg)
-    for i, u in enumerate(rep.users):
-        rate = u.success / rep.trials
-        lo, hi = wilson_interval(u.success, rep.trials)
+    doc = rep.to_dict()
+    for i, u in enumerate(doc["users"]):
+        lo, hi = u["wilson"]
         print(
-            f"user {i}: success {u.success}/{rep.trials} rate={rate:.4f} "
-            f"wilson=[{lo:.4f},{hi:.4f}] detected={u.detected} "
-            f"undetected={u.undetected}"
+            f"user {i}: success {u['success']}/{rep.trials} rate={u['rate']:.4f} "
+            f"wilson=[{lo:.4f},{hi:.4f}] detected={u['detected']} "
+            f"undetected={u['undetected']}"
         )
     print(f"wall time: {rep.wall_time:.2f}s")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_dict(), fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
     return EXIT_OK
 

@@ -287,6 +287,12 @@ def _trap_rows(field, rows: list, v: int, ell: int) -> tuple | None:
     return payload, len(basis) == v
 
 
+def _payload_width(inst: IccsiInstance, shared: bool) -> int:
+    """The width ell of a trapped payload: Y alone, t wide, when the
+    receivers share L V_S, else [L | Y], d_S + t wide."""
+    return inst.t if shared else inst.d_S + inst.t
+
+
 def _split_payload(inst: IccsiInstance, Q: list, ell: int, shared_lvs: Matrix | None) -> tuple:
     """(L, Y) of the ``ell``-wide rows Q of a trapped payload, in the
     format of :func:`~iccsi.galois._row_mul`.

@@ -40,6 +40,7 @@ from .decoders import (
     _decoded_lvs,
     _demand_map,
     _demand_rows,
+    _payload_width,
     _split_payload,
     _trap_rows,
     _user_decoder,
@@ -200,7 +201,7 @@ def run_simulation(
     else:
         # A (v+N) x (v+ell) error cannot have rank above its smaller side.
         v = cfg.trap_pad
-        ell = inst.t if cfg.lvs_shared else inst.d_S + inst.t
+        ell = _payload_width(inst, cfg.lvs_shared)
         if cfg.error_weight > min(v + enc.N, v + ell):
             raise ValueError(
                 f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
@@ -292,7 +293,7 @@ def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
 def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
     """One rank trial on rows in the format of ``galois._row_mul``."""
     f, t, v = inst.field, inst.t, cfg.trap_pad
-    ell = t if cfg.lvs_shared else inst.d_S + t
+    ell = _payload_width(inst, cfg.lvs_shared)
     X = _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)
     W = _rank_error(rng, f, v + enc.N, v + ell, cfg.error_weight)
     sent = map(_row_join(f, t), head, _row_mul(f, send, X, t))

@@ -142,8 +142,6 @@ def make_instance(
         vs_raw = Matrix(field, sender_rows, n)
     except ValueError as exc:
         raise InstanceError(f"sender matrix: {exc}") from None
-    if vs_raw.ncols != n:
-        raise InstanceError(f"sender matrix has {vs_raw.ncols} columns, expected {n}")
     V_S = row_basis(vs_raw)
     specs = []
     for i, (v_rows, r_row) in enumerate(users):
@@ -152,8 +150,6 @@ def make_instance(
             r = Matrix(field, (r_row,), n)
         except ValueError as exc:
             raise InstanceError(f"user {i}: {exc}") from None
-        if v_raw.ncols != n or r.ncols != n:
-            raise InstanceError(f"user {i}: row length does not match n={n}")
         V = row_basis(v_raw)
         if r.is_zero():
             raise InstanceError(f"user {i}: request row is zero")

@@ -480,6 +480,50 @@ def test_cli_decode_trapped_frame(shared, inst_file, tmp_path, capsys, syn_inst)
     assert capsys.readouterr().out == f"demand: {want}\n"
 
 
+@pytest.mark.parametrize("trap_fails", [True, False], ids=["trap-fails", "clean-pad"])
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        pytest.param("private-wide", "frame layout does not match", id="private-wide"),
+        pytest.param("shared-no-encoder", "needs --encoder", id="shared-no-encoder"),
+        pytest.param("shared-wrong-N", "frame layout does not match", id="shared-wrong-N"),
+    ],
+)
+def test_cli_decode_layout_mismatch_exits_2(
+    layout, message, trap_fails, inst_file, tmp_path, capsys, syn_inst
+):
+    # The frame is checked against the instance and the encoder before the
+    # trap runs, so a frame that does not fit them exits 2 whatever its
+    # payload holds: a private payload one column wider than d_S + t, a
+    # shared frame without --encoder, and one whose N is not the encoder's.
+    enc = _syn_encoder(syn_inst)
+    v, t = 2, syn_inst.t
+    N = enc.N + 1 if layout == "shared-wrong-N" else enc.N
+    ell = syn_inst.d_S + t + 1 if layout == "private-wide" else t
+    received = trap_pad(Matrix.zeros(F2, N, ell), v)
+    if trap_fails:
+        # A 1 in a pad column below the zero pad rows: no error in the pad
+        # rows explains it, so the trap reports a failure.
+        a = Matrix.column_vector(F2, tuple(int(r == v) for r in range(v + N)))
+        b = Matrix.row_vector(F2, (1,) + (0,) * (v + ell - 1))
+        received = received + a * b
+    frame = tmp_path / "y.bin"
+    with open(frame, "wb") as fh:
+        write_frame(fh, received, v=v, ell=ell,
+                    flags=0 if layout == "private-wide" else FLAG_LVS_SHARED)
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps([[0]] * syn_inst.users[3].d))
+    argv = ["decode", "--frame", str(frame), "--instance", inst_file,
+            "--user", "3", "--side", str(side)]
+    if layout == "shared-wrong-N":
+        enc_path = tmp_path / "enc.json"
+        save_encoder(enc, enc_path)
+        argv += ["--encoder", str(enc_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "demand:" not in captured.out
+
+
 def test_cli_decode_field_mismatch(inst_file, tmp_path, capsys):
     f3 = field_new(3, 1)
     frame = tmp_path / "y3.bin"

@@ -73,6 +73,9 @@ def test_validation_errors():
     with pytest.raises(InstanceError):
         # ragged row
         make_instance(F2, 1, 2, ident(2), [([[1, 0, 1]], [0, 1])])
+    with pytest.raises(InstanceError, match="sender matrix"):
+        # sender rows of the wrong width
+        make_instance(F2, 1, 2, ident(3), [([[1, 0]], [0, 1])])
 
 
 def test_sender_space_can_be_proper():
