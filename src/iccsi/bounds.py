@@ -167,6 +167,9 @@ def hamming_random_ecic_prob(
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    for d in d_list:  # a request lies outside its cache, so d_i < n
+        if not 0 <= d < n:
+            raise ValueError(f"d_i must satisfy 0 <= d_i < n, got {d}")
     _check_power(q, N, "q^N")
     _check_power(q, n - min(d_list) - 1, "q^(n-d-1)")
     params = {
@@ -336,6 +339,9 @@ def rank_random_ecic_prob(
     verdict is the exact existence condition sum |Z_delta| V < q^(N t).
     """
     params = {"d_list": list(d_list), "n": n, "t": t, "N": N, "delta": delta, "q": q}
+    for d in d_list:  # a request lies outside its cache, so d_i < n
+        if not 0 <= d < n:
+            raise ValueError(f"d_i must satisfy 0 <= d_i < n, got {d}")
     _check_power(q, N * t, "q^(N t)")
     _check_power(q, (n - min(d_list, default=n)) * t, "q^((n-d) t)")
     vol = sphere_vol_rank(N, t, 2 * delta, q)

@@ -8,8 +8,8 @@ decode of a broadcast frame), ``simulate`` (Monte-Carlo noisy broadcasts).
 
 Exit codes: 0 success, 2 validation error, 3 decode failure, 4 enumeration
 budget exceeded.  ``decode`` checks a frame against the instance and the
-encoder before any decoding, so a mismatch exits 2 whatever the payload
-holds.
+encoder, whenever one is given, before any decoding, so a mismatch exits 2
+whatever the payload holds.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .codec import (
     RANK,
     concat_kappa_bound,
     coset_encoder,
+    encoder_to_json,
     extended_rs_generator,
     load_encoder,
     random_ic_search,
@@ -56,7 +57,7 @@ from .decoders import (
 )
 from .galois import MAX_FIELD_ORDER, Matrix, _from_row, _prime_factors, _to_rows
 from .harness import SimConfig, run_simulation
-from .instance import BudgetExceeded, InstanceError, load_instance
+from .instance import BudgetExceeded, InstanceError, _parse_json, load_instance
 from .minrank import alpha as alpha_search
 from .minrank import min_rank
 
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InstanceError, FrameError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -368,15 +369,13 @@ def _cmd_encode(args) -> int:
     if args.out:
         save_encoder(enc, args.out)
     else:
-        from .codec import encoder_to_json
-
         print(encoder_to_json(enc))
     return EXIT_OK
 
 
 def _load_side(path: str, inst, user: int) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _parse_json(fh.read())
     rows = doc.get("rows") if isinstance(doc, dict) else doc
     if not isinstance(rows, list):
         raise InstanceError('side file must hold a list of rows, bare or under "rows"')
@@ -400,13 +399,13 @@ def _cmd_decode(args) -> int:
     lam = _load_side(args.side, inst, args.user)
     v, N, ell, flags = layout["v"], layout["N"], layout["ell"], layout["flags"]
     # The one frame check, before any decoding: a shared L V_S (always at
-    # v = 0) needs the encoder, and it fixes N.
+    # v = 0) needs the encoder, and an encoder, whenever given, fixes N.
     shared = v == 0 or bool(flags & FLAG_LVS_SHARED)
     if shared and not args.encoder:
         raise InstanceError("this frame needs --encoder")
-    enc = load_encoder(args.encoder, inst) if shared else None
+    enc = load_encoder(args.encoder, inst) if args.encoder else None
     if ell != _payload_width(inst, shared) or (enc is not None and enc.N != N):
-        against = "the encoder and instance" if shared else "the instance"
+        against = "the instance" if enc is None else "the encoder and instance"
         raise InstanceError(f"frame layout does not match {against}")
     if v == 0:
         delta = args.delta

@@ -16,7 +16,6 @@ instance; in the rank metric it ranges over confusables of rank at least
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -39,6 +38,8 @@ from .instance import (
     _WalkBlocks,
     _confusable_draws,
     _confusable_walk,
+    _parse_json,
+    dump_compact,
     one_symbol_view,
 )
 from .minrank import _user_realized, min_rank, realizes_ic
@@ -366,8 +367,6 @@ def encoder_to_dict(enc: EncodingMatrix) -> dict:
 
 
 def encoder_to_json(enc: EncodingMatrix) -> str:
-    from .instance import dump_compact
-
     return dump_compact(encoder_to_dict(enc))
 
 
@@ -402,7 +401,7 @@ def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
 
 def load_encoder(path: str, inst: IccsiInstance) -> EncodingMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return encoder_from_dict(json.load(fh), inst)
+        return encoder_from_dict(_parse_json(fh.read()), inst)
 
 
 def save_encoder(enc: EncodingMatrix, path: str) -> None:

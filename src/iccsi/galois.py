@@ -7,10 +7,8 @@ first: the integer ``d0 + d1*p + ... + d_{e-1}*p^(e-1)`` stands for
 
 Multiplication uses exp/log tables built from a generator g of the
 multiplicative group, so q is capped at 2**16.  The exp table steps from
-g^k to g^(k+1): by shift-and-XOR multiplication in characteristic 2, by one
-product mod p in prime fields, and in odd extension fields through a table
-of g y for every y, one vectorised product of base-p digits and one
-reduction.  Addition takes one
+g^k to g^(k+1) through a table of g y for every y, in every field one
+vectorised product of base-p digits and one reduction.  Addition takes one
 path per kind of field: a bitwise XOR in characteristic 2, where the encoding
 adds digit by digit without carries; ordinary arithmetic mod p in prime
 fields; and in odd extension fields a Zech-logarithm table, 1 + g^k = g^z(k),
@@ -180,23 +178,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _clmul_mod(a: int, b: int, mod: int) -> int:
-    """Product of GF(2)[x] bitmasks a * b, bit i the x^i coefficient.
-
-    a must be reduced; mod is the modulus with its leading bit.
-    """
-    top = mod.bit_length() - 1
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> top & 1:
-            a ^= mod
-    return out
-
-
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     for tail in itertools.product(range(p), repeat=e):
         cand = list(tail) + [1]
@@ -344,21 +325,21 @@ class Field:
         return out
 
     def _times_table(self, g: int) -> list[int]:
-        """The products g * y for every y in range(q), in an odd extension
-        field: every element's base-p digits times those of g in one
-        vectorised polynomial product, then one reduction by the monic
-        modulus, top digit first."""
+        """The products g * y for every y in range(q): every element's
+        base-p digits times those of g in one vectorised polynomial
+        product, then one reduction by the monic modulus, top digit first.
+        int64, as in GF(65521) a digit product g y can reach 2^32."""
         import numpy as np
 
         p, e, q = self.p, self.e, self.q
-        powers = p ** np.arange(e, dtype=np.int32)
-        digits = np.arange(q, dtype=np.int32)[:, None] // powers % p
-        prod = np.zeros((q, 2 * e - 1), dtype=np.int32)
+        powers = p ** np.arange(e, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
+        prod = np.zeros((q, 2 * e - 1), dtype=np.int64)
         for j in range(e):
             c = g // p**j % p
             if c:
                 prod[:, j:j + e] += c * digits
-        low = np.array(self.modulus[:e], dtype=np.int32)
+        low = np.array(self.modulus[:e], dtype=np.int64)
         for k in range(2 * e - 2, e - 1, -1):
             prod[:, k - e:k] -= (prod[:, k] % p)[:, None] * low
         return ((prod[:, :e] % p) @ powers).tolist()
@@ -373,21 +354,14 @@ class Field:
             for cand in range(1, q)
             if all(self._pow_raw(cand, k) != 1 for k in cofactors)
         )
-        if self.p == 2:
-            # Shift-and-XOR by the generator, reduced by the modulus bitmask.
-            mod = sum(c << i for i, c in enumerate(self.modulus))
-            times_gen = functools.partial(_clmul_mod, b=gen, mod=mod)
-        elif self.e == 1:
-            times_gen = functools.partial(self._mul_raw, b=gen)
-        else:
-            times_gen = self._times_table(gen).__getitem__
+        times_gen = self._times_table(gen)
         exp = [1] * (q - 1)
         log = [0] * q
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = times_gen(x)
+            x = times_gen[x]
         self.generator = gen
         self._exp = exp
         self._log = log

@@ -163,15 +163,18 @@ def make_instance(
     return IccsiInstance(field, t, n, V_S, tuple(specs))
 
 
+def _parse_json(text: str):
+    """The JSON value of text; malformed or too deeply nested text raises
+    InstanceError, not JSONDecodeError or RecursionError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"invalid JSON: {exc}") from None
+
+
 def parse_instance(source: str | dict) -> IccsiInstance:
     """Parse an instance from a JSON string or an already-decoded dict."""
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"invalid JSON: {exc}") from None
-    else:
-        doc = source
+    doc = _parse_json(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise InstanceError("top-level JSON value must be an object")
     required = {"p", "e", "t", "n", "sender", "users"}

@@ -111,6 +111,16 @@ def min_rank(
         coeffs = ((1,) + c for c in iter_vectors(f, w.nrows))
         cands.append(_row_mul(f, coeffs, _to_rows(f, u.R.rows + w.rows), n))
     insert = _row_insert(f, n)
+    # A user whose cache meets the sender space only in 0 has the one
+    # candidate R_i, which every choice holds: insert those rows once, and
+    # walk the others, each of which at least doubles the coset, so the
+    # depth is at most log2(budget).
+    forced: list = []
+    for row in (c[0] for c in cands if len(c) == 1):
+        pair = insert(forced, row)
+        if pair is not None:
+            forced.append(pair)
+    free = [i for i in range(m) if len(cands[i]) > 1]
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.  Adding rows
@@ -119,29 +129,30 @@ def min_rank(
     best_choice: tuple[int, ...] = ()
     choice = [0] * m
 
-    def walk(user: int, pivrows) -> bool:
+    def walk(k: int, pivrows) -> bool:
         nonlocal best_rank, best_choice
-        if user < 0:
+        if k < 0:
             best_rank = len(pivrows)
             best_choice = tuple(choice)
             return best_rank <= lower_bound
+        user = free[k]
         for idx, row in enumerate(cands[user]):
             if len(pivrows) >= best_rank:
                 return False
             choice[user] = idx
             pair = insert(pivrows, row)
             if pair is None:
-                if walk(user - 1, pivrows):
+                if walk(k - 1, pivrows):
                     return True
             elif len(pivrows) + 1 < best_rank:
                 pivrows.append(pair)
-                done = walk(user - 1, pivrows)
+                done = walk(k - 1, pivrows)
                 pivrows.pop()
                 if done:
                     return True
         return False
 
-    walk(m - 1, [])
+    walk(len(free) - 1, forced)
     chosen = _from_rows(f, (cands[i][best_choice[i]] for i in range(m)), n)
     basis = row_basis(chosen)
     witness = solve_left(inst.V_S, basis)

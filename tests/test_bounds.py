@@ -31,6 +31,7 @@ from iccsi.bounds import (
     render_decimal,
     singleton_lb,
 )
+from iccsi.cli import main
 from iccsi.galois import (
     gaussian_binomial,
     iter_vectors,
@@ -164,6 +165,19 @@ def test_hamming_random_ecic_prob_formula():
     strong = hamming_random_ecic_prob([3] * 2, 4, 7, 1, 2)
     assert strong.verdict is True
     assert 0 < strong.value < 1
+
+
+@pytest.mark.parametrize("d", [5, 10], ids=["d=n", "d=n+5"])
+def test_random_ecic_probs_refuse_cache_as_large_as_message_space(d, capsys):
+    # A request lies outside its cache, so every d_i < n: d_i >= n names no
+    # user and must not yield a value or an existence verdict.
+    with pytest.raises(ValueError, match="0 <= d_i < n"):
+        hamming_random_ecic_prob([d], 5, 3, 0, 2)
+    with pytest.raises(ValueError, match="0 <= d_i < n"):
+        rank_random_ecic_prob([1, d], 5, 2, 3, 0, 2)
+    for bound in ("hamming", "rank"):
+        assert main(["bounds", "--bound", bound, "--n", "5", "--d", str(d)]) == 2
+        assert f"error: d_i must satisfy 0 <= d_i < n, got {d}" in capsys.readouterr().err
 
 
 def test_q_entropy():

@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import random
 import time
 
 import pytest
@@ -98,8 +99,8 @@ PRIME_POWERS_TO_256 = [
 
 @pytest.mark.parametrize("p,e", PRIME_POWERS_TO_256, ids=lambda v: str(v))
 def test_generator_matches_brute_force_search(p, e):
-    # The tables step by _mul_raw here; the field fills them by
-    # shift-and-XOR (p = 2), mod p (e = 1) or a vectorised table of g * y.
+    # The tables step by _mul_raw here; the field fills them through its
+    # vectorised table of g * y.
     f = Field(p, e)
     gen = _brute_force_generator(f)
     assert f.generator == gen
@@ -113,8 +114,9 @@ def test_generator_matches_brute_force_search(p, e):
 
 @pytest.mark.parametrize("e", range(1, 11))
 def test_char2_tables_match_mul_raw_fill(e):
-    # Characteristic 2 fills the tables by shift-and-XOR; the reference fill
-    # takes polynomial products with _mul_raw, generator found by brute force.
+    # The field fills the tables through its table of g * y; the reference
+    # fill takes polynomial products with _mul_raw, generator found by brute
+    # force.
     f = Field(2, e)
     gen = _brute_force_generator(f)
     exp, log, x = [], [0] * f.q, 1
@@ -123,6 +125,21 @@ def test_char2_tables_match_mul_raw_fill(e):
         log[x] = i
         x = f._mul_raw(x, gen)
     assert (f.generator, f._exp, f._log) == (gen, exp, log)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (65521, 1)], ids=str)
+def test_large_field_tables_step_by_mul_raw(p, e):
+    # Past the brute-force checks above: each exp step is one _mul_raw
+    # product by the generator, and log inverts exp.  In GF(65521) the
+    # table of (q - 1) * y holds digit products up to 2^32.
+    f = Field(p, e)
+    rng = random.Random(20)
+    for k in rng.sample(range(f.q - 2), 1000):
+        assert f._exp[k + 1] == f._mul_raw(f._exp[k], f.generator)
+    assert [f._log[x] for x in f._exp] == list(range(f.q - 1))
+    table = f._times_table(f.q - 1)
+    for y in rng.sample(range(f.q), 1000):
+        assert table[y] == f._mul_raw(f.q - 1, y)
 
 
 def test_large_odd_extension_field_builds_fast():

@@ -265,10 +265,17 @@ def test_cli_validate_ok(inst_file, capsys):
     assert "ok: m=4 users, n=4 rows of t=1 symbols over GF(2)" in out
 
 
-def test_cli_validate_missing_file(tmp_path, capsys):
-    code = main(["validate", "--instance", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+def test_cli_validate_missing_file(inst_file, tmp_path, capsys):
+    # A missing file, a directory given as the instance, and a directory
+    # given as encode's --out: each is an OSError, refused with exit 2.
+    for argv in (
+        ["validate", "--instance", str(tmp_path / "nope.json")],
+        ["validate", "--instance", str(tmp_path)],
+        ["encode", "--instance", inst_file, "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_cli_validate_malformed(tmp_path, capsys):
@@ -478,6 +485,18 @@ def test_cli_decode_trapped_frame(shared, inst_file, tmp_path, capsys, syn_inst)
     assert main(argv) == 0
     want = (syn_inst.users[3].R * X).rows[0][0]
     assert capsys.readouterr().out == f"demand: {want}\n"
+    if not shared:
+        # A private frame needs no encoder, but one given is loaded and its
+        # N checked: a missing file, malformed JSON and an encoder one row
+        # shorter exit 2, and the right encoder decodes the same demand.
+        bad, short, right = (tmp_path / name for name in ("bad.json", "short.json", "enc.json"))
+        bad.write_text("{")
+        save_encoder(make_encoder(Matrix(F2, SYN_L[1:]), syn_inst, "manual"), short)
+        save_encoder(enc, right)
+        for path, code in ((tmp_path / "nope.json", 2), (bad, 2), (short, 2), (right, 0)):
+            assert main(argv + ["--encoder", str(path)]) == code
+            out = capsys.readouterr().out
+            assert out == (f"demand: {want}\n" if code == 0 else "")
 
 
 @pytest.mark.parametrize("trap_fails", [True, False], ids=["trap-fails", "clean-pad"])
@@ -644,6 +663,9 @@ def test_cli_encode_sampled_rank_check_near_cap_exits_4(tmp_path, capsys):
     assert "100000 samples of k t = 13782" in capsys.readouterr().err
 
 
+_DEEP_JSON = "[" * 200_000
+
+
 @pytest.mark.parametrize(
     "kind,doc",
     [
@@ -664,11 +686,15 @@ def test_cli_encode_sampled_rank_check_near_cap_exits_4(tmp_path, capsys):
                       "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
         ("instance", {"p": 2, "e": 2, "t": 1, "n": 2, "modulus": [[1], [1], [1]],
                       "sender": ident(2), "users": [{"V": [[1, 0]], "R": [0, 1]}]}),
+        # JSON nested deeper than the parser's recursion limit, as text:
+        # json.dumps cannot build it.
+        *(pytest.param(kind, _DEEP_JSON, id=f"{kind}-deep")
+          for kind in ("instance", "encoder", "side")),
     ],
 )
 def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if doc is _DEEP_JSON else json.dumps(doc))
     if kind == "instance":
         argv = ["validate", "--instance", str(bad)]
     elif kind == "encoder":

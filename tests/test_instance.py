@@ -112,6 +112,9 @@ def test_serialize_extension_field_keeps_modulus(tmp_path):
 def test_parse_rejects_malformed():
     with pytest.raises(InstanceError):
         parse_instance("not json at all {")
+    # Nested past the parser's recursion limit: invalid JSON too.
+    with pytest.raises(InstanceError, match="invalid JSON"):
+        parse_instance("[" * 200_000)
     with pytest.raises(InstanceError):
         parse_instance({"p": 2, "e": 1})
     with pytest.raises(InstanceError):

@@ -9,10 +9,21 @@ from conftest import (
     SYN_L,
     TRAP_L,
     build,
+    ident,
     min_rank_bruteforce_oracle,
     random_instances,
 )
-from iccsi import Matrix, alpha, field_new, min_rank, realizes_ic, verify_ecic
+from iccsi import (
+    Matrix,
+    alpha,
+    field_new,
+    make_instance,
+    min_rank,
+    realizes_ic,
+    save_instance,
+    verify_ecic,
+)
+from iccsi.cli import main
 from iccsi.galois import iter_vectors, mat_rank, row_space_contains
 
 F2 = field_new(2, 1)
@@ -92,6 +103,19 @@ def test_kernel_criterion_agrees_exhaustive():
 
 def test_min_rank_lower_bound_argument(ex_k3_inst):
     assert min_rank(ex_k3_inst, lower_bound=3).kappa == 3
+
+
+def test_min_rank_many_users_without_cached_sender_vectors(tmp_path, capsys):
+    # 1,200 users over GF(2), n = 2, each caching nothing and requesting e_1:
+    # each has the one candidate R_i, so the search depth must not grow with
+    # the user count.
+    inst = make_instance(F2, 1, 2, ident(2), [([], [1, 0])] * 1200)
+    res = min_rank(inst)
+    assert (res.kappa, res.witness.rows, res.coset_size) == (1, ((1, 0),), 1)
+    path = tmp_path / "many.json"
+    save_instance(inst, path)
+    assert main(["minrank", "--instance", str(path)]) == 0
+    assert "kappa: 1\n" in capsys.readouterr().out
 
 
 def test_alpha_walkthroughs(syn_inst, alpha3_inst):
