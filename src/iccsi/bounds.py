@@ -93,9 +93,15 @@ def zippel_ic_prob(q: int, m_prime: int, N: int, d_S: int) -> BoundReport:
     """Success probability of a uniformly random N x d_S encoding matrix.
 
     Lower bound (1 - m'/q)^(N d_S), valid only for q > m'.  A positive value
-    certifies existence of a realizing L of length N.
+    certifies existence of a realizing L of length N.  At N d_S = 0 the
+    broadcast is empty and serves no user, so the value is 0, verdict false.
     """
     params = {"q": q, "m_prime": m_prime, "N": N, "d_S": d_S}
+    if N * d_S == 0:
+        return BoundReport.probability(
+            "zippel_ic_prob", params, Fraction(0), verdict=False,
+            note=f"empty broadcast: N d_S = 0 (N={N}, d_S={d_S}) serves no user",
+        )
     if q <= m_prime:
         return BoundReport.probability(
             "zippel_ic_prob", params, Fraction(0),
@@ -337,6 +343,15 @@ def rank_random_ecic_prob(
     Value 1 - q^(-N t) sum_i |Z_delta(i)| V(N, t, 2 delta) over the supplied
     users (pass one entry per equivalence class for the refined bound).  The
     verdict is the exact existence condition sum |Z_delta| V < q^(N t).
+
+    The union bound needs P(rank(L V_S Z) <= 2 delta) <= V(N, t, 2 delta)
+    q^(-N t) for every confusable Z, which holds for L uniform among the
+    F_{q^t}-linear encoders, not for the F_q-linear N x d_S matrices that
+    :mod:`iccsi.codec` builds and searches.  For those, a Z of rank r maps
+    like a uniform N x r matrix, and the value can exceed the true success
+    probability: for two users with d = 1 at q = 2, n = 3, t = 2,
+    delta = 0 and N = 4 it is 0.906, while the exact fraction of passing
+    F_2-linear L on random such instances is 0.824 or 0.769.
     """
     params = {"d_list": list(d_list), "n": n, "t": t, "N": N, "delta": delta, "q": q}
     for d in d_list:  # a request lies outside its cache, so d_i < n

@@ -332,6 +332,13 @@ def _write_bounds_csv(fh, rows) -> None:
 def _cmd_encode(args) -> int:
     inst = load_instance(args.instance)
     delta = args.delta
+    # No confusable has rank 2 delta + 1 > t, so such a rank certificate
+    # would pass with 0 trials, and the random search take its first draw.
+    if args.method != "concat-rs" and args.metric == RANK and inst.t <= 2 * delta:
+        raise ValueError(
+            f"--metric rank needs t > 2 delta, got t={inst.t} and 2 delta={2 * delta}: "
+            "the rank certificate would test no confusable"
+        )
     if args.method == "coset":
         enc = coset_encoder(inst)
         if delta > 0:

@@ -42,7 +42,7 @@ from .instance import (
     dump_compact,
     one_symbol_view,
 )
-from .minrank import _user_realized, min_rank, realizes_ic
+from .minrank import _realization_check, min_rank, realizes_ic
 
 HAMMING = "hamming"
 RANK = "rank"
@@ -163,11 +163,11 @@ def random_ic_search(
     if N <= 0:
         return RandomSearchResult(None, 0)
     rng = np.random.default_rng([seed])
+    served = _realization_check(inst) if delta == 0 else None
     for attempt in range(1, max_attempts + 1):
         L = _random_matrix(rng, inst.field, N, inst.d_S)
         if delta == 0:
-            lvs = L * inst.V_S
-            if all(_user_realized(u, lvs) for u in inst.users):
+            if all(served(L.rows)):
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
                 return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
         else:
@@ -233,7 +233,9 @@ def verify_ecic(
             out_mode = "sampled"
             source = _confusable_draws(view, i, samples, seed, extra=lvs)
         else:
-            source = _confusable_walk(view, i, budget, extra=lvs)
+            # A rank check skips C with fewer than ``need`` nonzero columns.
+            min_cols = need if metric == RANK else 0
+            source = _confusable_walk(view, i, budget, extra=lvs, min_cols=min_cols)
         tested, z = _walk_user(view, source, lvs.nrows, metric, need)
         trials += tested
         if z is not None:
@@ -253,23 +255,22 @@ def _walk_user(
     In the rank metric the block is the transpose of L V_S Z, and K has
     independent columns, so rank(L V_S Z) <= rank(C) = rank(Z) <= the number
     of nonzero columns of C, which are the nonzero walk columns.  So too few
-    nonzero columns skip the confusable unranked, a block of rank >= need
-    is a tested confusable that passes, and rank(Z) is needed only below.
+    nonzero columns skip the confusable unranked, and a Z of rank below
+    need is skipped before its block is ranked.
     """
     t = view.t
     blocks = _WalkBlocks(view, N)
     extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
+    z_rank = blocks.z_rank
     tested = 0
     for cols in source:
         if metric == HAMMING:
             w = extra_weight(cols[0])
-        elif t - cols.count(zero) < need:
+        elif t - cols.count(zero) < need or z_rank(cols) < need:
             continue
         else:
             w = extra_rank(cols)
         if w < need:
-            if metric == RANK and blocks.z_rank(cols) < need:
-                continue
             return tested + 1, blocks.z(cols)
         tested += 1
     return tested, None

@@ -327,6 +327,7 @@ def _confusable_walk(
     i: int,
     budget: int | None = None,
     extra: Matrix | None = None,
+    min_cols: int = 0,
 ) -> Iterator[list]:
     """Walk user i's confusable set Z = K C, one precomputed change per step.
 
@@ -342,6 +343,11 @@ def _confusable_walk(
     :class:`_WalkBlocks` reads them.  The list is updated in place by the
     next step.  Raises :class:`BudgetExceeded` when q^(k t) exceeds the
     budget.
+
+    ``min_cols`` lets the walk leave out C with fewer nonzero columns, for
+    a consumer that skips those.  Every C before the s-th, s = the sum of
+    q^(c k) over c < min_cols, is one, so the walk starts at the lap that
+    holds the s-th C; with min_cols > t it yields nothing.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -353,6 +359,8 @@ def _confusable_walk(
         raise BudgetExceeded(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
+    if min_cols > t:
+        return
     add = _row_add(f)
     last = q - 1
     drop = f.sub(0, last)  # the change of a digit rolled over to 0
@@ -376,9 +384,14 @@ def _confusable_walk(
         for raises in steps:
             lap.append(raises[p])
             lap += below
+    # The high digits of the first lap are those of the s-th C over q^low,
+    # and the t columns start at G C for that C.
     digits = [0] * (k * t)  # only the high ones move
-    cols = [rolled[0]] * t
-    carry: list = []  # no step into C = 0
+    high = sum(q ** (c * k) for c in range(min_cols)) // q**low
+    for p in range(low, k * t):
+        high, digits[p] = divmod(high, q)
+    cols = _row_mul(f, [digits[c * k:(c + 1) * k] for c in range(t)], gs, width)
+    carry: list = []  # no step into the first C
     while True:
         for step in itertools.chain((carry,), lap):
             for c, x in step:

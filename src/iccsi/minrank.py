@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .galois import (
     Matrix,
@@ -34,7 +35,6 @@ from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
-    UserSpec,
     _WalkBlocks,
     _confusable_walk,
     intersection_basis,
@@ -51,20 +51,43 @@ def realizes_ic(L: Matrix, inst: IccsiInstance) -> list[bool]:
     """
     if L.ncols != inst.d_S:
         raise ValueError(f"L has {L.ncols} columns, expected d_S={inst.d_S}")
-    lvs = L * inst.V_S
-    return [_user_realized(u, lvs) for u in inst.users]
+    if L.field != inst.field:
+        raise ValueError("fields differ")
+    return list(_realization_check(inst)(L.rows))
 
 
-def _user_realized(u: UserSpec, lvs: Matrix) -> bool:
-    """R_i in rowspace([V^(i); lvs]), by echelon insertion of the rows."""
-    f = lvs.field
-    insert = _row_insert(f, lvs.ncols)
-    basis: list = []
-    for row in _to_rows(f, itertools.chain(u.V.rows, lvs.rows)):
-        pair = insert(basis, row)
-        if pair is not None:
-            basis.append(pair)
-    return insert(basis, _to_rows(f, u.R.rows)[0]) is None
+def _realization_check(inst: IccsiInstance):
+    """The function that takes the entry rows of an N x d_S matrix L and
+    yields the flags of :func:`realizes_ic`, lazily, in user order.
+
+    Each user's echelon pairs of V^(i), its R_i row and the V_S rows are
+    built once, in the row format.  A call forms L V_S by :func:`_row_mul`
+    and, per user, inserts its rows into a copy of the user's pairs; R_i is
+    realized when its insert returns None.
+    """
+    f, n = inst.field, inst.n
+    insert = _row_insert(f, n)
+    vs = _to_rows(f, inst.V_S.rows)
+    users = []
+    for u in inst.users:
+        pairs: list = []
+        for row in _to_rows(f, u.V.rows):
+            pair = insert(pairs, row)
+            if pair is not None:
+                pairs.append(pair)
+        users.append((pairs, _to_rows(f, u.R.rows)[0]))
+
+    def flags(L_rows) -> Iterator[bool]:
+        lvs = _row_mul(f, L_rows, vs, n)
+        for pairs, r in users:
+            basis = pairs.copy()
+            for row in lvs:
+                pair = insert(basis, row)
+                if pair is not None:
+                    basis.append(pair)
+            yield insert(basis, r) is None
+
+    return flags
 
 
 @dataclass(frozen=True)

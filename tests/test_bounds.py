@@ -73,6 +73,18 @@ def test_zippel_inapplicable_when_field_too_small():
     assert "inapplicable" in rep.note
 
 
+@pytest.mark.parametrize("flag", ["--N", "--dS"])
+def test_zippel_empty_broadcast_serves_no_user(flag, capsys):
+    # (1 - m'/q)^0 = 1, but a request lies outside its cache, so an empty
+    # broadcast serves no user: value 0 and verdict false, as the Hamming,
+    # rank and subspace bounds give at N = 0.
+    assert main(["bounds", "--bound", "zippel", "--q", "4", "--m", "2", flag, "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",0,false")
+    rep = zippel_ic_prob(4, 2, 0, 10) if flag == "--N" else zippel_ic_prob(4, 2, 3, 0)
+    assert (rep.value, rep.verdict) == (0, False)
+    assert "empty broadcast" in rep.note
+
+
 def _avoid_count_brute(w, ell, s, N, q=2):
     """Count N-dim subspaces U of F_q^s with U meet V inside W, where
     V = <e_1..e_ell> and W = <e_1..e_w>."""

@@ -23,7 +23,14 @@ from iccsi import (
 )
 from iccsi.codec import HAMMING, RANK, EcicCertificate, random_ic_search
 from iccsi.galois import iter_vectors, null_space, rank_weight, solve_left, vstack, weight
-from iccsi.instance import DEFAULT_BUDGET, iter_confusable, one_symbol_view
+from iccsi.instance import (
+    _LAP_BITS,
+    DEFAULT_BUDGET,
+    _confusable_walk,
+    _WalkBlocks,
+    iter_confusable,
+    one_symbol_view,
+)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 
@@ -208,16 +215,100 @@ def test_realizes_ic_matches_reference(p, e, t, seed):
 def test_random_search_delta0_matches_reference(p, e):
     # The search draws from its own stream; the first draw the reference
     # realizability accepts must be the one it returns, after as many draws.
+    # At t = 2 the rows of V_S, V^(i) and R_i are the same: realizability
+    # does not depend on t, and the search must not either.
     f = field_new(p, e)
-    rng = np.random.default_rng([p, e, 3])
-    inst = random_instance(rng, f, 1)
-    for N in range(1, inst.d_S + 1):
-        res = random_ic_search(inst, N, 0, max_attempts=20, seed=N)
-        draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence([N])))
-        for attempt in range(1, 21):
-            L = Matrix(f, draws.integers(0, f.q, size=(N, inst.d_S)).tolist())
-            if all(ref_realizes_ic(L, inst)):
-                assert res.found and res.attempts == attempt and res.encoder.L == L
-                break
-        else:
-            assert not res.found and res.attempts == 20
+    for t in (1, 2):
+        rng = np.random.default_rng([p, e, 3] if t == 1 else [p, e, 3, t])
+        inst = random_instance(rng, f, t)
+        for N in range(1, inst.d_S + 1):
+            res = random_ic_search(inst, N, 0, max_attempts=20, seed=N)
+            draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence([N])))
+            for attempt in range(1, 21):
+                L = Matrix(f, draws.integers(0, f.q, size=(N, inst.d_S)).tolist())
+                if all(ref_realizes_ic(L, inst)):
+                    assert res.found and res.attempts == attempt and res.encoder.L == L
+                    break
+            else:
+                assert not res.found and res.attempts == 20
+
+
+def kernel_instance(rng, field, t, ks):
+    """An instance on n = 4 messages with the full sender space whose user j
+    has a kernel of dimension ks[j] (caches 4 - ks[j] rows)."""
+    n = 4
+    while True:
+        users = [
+            (rng.integers(0, field.q, size=(n - k, n)).tolist(),
+             rng.integers(0, field.q, size=n).tolist())
+            for k in ks
+        ]
+        try:
+            inst = make_instance(field, t, n, np.eye(n, dtype=int).tolist(), users)
+        except InstanceError:
+            continue
+        if [n - u.d for u in inst.users] == list(ks):
+            return inst
+
+
+# (p, e, t, kernel dimensions).  A rank check at delta = 1 starts the walk
+# at the lap holding the C of odometer index s = 1 + q^k + q^(2 k), the
+# first with 3 nonzero columns; laps take the low 6 digits over GF(2) and
+# the low 3 over GF(3) and GF(4).  So s lies past the first lap for k = 3
+# over GF(2) and k = 2 over GF(3) and GF(4), and inside it below that.
+# delta = 0 needs one column (s = 1), and delta = 2 five, more than t.
+WALK_START_CASES = [
+    (2, 1, 3, (3, 2)),
+    (2, 1, 4, (3, 1)),
+    (3, 1, 3, (2, 1)),
+    (3, 1, 4, (2, 1)),
+    (2, 2, 3, (2, 1)),
+    (2, 2, 4, (1,)),
+]
+
+
+def nonzero_cols(inst, cols):
+    """The number of nonzero columns of the Z of walk columns ``cols``."""
+    return sum(map(any, zip(*_WalkBlocks(inst).z(cols).rows)))
+
+
+@pytest.mark.parametrize("p,e,t,ks", WALK_START_CASES)
+def test_walk_start_skips_only_too_narrow_confusables(p, e, t, ks):
+    # The walk with min_cols = c is a suffix of the full walk, and every
+    # confusable it leaves out has Z of fewer than c nonzero columns (Z = K C
+    # with K of independent columns, so Z and C have the same nonzero
+    # columns).  Past the first lap the suffix is a proper one.
+    f = field_new(p, e)
+    inst = kernel_instance(np.random.default_rng([p, e, t, 5]), f, t, ks)
+    low_states = f.q ** (_LAP_BITS // (f.q - 1).bit_length())
+    for i, k in enumerate(ks):
+        full = [list(cols) for cols in _confusable_walk(inst, i)]
+        for c in range(t + 2):
+            short = [list(cols) for cols in _confusable_walk(inst, i, min_cols=c)]
+            cut = len(full) - len(short)
+            assert full[cut:] == short
+            assert all(nonzero_cols(inst, cols) < c for cols in full[:cut])
+            s = sum(f.q ** (j * k) for j in range(c))
+            if c > t:
+                assert short == []
+            elif s >= low_states:
+                assert cut > 0
+
+
+@pytest.mark.parametrize("p,e,t,ks", WALK_START_CASES)
+def test_rank_verify_from_walk_start_matches_reference(p, e, t, ks):
+    f = field_new(p, e)
+    rng = np.random.default_rng([p, e, t, 6])
+    inst = kernel_instance(rng, f, t, ks)
+    largest = max(f.q ** (k * t) for k in ks)
+    # One encoder per delta keeps the reference loops short.
+    for delta, L in zip((0, 1, 2), random_encoders(rng, inst, 3)):
+        got = verify_ecic(L, inst, delta, RANK)
+        want = ref_verify_ecic(L, inst, delta, RANK)
+        assert got.to_dict() == want.to_dict()
+        if delta == 2:
+            assert got.passed and got.trials == 0
+        small = dict(mode="exhaustive", budget=largest - 1)
+        assert outcome(verify_ecic, L, inst, delta, RANK, **small) == outcome(
+            ref_verify_ecic, L, inst, delta, RANK, largest - 1
+        )

@@ -1,6 +1,6 @@
 """Solves, ranks and the realization test against the loops they replaced.
 
-``solve_left``, ``mat_rank`` and ``minrank._user_realized`` now all
+``solve_left``, ``mat_rank`` and ``minrank._realization_check`` now all
 reduce through ``galois._echelon_reduce`` and ``galois._row_insert``.  The
 references below restate the earlier code: the solve as its own loop that
 reduces a row against the RREF while summing the transform rows, the rank

@@ -633,6 +633,35 @@ def test_cli_huge_t_exits_2(argv, tmp_path, capsys):
     assert "bit cap" in capsys.readouterr().err
 
 
+_CYCLE3_USERS = [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0, 0, 1]},
+                 {"V": [[0, 0, 1]], "R": [1, 0, 0]}]
+
+
+@pytest.mark.parametrize("method", ["coset", "random"])
+@pytest.mark.parametrize("t,delta", [(1, 1), (2, 1), (4, 2)])
+def test_cli_encode_vacuous_rank_certificate_exits_2(method, t, delta, tmp_path, capsys):
+    # At t <= 2 delta no confusable has rank 2 delta + 1: the coset
+    # certificate passed with 0 trials and the search took its first draw.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"p": 3, "e": 1, "t": t, "n": 3, "sender": ident(3),
+                                "users": _CYCLE3_USERS}))
+    argv = ["encode", "--instance", str(path), "--method", method, "--attempts", "5",
+            "--delta", str(delta), "--metric", "rank"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: --metric rank needs t > 2 delta, got t={t} and 2 delta={2 * delta}" in (
+        captured.err
+    )
+    assert "certificate" not in captured.out
+    # The Hamming check, and the rank check at t = 3 > 2 delta, still run
+    # (the search may find nothing in its 5 draws, which also exits 2).
+    assert main([*argv[:-1], "hamming"]) in (0, 2)
+    if delta == 1:
+        path.write_text(path.read_text().replace(f'"t": {t}', '"t": 3'))
+        assert main(argv) in (0, 2)
+    assert "error: --metric rank" not in capsys.readouterr().err
+
+
 # The largest t the power-bit cap admits for q = 3, n = 3: each user's
 # confusable set, 3^(2 t), is far above the budget, so the rank check samples
 # it, and a draw costs k t = 13,782 kernel digits.
