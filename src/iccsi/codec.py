@@ -255,22 +255,23 @@ def _walk_user(
     In the rank metric the block is the transpose of L V_S Z, and K has
     independent columns, so rank(L V_S Z) <= rank(C) = rank(Z) <= the number
     of nonzero columns of C, which are the nonzero walk columns.  So too few
-    nonzero columns skip the confusable unranked, and a Z of rank below
-    need is skipped before its block is ranked.
+    nonzero columns skip the confusable unranked, a block of rank >= need
+    is a tested confusable that passes, and rank(Z) is needed only below.
     """
     t = view.t
     blocks = _WalkBlocks(view, N)
     extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
-    z_rank = blocks.z_rank
     tested = 0
     for cols in source:
         if metric == HAMMING:
             w = extra_weight(cols[0])
-        elif t - cols.count(zero) < need or z_rank(cols) < need:
+        elif t - cols.count(zero) < need:
             continue
         else:
             w = extra_rank(cols)
         if w < need:
+            if metric == RANK and blocks.z_rank(cols) < need:
+                continue
             return tested + 1, blocks.z(cols)
         tested += 1
     return tested, None
