@@ -24,7 +24,7 @@ from .galois import (
     row_basis,
     vstack,
 )
-from .instance import IccsiInstance, intersection_basis
+from .instance import IccsiInstance
 
 
 def _check_power(q: int, exponent: int, what: str) -> None:
@@ -388,8 +388,9 @@ def rank_singleton(alpha_exp: int, t: int, delta: int, n_est: int) -> BoundRepor
 
 
 def instance_w_list(inst: IccsiInstance) -> list[int]:
-    """Per-user dimensions of the cache-meet-sender intersection."""
-    return [intersection_basis(u.V, inst.V_S).nrows for u in inst.users]
+    """Per-user dimensions of the cache-meet-sender intersection, read off
+    the instance's cached coset generators [R_i; W_i]."""
+    return [len(gens) - 1 for gens in inst._coset_rows]
 
 
 def instance_d_list(inst: IccsiInstance) -> list[int]:

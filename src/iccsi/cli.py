@@ -334,7 +334,7 @@ def _cmd_encode(args) -> int:
     delta = args.delta
     # No confusable has rank 2 delta + 1 > t, so such a rank certificate
     # would pass with 0 trials, and the random search take its first draw.
-    if args.method != "concat-rs" and args.metric == RANK and inst.t <= 2 * delta:
+    if args.metric == RANK and inst.t <= 2 * delta:
         raise ValueError(
             f"--metric rank needs t > 2 delta, got t={inst.t} and 2 delta={2 * delta}: "
             "the rank certificate would test no confusable"
@@ -359,12 +359,16 @@ def _cmd_encode(args) -> int:
         enc = res.encoder
         print(f"found after {res.attempts} attempts")
     else:
-        kappa = min_rank(inst).kappa
+        mr = min_rank(inst)
         length = args.length
         if length is None:
-            length = singleton_lb(kappa, delta)
-        outer = extended_rs_generator(inst.q, length, kappa).transpose()
-        enc = concat_kappa_bound(inst, delta, outer)
+            length = singleton_lb(mr.kappa, delta)
+        outer = extended_rs_generator(inst.q, length, mr.kappa).transpose()
+        enc = concat_kappa_bound(inst, delta, outer, min_rank_result=mr)
+        # The concatenation certifies in the Hamming metric; a rank check
+        # asked for replaces that certificate, as on the coset path.
+        if args.metric == RANK:
+            enc = replace(enc, certificate=verify_ecic(enc.L, inst, delta, RANK))
     print(f"N={enc.N} provenance={enc.provenance}")
     cert = enc.certificate
     if cert is not None:

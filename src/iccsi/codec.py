@@ -25,7 +25,6 @@ import numpy as np
 from .galois import (
     Matrix,
     _as_int,
-    _random_matrix,
     field_of_order,
     hamming_weight,
     iter_vectors,
@@ -42,12 +41,14 @@ from .instance import (
     dump_compact,
     one_symbol_view,
 )
-from .minrank import _realization_check, min_rank, realizes_ic
+from .minrank import MinRankResult, _realization_check, min_rank, realizes_ic
 
 HAMMING = "hamming"
 RANK = "rank"
 
 DEFAULT_SAMPLES = 100_000
+# Most entries one block draw of :func:`random_ic_search` holds.
+_DRAW_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,26 @@ def make_encoder(
     return EncodingMatrix(L, L * inst.V_S, provenance, certificate)
 
 
-def coset_encoder(inst: IccsiInstance, budget: int | None = None) -> EncodingMatrix:
+def coset_encoder(
+    inst: IccsiInstance,
+    budget: int | None = None,
+    min_rank_result: MinRankResult | None = None,
+) -> EncodingMatrix:
     """Shortest realizing encoder, derived from the min-rank witness.
 
     The broadcast rows span the row space of the minimizing A + R, so the
-    length equals the min-rank and every user can decode.
+    length equals the min-rank and every user can decode.  A caller that
+    already ran :func:`min_rank` on the instance passes its result, so the
+    search is not run again; a witness without d_S columns raises
+    ValueError, and the witness must still realize the instance.
     """
-    res = min_rank(inst, budget=budget)
+    res = min_rank_result
+    if res is None:
+        res = min_rank(inst, budget=budget)
+    elif res.witness.ncols != inst.d_S:
+        raise ValueError(
+            f"min-rank witness has {res.witness.ncols} columns, expected d_S={inst.d_S}"
+        )
     L = res.witness
     assert mat_rank(L) == L.nrows == res.kappa
     assert all(realizes_ic(L, inst))
@@ -159,23 +173,44 @@ def random_ic_search(
     Attempts are sequential on a single seeded stream, so a fixed seed
     reproduces the same encoder.  A length-0 code can never satisfy any
     user, so N <= 0 reports not-found without drawing.
+
+    The attempts are drawn in blocks of 1, 2, 4, ... attempts, capped at
+    the attempts left and at ``_DRAW_BLOCK_ENTRIES`` entries, with one
+    ``rng.integers(0, q, size)`` call per block cut into N x d_S entry rows
+    per attempt.  numpy fills a joined draw from the same stream as split
+    ones, so attempt a gets the entries the a-th of one draw per attempt
+    would (the tests pin this), and only the attempt that passes, or each
+    one a delta > 0 check tests, is built as a ``Matrix``.
     """
     if N <= 0:
         return RandomSearchResult(None, 0)
     rng = np.random.default_rng([seed])
+    f, q, d_S = inst.field, inst.q, inst.d_S
     served = _realization_check(inst) if delta == 0 else None
-    for attempt in range(1, max_attempts + 1):
-        L = _random_matrix(rng, inst.field, N, inst.d_S)
-        if delta == 0:
-            if all(served(L.rows)):
+    per = N * d_S
+    most = max(1, _DRAW_BLOCK_ENTRIES // per)
+    attempt, block = 0, 1
+    while attempt < max_attempts:
+        count = min(block, max_attempts - attempt)
+        # The block's entry rows of d_S entries each, N per attempt.
+        rows = list(zip(*[iter(rng.integers(0, q, size=count * per).tolist())] * d_S))
+        for start in range(0, count * N, N):
+            attempt += 1
+            L_rows = tuple(rows[start:start + N])
+            if delta == 0:
+                if not all(served(L_rows)):
+                    continue
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
-                return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
-        else:
-            cert = verify_ecic(
-                L, inst, delta, metric, budget=budget, samples=samples, seed=seed
-            )
-            if cert.passed:
-                return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
+                L = Matrix._trusted(f, L_rows, d_S)
+            else:
+                L = Matrix._trusted(f, L_rows, d_S)
+                cert = verify_ecic(
+                    L, inst, delta, metric, budget=budget, samples=samples, seed=seed
+                )
+                if not cert.passed:
+                    continue
+            return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
+        block = min(2 * block, most)
     return RandomSearchResult(None, max_attempts)
 
 
@@ -309,14 +344,16 @@ def concat_kappa_bound(
     delta: int,
     outer_generator: Matrix,
     budget: int | None = None,
+    min_rank_result: MinRankResult | None = None,
 ) -> EncodingMatrix:
     """Concatenate the coset encoder with an outer distance-(2 delta + 1) code.
 
     ``outer_generator`` is N x kappa: its columns span the outer code, one
     column per inner broadcast row.  The product corrects delta errors
     because every nonzero inner output is carried by an outer codeword.
+    ``min_rank_result`` is passed to :func:`coset_encoder`.
     """
-    inner = coset_encoder(inst, budget=budget)
+    inner = coset_encoder(inst, budget=budget, min_rank_result=min_rank_result)
     kappa = inner.N
     g = outer_generator
     if g.field != inst.field:

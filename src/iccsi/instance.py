@@ -41,6 +41,8 @@ from .galois import (
     _random_matrix,
     _row_add,
     _row_block,
+    _row_insert,
+    _row_join,
     _row_mul,
     _row_rank,
     _row_rref,
@@ -71,7 +73,12 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class UserSpec:
-    """One user's cached space basis V and requested combination R."""
+    """One user's cached space basis V and requested combination R.
+
+    The kernel of V and the walk's rows derived from it are cached on the
+    user, built on first use; they are not fields, so they never take part
+    in equality or hashing.
+    """
 
     V: Matrix
     R: Matrix
@@ -86,9 +93,31 @@ class UserSpec:
         matrix, computed once per user."""
         return null_space(self.V)
 
+    @cached_property
+    def _walk_rows(self) -> tuple[tuple, object, tuple]:
+        """(cols, top, kt) for the kernel K, computed once per user.
+
+        ``cols`` are the k columns of [R K; K] in the row format, ``top`` is
+        the row (1, 0, ..., 0) of their width, and ``kt`` holds the rows of
+        K^T as entry tuples, so that :func:`_walk_setup` forms the columns
+        of extra K with one product.
+        """
+        f, K = self.V.field, self.kernel
+        G = vstack(self.R * K, K)
+        [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
+        return tuple(_to_rows(f, G.transpose().rows)), top, K.transpose().rows
+
 
 @dataclass(frozen=True)
 class IccsiInstance:
+    """A validated instance: field, t, n, the sender basis V_S and the users.
+
+    The searches' fixed row data, each user's coset generators and
+    realization-check rows, is cached on the instance in the row format,
+    built on first use; it is not a field, so it never takes part in
+    equality or hashing.
+    """
+
     field: Field
     t: int
     n: int
@@ -113,6 +142,33 @@ class IccsiInstance:
     def request_matrix(self) -> Matrix:
         """All user requests stacked into an m x n matrix."""
         return vstack(*(u.R for u in self.users))
+
+    @cached_property
+    def _coset_rows(self) -> tuple[tuple, ...]:
+        """Per user, the rows [R_i; W_i] in the row format, for W_i the
+        canonical basis of V^(i) meet V_S (:func:`intersection_basis`): the
+        generators of the user's min-rank coset, not its q^w members."""
+        f, V_S = self.field, self.V_S
+        return tuple(
+            tuple(_to_rows(f, u.R.rows + intersection_basis(u.V, V_S).rows))
+            for u in self.users
+        )
+
+    @cached_property
+    def _realization_rows(self) -> tuple[tuple, tuple]:
+        """(V_S rows, per user (echelon pairs of V^(i), R_i row)), all in
+        the row format, the pairs made by :func:`_row_insert`."""
+        f = self.field
+        insert = _row_insert(f, self.n)
+        users = []
+        for u in self.users:
+            pairs: list = []
+            for row in _to_rows(f, u.V.rows):
+                pair = insert(pairs, row)
+                if pair is not None:
+                    pairs.append(pair)
+            users.append((tuple(pairs), _to_rows(f, u.R.rows)[0]))
+        return tuple(_to_rows(f, self.V_S.rows)), tuple(users)
 
 
 def make_instance(
@@ -305,21 +361,25 @@ def confusable_count(inst: IccsiInstance, i: int) -> int:
 
 def _walk_setup(
     inst: IccsiInstance, i: int, extra: Matrix | None = None
-) -> tuple[list, object, int]:
+) -> tuple[Sequence, object, int]:
     """The g_j, ``top`` and the width of G = [R_i K; K; extra K], for K
     (n x k) the canonical kernel basis of V^(i).
 
     The g_j are the k columns of G in the row format, so column c of G C is
     the sum of C[j][c] g_j and holds R_i Z, Z and ``extra`` Z for Z = K C.
     ``top`` is the row (1, 0, ..., 0): a column is at least ``top`` exactly
-    when its R_i Z entry is nonzero, in either format.
+    when its R_i Z entry is nonzero, in either format.  The columns of
+    [R_i K; K] are the user's cached ``_walk_rows``; only extra K depends on
+    the call, its columns the rows of K^T extra^T.
     """
-    u = inst.users[i]
-    K = u.kernel
-    G = vstack(u.R * K, K, extra * K) if extra is not None else vstack(u.R * K, K)
-    f = inst.field
-    [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
-    return _to_rows(f, G.transpose().rows), top, G.nrows
+    cols, top, kt = inst.users[i]._walk_rows
+    width = 1 + inst.n
+    if extra is None:
+        return cols, top, width
+    f, N = inst.field, extra.nrows
+    join = _row_join(f, N)
+    ek = _row_mul(f, kt, _to_rows(f, extra.transpose().rows), N)
+    return tuple(map(join, cols, ek)), join(top, _zero_row(f, N)), width + N
 
 
 def _confusable_walk(

@@ -26,7 +26,6 @@ from .galois import (
     _row_insert,
     _row_mul,
     _row_scale,
-    _to_rows,
     iter_vectors,
     row_basis,
     solve_left,
@@ -37,7 +36,6 @@ from .instance import (
     IccsiInstance,
     _WalkBlocks,
     _confusable_walk,
-    intersection_basis,
     one_symbol_view,
 )
 
@@ -61,26 +59,18 @@ def _realization_check(inst: IccsiInstance):
     yields the flags of :func:`realizes_ic`, lazily, in user order.
 
     Each user's echelon pairs of V^(i), its R_i row and the V_S rows are
-    built once, in the row format.  A call forms L V_S by :func:`_row_mul`
-    and, per user, inserts its rows into a copy of the user's pairs; R_i is
-    realized when its insert returns None.
+    the instance's cached ``_realization_rows``.  A call forms L V_S by
+    :func:`_row_mul` and, per user, inserts its rows into a copy of the
+    user's pairs; R_i is realized when its insert returns None.
     """
     f, n = inst.field, inst.n
     insert = _row_insert(f, n)
-    vs = _to_rows(f, inst.V_S.rows)
-    users = []
-    for u in inst.users:
-        pairs: list = []
-        for row in _to_rows(f, u.V.rows):
-            pair = insert(pairs, row)
-            if pair is not None:
-                pairs.append(pair)
-        users.append((pairs, _to_rows(f, u.R.rows)[0]))
+    vs, users = inst._realization_rows
 
     def flags(L_rows) -> Iterator[bool]:
         lvs = _row_mul(f, L_rows, vs, n)
         for pairs, r in users:
-            basis = pairs.copy()
+            basis = list(pairs)
             for row in lvs:
                 pair = insert(basis, row)
                 if pair is not None:
@@ -121,18 +111,19 @@ def min_rank(
     m, n = inst.m, inst.n
     # Candidate rows per user in the row format: R_i plus each vector of
     # X^(i) meet X^(S), the coefficient vectors in odometer order (first
-    # basis vector fastest), all as one product [1 | c] [R_i; W].
+    # basis vector fastest), all as one product [1 | c] [R_i; W], the
+    # instance's cached generators.
     cands: list[list] = []
     total = 1
-    for u in inst.users:
-        w = intersection_basis(u.V, inst.V_S)
-        total *= q**w.nrows
+    for gens in inst._coset_rows:
+        w = len(gens) - 1
+        total *= q**w
         if total > budget:
             raise BudgetExceeded(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
-        coeffs = ((1,) + c for c in iter_vectors(f, w.nrows))
-        cands.append(_row_mul(f, coeffs, _to_rows(f, u.R.rows + w.rows), n))
+        coeffs = ((1,) + c for c in iter_vectors(f, w))
+        cands.append(_row_mul(f, coeffs, gens, n))
     insert = _row_insert(f, n)
     # A user whose cache meets the sender space only in 0 has the one
     # candidate R_i, which every choice holds: insert those rows once, and

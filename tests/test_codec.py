@@ -212,6 +212,38 @@ def test_concat_rejects_bad_outer(syn_inst):
         concat_kappa_bound(syn_inst, 1, Matrix(F2, ((1, 0), (0, 1), (1, 1))))
 
 
+def test_encoders_take_the_callers_min_rank_result(syn_inst, trap_inst, monkeypatch):
+    # The [6, 3, 3] code for trap_inst's kappa = 3.
+    outer = Matrix(F2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    for inst, g in [(syn_inst, Matrix(F2, ((1, 0), (0, 1), (1, 1), (1, 0), (0, 1)))),
+                    (trap_inst, outer)]:
+        mr = min_rank(inst)
+        enc, cat = coset_encoder(inst), concat_kappa_bound(inst, 1, g)
+        # With the result passed the search does not run again.
+        with monkeypatch.context() as m:
+            m.setattr("iccsi.codec.min_rank", None)
+            assert coset_encoder(inst, min_rank_result=mr) == enc
+            given = concat_kappa_bound(inst, 1, g, min_rank_result=mr)
+        assert given == cat and given.certificate == cat.certificate
+
+
+def test_encoders_reject_a_min_rank_result_of_another_width(syn_inst, trap_inst):
+    # trap_inst's witness has d_S = 4 columns; a 3-column one cannot be it.
+    mr = min_rank(trap_inst)
+    narrow = dataclasses.replace(mr, witness=mr.witness.take_cols(range(3)))
+    for call in (lambda: coset_encoder(trap_inst, min_rank_result=narrow),
+                 lambda: concat_kappa_bound(trap_inst, 0, Matrix.identity(F2, 3),
+                                            min_rank_result=narrow)):
+        with pytest.raises(ValueError, match="3 columns, expected d_S=4"):
+            call()
+    # A witness of the right width that does not realize the instance trips
+    # the realization assert, as a bad search result would.
+    wrong = min_rank(syn_inst)
+    with pytest.raises(AssertionError):
+        coset_encoder(syn_inst, min_rank_result=dataclasses.replace(
+            wrong, witness=Matrix(F2, ((1, 0, 0, 0), (0, 1, 0, 0)))))
+
+
 def test_extended_rs_generator_mds():
     g = extended_rs_generator(4, 5, 2)
     assert g.shape == (2, 5)

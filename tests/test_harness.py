@@ -12,6 +12,7 @@ from iccsi import (
     Matrix,
     SimConfig,
     field_new,
+    load_encoder,
     make_encoder,
     make_instance,
     parse_instance,
@@ -637,11 +638,12 @@ _CYCLE3_USERS = [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0,
                  {"V": [[0, 0, 1]], "R": [1, 0, 0]}]
 
 
-@pytest.mark.parametrize("method", ["coset", "random"])
+@pytest.mark.parametrize("method", ["coset", "random", "concat-rs"])
 @pytest.mark.parametrize("t,delta", [(1, 1), (2, 1), (4, 2)])
 def test_cli_encode_vacuous_rank_certificate_exits_2(method, t, delta, tmp_path, capsys):
-    # At t <= 2 delta no confusable has rank 2 delta + 1: the coset
-    # certificate passed with 0 trials and the search took its first draw.
+    # At t <= 2 delta no confusable has rank 2 delta + 1: the coset and
+    # concatenated certificates passed with 0 trials and the search took its
+    # first draw.
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"p": 3, "e": 1, "t": t, "n": 3, "sender": ident(3),
                                 "users": _CYCLE3_USERS}))
@@ -660,6 +662,31 @@ def test_cli_encode_vacuous_rank_certificate_exits_2(method, t, delta, tmp_path,
         path.write_text(path.read_text().replace(f'"t": {t}', '"t": 3'))
         assert main(argv) in (0, 2)
     assert "error: --metric rank" not in capsys.readouterr().err
+
+
+def test_cli_encode_concat_rs_certifies_in_the_metric_asked_for(tmp_path, capsys, monkeypatch):
+    # concat-rs printed the concatenation's Hamming certificate whatever
+    # --metric asked for.  Here the [3, 1, 3] outer code over GF(4) passes
+    # the Hamming check, and a confusable of rank 3 fails the rank one.
+    doc = {"p": 2, "e": 2, "t": 3, "n": 4, "sender": ident(4),
+           "users": [{"V": [[1, 0, 0, 0]], "R": [0, 1, 0, 0]}]}
+    path, out = tmp_path / "one.json", tmp_path / "enc.json"
+    path.write_text(json.dumps(doc))
+    inst = parse_instance(doc)
+    argv = ["encode", "--instance", str(path), "--method", "concat-rs", "--delta", "1",
+            "--out", str(out)]
+    # The command runs min_rank once, itself: the encoder takes its result.
+    monkeypatch.setattr("iccsi.codec.min_rank", None)
+    for metric in ("rank", "hamming"):
+        assert main([*argv, "--metric", metric]) == 0
+        enc = load_encoder(str(out), inst)
+        cert = verify_ecic(enc.L, inst, 1, metric)
+        assert enc.certificate == cert and cert.passed == (metric == "hamming")
+        state = "pass" if cert.passed else "FAIL"
+        assert (
+            f"certificate: {state} delta=1 metric={metric} mode=exhaustive trials={cert.trials}"
+            in capsys.readouterr().out
+        )
 
 
 # The largest t the power-bit cap admits for q = 3, n = 3: each user's
