@@ -25,6 +25,7 @@ import numpy as np
 from .galois import (
     Matrix,
     _as_int,
+    _to_rows,
     field_of_order,
     hamming_weight,
     iter_vectors,
@@ -246,6 +247,8 @@ def verify_ecic(
         raise ValueError(f"L has {L.ncols} columns, expected d_S={inst.d_S}")
     view = one_symbol_view(inst) if metric == HAMMING else inst
     lvs = L * view.V_S
+    # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
+    extra = (lvs.nrows, _to_rows(view.field, lvs.transpose().rows))
     need = 2 * delta + 1
     violations: list[tuple[int, Matrix]] = []
     trials = 0
@@ -266,11 +269,11 @@ def verify_ecic(
                     f"exceed budget {budget}"
                 )
             out_mode = "sampled"
-            source = _confusable_draws(view, i, samples, seed, extra=lvs)
+            source = _confusable_draws(view, i, samples, seed, extra=extra)
         else:
             # A rank check skips C with fewer than ``need`` nonzero columns.
             min_cols = need if metric == RANK else 0
-            source = _confusable_walk(view, i, budget, extra=lvs, min_cols=min_cols)
+            source = _confusable_walk(view, i, budget, extra=extra, min_cols=min_cols)
         tested, z = _walk_user(view, source, lvs.nrows, metric, need)
         trials += tested
         if z is not None:

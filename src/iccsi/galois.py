@@ -616,17 +616,100 @@ def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
-def _random_matrix(rng, field: Field, nrows: int, ncols: int) -> Matrix:
-    """Uniform nrows x ncols matrix drawn from a numpy Generator.
+# Raw 64-bit words a :class:`_Draws` stream reads at a time, 64 draws below
+# 2**32: for most instances one read holds a trial's X and its error.
+_DRAW_WORDS = 32
 
-    ``rng.integers(0, q)`` draws only from ``range(q)``, so the result is
-    built unchecked.  One flat draw, cut into rows: numpy fills a shaped
-    draw with the same stream in row-major order, and a flat one skips its
-    shape arithmetic.
+
+def _seed_words(n: int) -> list[int]:
+    """numpy's coercion of a seed int to 32-bit words: low word first, 0 as
+    one word, and a negative int refused as numpy refuses it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+class _Draws:
+    """The draws of ``numpy.random.default_rng([seed, trial])``, read off
+    its raw PCG64 words as Python ints.
+
+    numpy's own ``SeedSequence`` and ``PCG64`` set the state, from the words
+    numpy makes of [seed, trial].  The Generator's bounded integers below
+    2**32 read the bit generator's 32-bit stream, the low then the high
+    half of each 64-bit word, a half left over by one call going to the
+    next; :meth:`integers` and :meth:`choice` return what ``integers(0, q,
+    size=k)`` and ``choice(n, size=k, replace=False)`` return when called
+    in the same order (the tests pin this).  Words are read
+    ``_DRAW_WORDS`` at a time, ahead of use; nothing else draws from the
+    bit generator, so that changes no value.
     """
-    flat = rng.integers(0, field.q, size=nrows * ncols).tolist()
-    rows = tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows))
-    return Matrix._trusted(field, rows, ncols)
+
+    __slots__ = ("_halves",)
+
+    def __init__(self, seed: int, trial: int):
+        import numpy as np
+
+        entropy = np.array(_seed_words(seed) + _seed_words(trial), dtype=np.uint32)
+        raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw
+
+        def block() -> list:
+            return raw(_DRAW_WORDS).astype("<u8", copy=False).view("<u4").tolist()
+
+        self._halves = itertools.chain.from_iterable(iter(block, None))
+
+    def integers(self, q: int, k: int) -> list[int]:
+        """``integers(0, q, size=k)`` for 2 <= q <= 2**32, by Lemire's
+        method (see :meth:`_below`)."""
+        if not q & (q - 1):
+            # 2**32 mod q is 0, so no redraw; (u q) >> 32 is the top bits.
+            shift = 33 - q.bit_length()
+            return [u >> shift for u in itertools.islice(self._halves, k)]
+        below = self._below
+        return [below(q) for _ in range(k)]
+
+    def rows(self, q: int, nrows: int, ncols: int) -> list[tuple[int, ...]]:
+        """``integers(0, q, size=(nrows, ncols))`` as entry rows, ncols >= 1:
+        numpy fills a shaped draw in row-major order."""
+        return list(zip(*[iter(self.integers(q, nrows * ncols))] * ncols))
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """``choice(n, size=k, replace=False)`` for 0 <= k <= n <= 2**32."""
+        below = self._below
+        if n > 10_000 and k > n // 50:
+            # numpy's tail shuffle: Fisher-Yates over range(n), down to the
+            # first of the last k places, which it returns.
+            pool = list(range(n))
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = below(i + 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[n - k:]
+        # Floyd's algorithm (no draw on [0, 0]; a repeat takes j itself),
+        # then numpy's Fisher-Yates shuffle of the picks.
+        picks: list[int] = []
+        seen = set()
+        for j in range(n - k, n):
+            x = below(j + 1) if j else 0
+            if x in seen:
+                x = j
+            seen.add(x)
+            picks.append(x)
+        for i in range(k - 1, 0, -1):
+            j = below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def _below(self, q: int) -> int:
+        """One ``integers(0, q)`` for 2 <= q <= 2**32: (u q) >> 32, with u
+        redrawn while (u q) mod 2**32 < 2**32 mod q."""
+        halves, floor = self._halves, (1 << 32) % q
+        m = next(halves) * q
+        while m & 0xFFFFFFFF < floor:
+            m = next(halves) * q
+        return m >> 32
 
 
 def vstack(*mats: Matrix) -> Matrix:

@@ -7,7 +7,11 @@ detected failures, and silently wrong answers.
 
 Every trial derives its own random stream from (seed, trial index), so
 reports are bit-identical across runs and independent of evaluation order;
-``SimReport.stable_json`` excludes the wall time for that comparison.
+``SimReport.stable_json`` excludes the wall time for that comparison.  The
+stream is numpy's ``default_rng([seed, trial])``: ``galois._Draws`` seeds
+numpy's PCG64 as numpy does and reads the Generator's ``integers`` and
+``choice`` off its raw words, so a trial draws the values a Generator would
+without numpy's per-call overhead.
 
 Hamming trials run as blocks of one wide row, in chunks of at most
 ``_HAMMING_CHUNK`` trials: trial k of a chunk holds entries [k t, (k+1) t)
@@ -22,8 +26,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .bounds import singleton_lb
 from .codec import (
@@ -47,7 +49,7 @@ from .decoders import (
 )
 from .galois import (
     Matrix,
-    _random_matrix,
+    _Draws,
     _row_add,
     _row_join,
     _row_mul,
@@ -218,8 +220,8 @@ def run_simulation(
         # entry; the dict lives for this call only.
         maps: dict = {}
         for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, trial])
-            _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies)
+            draws = _Draws(cfg.seed, trial)
+            _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies)
     report = SimReport(
         asdict(cfg),
         cfg.trials,
@@ -236,13 +238,13 @@ def _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies) -> No
     the k-th of them holds entries [k t, (k + 1) t) of every row, so one
     product and one syndrome search per user serve them all.  Each trial
     draws X and its error from its own stream, as a single trial would."""
-    f, t, count = inst.field, inst.t, len(trials)
+    f, q, t, count = inst.field, inst.field.q, inst.t, len(trials)
     join = _row_join(f, t)
     X, E = [_zero_row(f, 0)] * inst.n, [_zero_row(f, 0)] * enc.N
     for trial in trials:
-        rng = np.random.default_rng([cfg.seed, trial])
-        X = list(map(join, X, _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)))
-        E = list(map(join, E, _hamming_error(rng, f, enc.N, t, cfg.error_weight)))
+        draws = _Draws(cfg.seed, trial)
+        X = list(map(join, X, _to_rows(f, draws.rows(q, inst.n, t))))
+        E = list(map(join, E, _hamming_error(draws, f, enc.N, t, cfg.error_weight)))
     w = t * count
     Y = _row_mul(f, send, X + E, w)
     known = _row_mul(f, recv, X, w)
@@ -260,20 +262,18 @@ def _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies) -> No
         start = stop + 1
 
 
-def _hamming_error(rng, field, N: int, t: int, weight: int) -> list:
+def _hamming_error(draws: _Draws, field, N: int, t: int, weight: int) -> list:
     """N rows, ``weight`` of them nonzero, in the format of ``galois._row_mul``."""
-    rows = [(0,) * t] * N
-    if weight:
-        support = rng.choice(N, size=weight, replace=False)
-        for r in support:
-            vec = rng.integers(0, field.q, size=t)
-            while not vec.any():
-                vec = rng.integers(0, field.q, size=t)
-            rows[int(r)] = vec.tolist()
-    return _to_rows(field, rows)
+    rows = [_zero_row(field, t)] * N
+    for r in draws.choice(N, weight):
+        vec = draws.integers(field.q, t)
+        while not any(vec):
+            vec = draws.integers(field.q, t)
+        [rows[r]] = _to_rows(field, [vec])
+    return rows
 
 
-def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
+def _rank_error(draws: _Draws, field, nrows: int, ncols: int, r: int) -> list:
     """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r,
     as rows in the format of ``galois._row_mul``.
 
@@ -283,19 +283,19 @@ def _rank_error(rng, field, nrows: int, ncols: int, r: int) -> list:
     if r == 0:
         return [_zero_row(field, ncols)] * nrows
     while True:
-        a = _random_matrix(rng, field, nrows, r)
-        b = _to_rows(field, _random_matrix(rng, field, r, ncols).rows)
-        w = _row_mul(field, a.rows, b, ncols)
+        a = draws.rows(field.q, nrows, r)
+        b = _to_rows(field, draws.rows(field.q, r, ncols))
+        w = _row_mul(field, a, b, ncols)
         if _row_rank(field, w, ncols) == r:
             return w
 
 
-def _rank_trial(cfg, inst, enc, rng, send, head, recv, maps, tallies) -> None:
+def _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies) -> None:
     """One rank trial on rows in the format of ``galois._row_mul``."""
     f, t, v = inst.field, inst.t, cfg.trap_pad
     ell = _payload_width(inst, cfg.lvs_shared)
-    X = _to_rows(f, _random_matrix(rng, f, inst.n, t).rows)
-    W = _rank_error(rng, f, v + enc.N, v + ell, cfg.error_weight)
+    X = _to_rows(f, draws.rows(f.q, inst.n, t))
+    W = _rank_error(draws, f, v + enc.N, v + ell, cfg.error_weight)
     sent = map(_row_join(f, t), head, _row_mul(f, send, X, t))
     received = W[:v] + list(map(_row_add(f), sent, W[v:]))
     trapped = _trap_rows(f, received, v, ell)

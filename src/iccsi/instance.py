@@ -38,7 +38,7 @@ from .galois import (
     _as_int,
     _from_row,
     _from_rows,
-    _random_matrix,
+    _Draws,
     _row_add,
     _row_block,
     _row_insert,
@@ -360,7 +360,7 @@ def confusable_count(inst: IccsiInstance, i: int) -> int:
 
 
 def _walk_setup(
-    inst: IccsiInstance, i: int, extra: Matrix | None = None
+    inst: IccsiInstance, i: int, extra: tuple[int, Sequence] | None = None
 ) -> tuple[Sequence, object, int]:
     """The g_j, ``top`` and the width of G = [R_i K; K; extra K], for K
     (n x k) the canonical kernel basis of V^(i).
@@ -370,15 +370,17 @@ def _walk_setup(
     ``top`` is the row (1, 0, ..., 0): a column is at least ``top`` exactly
     when its R_i Z entry is nonzero, in either format.  The columns of
     [R_i K; K] are the user's cached ``_walk_rows``; only extra K depends on
-    the call, its columns the rows of K^T extra^T.
+    the call, its columns the rows of K^T extra^T.  ``extra`` comes as
+    (N, the n rows of extra^T in the row format), converted once by the
+    caller for all its users.
     """
     cols, top, kt = inst.users[i]._walk_rows
     width = 1 + inst.n
     if extra is None:
         return cols, top, width
-    f, N = inst.field, extra.nrows
+    f, (N, extra_t) = inst.field, extra
     join = _row_join(f, N)
-    ek = _row_mul(f, kt, _to_rows(f, extra.transpose().rows), N)
+    ek = _row_mul(f, kt, extra_t, N)
     return tuple(map(join, cols, ek)), join(top, _zero_row(f, N)), width + N
 
 
@@ -386,7 +388,7 @@ def _confusable_walk(
     inst: IccsiInstance,
     i: int,
     budget: int | None = None,
-    extra: Matrix | None = None,
+    extra: tuple[int, Sequence] | None = None,
     min_cols: int = 0,
 ) -> Iterator[list]:
     """Walk user i's confusable set Z = K C, one precomputed change per step.
@@ -522,24 +524,29 @@ def iter_confusable(
 
 
 def _confusable_draws(
-    inst: IccsiInstance, i: int, count: int, seed: int, extra: Matrix | None = None
+    inst: IccsiInstance,
+    i: int,
+    count: int,
+    seed: int,
+    extra: tuple[int, Sequence] | None = None,
 ) -> Iterator[list]:
     """``count`` uniform draws from user i's confusable set, as walk columns.
 
     Each draw is a uniform C in F_q^{k x t}, redrawn while R_i K C = 0, and
     is yielded as the t columns of G C in :func:`_confusable_walk`'s format
-    (G as there), so :class:`_WalkBlocks` reads them.  Each user gets its
-    own deterministic stream derived from (seed, i), so per-user checks stay
-    reproducible regardless of evaluation order.
+    (G and ``extra`` as there), so :class:`_WalkBlocks` reads them.  Each
+    user gets its own deterministic stream, that of numpy's
+    ``default_rng([seed, i])``, so per-user checks stay reproducible
+    regardless of evaluation order.
     """
-    import numpy as np
-
-    rng = np.random.default_rng([seed, i])
     gs, top, width = _walk_setup(inst, i, extra)
     f, k, t = inst.field, len(gs), inst.t
+    draws = _Draws(seed, i)
     while count > 0:
-        # Column c of G C is the sum of C[j][c] g_j: row c of C^T times the g_j.
-        cols = _row_mul(f, _random_matrix(rng, f, k, t).transpose().rows, gs, width)
+        # C is drawn row-major; column c of G C is the sum of C[j][c] g_j,
+        # row c of C^T times the g_j.
+        flat = draws.integers(f.q, k * t)
+        cols = _row_mul(f, [flat[c::t] for c in range(t)], gs, width)
         if max(cols) >= top:
             count -= 1
             yield cols

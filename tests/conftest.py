@@ -248,6 +248,12 @@ def alpha_bruteforce_oracle(inst):
     return 0
 
 
+def random_matrix(rng, field, nrows, ncols):
+    """Uniform nrows x ncols matrix drawn from a numpy Generator, the
+    reference for the package's own reader of numpy's streams."""
+    return Matrix(field, rng.integers(0, field.q, size=(nrows, ncols)).tolist(), ncols)
+
+
 def mat(field, rows):
     return Matrix(field, rows)
 

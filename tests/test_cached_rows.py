@@ -26,9 +26,10 @@ from iccsi import (
 )
 from iccsi import codec
 from iccsi.codec import HAMMING, RANK
-from iccsi.galois import _random_matrix, _to_rows, field_new, null_space, vstack
+from iccsi.galois import _to_rows, field_new, null_space, vstack
 from iccsi.instance import DEFAULT_BUDGET, _walk_setup, intersection_basis
 
+from conftest import random_matrix
 from test_confusable_walk import random_encoders, random_instance
 
 # (p, e, t): t = 1 from GF(5) on, with caches of dimension >= 2, keeps
@@ -71,6 +72,8 @@ def test_walk_setup_matches_matrix_formula(p, e, t):
                 G = vstack(*blocks)
                 [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
                 want = (tuple(_to_rows(f, G.transpose().rows)), top, G.nrows)
+                if extra is not None:
+                    extra = (extra.nrows, _to_rows(f, extra.transpose().rows))
                 assert _walk_setup(inst, i, extra) == want
 
 
@@ -139,10 +142,10 @@ def test_joined_integer_draw_equals_split_draws(q):
 
 
 def ref_random_ic_search(inst, N, delta, max_attempts, seed):
-    """(attempts, L or None) with one ``_random_matrix`` draw per attempt."""
+    """(attempts, L or None) with one ``random_matrix`` draw per attempt."""
     rng = np.random.default_rng([seed])
     for attempt in range(1, max_attempts + 1):
-        L = _random_matrix(rng, inst.field, N, inst.d_S)
+        L = random_matrix(rng, inst.field, N, inst.d_S)
         passed = (
             all(realizes_ic(L, inst)) if delta == 0 else verify_ecic(L, inst, delta, seed=seed).passed
         )

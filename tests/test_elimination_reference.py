@@ -17,13 +17,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import random_matrix
 from test_rank_trial import encoders, random_instance
 
 from iccsi import field_new
 from iccsi.galois import (
     Matrix,
     _echelon_insert,
-    _random_matrix,
     _row_rank,
     _solve_left_kernel,
     _to_rows,
@@ -92,7 +92,7 @@ def ref_realizes_ic(L, inst):
 
 def low_rank(rng, f, nrows, ncols, r):
     """A random nrows x ncols matrix of rank at most r."""
-    return _random_matrix(rng, f, nrows, r) * _random_matrix(rng, f, r, ncols)
+    return random_matrix(rng, f, nrows, r) * random_matrix(rng, f, r, ncols)
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -108,9 +108,9 @@ def test_solve_and_rank_match_reference(p, e):
             seen["deficient" if rank < min(nr, nc) else "full"] += 1
             res = mat_rref(a)
             for k in (0, 1, 3):
-                inside = _random_matrix(rng, f, k, nr) * a
+                inside = random_matrix(rng, f, k, nr) * a
                 # Random rows escape a deficient row space, mostly.
-                for b in (inside, _random_matrix(rng, f, k, nc)):
+                for b in (inside, random_matrix(rng, f, k, nc)):
                     want = ref_solve_left_rref(res, b)
                     assert _solve_left_kernel(a, b)[0] == (None if want is None else want.rows)
                     assert solve_left(a, b) == want

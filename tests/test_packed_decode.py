@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from conftest import SYN_L
+from conftest import SYN_L, random_matrix
 from test_elimination_reference import ref_solve_left_rref
 
 from iccsi import field_new
@@ -40,8 +40,8 @@ from iccsi.decoders import (
 )
 from iccsi.galois import (
     Matrix,
+    _Draws,
     _from_row,
-    _random_matrix,
     _row_mul,
     _to_rows,
     _zero_row,
@@ -158,7 +158,7 @@ def ref_hamming_report(cfg, inst, enc):
     tallies = [[0, 0, 0] for _ in range(inst.m)]
     for trial in range(cfg.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, trial])))
-        X = _random_matrix(rng, inst.field, inst.n, inst.t)
+        X = random_matrix(rng, inst.field, inst.n, inst.t)
         Y = enc.lvs * X + ref_hamming_error(rng, inst.field, enc.N, inst.t, cfg.error_weight)
         for i, u in enumerate(inst.users):
             out = ref_syndrome_decode(decoders[i], Y, u.V * X, cfg.delta)
@@ -286,13 +286,13 @@ def test_row_format_matches_matrix(p, e):
     pack = f._pack if f._lanes else tuple
     assert _to_rows(f, [(0, 0, 0)]) == [_zero_row(f, 3)]
     for seed in range(10):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        A, B = _random_matrix(a, f, 4, 5), _random_matrix(a, f, 5, 3)
+        a, b = _Draws(seed, 0), np.random.default_rng([seed, 0])
+        A, B = random_matrix(b, f, 4, 5), random_matrix(b, f, 5, 3)
         rows = _to_rows(f, B.rows)
         assert rows == list(map(pack, B.rows))
         assert [_from_row(f, r, 3) for r in rows] == list(B.rows)
         assert _row_mul(f, A.rows, rows, 3) == _to_rows(f, (A * B).rows)
-        _random_matrix(b, f, 4, 5), _random_matrix(b, f, 5, 3)
+        a.integers(f.q, 4 * 5 + 5 * 3)
         for weight in range(4):
             got = _hamming_error(a, f, 6, 3, weight)
             assert got == list(map(pack, ref_hamming_error(b, f, 6, 3, weight).rows))

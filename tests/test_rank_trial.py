@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import random_matrix
 
 from iccsi import decoders, field_new, harness
 from iccsi.codec import RANK, coset_encoder, make_encoder
@@ -34,7 +35,6 @@ from iccsi.decoders import (
 )
 from iccsi.galois import (
     Matrix,
-    _random_matrix,
     hstack,
     mat_rank,
     mat_rref,
@@ -84,7 +84,7 @@ def ref_rank_error(rng, field, nrows, ncols, r):
     if r == 0:
         return Matrix.zeros(field, nrows, ncols)
     while True:
-        w = _random_matrix(rng, field, nrows, r) * _random_matrix(rng, field, r, ncols)
+        w = random_matrix(rng, field, nrows, r) * random_matrix(rng, field, r, ncols)
         if rank_weight(w) == r:
             return w
 
@@ -95,7 +95,7 @@ def ref_rank_report(cfg, inst, enc):
     tallies = [[0, 0, 0] for _ in range(inst.m)]
     for trial in range(cfg.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, trial])))
-        X = _random_matrix(rng, f, inst.n, inst.t)
+        X = random_matrix(rng, f, inst.n, inst.t)
         if cfg.lvs_shared:
             Q, ell = enc.lvs * X, inst.t
         else:
@@ -262,7 +262,7 @@ def test_rank_trap_decode_matches_reference(p, e):
     seen = Counter()
     for v, N, ell in product(range(4), (1, 3), (1, 2, 4)):
         for r in range(min(v + N, v + ell) + 1):
-            Q = _random_matrix(rng, f, N, ell)
+            Q = random_matrix(rng, f, N, ell)
             received = trap_pad(Q, v) + ref_rank_error(rng, f, v + N, v + ell, r)
             got = rank_trap_decode(received, v, N, ell)
             assert got == ref_rank_trap_decode(received, v, N, ell)

@@ -13,12 +13,13 @@ failing ones included.
 import numpy as np
 import pytest
 
+from conftest import random_matrix
 from test_alpha_fq import fq_instance
 from test_confusable_walk import random_encoders
 
 from iccsi import field_new, verify_ecic
 from iccsi.codec import HAMMING, RANK, EcicCertificate
-from iccsi.galois import _random_matrix, null_space, rank_weight, weight
+from iccsi.galois import null_space, rank_weight, weight
 from iccsi.instance import one_symbol_view, sample_confusable
 
 
@@ -30,7 +31,7 @@ def ref_sample_confusable(inst, i, count, seed):
     k = K.ncols
     produced = 0
     while produced < count:
-        C = _random_matrix(rng, inst.field, k, inst.t)
+        C = random_matrix(rng, inst.field, k, inst.t)
         if (u.R * K * C).is_zero():
             continue
         produced += 1
