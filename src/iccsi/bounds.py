@@ -296,14 +296,15 @@ def alpha_kappa_bracket(
     The optimal length is at least the best length of a code with dimension
     alpha and distance 2 delta + 1, and at most the corresponding kappa
     length.  Precomputed alpha/kappa values may be passed in to skip the
-    searches.
+    searches.  kappa is found first, so that the alpha search can stop
+    once it reaches kappa.
     """
     from .minrank import alpha as alpha_search, min_rank
 
-    if alpha_value is None:
-        alpha_value = alpha_search(inst).alpha
     if kappa_value is None:
         kappa_value = min_rank(inst).kappa
+    if alpha_value is None:
+        alpha_value = alpha_search(inst, upper=kappa_value).alpha
     d = 2 * delta + 1
     if delta == 0:
         return BracketResult(alpha_value, kappa_value, 0, alpha_value, kappa_value)

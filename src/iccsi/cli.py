@@ -219,7 +219,7 @@ def _cmd_validate(args) -> int:
 def _cmd_minrank(args) -> int:
     inst = load_instance(args.instance)
     mr = min_rank(inst)
-    al = alpha_search(inst)
+    al = alpha_search(inst, upper=mr.kappa)
     br = alpha_kappa_bracket(inst, args.delta, alpha_value=al.alpha, kappa_value=mr.kappa)
     print(f"kappa: {mr.kappa}")
     print(f"alpha: {al.alpha}")

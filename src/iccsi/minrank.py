@@ -25,7 +25,9 @@ from .galois import (
     _row_add,
     _row_insert,
     _row_mul,
+    _row_reduce,
     _row_scale,
+    _zero_row,
     iter_vectors,
     row_basis,
     solve_left,
@@ -99,7 +101,22 @@ def min_rank(
     over all row choices is the min-rank.  The scan is a depth-first product
     over users with user 0 varying fastest, pruned by the fact that adding
     rows never lowers the rank, so the reported witness is the first minimal
-    element in odometer order.  Stops early when ``lower_bound`` is reached.
+    element in odometer order.
+
+    The search state is the span P of the rows chosen so far, not the
+    choice indices.  A node whose P is one below the best rank can only win
+    with a leaf of span P, and one exists exactly when every user u still to
+    choose has R_u in P + W_u ([R_u; W_u] its coset generators): such a
+    node is decided by one span test per user instead of a descent, and so
+    is each child P + c of a node two below the best rank.  A candidate
+    that already lies in P is the last one a node explores, because every
+    choice under a later candidate spans a superset of a choice already
+    explored.
+
+    ``lower_bound`` stops the search at the first choice, in odometer order,
+    of rank at most ``lower_bound``.  A bound at or below the min-rank
+    changes nothing; a bound above it returns that first choice, which need
+    not be minimal.
 
     The witness is the canonical encoding matrix: rows of the reduced echelon
     basis of the minimizing A + R, re-expressed over V_S.
@@ -124,51 +141,84 @@ def min_rank(
             )
         coeffs = ((1,) + c for c in iter_vectors(f, w))
         cands.append(_row_mul(f, coeffs, gens, n))
-    insert = _row_insert(f, n)
-    # A user whose cache meets the sender space only in 0 has the one
-    # candidate R_i, which every choice holds: insert those rows once, and
-    # walk the others, each of which at least doubles the coset, so the
-    # depth is at most log2(budget).
-    forced: list = []
+    insert, reduce = _row_insert(f, n), _row_reduce(f, n)
+    zero = _zero_row(f, n)
+    # The span P as echelon pairs and, beside them, the rows they came from,
+    # which the witness is built from.  A user whose cache meets the sender
+    # space only in 0 has the one candidate R_i, which every choice holds:
+    # insert those rows once, and walk the others, each of which at least
+    # doubles the coset, so the depth is at most log2(budget).
+    pairs: list = []
+    rows: list = []
     for row in (c[0] for c in cands if len(c) == 1):
-        pair = insert(forced, row)
+        pair = insert(pairs, row)
         if pair is not None:
-            forced.append(pair)
+            pairs.append(pair)
+            rows.append(row)
     free = [i for i in range(m) if len(cands[i]) > 1]
+
+    best_rank = m + 1  # above the rank of any choice
+    best_rows: list = []
+
+    def settle(memo: dict, j: int) -> tuple:
+        """(pairs extending P to P + W_u, pair of R_u reduced by P + W_u or
+        None) for u = free[j], built once per span P."""
+        got = memo.get(j)
+        if got is None:
+            basis = list(pairs)
+            r, *w = inst._coset_rows[free[j]]
+            for row in w:
+                pair = insert(basis, row)
+                if pair is not None:
+                    basis.append(pair)
+            got = memo[j] = (basis[len(pairs):], insert(basis, r))
+        return got
+
+    def win(extra: tuple = ()) -> bool:
+        nonlocal best_rank, best_rows
+        best_rows = rows + list(extra)
+        best_rank = len(best_rows)
+        return best_rank <= lower_bound
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.  Adding rows
-    # never lowers the rank, so a branch stops once it cannot beat the best.
-    best_rank = m + 1  # above the rank of any choice
-    best_choice: tuple[int, ...] = ()
-    choice = [0] * m
-
-    def walk(k: int, pivrows) -> bool:
-        nonlocal best_rank, best_choice
+    # never lowers the rank, so once P is one below the best rank only a
+    # candidate inside P can lead to a better choice, and the span tests
+    # decide whether one does.  ``memo`` holds settle's results for P.
+    def walk(k: int, memo: dict) -> bool:
+        if best_rank - len(pairs) == 1:
+            return all(settle(memo, j)[1] is None for j in range(k + 1)) and win()
         if k < 0:
-            best_rank = len(pivrows)
-            best_choice = tuple(choice)
-            return best_rank <= lower_bound
-        user = free[k]
-        for idx, row in enumerate(cands[user]):
-            if len(pivrows) >= best_rank:
-                return False
-            choice[user] = idx
-            pair = insert(pivrows, row)
-            if pair is None:
-                if walk(k - 1, pivrows):
-                    return True
-            elif len(pivrows) + 1 < best_rank:
-                pivrows.append(pair)
-                done = walk(k - 1, pivrows)
-                pivrows.pop()
+            return win()
+        for c in cands[free[k]]:
+            r = reduce(pairs, c)
+            if r == zero:
+                return walk(k - 1, memo)
+            slack = best_rank - len(pairs)
+            if slack == 2:
+                # R_u lies in P + W_u + <c> exactly when its remainder mod
+                # P + W_u is zero or a multiple of the nonzero remainder of c.
+                for j in range(k):
+                    extra, rem = settle(memo, j)
+                    if rem is not None:
+                        d = reduce(extra, r)
+                        if d == zero or reduce((rem,), d) != zero:
+                            break
+                else:
+                    if win((c,)):
+                        return True
+            elif slack > 2:
+                pairs.append(insert((), r))
+                rows.append(c)
+                done = walk(k - 1, {})
+                pairs.pop()
+                rows.pop()
                 if done:
                     return True
         return False
 
-    walk(len(free) - 1, forced)
-    chosen = _from_rows(f, (cands[i][best_choice[i]] for i in range(m)), n)
-    basis = row_basis(chosen)
+    walk(len(free) - 1, {})
+    basis = row_basis(_from_rows(f, best_rows, n))
     witness = solve_left(inst.V_S, basis)
     assert witness is not None, "witness rows must lie in the sender space"
     return MinRankResult(best_rank, witness, total)
@@ -181,7 +231,9 @@ class AlphaResult:
     node_count: int
 
 
-def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
+def alpha(
+    inst: IccsiInstance, budget: int | None = None, upper: int | None = None
+) -> AlphaResult:
     """Largest dimension of a subspace inside the union of confusable sets.
 
     Works in the t = 1 view: walks every user's confusable set and collects
@@ -194,6 +246,11 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     vector of span(B + z) lies in U.  The children of a node are its
     candidates after its last basis vector, and the witness is the first
     largest basis found, so it is deterministic.
+
+    ``upper``, an upper bound on alpha such as the min-rank, stops the
+    search once the best basis reaches it.  The best basis is replaced only
+    by a strictly larger one, so alpha and the witness are those of the full
+    search; only ``node_count`` is smaller.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -224,19 +281,24 @@ def alpha(inst: IccsiInstance, budget: int | None = None) -> AlphaResult:
     basis: list = []
     nodes = 0
 
-    def extend(cset: set, children: list) -> None:
+    def extend(cset: set, children: list) -> bool:
         nonlocal nodes, best
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"alpha search exceeded budget {budget}")
         if len(basis) > len(best):
             best = list(basis)
+            if upper is not None and len(best) >= upper:
+                return True
         for j, z in enumerate(children):
             # The last child has no children, so it needs no candidate set.
             sub = narrow(cset, z) if j + 1 < len(children) else cset
             basis.append(z)
-            extend(sub, [c for c in children[j + 1:] if c in sub])
+            done = extend(sub, [c for c in children[j + 1:] if c in sub])
             basis.pop()
+            if done:
+                return True
+        return False
 
     extend(union, sorted(union))
     return AlphaResult(len(best), row_basis(_from_rows(f, best, n)), nodes)

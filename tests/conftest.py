@@ -6,7 +6,9 @@ exactly as in the source material; construction canonicalizes cache bases,
 so tests that need the original (non-reduced) rows keep their own copies.
 """
 
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -20,6 +22,22 @@ F2 = field_new(2, 1)
 
 def ident(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def build(field, t, n, users):

@@ -1,12 +1,10 @@
 """Monte-Carlo harness invariants and command line behavior."""
 
-import contextlib
 import json
-import signal
 
 import pytest
 
-from conftest import SYN_L, TRAP_L, ident
+from conftest import SYN_L, TRAP_L, deadline, ident
 from iccsi import (
     BudgetExceeded,
     Matrix,
@@ -176,22 +174,6 @@ def test_sim_rank_noise_free_with_private_lvs(trap_inst):
         assert all(u.success == 40 for u in rep.users)
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail with TimeoutError instead of hanging past ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_sim_rank_weight_above_error_shape_rejected(trap_inst):
     # v=0, N=3, ell=t=1: no 3 x 1 error has rank 2, so sampling one would
     # never end; the config must be refused before the first trial.
@@ -199,7 +181,7 @@ def test_sim_rank_weight_above_error_shape_rejected(trap_inst):
     cfg = SimConfig(
         instance="mem", metric="rank", error_weight=2, trap_pad=0, trials=5,
     )
-    with _deadline(10), pytest.raises(ValueError, match="exceeds min"):
+    with deadline(10), pytest.raises(ValueError, match="exceeds min"):
         run_simulation(cfg, inst=trap_inst, encoder=enc)
 
 
@@ -210,7 +192,7 @@ def test_sim_rank_weight_at_error_shape_runs(trap_inst):
         instance="mem", metric="rank", error_weight=2, trap_pad=0, trials=5,
         lvs_shared=False,
     )
-    with _deadline(10):
+    with deadline(10):
         rep = run_simulation(cfg, inst=trap_inst, encoder=enc)
     assert all(u.success + u.detected + u.undetected == 5 for u in rep.users)
 
@@ -218,7 +200,7 @@ def test_sim_rank_weight_at_error_shape_runs(trap_inst):
 def test_cli_simulate_rank_weight_too_large_exits_2(tmp_path, trap_inst, capsys):
     path = tmp_path / "cycle.json"
     save_instance(trap_inst, path)
-    with _deadline(10):
+    with deadline(10):
         code = main([
             "simulate", "--instance", str(path), "--metric", "rank",
             "--pad", "0", "--error-weight", "2", "--trials", "5",
@@ -629,7 +611,7 @@ def test_cli_huge_t_exits_2(argv, tmp_path, capsys):
                      {"V": [[0, 0, 1]], "R": [1, 0, 0]}]}
     bad = tmp_path / "huge_t.json"
     bad.write_text(json.dumps(doc))
-    with _deadline(10):
+    with deadline(10):
         assert main([*argv, "--instance", str(bad)]) == 2
     assert "bit cap" in capsys.readouterr().err
 
@@ -700,7 +682,7 @@ _CAP_T_DOC = {"p": 3, "e": 1, "t": 6891, "n": 3, "sender": ident(3),
 def test_sampled_verify_charges_draws_to_budget():
     inst = parse_instance(_CAP_T_DOC)
     L = Matrix(inst.field, [[1, 1, 1], [0, 1, 2]])
-    with _deadline(10), pytest.raises(BudgetExceeded) as exc:
+    with deadline(10), pytest.raises(BudgetExceeded) as exc:
         verify_ecic(L, inst, 1, "rank")
     assert str(exc.value) == (
         "user 0: 100000 samples of k t = 13782 kernel digits each exceed budget 4194304"
@@ -710,7 +692,7 @@ def test_sampled_verify_charges_draws_to_budget():
 def test_cli_encode_sampled_rank_check_near_cap_exits_4(tmp_path, capsys):
     path = tmp_path / "cap_t.json"
     path.write_text(json.dumps(_CAP_T_DOC))
-    with _deadline(10):
+    with deadline(10):
         code = main([
             "encode", "--instance", str(path), "--method", "coset",
             "--delta", "1", "--metric", "rank",
@@ -763,7 +745,7 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
             "decode", "--frame", str(frame), "--instance", inst_file,
             "--user", "0", "--side", str(bad),
         ]
-    with _deadline(10):
+    with deadline(10):
         assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -802,7 +784,7 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
-    with _deadline(10):
+    with deadline(10):
         if flag.startswith("q^"):
             assert main(argv) == 2
         else:
@@ -823,7 +805,7 @@ def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
 def test_cli_bounds_large_radius_finishes(capsys):
     # Under the cap the Hamming sphere volume still has 15,001 terms of
     # ~30,000 bits; summed term by term it took minutes.
-    with _deadline(10):
+    with deadline(10):
         code = main(["bounds", "--bound", "hamming", "--N", "30000", "--delta", "7500"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("hamming_random_ecic_prob,2,")
@@ -839,7 +821,7 @@ def test_cli_bounds_large_radius_finishes(capsys):
     ],
 )
 def test_cli_bounds_large_flags_without_large_powers(argv, row, capsys):
-    with _deadline(10):
+    with deadline(10):
         assert main(["bounds", "--bound", *argv]) == 0
     assert capsys.readouterr().out.splitlines()[1] == row
 

@@ -9,6 +9,7 @@ from conftest import (
     SYN_L,
     TRAP_L,
     build,
+    deadline,
     ident,
     min_rank_bruteforce_oracle,
     random_instances,
@@ -19,6 +20,7 @@ from iccsi import (
     field_new,
     make_instance,
     min_rank,
+    parse_instance,
     realizes_ic,
     save_instance,
     verify_ecic,
@@ -155,6 +157,65 @@ def test_alpha3_fixture_span_is_confusable(alpha3_inst):
 def test_alpha_never_exceeds_kappa():
     for inst in random_instances(seed=57, count=25):
         assert alpha(inst).alpha <= min_rank(inst).kappa
+
+
+def test_alpha_upper_keeps_value_and_witness(syn_inst, alpha3_inst):
+    # Stopping at kappa changes only the node count: the best basis is
+    # replaced only by a strictly larger one.
+    stopped = 0
+    for inst in [syn_inst, alpha3_inst, *random_instances(seed=57, count=25)]:
+        full = alpha(inst)
+        cut = alpha(inst, upper=min_rank(inst).kappa)
+        assert (cut.alpha, cut.witness) == (full.alpha, full.witness)
+        assert cut.node_count <= full.node_count
+        stopped += cut.node_count < full.node_count
+    assert stopped > 0
+
+
+def _minrank_lines(path, capsys):
+    assert main(["minrank", "--instance", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_cli_minrank_prints_the_full_alpha_search(alpha3_inst, tmp_path, capsys):
+    path = tmp_path / "alpha3.json"
+    save_instance(alpha3_inst, path)
+    lines = _minrank_lines(path, capsys)
+    full = alpha(alpha3_inst)
+    assert f"alpha: {full.alpha}" in lines
+    basis = lines[lines.index("confusable subspace basis rows:") + 1:-1]
+    assert basis == ["  " + " ".join(map(str, row)) for row in full.witness.rows]
+
+
+# GF(9), n = 4, 3 users: the alpha search without a stop takes about 90 s
+# (2 cores, Python 3.11) and ends with this witness; it reaches kappa = 2
+# within 3 nodes.
+GF9_SLOW_ALPHA = (
+    '{"p": 3, "e": 2, "t": 1, "n": 4, "modulus": [1, 0, 1],'
+    ' "sender": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],'
+    ' "users": [{"V": [[1, 2, 0, 4]], "R": [0, 4, 7, 6]},'
+    ' {"V": [[1, 0, 3, 0]], "R": [1, 7, 0, 5]},'
+    ' {"V": [[0, 1, 4, 1]], "R": [2, 0, 6, 1]}]}'
+)
+
+
+def test_cli_minrank_alpha_stops_at_kappa(tmp_path, capsys):
+    path = tmp_path / "gf9.json"
+    path.write_text(GF9_SLOW_ALPHA)
+    with deadline(5):
+        lines = _minrank_lines(path, capsys)
+    assert lines == [
+        "kappa: 2",
+        "alpha: 2",
+        "encoder rows (over the sender basis):",
+        "  1 0 3 2",
+        "  0 1 5 8",
+        "confusable subspace basis rows:",
+        "  1 1 3 0",
+        "  0 0 0 1",
+        "length bracket at delta=0: [2, 2]",
+    ]
+    assert alpha(parse_instance(GF9_SLOW_ALPHA), upper=2).node_count == 3
 
 
 def test_syndrome_instance_alpha_pair(syn_inst):
