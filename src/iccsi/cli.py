@@ -38,24 +38,21 @@ from .codec import (
     extended_rs_generator,
     load_encoder,
     random_ic_search,
+    require_rank_testable,
     save_encoder,
     verify_ecic,
 )
 from .decoders import (
     FLAG_LVS_SHARED,
-    TRAP_FAILURE_DETECTED,
     FrameError,
-    _decoded_lvs,
-    _demand_map,
-    _demand_rows,
     _payload_width,
-    _split_payload,
-    _trap_rows,
-    _user_decoder,
+    build_user_decoder,
+    rank_trap_decode,
     read_frame,
+    solve_demand,
     syndrome_decode,
 )
-from .galois import MAX_FIELD_ORDER, Matrix, _from_row, _prime_factors, _to_rows
+from .galois import MAX_FIELD_ORDER, Matrix, _prime_factors
 from .harness import SimConfig, run_simulation
 from .instance import BudgetExceeded, InstanceError, _parse_json, load_instance
 from .minrank import alpha as alpha_search
@@ -332,13 +329,8 @@ def _write_bounds_csv(fh, rows) -> None:
 def _cmd_encode(args) -> int:
     inst = load_instance(args.instance)
     delta = args.delta
-    # No confusable has rank 2 delta + 1 > t, so such a rank certificate
-    # would pass with 0 trials, and the random search take its first draw.
-    if args.metric == RANK and inst.t <= 2 * delta:
-        raise ValueError(
-            f"--metric rank needs t > 2 delta, got t={inst.t} and 2 delta={2 * delta}: "
-            "the rank certificate would test no confusable"
-        )
+    if args.metric == RANK:
+        require_rank_testable(inst, delta)
     if args.method == "coset":
         enc = coset_encoder(inst)
         if delta > 0:
@@ -422,26 +414,28 @@ def _cmd_decode(args) -> int:
         delta = args.delta
         if delta is None:
             delta = enc.certificate.delta if enc.certificate is not None else 0
-        out = syndrome_decode(_user_decoder(inst, enc.lvs, args.user), payload, lam, delta)
+        out = syndrome_decode(build_user_decoder(inst, enc.L, args.user), payload, lam, delta)
         if not out.ok:
             print(out.failure, file=sys.stderr)
             return EXIT_DECODE
-        print("demand: " + " ".join(map(str, out.demand.rows[0])))
-        return EXIT_OK
-    f, t = inst.field, inst.t
-    trapped = _trap_rows(f, _to_rows(f, payload.rows), v, ell)
-    if trapped is None:
-        print(TRAP_FAILURE_DETECTED, file=sys.stderr)
-        return EXIT_DECODE
-    shared_lvs = enc.lvs if shared else None
-    L, Y = _split_payload(inst, trapped[0], ell, shared_lvs)
-    dmap = _demand_map(inst, args.user, _decoded_lvs(inst, L, shared_lvs))
-    try:
-        row = _demand_rows(inst, args.user, dmap, _to_rows(f, lam.rows) + Y, t)
-    except ValueError as exc:
-        print(f"decode failed: {exc}", file=sys.stderr)
-        return EXIT_DECODE
-    print("demand: " + " ".join(map(str, _from_row(f, row, t))))
+        demand = out.demand
+    else:
+        trap = rank_trap_decode(payload, v, N, ell)
+        if not trap.ok:
+            print(trap.failure, file=sys.stderr)
+            return EXIT_DECODE
+        if shared:
+            lvs, Y = enc.lvs, trap.Q
+        else:
+            # A private payload is [L | Y], L in its first d_S columns.
+            lvs = trap.Q.take_cols(range(inst.d_S)) * inst.V_S
+            Y = trap.Q.take_cols(range(inst.d_S, ell))
+        try:
+            demand = solve_demand(inst, args.user, lvs, Y, lam)
+        except ValueError as exc:
+            print(f"decode failed: {exc}", file=sys.stderr)
+            return EXIT_DECODE
+    print("demand: " + " ".join(map(str, demand.rows[0])))
     return EXIT_OK
 
 

@@ -25,9 +25,10 @@ import numpy as np
 from .galois import (
     Matrix,
     _as_int,
+    _row_mul,
+    _row_weight,
     _to_rows,
     field_of_order,
-    hamming_weight,
     iter_vectors,
     mat_rank,
 )
@@ -180,14 +181,16 @@ def random_ic_search(
     ``rng.integers(0, q, size)`` call per block cut into N x d_S entry rows
     per attempt.  numpy fills a joined draw from the same stream as split
     ones, so attempt a gets the entries the a-th of one draw per attempt
-    would (the tests pin this), and only the attempt that passes, or each
-    one a delta > 0 check tests, is built as a ``Matrix``.
+    would (the tests pin this).  Every attempt must first serve every user
+    (:func:`~iccsi.minrank.realizes_ic`), in every metric: a rank check
+    tests nothing for a user whose kernel has dimension <= 2 delta.  Only
+    an attempt that serves them all is built as a ``Matrix``.
     """
     if N <= 0:
         return RandomSearchResult(None, 0)
     rng = np.random.default_rng([seed])
     f, q, d_S = inst.field, inst.q, inst.d_S
-    served = _realization_check(inst) if delta == 0 else None
+    served = _realization_check(inst)
     per = N * d_S
     most = max(1, _DRAW_BLOCK_ENTRIES // per)
     attempt, block = 0, 1
@@ -198,13 +201,12 @@ def random_ic_search(
         for start in range(0, count * N, N):
             attempt += 1
             L_rows = tuple(rows[start:start + N])
+            if not all(served(L_rows)):
+                continue
+            L = Matrix._trusted(f, L_rows, d_S)
             if delta == 0:
-                if not all(served(L_rows)):
-                    continue
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
-                L = Matrix._trusted(f, L_rows, d_S)
             else:
-                L = Matrix._trusted(f, L_rows, d_S)
                 cert = verify_ecic(
                     L, inst, delta, metric, budget=budget, samples=samples, seed=seed
                 )
@@ -213,6 +215,20 @@ def random_ic_search(
             return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
         block = min(2 * block, most)
     return RandomSearchResult(None, max_attempts)
+
+
+def require_rank_testable(inst: IccsiInstance, delta: int) -> None:
+    """Raise ValueError when a rank check at ``delta`` would test nothing.
+
+    No confusable has rank 2 delta + 1 > t, so at t <= 2 delta a rank
+    certificate would pass with 0 trials, and a random search take its
+    first realizing draw.
+    """
+    if inst.t <= 2 * delta:
+        raise ValueError(
+            f"--metric rank needs t > 2 delta, got t={inst.t} and 2 delta={2 * delta}: "
+            "the rank certificate would test no confusable"
+        )
 
 
 def verify_ecic(
@@ -316,7 +332,8 @@ def _walk_user(
 
 
 def min_distance_cols(g: Matrix, budget: int | None = None) -> int:
-    """Minimum Hamming weight of g u over nonzero coefficient vectors u.
+    """Minimum Hamming weight of g u over nonzero coefficient vectors u;
+    0 when the columns of g are dependent.
 
     The code here is the column span of g, matching the outer-code role in
     concatenation where codewords multiply the inner encoder from the left.
@@ -329,17 +346,11 @@ def min_distance_cols(g: Matrix, budget: int | None = None) -> int:
         raise ValueError("empty generator")
     if f.q**k > budget:
         raise BudgetExceeded(f"codeword enumeration size {f.q}^{k} exceeds budget")
-    best = g.nrows + 1
-    for coef in iter_vectors(f, k):
-        if not any(coef):
-            continue
-        word = g * Matrix.column_vector(f, coef)
-        w = hamming_weight(word)
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    # Codeword g u is the row u g^T, weighed in the row format.
+    N = g.nrows
+    gt = _to_rows(f, g.transpose().rows)
+    weigh = _row_weight(f, 0, N, N)
+    return min(weigh(_row_mul(f, (u,), gt, N)[0]) for u in iter_vectors(f, k) if any(u))
 
 
 def concat_kappa_bound(

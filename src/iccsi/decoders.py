@@ -293,30 +293,6 @@ def _payload_width(inst: IccsiInstance, shared: bool) -> int:
     return inst.t if shared else inst.d_S + inst.t
 
 
-def _split_payload(inst: IccsiInstance, Q: list, ell: int, shared_lvs: Matrix | None) -> tuple:
-    """(L, Y) of the ``ell``-wide rows Q of a trapped payload, in the
-    format of :func:`~iccsi.galois._row_mul`.
-
-    ``shared_lvs`` is the encoder's L V_S when the receivers share it, and
-    then Q is Y and L is None.  When it is None, Q is [L | Y] with L in its
-    first d_S columns, and L comes as a tuple of entry rows, a dict key
-    for :func:`_decoded_lvs`.
-    """
-    if shared_lvs is not None:
-        return None, Q
-    f, d_S = inst.field, inst.d_S
-    head = _row_block(f, 0, d_S, ell)
-    L = tuple(_from_row(f, head(r), d_S) for r in Q)
-    return L, list(map(_row_block(f, d_S, ell, ell), Q))
-
-
-def _decoded_lvs(inst: IccsiInstance, L: tuple | None, shared_lvs: Matrix | None) -> Matrix:
-    """The L V_S of an L from :func:`_split_payload`."""
-    if L is None:
-        return shared_lvs
-    return Matrix._trusted(inst.field, L, inst.d_S) * inst.V_S
-
-
 def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> tuple:
     """User i's demand map for one L V_S, which both decoders read.
 

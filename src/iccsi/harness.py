@@ -35,22 +35,23 @@ from .codec import (
     coset_encoder,
     load_encoder,
     random_ic_search,
+    require_rank_testable,
     verify_ecic,
 )
 from .decoders import (
     _decode_rows,
-    _decoded_lvs,
     _demand_map,
     _demand_rows,
     _payload_width,
-    _split_payload,
     _trap_rows,
     _user_decoder,
 )
 from .galois import (
     Matrix,
     _Draws,
+    _from_row,
     _row_add,
+    _row_block,
     _row_join,
     _row_mul,
     _row_nonzero_blocks,
@@ -168,7 +169,9 @@ def run_simulation(
 
     ``inst`` and ``encoder`` may be passed directly to skip file loading.
     With ``guarantee`` set the encoder must verify at the design delta
-    before any trial runs.
+    before any trial runs.  A rank check that would test nothing, for a
+    random search or a guarantee, raises ValueError (see
+    :func:`~iccsi.codec.require_rank_testable`).
     """
     t0 = time.perf_counter()
     if cfg.metric not in (HAMMING, RANK):
@@ -179,6 +182,8 @@ def run_simulation(
         raise ValueError("delta, error_weight, and trap_pad must be >= 0")
     if inst is None:
         inst = load_instance(cfg.instance)
+    if cfg.metric == RANK and (cfg.encoder == "random" or cfg.guarantee):
+        require_rank_testable(inst, cfg.delta)
     enc = encoder if encoder is not None else resolve_encoder(cfg, inst)
     if cfg.guarantee:
         cert = verify_ecic(enc.L, inst, cfg.delta, cfg.metric)
@@ -303,11 +308,16 @@ def _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies) -> None:
         for row in tallies:
             row[1] += 1
         return
-    shared_lvs = enc.lvs if cfg.lvs_shared else None
-    L, Y = _split_payload(inst, trapped[0], ell, shared_lvs)
+    L, Y = None, trapped[0]
+    if not cfg.lvs_shared:
+        # A private payload is [L | Y], L in its first d_S columns; L is
+        # kept as a tuple of entry rows, the key of ``maps``.
+        d_S = inst.d_S
+        L = tuple(_from_row(f, r, d_S) for r in map(_row_block(f, 0, d_S, ell), Y))
+        Y = list(map(_row_block(f, d_S, ell, ell), Y))
     dmaps = maps.get(L)
     if dmaps is None:
-        lvs = _decoded_lvs(inst, L, shared_lvs)
+        lvs = enc.lvs if L is None else Matrix._trusted(f, L, inst.d_S) * inst.V_S
         dmaps = maps[L] = [_demand_map(inst, i, lvs) for i in range(inst.m)]
     known = _row_mul(f, recv, X, t)
     start = 0

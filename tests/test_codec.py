@@ -175,12 +175,47 @@ def test_random_search_delta0(trap_inst):
     assert res.encoder.certificate.delta == 0
 
 
+def test_random_search_rank_metric_requires_realization():
+    # The 3-user cycle over GF(2) at t = 3: each user's kernel has dimension
+    # 2 = 2 delta, so the rank check at delta = 1 tests no confusable and
+    # passes every draw.  The search once skipped the realization filter at
+    # delta > 0 and returned encoders that serve no user (11 of these seeds).
+    users = [([[1, 0, 0]], [0, 1, 0]), ([[0, 1, 0]], [0, 0, 1]), ([[0, 0, 1]], [1, 0, 0])]
+    inst = build(F2, 3, 3, users)
+    for seed in range(40):
+        res = random_ic_search(inst, 4, 1, RANK, seed=seed)
+        assert res.found and all(realizes_ic(res.encoder.L, inst)), seed
+
+
 def test_min_distance_cols():
     g = Matrix(F2, ((1, 0), (0, 1), (1, 1), (1, 0), (0, 1))).transpose()
     # columns span the [5,2,3] code used by the concatenation walkthrough
     assert min_distance_cols(g.transpose()) == 3
     rep = Matrix(F2, ((1,), (1,), (1,)))
     assert min_distance_cols(rep) == 3
+
+
+def test_min_distance_cols_rank_deficient_is_zero():
+    # u = (1, 1) gives the zero codeword; an early stop at weight 1 once
+    # returned 1.
+    assert min_distance_cols(Matrix(F2, ((1, 1), (0, 0)))) == 0
+    assert min_distance_cols(Matrix(field_new(3, 1), ((1, 2), (2, 1), (0, 0)))) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_min_distance_cols_matches_definition(q):
+    # Minimum over nonzero u of the nonzero rows of g u, rank-deficient
+    # generators included.
+    f = field_new(*{4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1)))
+    rng = np.random.default_rng([q, 7])
+    for _ in range(12):
+        N, k = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        g = Matrix(f, rng.integers(0, q, size=(N, k)).tolist(), k)
+        want = min(
+            hamming_weight(g * Matrix.column_vector(f, u))
+            for u in iter_vectors(f, k) if any(u)
+        )
+        assert min_distance_cols(g) == want
 
 
 def test_concat_kappa_bound_walkthrough(syn_inst):

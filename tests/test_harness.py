@@ -646,6 +646,47 @@ def test_cli_encode_vacuous_rank_certificate_exits_2(method, t, delta, tmp_path,
     assert "error: --metric rank" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--encoder", "random"], ["--encoder", "coset", "--guarantee", "--pad", "1"]],
+    ids=["random", "guarantee"],
+)
+def test_cli_simulate_vacuous_rank_check_exits_2(flags, tmp_path, capsys):
+    # At t = 1 <= 2 delta the rank check tests nothing: simulate once ran a
+    # random draw that serves no user, and "verified" a coset encoder that
+    # left tens of errors per user undetected.  It refuses both as encode
+    # does, with the same message.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"p": 3, "e": 1, "t": 1, "n": 3, "sender": ident(3),
+                                "users": _CYCLE3_USERS}))
+    argv = ["simulate", "--instance", str(path), *flags, "--metric", "rank",
+            "--delta", "1", "--error-weight", "0", "--trials", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --metric rank needs t > 2 delta, got t=1 and 2 delta=2" in captured.err
+    assert "success" not in captured.out
+    cfg = SimConfig(str(path), encoder=flags[1], metric="rank", delta=1, trials=5,
+                    trap_pad=1, guarantee="--guarantee" in flags)
+    with pytest.raises(ValueError, match="needs t > 2 delta"):
+        run_simulation(cfg)
+    # Neither a random search nor a guarantee: nothing to refuse.
+    assert main(["simulate", "--instance", str(path), "--metric", "rank", "--delta", "1",
+                 "--trials", "5"]) == 0
+
+
+def test_cli_simulate_random_rank_encoder_serves_every_user(tmp_path, capsys):
+    # The 3-user cycle over GF(2) at t = 3, delta = 1: the rank check tests
+    # no confusable, and the random search once returned a length-4 draw
+    # that served no user, so no trial decoded.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"p": 2, "e": 1, "t": 3, "n": 3, "sender": ident(3),
+                                "users": _CYCLE3_USERS}))
+    argv = ["simulate", "--instance", str(path), "--encoder", "random", "--metric", "rank",
+            "--delta", "1", "--error-weight", "0", "--trials", "20", "--seed", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("success 20/20 ") == 3
+
+
 def test_cli_encode_concat_rs_certifies_in_the_metric_asked_for(tmp_path, capsys, monkeypatch):
     # concat-rs printed the concatenation's Hamming certificate whatever
     # --metric asked for.  Here the [3, 1, 3] outer code over GF(4) passes
