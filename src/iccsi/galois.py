@@ -50,9 +50,9 @@ the row's pivot lane selects; over GF(2) the bodies select whole rows by a
 bit.  Odd fields and characteristic-2 fields above GF(16) keep entry
 tuples, since there building q multiples per row costs more than
 entrywise arithmetic does (see ``_LANE_MAX_ORDER``).  :func:`_to_rows`,
-:func:`_from_row`, :func:`_from_rows`, :func:`_zero_row`,
-:func:`_rref_transform` and the ``_row_*`` helpers are the only code that
-branches on the format, so the
+:func:`_from_row`, :func:`_from_rows`, :func:`_rows_of_blocks`,
+:func:`_zero_row`, :func:`_rref_transform` and the ``_row_*`` helpers are
+the only code that branches on the format, so the
 confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
 decoder, the rank-trap decoder, the demand solve and both kinds of trial
 hold one body for every field.  Two of the helpers read a row as blocks
@@ -620,46 +620,191 @@ def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # 2**32: for most instances one read holds a trial's X and its error.
 _DRAW_WORDS = 32
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool size, the
+# first constant and multiplier of the hash constants of the pool and of the
+# state it hands out, and mix's two multipliers.
+_POOL_SIZE = 4
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT = (0xCA01F9DD, 0x4973F715)
+_MASK_32 = (1 << 32) - 1
+
 
 def _seed_words(n: int) -> list[int]:
     """numpy's coercion of a seed int to 32-bit words: low word first, 0 as
     one word, and a negative int refused as numpy refuses it."""
     if n < 0:
         raise ValueError("expected non-negative integer")
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
+    words = [n & _MASK_32]
+    while n > _MASK_32:
         n >>= 32
-        words.append(n & 0xFFFFFFFF)
+        words.append(n & _MASK_32)
     return words
+
+
+def _lanes(values) -> int:
+    """The int whose 64-bit lane j, bits [64 j, 64 j + 64), holds
+    ``values[j]``, each below 2**64."""
+    import numpy as np
+
+    return int.from_bytes(np.asarray(values, dtype="<u8").tobytes(), "little")
+
+
+@functools.cache
+def _seed_hash_steps(nwords: int) -> tuple:
+    """The hash steps of :func:`_seed_hash` for ``nwords`` entropy words, in
+    numpy's order: (xor, multiply) for the pool's first hash of each of its
+    4 words; (source, destination, xor, multiply) for each mixing step, a
+    source past the pool being that entropy word; and (xor, multiply) for
+    each of the 8 hashes of the state.  Each hash xors the current constant
+    of its sequence and multiplies by the next."""
+
+    def pairs(init: int, mult: int, count: int) -> list:
+        consts = [init]
+        for _ in range(count):
+            consts.append(consts[-1] * mult & _MASK_32)
+        return list(zip(consts, consts[1:]))
+
+    moves = [(s, d) for s in range(_POOL_SIZE) for d in range(_POOL_SIZE) if s != d]
+    moves += [(s, d) for s in range(_POOL_SIZE, nwords) for d in range(_POOL_SIZE)]
+    pool = pairs(*_POOL_HASH, _POOL_SIZE + len(moves))
+    mixing = [move + pair for move, pair in zip(moves, pool[_POOL_SIZE:])]
+    return pool[:_POOL_SIZE], mixing, pairs(*_STATE_HASH, 2 * _POOL_SIZE)
+
+
+def _seed_hash(entropy: Sequence[int], ones: int) -> list[int]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for k entropies
+    at once, held in the 64-bit lanes of ints (see :func:`_lanes`): lane j
+    of ``entropy[w]`` is word w of entropy j, lane j of output word i is
+    word i of its state, and ``ones`` holds 1 in each of the k lanes (for
+    one entropy, the ints are the words and ``ones`` is 1).
+
+    numpy hashes each entropy word into a pool of 4 (zeros past the
+    entropy), mixes the hash of every pool word into the others, mixes in
+    the words past the pool, and hashes the pool out twice, 8 words of 32
+    bits.  A lane's 32-bit value times a 32-bit constant stays in its lane,
+    so every step is a few int operations for all k lanes; mix adds the
+    negation of its subtrahend mod 2**32, so no lane borrows from the next.
+    """
+    low = _MASK_32 * ones
+    left, right = _MIX_MULT[0], -_MIX_MULT[1] & _MASK_32
+    first, mixing, state = _seed_hash_steps(len(entropy))
+    # The pool, then the entropy words past it.
+    regs = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    for i, (xor, mult) in enumerate(first):
+        x = (regs[i] ^ xor * ones) * mult & low
+        regs[i] = x ^ x >> 16 & low
+    for src, dst, xor, mult in mixing:
+        y = (regs[src] ^ xor * ones) * mult & low
+        y ^= y >> 16 & low
+        x = (left * regs[dst] & low) + (right * y & low) & low
+        regs[dst] = x ^ x >> 16 & low
+    out = []
+    for i, (xor, mult) in enumerate(state):
+        x = (regs[i % _POOL_SIZE] ^ xor * ones) * mult & low
+        out.append(x ^ x >> 16 & low)
+    # numpy views the 32-bit words little-endian as 64-bit ones.
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _seed_states(seed: int, trials: range) -> Iterator:
+    """``SeedSequence([seed, trial]).generate_state(4, np.uint64)`` for each
+    trial of ``trials`` (step 1), each a native uint64 array: the words
+    ``default_rng([seed, trial])`` seeds its PCG64 from.
+
+    The entropy is the words of seed then of trial.  Trials are hashed in
+    groups that share every trial word but the lowest, whose lanes then
+    count up from the group's first trial.
+    """
+    import numpy as np
+
+    head = _seed_words(seed)
+    start = trials.start
+    while start < trials.stop:
+        stop = min(trials.stop, ((start >> 32) + 1) << 32)
+        k = stop - start
+        # 1 in each of the k lanes: 2**(64 k) = (2**64 - 1) ones + 1.
+        ones = (1 << 64 * k) // ((1 << 64) - 1)
+        entropy = [w * ones for w in head + _seed_words(start)]
+        base = start & _MASK_32
+        entropy[len(head)] = _lanes(np.arange(base, base + k, dtype=np.uint64))
+        raw = b"".join(w.to_bytes(8 * k, "little") for w in _seed_hash(entropy, ones))
+        yield from np.frombuffer(raw, "<u8").reshape(4, k).T.astype(np.uint64, order="C")
+        start = stop
+
+
+@functools.cache
+def _pcg64_from_state():
+    """The function that makes a ``np.random.PCG64`` from the 4 words, a
+    native uint64 array, that a ``SeedSequence`` would hand it.
+
+    They reach PCG64 through numpy's ``ISeedSequence`` interface, so numpy's
+    own ``pcg64_set_seed`` turns them into (state, inc), and a generator
+    costs about 1 µs, a tenth of seeding one from an int.
+    """
+    import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Hashed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's 4 uint64 words are precomputed")
+            return self.words
+
+    return lambda words: np.random.PCG64(Hashed(words))
+
+
+def _stream_halves(seed: int, trials: range) -> list:
+    """For each trial of ``trials``, the 32-bit stream of
+    ``default_rng([seed, trial])``: the iterator of the low then the high
+    half of each raw PCG64 word, read ``_DRAW_WORDS`` words at a time.
+
+    Every stream has its own PCG64, so streams may be read in any
+    interleaving.
+    """
+    pcg64 = _pcg64_from_state()
+
+    def stream(words):
+        raw = pcg64(words).random_raw
+
+        def block() -> list:
+            return raw(_DRAW_WORDS).astype("<u8", copy=False).view("<u4").tolist()
+
+        return itertools.chain.from_iterable(iter(block, None))
+
+    return list(map(stream, _seed_states(seed, trials)))
 
 
 class _Draws:
     """The draws of ``numpy.random.default_rng([seed, trial])``, read off
     its raw PCG64 words as Python ints.
 
-    numpy's own ``SeedSequence`` and ``PCG64`` set the state, from the words
-    numpy makes of [seed, trial].  The Generator's bounded integers below
-    2**32 read the bit generator's 32-bit stream, the low then the high
-    half of each 64-bit word, a half left over by one call going to the
-    next; :meth:`integers` and :meth:`choice` return what ``integers(0, q,
-    size=k)`` and ``choice(n, size=k, replace=False)`` return when called
-    in the same order (the tests pin this).  Words are read
-    ``_DRAW_WORDS`` at a time, ahead of use; nothing else draws from the
-    bit generator, so that changes no value.
+    :meth:`chunk` seeds the streams of a range of trials at once: numpy's
+    ``SeedSequence`` hash of [seed, trial] redone for all of them (see
+    :func:`_seed_states`), each trial's words handed to a PCG64 of its own.
+    A single stream is a chunk of one.  The Generator's bounded integers
+    below 2**32 read the bit generator's 32-bit stream, the low then the
+    high half of each 64-bit word, a half left over by one call going to
+    the next; :meth:`integers` and :meth:`choice` return what
+    ``integers(0, q, size=k)`` and ``choice(n, size=k, replace=False)``
+    return when called in the same order (the tests pin this).  Words are
+    read ``_DRAW_WORDS`` at a time, ahead of use (see
+    :func:`_stream_halves`); nothing else draws from the bit generator, so
+    that changes no value.
     """
 
     __slots__ = ("_halves",)
 
-    def __init__(self, seed: int, trial: int):
-        import numpy as np
+    def __init__(self, halves: Iterator[int]):
+        self._halves = halves
 
-        entropy = np.array(_seed_words(seed) + _seed_words(trial), dtype=np.uint32)
-        raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw
-
-        def block() -> list:
-            return raw(_DRAW_WORDS).astype("<u8", copy=False).view("<u4").tolist()
-
-        self._halves = itertools.chain.from_iterable(iter(block, None))
+    @classmethod
+    def chunk(cls, seed: int, trials: range) -> list["_Draws"]:
+        """The streams of every trial of ``trials`` (step 1), seeded at once."""
+        return list(map(cls, _stream_halves(seed, trials)))
 
     def integers(self, q: int, k: int) -> list[int]:
         """``integers(0, q, size=k)`` for 2 <= q <= 2**32, by Lemire's
@@ -962,6 +1107,32 @@ def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
             unpack = field._unpack
             rows = [unpack(r, ncols) for r in rows]
     return Matrix._trusted(field, tuple(rows), ncols)
+
+
+# Entries of a lane field, below 16, as digits of an int in base q.
+_LANE_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+
+def _rows_of_blocks(field: Field, flats: Sequence[Sequence[int]], nrows: int, ncols: int) -> list:
+    """The ``nrows`` rows in the row format whose block k, entries
+    [k ncols, (k + 1) ncols), is row r of the nrows x ncols matrix that
+    ``flats[k]`` lists row-major, as a shaped draw gives it; ncols >= 1.
+
+    One extended-slice assignment per entry position of a block moves that
+    entry of every block into place.  On lanes a row is then its entries
+    read as the digits of an int in base q, entry 0 the most significant.
+    """
+    size, width = nrows * ncols, ncols * len(flats)
+    entries = list(itertools.chain.from_iterable(flats))
+    out = [0] * (nrows * width)
+    for r in range(nrows):
+        for c in range(ncols):
+            out[r * width + c:(r + 1) * width:ncols] = entries[r * ncols + c::size]
+    starts = range(0, nrows * width, width)
+    if field._lanes:
+        digits, q = bytes(out).translate(_LANE_DIGITS), field.q
+        return [int(digits[s:s + width], q) for s in starts]
+    return [tuple(out[s:s + width]) for s in starts]
 
 
 def _zero_row(field: Field, ncols: int):

@@ -8,16 +8,17 @@ detected failures, and silently wrong answers.
 Every trial derives its own random stream from (seed, trial index), so
 reports are bit-identical across runs and independent of evaluation order;
 ``SimReport.stable_json`` excludes the wall time for that comparison.  The
-stream is numpy's ``default_rng([seed, trial])``: ``galois._Draws`` seeds
-numpy's PCG64 as numpy does and reads the Generator's ``integers`` and
+stream is numpy's ``default_rng([seed, trial])``: ``galois._Draws.chunk``
+redoes numpy's ``SeedSequence`` hash for a chunk of trials at once, seeds
+each trial's PCG64 from it, and reads the Generator's ``integers`` and
 ``choice`` off its raw words, so a trial draws the values a Generator would
-without numpy's per-call overhead.
+without numpy's per-trial seeding and per-call overhead.
 
-Hamming trials run as blocks of one wide row, in chunks of at most
-``_HAMMING_CHUNK`` trials: trial k of a chunk holds entries [k t, (k+1) t)
-of every row (the galois row format), so the chunk shares each product
-and each user's syndrome search, and every trial still draws from its own
-stream.  Rank trials run one at a time.
+Trials run in chunks of at most ``_TRIAL_CHUNK``, each seeded at once.
+Hamming trials run a chunk as blocks of one wide row: trial k of a chunk
+holds entries [k t, (k+1) t) of every row (the galois row format), so the
+chunk shares each product and each user's syndrome search, and every trial
+still draws from its own stream.  Rank trials run one at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .galois import (
     _row_nonzero_blocks,
     _row_rank,
     _row_scale,
+    _rows_of_blocks,
     _to_rows,
     _zero_row,
     hstack,
@@ -65,10 +67,11 @@ from .galois import (
 from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
 
-# Hamming trials run in chunks of at most this many, as blocks of one wide
-# row: joining a trial onto rows of k blocks costs their width, so a chunk
-# of k trials costs time quadratic in k.
-_HAMMING_CHUNK = 256
+# Trials run in chunks of at most this many, each chunk's streams seeded at
+# once.  Hamming trials run a chunk as blocks of one wide row: joining a
+# trial's error onto rows of k blocks costs their width, so a chunk of k
+# trials costs time quadratic in k.
+_TRIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -202,8 +205,7 @@ def run_simulation(
         decoders = [_user_decoder(inst, enc.lvs, i) for i in range(m)]
         # [L V_S | I] times X stacked over the error is Y.
         send = hstack(enc.lvs, Matrix.identity(inst.field, enc.N)).rows
-        for start in range(0, cfg.trials, _HAMMING_CHUNK):
-            trials = range(start, min(start + _HAMMING_CHUNK, cfg.trials))
+        for trials in _chunks(cfg.trials):
             _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies)
     else:
         # A (v+N) x (v+ell) error cannot have rank above its smaller side.
@@ -224,9 +226,9 @@ def run_simulation(
         # A trapped error leaves L the encoder's, so most trials share one
         # entry; the dict lives for this call only.
         maps: dict = {}
-        for trial in range(cfg.trials):
-            draws = _Draws(cfg.seed, trial)
-            _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies)
+        for trials in _chunks(cfg.trials):
+            for draws in _Draws.chunk(cfg.seed, trials):
+                _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies)
     report = SimReport(
         asdict(cfg),
         cfg.trials,
@@ -238,18 +240,26 @@ def run_simulation(
     return report
 
 
+def _chunks(trials: int):
+    """The trial ranges of a call, ``_TRIAL_CHUNK`` trials at a time."""
+    return (
+        range(start, min(start + _TRIAL_CHUNK, trials))
+        for start in range(0, trials, _TRIAL_CHUNK)
+    )
+
+
 def _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies) -> None:
     """The Hamming trials of the range ``trials`` as blocks of one wide row:
     the k-th of them holds entries [k t, (k + 1) t) of every row, so one
     product and one syndrome search per user serve them all.  Each trial
     draws X and its error from its own stream, as a single trial would."""
-    f, q, t, count = inst.field, inst.field.q, inst.t, len(trials)
+    f, q, n, t, count = inst.field, inst.field.q, inst.n, inst.t, len(trials)
     join = _row_join(f, t)
-    X, E = [_zero_row(f, 0)] * inst.n, [_zero_row(f, 0)] * enc.N
-    for trial in trials:
-        draws = _Draws(cfg.seed, trial)
-        X = list(map(join, X, _to_rows(f, draws.rows(q, inst.n, t))))
+    flats, E = [], [_zero_row(f, 0)] * enc.N
+    for draws in _Draws.chunk(cfg.seed, trials):
+        flats.append(draws.integers(q, n * t))
         E = list(map(join, E, _hamming_error(draws, f, enc.N, t, cfg.error_weight)))
+    X = _rows_of_blocks(f, flats, n, t)
     w = t * count
     Y = _row_mul(f, send, X + E, w)
     known = _row_mul(f, recv, X, w)

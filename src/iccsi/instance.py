@@ -541,7 +541,7 @@ def _confusable_draws(
     """
     gs, top, width = _walk_setup(inst, i, extra)
     f, k, t = inst.field, len(gs), inst.t
-    draws = _Draws(seed, i)
+    [draws] = _Draws.chunk(seed, range(i, i + 1))
     while count > 0:
         # C is drawn row-major; column c of G C is the sum of C[j][c] g_j,
         # row c of C^T times the g_j.

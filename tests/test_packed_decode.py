@@ -52,7 +52,7 @@ from iccsi.galois import (
     vstack,
 )
 from iccsi.harness import (
-    _HAMMING_CHUNK,
+    _TRIAL_CHUNK,
     SimConfig,
     SimReport,
     UserTally,
@@ -286,7 +286,7 @@ def test_row_format_matches_matrix(p, e):
     pack = f._pack if f._lanes else tuple
     assert _to_rows(f, [(0, 0, 0)]) == [_zero_row(f, 3)]
     for seed in range(10):
-        a, b = _Draws(seed, 0), np.random.default_rng([seed, 0])
+        [a], b = _Draws.chunk(seed, range(1)), np.random.default_rng([seed, 0])
         A, B = random_matrix(b, f, 4, 5), random_matrix(b, f, 5, 3)
         rows = _to_rows(f, B.rows)
         assert rows == list(map(pack, B.rows))
@@ -305,14 +305,14 @@ HAMMING_CASES = CASES + [(2, 3, 1), (2, 3, 2), (2, 4, 1), (2, 4, 3)]
 @pytest.mark.parametrize("p,e,t", HAMMING_CASES)
 def test_hamming_simulation_matches_reference(p, e, t):
     # A call runs its trials as blocks of one wide row, in chunks of
-    # _HAMMING_CHUNK: one trial, a dozen, and one more than a chunk.
+    # _TRIAL_CHUNK: one trial, a dozen, and one more than a chunk.
     field = field_new(p, e)
     rng = np.random.default_rng([p, e, t, 22])
     inst = random_instance(rng, field, 3, t)
     for k, (enc, _, _) in enumerate(realizing_encoders(rng, inst, 2)):
         for delta in (0, 1, 2):
             for weight in range(min(delta + 1, enc.N) + 1):
-                counts = (1, 12) if k or delta != 1 else (1, 12, _HAMMING_CHUNK + 1)
+                counts = (1, 12) if k or delta != 1 else (1, 12, _TRIAL_CHUNK + 1)
                 for trials in counts:
                     cfg = SimConfig(
                         "inline", metric=HAMMING, delta=delta, error_weight=weight,

@@ -1,0 +1,40 @@
+"""Simulation calls across trial chunks.
+
+A call seeds and runs its trials in chunks of ``_TRIAL_CHUNK``.  Calls of
+300 and 600 trials cross chunk boundaries and must match the per-trial
+Matrix references of ``test_packed_decode`` and ``test_rank_trial``, which
+seed every trial on its own.
+"""
+
+import numpy as np
+import pytest
+from test_packed_decode import random_instance as hamming_instance
+from test_packed_decode import realizing_encoders, ref_hamming_report
+from test_rank_trial import cases, ref_rank_report
+
+from iccsi import field_new
+from iccsi.codec import HAMMING, RANK
+from iccsi.harness import _TRIAL_CHUNK, SimConfig, run_simulation
+
+
+@pytest.mark.parametrize("trials", [300, 2 * _TRIAL_CHUNK + 88])
+@pytest.mark.parametrize("p,e,t", [(3, 1, 1), (2, 4, 2)])
+def test_hamming_calls_across_chunks_match_reference(p, e, t, trials):
+    field = field_new(p, e)
+    rng = np.random.default_rng([p, e, t, 26])
+    inst = hamming_instance(rng, field, 3, t)
+    [(enc, _, _)] = realizing_encoders(rng, inst, 1)
+    cfg = SimConfig("inline", metric=HAMMING, delta=1, error_weight=1, trials=trials, seed=7)
+    assert run_simulation(cfg, inst, enc).stable_json() == ref_hamming_report(cfg, inst, enc)
+
+
+@pytest.mark.parametrize("trials", [300, 2 * _TRIAL_CHUNK + 88])
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 4)])
+def test_rank_calls_across_chunks_match_reference(p, e, trials):
+    _, inst, enc = next(cases(p, e, 26))
+    for shared in (True, False):
+        cfg = SimConfig(
+            "inline", metric=RANK, error_weight=2, trap_pad=1, trials=trials, seed=5,
+            lvs_shared=shared,
+        )
+        assert run_simulation(cfg, inst, enc).stable_json() == ref_rank_report(cfg, inst, enc)
