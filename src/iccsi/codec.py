@@ -10,15 +10,15 @@ Error-correction verification follows the confusable-set criterion: L
 corrects any error of weight <= delta at every user exactly when each
 confusable difference Z maps to weight(L V_S Z) >= 2 delta + 1.  In the
 Hamming metric the check reduces to the one-symbol-per-row view of the
-instance; in the rank metric it ranges over confusables of rank at least
-2 delta + 1, with the message space taken as the full space.
+instance and walks or samples each user's confusables; in the rank metric
+it ranges over confusables of rank at least 2 delta + 1, with the message
+space taken as the full space, and takes one rank per user in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .galois import (
     field_of_order,
     iter_vectors,
     mat_rank,
+    null_space,
 )
 from .instance import (
     DEFAULT_BUDGET,
@@ -58,9 +59,12 @@ class EcicCertificate:
     """Outcome of an error-correction check of one encoder.
 
     ``violations`` holds (user, Z) witnesses with Z confusable for that user
-    and weight(L V_S Z) <= 2 delta; scanning a user stops at its first
-    witness.  ``trials`` is the number of confusables tested; in sampled
-    mode the certificate is evidence, not proof.
+    and weight(L V_S Z) <= 2 delta, at most one per user.  ``trials`` is
+    the number of confusables tested in the Hamming metric (in sampled mode
+    the certificate is evidence, not proof), and of users tested in the
+    rank metric, whose mode is always "exhaustive": ``trials`` < m there
+    means that the other users are vacuous, with no confusable of rank
+    2 delta + 1.
 
     A Hamming certificate that passes means that every user corrects every
     error of Hamming weight <= delta.  A rank certificate certifies less:
@@ -244,12 +248,13 @@ def verify_ecic(
     """Check that L corrects every error of weight <= delta at every user.
 
     Hamming checks run on the one-symbol view, which is equivalent for any
-    t.  Rank checks keep the instance's t and only confusables of rank at
-    least 2 delta + 1 are constrained.  ``mode`` is "exhaustive", "sampled",
-    or "auto" (exhaustive per user while the set fits the budget).  A
-    sampled user is charged ``samples`` times its k t kernel digits, and
-    :class:`BudgetExceeded` is raised before any draw when that exceeds the
-    budget, as it is for an exhaustive set larger than the budget.
+    t.  ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive per user
+    while the set fits the budget).  A sampled user is charged ``samples``
+    times its k t kernel digits, and :class:`BudgetExceeded` is raised
+    before any draw when that exceeds the budget, as it is for an
+    exhaustive set larger than the budget.  Rank checks keep the
+    instance's t and take one rank per user (:func:`_rank_witness`);
+    ``mode``, ``budget``, ``samples`` and ``seed`` do not apply to them.
     """
     if metric not in (HAMMING, RANK):
         raise ValueError(f"unknown metric {metric!r}")
@@ -257,18 +262,32 @@ def verify_ecic(
         raise ValueError(f"unknown mode {mode!r}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if budget is None:
         budget = DEFAULT_BUDGET
     if L.ncols != inst.d_S:
         raise ValueError(f"L has {L.ncols} columns, expected d_S={inst.d_S}")
-    view = one_symbol_view(inst) if metric == HAMMING else inst
-    lvs = L * view.V_S
-    # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
-    extra = (lvs.nrows, _to_rows(view.field, lvs.transpose().rows))
     need = 2 * delta + 1
     violations: list[tuple[int, Matrix]] = []
     trials = 0
     out_mode = "exhaustive"
+    if metric == RANK:
+        lvs = L * inst.V_S
+        for i, u in enumerate(inst.users):
+            K, rk = u.kernel, u.R * u.kernel
+            # A vacuous user has no confusable of rank need.
+            if min(K.ncols, inst.t) >= need and not rk.is_zero():
+                trials += 1
+                z = _rank_witness(lvs * K, rk, K, need, inst.t)
+                if z is not None:
+                    violations.append((i, z))
+        return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
+    view = one_symbol_view(inst)
+    lvs = L * view.V_S
+    # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
+    extra = (lvs.nrows, _to_rows(view.field, lvs.transpose().rows))
+    blocks = _WalkBlocks(view, lvs.nrows)
     for i in range(view.m):
         size = view.q ** ((view.n - view.users[i].d) * view.t)
         if mode == "exhaustive" and size > budget:
@@ -287,48 +306,49 @@ def verify_ecic(
             out_mode = "sampled"
             source = _confusable_draws(view, i, samples, seed, extra=extra)
         else:
-            # A rank check skips C with fewer than ``need`` nonzero columns.
-            min_cols = need if metric == RANK else 0
-            source = _confusable_walk(view, i, budget, extra=extra, min_cols=min_cols)
-        tested, z = _walk_user(view, source, lvs.nrows, metric, need)
-        trials += tested
-        if z is not None:
-            violations.append((i, z))
+            source = _confusable_walk(view, i, budget, extra=extra)
+        for cols in source:
+            trials += 1
+            if blocks.extra_weight(cols[0]) < need:
+                violations.append((i, blocks.z(cols)))
+                break
     return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
 
 
-def _walk_user(
-    view: IccsiInstance, source: Iterator[list], N: int, metric: str, need: int
-) -> tuple[int, Matrix | None]:
-    """Check one user's confusables: (tested, first violation or None).
+def _rank_witness(M: Matrix, rk: Matrix, K: Matrix, need: int, t: int) -> Matrix | None:
+    """A confusable Z of rank ``need`` with rank(L V_S Z) < need, or None.
 
-    ``source`` yields walk columns with an N-row L V_S block, from
-    :func:`_confusable_walk` (exhaustive) or :func:`_confusable_draws`
-    (sampled), and weight(L V_S Z) is read off that L V_S K C block.
-    Hamming checks run on the one-symbol view, so the block is one column.
-    In the rank metric the block is the transpose of L V_S Z, and K has
-    independent columns, so rank(L V_S Z) <= rank(C) = rank(Z) <= the number
-    of nonzero columns of C, which are the nonzero walk columns.  So too few
-    nonzero columns skip the confusable unranked, a block of rank >= need
-    is a tested confusable that passes, and rank(Z) is needed only below.
+    K (n x k) is a user's kernel basis, M = L V_S K and rk = R_i K != 0,
+    with k and t at least ``need``.  For Z = K C, rank(Z), rank(L V_S Z)
+    and whether R_i Z = rk C is 0 depend only on the column space W of C.
+    So Z exists exactly when ker M holds an x != 0 in some W of dimension
+    ``need`` outside ker(rk): any x != 0 at need >= 2, and at need = 1
+    (the realization test) an x with rk x != 0.
+
+    The witness C: first x, the first vector of the canonical basis of
+    ker M with rk x != 0, else its first; then, if rk x = 0, the first
+    unit vector outside ker(rk); then the unit vectors that raise the rank,
+    up to ``need`` columns; then t - need zero columns.
     """
-    t = view.t
-    blocks = _WalkBlocks(view, N)
-    extra_weight, extra_rank, zero = blocks.extra_weight, blocks.extra_rank, blocks.zero
-    tested = 0
-    for cols in source:
-        if metric == HAMMING:
-            w = extra_weight(cols[0])
-        elif t - cols.count(zero) < need:
-            continue
-        else:
-            w = extra_rank(cols)
-        if w < need:
-            if metric == RANK and blocks.z_rank(cols) < need:
-                continue
-            return tested + 1, blocks.z(cols)
-        tested += 1
-    return tested, None
+    f, k = K.field, K.ncols
+    xs = null_space(M)
+    if not xs.ncols:
+        return None
+    hits = (rk * xs).rows[0]
+    first = next((j for j, h in enumerate(hits) if h), None)
+    if first is None and need == 1:
+        return None
+    cols = [xs.col(0 if first is None else first)]
+    units = Matrix.identity(f, k).rows
+    if first is None:
+        cols.append(next(e for e, r in zip(units, rk.rows[0]) if r))
+    for e in units:
+        if len(cols) == need:
+            break
+        if mat_rank(Matrix._trusted(f, (*cols, e), k)) > len(cols):
+            cols.append(e)
+    ct = Matrix._trusted(f, (*cols, *[(0,) * k] * (t - need)), k)
+    return K * ct.transpose()
 
 
 def min_distance_cols(g: Matrix, budget: int | None = None) -> int:

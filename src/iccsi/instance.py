@@ -44,7 +44,6 @@ from .galois import (
     _row_insert,
     _row_join,
     _row_mul,
-    _row_rank,
     _row_rref,
     _row_scale,
     _row_weight,
@@ -389,7 +388,6 @@ def _confusable_walk(
     i: int,
     budget: int | None = None,
     extra: tuple[int, Sequence] | None = None,
-    min_cols: int = 0,
 ) -> Iterator[list]:
     """Walk user i's confusable set Z = K C, one precomputed change per step.
 
@@ -404,12 +402,8 @@ def _confusable_walk(
     Yields the list of the t columns whenever R_i K C is nonzero;
     :class:`_WalkBlocks` reads them.  The list is updated in place by the
     next step.  Raises :class:`BudgetExceeded` when q^(k t) exceeds the
-    budget.
-
-    ``min_cols`` lets the walk leave out C with fewer nonzero columns, for
-    a consumer that skips those.  Every C before the s-th, s = the sum of
-    q^(c k) over c < min_cols, is one, so the walk starts at the lap that
-    holds the s-th C; with min_cols > t it yields nothing.
+    budget.  The Hamming check of :func:`~iccsi.codec.verify_ecic` is its
+    one certificate consumer.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -421,8 +415,6 @@ def _confusable_walk(
         raise BudgetExceeded(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
-    if min_cols > t:
-        return
     add = _row_add(f)
     last = q - 1
     drop = f.sub(0, last)  # the change of a digit rolled over to 0
@@ -446,13 +438,8 @@ def _confusable_walk(
         for raises in steps:
             lap.append(raises[p])
             lap += below
-    # The high digits of the first lap are those of the s-th C over q^low,
-    # and the t columns start at G C for that C.
     digits = [0] * (k * t)  # only the high ones move
-    high = sum(q ** (c * k) for c in range(min_cols)) // q**low
-    for p in range(low, k * t):
-        high, digits[p] = divmod(high, q)
-    cols = _row_mul(f, [digits[c * k:(c + 1) * k] for c in range(t)], gs, width)
+    cols = [_zero_row(f, width)] * t  # G C for C = 0
     carry: list = []  # no step into the first C
     while True:
         for step in itertools.chain((carry,), lap):
@@ -482,13 +469,11 @@ class _WalkBlocks:
 
     def __init__(self, inst: IccsiInstance, N: int = 0):
         f = inst.field
-        self.field, self.n, self.t, self.N = f, inst.n, inst.t, N
+        self.field, self.n, self.t = f, inst.n, inst.t
         width = 1 + inst.n + N
-        self.zero = _zero_row(f, width)  # a zero column
         # One column's Z block: a row in the row format, hashable and
         # ordered as its entry tuple.
         self.z_vec = _row_block(f, 1, 1 + inst.n, width)
-        self._extra = _row_block(f, 1 + inst.n, width, width)
         # extra_weight(col): the Hamming weight of one column's extra block.
         self.extra_weight = _row_weight(f, 1 + inst.n, width, width)
 
@@ -499,14 +484,6 @@ class _WalkBlocks:
         # The round trip through the row format keeps short GF(2) rows
         # shared, so kept matrices hold no copies of them.
         return _from_rows(f, _to_rows(f, entries), t)
-
-    def z_rank(self, cols: list) -> int:
-        """rank(Z), from the Z blocks of the t columns."""
-        return _row_rank(self.field, map(self.z_vec, cols), self.n)
-
-    def extra_rank(self, cols: list) -> int:
-        """Rank of the t extra blocks, the transpose of extra Z."""
-        return _row_rank(self.field, map(self._extra, cols), self.N)
 
 
 def iter_confusable(

@@ -141,6 +141,20 @@ def test_verify_rank_skips_low_rank_confusables(trap_inst):
     assert cert.passed and cert.trials == 0
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_rejects_fewer_than_one_sample(samples):
+    # The 4-cycle over GF(2) at t = 3, and a one-row L that fails in both
+    # metrics.  No draw used to mean no trial and no violation: a passing
+    # sampled certificate with 0 trials.
+    users = [([ident(4)[i]], ident(4)[(i + 1) % 4]) for i in range(4)]
+    inst = make_instance(F2, 3, 4, ident(4), users)
+    L = Matrix(F2, [[1, 0, 0, 0]])
+    for metric in (HAMMING, RANK):
+        assert not verify_ecic(L, inst, 1, metric).passed
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_ecic(L, inst, 1, metric, mode="sampled", samples=samples)
+
+
 def test_one_symbol_view(alpha3_inst):
     view = one_symbol_view(alpha3_inst)
     assert view.t == 1

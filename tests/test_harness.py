@@ -712,34 +712,46 @@ def test_cli_encode_concat_rs_certifies_in_the_metric_asked_for(tmp_path, capsys
         )
 
 
-# The largest t the power-bit cap admits for q = 3, n = 3: each user's
-# confusable set, 3^(2 t), is far above the budget, so the rank check samples
-# it, and a draw costs k t = 13,782 kernel digits.
+# The largest t the power-bit cap admits for q = 3, n = 3.
 _CAP_T_DOC = {"p": 3, "e": 1, "t": 6891, "n": 3, "sender": ident(3),
               "users": [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0, 0, 1]},
                         {"V": [[0, 0, 1]], "R": [1, 0, 0]}]}
 
 
 def test_sampled_verify_charges_draws_to_budget():
+    # A sampled Hamming check charges each user samples * k t kernel digits
+    # before any draw; on the one-symbol view k t = 2.
     inst = parse_instance(_CAP_T_DOC)
     L = Matrix(inst.field, [[1, 1, 1], [0, 1, 2]])
     with deadline(10), pytest.raises(BudgetExceeded) as exc:
-        verify_ecic(L, inst, 1, "rank")
-    assert str(exc.value) == (
-        "user 0: 100000 samples of k t = 13782 kernel digits each exceed budget 4194304"
-    )
-
-
-def test_cli_encode_sampled_rank_check_near_cap_exits_4(tmp_path, capsys):
-    path = tmp_path / "cap_t.json"
-    path.write_text(json.dumps(_CAP_T_DOC))
+        verify_ecic(L, inst, 1, "hamming", mode="sampled", samples=5, budget=9)
+    assert str(exc.value) == "user 0: 5 samples of k t = 2 kernel digits each exceed budget 9"
     with deadline(10):
+        cert = verify_ecic(L, inst, 1, "hamming", mode="sampled", samples=5, budget=10)
+    assert cert.mode == "sampled" and 0 < cert.trials <= 15
+
+
+# Near the power-bit cap for q = 3, n = 4: each user's confusable set has
+# 3^15000 members (k = 3, t = 5000), an exact count of over 7,000 digits.
+_CAP_T_RANK_DOC = {
+    "p": 3, "e": 1, "t": 5000, "n": 4, "sender": ident(4),
+    "users": [{"V": [ident(4)[i]], "R": ident(4)[(i + 1) % 4]} for i in range(4)],
+}
+
+
+def test_cli_encode_rank_check_near_cap_exits_0(tmp_path, capsys):
+    # The rank check takes one rank computation per user and no budget.  At
+    # delta = 1 it tests all four users, as k = 3 and t = 5000 are both at
+    # least 2 delta + 1.
+    path = tmp_path / "cap_t.json"
+    path.write_text(json.dumps(_CAP_T_RANK_DOC))
+    with deadline(5):
         code = main([
             "encode", "--instance", str(path), "--method", "coset",
             "--delta", "1", "--metric", "rank",
         ])
-    assert code == 4
-    assert "100000 samples of k t = 13782" in capsys.readouterr().err
+    assert code == 0
+    assert "mode=exhaustive trials=4" in capsys.readouterr().out
 
 
 _DEEP_JSON = "[" * 200_000

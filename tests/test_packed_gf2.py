@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import alpha_bruteforce_oracle
-from test_confusable_walk import outcome, random_encoders, ref_iter_confusable, ref_verify_ecic
+from test_confusable_walk import (
+    assert_rank_matches_reference,
+    outcome,
+    random_encoders,
+    ref_iter_confusable,
+    ref_verify_ecic,
+)
 
 from iccsi import (
     BudgetExceeded,
@@ -236,6 +242,10 @@ def test_verify_ecic_matches_reference(n, t, seed):
         for metric in (HAMMING, RANK):
             for delta in (0, 1, 2):
                 got = verify_ecic(L, inst, delta, metric)
+                if metric == RANK:
+                    assert_rank_matches_reference(got, L, inst, delta)
+                    verdicts.add(got.passed)
+                    continue
                 assert got.to_dict() == ref_verify_ecic(L, inst, delta, metric).to_dict()
                 verdicts.add(got.passed)
                 small = dict(mode="exhaustive", budget=largest - 1)

@@ -6,8 +6,10 @@ the exhaustive walk.  The references below restate the earlier code: each
 draw is a uniform C on the (seed, i) stream, redrawn while R_i K C = 0, and
 yielded as K C; each sampled confusable is tested with rank_weight(z) and
 weight(L V_S z).  Seeded GF(2), GF(3) and GF(4) instances (n 3-5, t 1-3,
-full or proper sender space) must give the same draws and certificates,
-failing ones included.
+full or proper sender space) must give the same draws and Hamming
+certificates, failing ones included.  The rank metric takes no samples: its
+closed-form certificate must find every failing user the sampled reference
+finds.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import random_matrix
 from test_alpha_fq import fq_instance
-from test_confusable_walk import random_encoders
+from test_confusable_walk import assert_rank_certificate, failing_users, random_encoders
 
 from iccsi import field_new, verify_ecic
 from iccsi.codec import HAMMING, RANK, EcicCertificate
@@ -82,6 +84,11 @@ def test_sampled_verify_matches_reference(p, e, n, t):
             for delta in (0, 1):
                 got = verify_ecic(L, inst, delta, metric, mode="sampled", samples=40, seed=3)
                 want = ref_sampled_verify(L, inst, delta, metric, 40, 3)
+                if metric == RANK:
+                    assert set(failing_users(want)) <= set(failing_users(got))
+                    assert_rank_certificate(got, L, inst, delta)
+                    passed.add(got.passed)
+                    continue
                 assert got.to_dict() == want.to_dict()
                 passed.add(got.passed)
     assert False in passed
