@@ -1206,6 +1206,40 @@ def _row_block(field: Field, start: int, stop: int, width: int):
     return operator.itemgetter(slice(start, stop))
 
 
+def _row_line(field: Field, width: int):
+    """The function that gives, for a nonzero ``width``-wide row z in the
+    row format, None unless z's leading entry is 1, the one such vector of
+    its line, and otherwise the pair (at, zs): ``at(c)`` reads row c's
+    entry in z's leading column, zero exactly when the entry is, and zs
+    lists the nonzero multiples b z, b = 1, ..., q - 1.
+
+    On lanes ``at`` is the lane mask's ``&``, which leaves the entry's bits
+    in place, and zs comes from the multiples table; on tuples ``at`` is an
+    ``itemgetter``.  Both readers run in C, so a filter by ``at`` costs no
+    Python call per row.
+    """
+    if field.q == 2:
+        return lambda x: ((1 << (x.bit_length() - 1)).__and__, [x])
+    if field._lanes:
+        e, fill = field.e, field.q - 1
+        multiples = _lane_ops(field, width)[0]
+
+        def line(x: int):
+            s = (x.bit_length() - 1) // e * e
+            return ((fill << s).__and__, multiples(x)[1:]) if x >> s == 1 else None
+
+        return line
+    scalers = [field.scaler(b) for b in range(2, field.q)]
+
+    def line(row: tuple):
+        i = next(i for i, a in enumerate(row) if a)
+        if row[i] != 1:
+            return None
+        return operator.itemgetter(i), [row, *(tuple(map(g, row)) for g in scalers)]
+
+    return line
+
+
 def _row_weight(field: Field, start: int, stop: int, width: int):
     """The function that gives the Hamming weight of entries [start, stop)
     of a ``width``-wide row in the row format: the number of its nonzero

@@ -9,8 +9,9 @@ user's cached space with the sender space.
 
 alpha is the largest dimension of a subspace whose nonzero vectors are all
 confusable for some user (t = 1 view); it lower-bounds the min-rank.  One
-candidate-set depth-first search finds it over every field, with the
-pruning of exact clique search (Carraghan and Pardalos, 1990).
+candidate-set depth-first search over greedy bases, one node per subspace,
+finds it over every field, with the size pruning of exact clique search
+counted in lines (Carraghan and Pardalos, 1990; Östergård, 2002).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .galois import (
     _from_rows,
     _row_add,
     _row_insert,
+    _row_line,
     _row_mul,
     _row_reduce,
-    _row_scale,
     _zero_row,
     iter_vectors,
     row_basis,
@@ -238,67 +239,99 @@ def alpha(
 
     Works in the t = 1 view: walks every user's confusable set and collects
     the Z vectors, rows in the :mod:`iccsi.galois` row format, into the
-    union U.  A depth-first search then grows bases z_1 < z_2 < ... in
-    encoded order.  A node with basis B keeps its candidate set C(B), the
-    vectors c with c + s in U for every s in span(B), so the root's set is
-    U; adding z keeps the c with c + a z in C(B) for every a != 0.  U is
-    closed under nonzero scalars, so z lies in C(B) exactly when every new
-    vector of span(B + z) lies in U.  The children of a node are its
-    candidates after its last basis vector, and the witness is the first
-    largest basis found, so it is deterministic.
+    union U.  A depth-first search then visits each subspace inside
+    U + {0} once, through its greedy basis: z_k is the smallest vector, in
+    encoded order, of the subspace outside span(z_1..z_(k-1)).  A sequence
+    is such a basis exactly when it is increasing and each z_k has leading
+    entry 1 and is zero in the leading columns of z_1..z_(k-1), so those
+    are the conditions on a child.  A node with basis B keeps its candidate
+    set C(B), the vectors c with c + s in U for every s in span(B), so the
+    root's set is U; U is closed under nonzero scalars, so span(B + z) lies
+    in U + {0} exactly when z is in C(B).  The children of B are listed in
+    order, and a child z's own list is the later children c that are zero
+    in z's leading column and have c + a z in C(B) for every a != 0; only
+    a child that goes on to search gets C(B + z) built.  The witness is the
+    first largest basis found, the first in lex order, so it is
+    deterministic.
 
-    ``upper``, an upper bound on alpha such as the min-rank, stops the
-    search once the best basis reaches it.  The best basis is replaced only
-    by a strictly larger one, so alpha and the witness are those of the full
-    search; only ``node_count`` is smaller.
+    Two counts in lines (1-dimensional subspaces, (q^r - 1) / (q - 1) of
+    them in an r-dimensional one) prune, as in exact clique search.
+    Beating the best basis from B needs r = len(best) + 1 - len(B) more
+    vectors, whose span's lines all have their leading-1 vector among B's
+    children from z on, and r - 1 more from B + z, whose lines all lie in
+    z's list.  The loop over B's children stops at the first with too few
+    lines from it on, and a child whose list is too short is not searched.
+
+    ``node_count`` counts the root and every extension B + z whose list is
+    built, the work that ``budget`` bounds.  ``upper``, an upper bound on
+    alpha such as the min-rank, stops the search once the best basis
+    reaches it.  The best basis is replaced only by a strictly larger one,
+    so alpha and the witness are those of the full search; only
+    ``node_count`` is smaller.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     f = inst.field
-    n = inst.n
+    n, q = inst.n, f.q
     view = one_symbol_view(inst)
     z_vec = _WalkBlocks(view).z_vec
     union = {
         z_vec(cols[0]) for i in range(inst.m) for cols in _confusable_walk(view, i, budget)
     }
-    # narrow(C(B), z) is C(B + z).  A step by s keeps the c whose c - s is
-    # in the set too, so steps by s_1, s_2, ... keep the c with c - v in
-    # C(B) for every sum v of some s_i; p - 1 steps by a z for each a in the
-    # F_p-basis p^j of F_q make the v every b z.  Each s is kept as an
-    # endless repeat, for ``map`` to pair with every c.
+    # The possible children, the vectors with leading entry 1, in order,
+    # each with the reader of its leading column and its q - 1 nonzero
+    # scalings b z.
+    line = _row_line(f, n)
+    steps = {}
+    for z in sorted(union):
+        got = line(z)
+        if got is not None:
+            steps[z] = got
+    # narrow(C(B), zs), for zs the scalings of z, is C(B + z).  A step by s
+    # keeps the c whose c - s is in the set too, so steps by s_1, s_2, ...
+    # keep the c with c - v in C(B) for every sum v of some s_i; p - 1 steps
+    # by a z, zs[a - 1], for each a in the F_p-basis p^j of F_q make the v
+    # every b z.
     add = _row_add(f)
-    shifts = {
-        z: [itertools.repeat(_row_scale(f, f.p**j, z)) for j in range(f.e)] * (f.p - 1)
-        for z in union
-    }
+    powers = [f.p**j for j in range(f.e)] * (f.p - 1)
 
-    def narrow(cset: set, z) -> set:
-        for s in shifts[z]:
-            cset = cset.intersection(map(add, cset, s))
+    def narrow(cset: set, zs: list) -> set:
+        for a in powers:
+            cset = cset.intersection(map(add, cset, itertools.repeat(zs[a - 1])))
         return cset
 
+    lines = [(q**r - 1) // (q - 1) for r in range(n + 2)]
     best: list = []
     basis: list = []
-    nodes = 0
+    nodes = 1  # the root
+    if nodes > budget:
+        raise BudgetExceeded(f"alpha search exceeded budget {budget}")
 
     def extend(cset: set, children: list) -> bool:
         nonlocal nodes, best
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"alpha search exceeded budget {budget}")
-        if len(basis) > len(best):
-            best = list(basis)
-            if upper is not None and len(best) >= upper:
-                return True
+        size, depth = len(children), len(basis)
         for j, z in enumerate(children):
-            # The last child has no children, so it needs no candidate set.
-            sub = narrow(cset, z) if j + 1 < len(children) else cset
-            basis.append(z)
-            done = extend(sub, [c for c in children[j + 1:] if c in sub])
-            basis.pop()
-            if done:
-                return True
+            if size - j < lines[len(best) + 1 - depth]:
+                return False
+            at, zs = steps[z]
+            cands = list(itertools.filterfalse(at, children[j + 1:]))
+            for w in zs:
+                keep = map(cset.__contains__, map(add, cands, itertools.repeat(w)))
+                cands = list(itertools.compress(cands, keep))
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"alpha search exceeded budget {budget}")
+            if depth == len(best):
+                best = basis + [z]
+                if upper is not None and depth + 1 >= upper:
+                    return True
+            if len(cands) >= lines[len(best) - depth]:
+                # A list of one has no later child to test against C(B + z).
+                basis.append(z)
+                if extend(narrow(cset, zs) if len(cands) > 1 else cset, cands):
+                    return True
+                basis.pop()
         return False
 
-    extend(union, sorted(union))
+    extend(union, list(steps))
     return AlphaResult(len(best), row_basis(_from_rows(f, best, n)), nodes)

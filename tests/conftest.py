@@ -13,7 +13,15 @@ import signal
 import numpy as np
 import pytest
 
-from iccsi import BudgetExceeded, IccsiInstance, Matrix, field_new, make_instance, realizes_ic
+from iccsi import (
+    BudgetExceeded,
+    IccsiInstance,
+    Matrix,
+    alpha,
+    field_new,
+    make_instance,
+    realizes_ic,
+)
 from iccsi.galois import gaussian_binomial, iter_vectors, mat_rank
 from iccsi.instance import DEFAULT_BUDGET
 
@@ -240,6 +248,18 @@ def min_rank_bruteforce_oracle(inst, budget=DEFAULT_BUDGET):
     return r_rank
 
 
+def confusable_union(inst):
+    """Every z in F_q^n, as an entry tuple, with V^(i) z = 0 and R_i z != 0
+    for some user i: the union of the confusable sets in the t = 1 view."""
+    f = inst.field
+    union = set()
+    for v in iter_vectors(f, inst.n):
+        z = Matrix.column_vector(f, v)
+        if any((u.V * z).is_zero() and not (u.R * z).is_zero() for u in inst.users):
+            union.add(v)
+    return union
+
+
 def alpha_bruteforce_oracle(inst):
     """Independent alpha: the largest dimension of a subspace of F_q^n whose
     nonzero vectors are all confusable for some user in the t = 1 view.
@@ -249,11 +269,7 @@ def alpha_bruteforce_oracle(inst):
     is meant for n <= 5.
     """
     f, n = inst.field, inst.n
-    union = set()
-    for v in iter_vectors(f, n):
-        z = Matrix.column_vector(f, v)
-        if any((u.V * z).is_zero() and not (u.R * z).is_zero() for u in inst.users):
-            union.add(v)
+    union = confusable_union(inst)
     for dim in range(n, 0, -1):
         for basis in iter_subspace_bases(f, n, dim):
             span = (
@@ -264,6 +280,21 @@ def alpha_bruteforce_oracle(inst):
             if all(v in union for v in span):
                 return dim
     return 0
+
+
+def assert_alpha_budget_edge(inst, got):
+    """``got`` is ``alpha(inst)``.  One budget bounds both each user's
+    kernel walk, q^k vectors in the t = 1 view, and the search's nodes, so
+    the smallest budget that passes is the larger of the two: there
+    ``alpha`` gives ``got``, and one less raises, from the search when the
+    node count is the larger."""
+    walk = max(inst.q ** (inst.n - u.d) for u in inst.users)
+    edge = max(got.node_count, walk)
+    assert alpha(inst, budget=edge) == got
+    with pytest.raises(BudgetExceeded) as exc:
+        alpha(inst, budget=edge - 1)
+    if got.node_count > walk:
+        assert str(exc.value) == f"alpha search exceeded budget {edge - 1}"
 
 
 def random_matrix(rng, field, nrows, ncols):

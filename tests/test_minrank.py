@@ -187,9 +187,10 @@ def test_cli_minrank_prints_the_full_alpha_search(alpha3_inst, tmp_path, capsys)
     assert basis == ["  " + " ".join(map(str, row)) for row in full.witness.rows]
 
 
-# GF(9), n = 4, 3 users: the alpha search without a stop takes about 90 s
-# (2 cores, Python 3.11) and ends with this witness; it reaches kappa = 2
-# within 3 nodes.
+# GF(9), n = 4, 3 users, alpha = kappa = 2.  An alpha search that reached
+# each subspace through every increasing basis took 73-90 s (2 cores,
+# Python 3.11) and 122,713 nodes without a stop; it reaches kappa within 3
+# nodes.
 GF9_SLOW_ALPHA = (
     '{"p": 3, "e": 2, "t": 1, "n": 4, "modulus": [1, 0, 1],'
     ' "sender": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],'
@@ -216,6 +217,33 @@ def test_cli_minrank_alpha_stops_at_kappa(tmp_path, capsys):
         "length bracket at delta=0: [2, 2]",
     ]
     assert alpha(parse_instance(GF9_SLOW_ALPHA), upper=2).node_count == 3
+
+
+def test_alpha_full_search_on_gf9_slow_alpha():
+    with deadline(5):
+        got = alpha(parse_instance(GF9_SLOW_ALPHA))
+    assert got.alpha == 2
+    assert got.witness.rows == ((1, 1, 3, 0), (0, 0, 0, 1))
+
+
+# GF(9), n = 5, 3 users, alpha = 1 < kappa = 2, so the search stopped at
+# kappa runs in full: 9.3-9.9 s and 1,921 nodes with increasing bases.
+GF9_ALPHA_BELOW_KAPPA = (
+    '{"p": 3, "e": 2, "t": 1, "n": 5, "modulus": [1, 0, 1],'
+    ' "sender": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],'
+    ' [0, 0, 0, 0, 1]],'
+    ' "users": [{"V": [[1, 0, 1, 6, 2], [0, 1, 0, 6, 2]], "R": [3, 0, 0, 5, 5]},'
+    ' {"V": [[1, 0, 6, 5, 7], [0, 1, 1, 5, 8]], "R": [8, 6, 3, 7, 1]},'
+    ' {"V": [[1, 0, 3, 7, 1], [0, 1, 6, 1, 6]], "R": [7, 3, 6, 8, 5]}]}'
+)
+
+
+def test_cli_minrank_alpha_below_kappa(tmp_path, capsys):
+    path = tmp_path / "gf9-below.json"
+    path.write_text(GF9_ALPHA_BELOW_KAPPA)
+    with deadline(5):
+        lines = _minrank_lines(path, capsys)
+    assert lines[:2] == ["kappa: 2", "alpha: 1"]
 
 
 def test_syndrome_instance_alpha_pair(syn_inst):
