@@ -3,8 +3,8 @@
 User i decodes from the stacked (cache | broadcast) system
 [V^(i) | lam; L V_S | Y].  Its left block is fixed for a given L V_S, so
 one RREF of it gives user i's demand map, :func:`_demand_map`: a row c with
-c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  Both
-decoding paths read that one map.
+c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  The
+syndrome decoder and the simulation's rank trials read that one map.
 
 * Hamming syndrome decoding.  Times lam stacked over Y the map gives the
   demand part c [lam; Y] over the syndrome Q [lam; Y], which depends on the
@@ -17,10 +17,15 @@ decoding paths read that one map.
   columns; a rank-r additive error W then exposes enough of its row space
   in the pad that the receiver can cancel it from the payload block, or
   detect that trapping failed.  The demand solve, :func:`solve_demand`,
-  then applies the map of the decoded L V_S: when Q [lam; Y] = 0 the demand
-  is c [lam; Y]; otherwise it is c [lam; Y] reduced against the RREF of
-  the w-wide rows Q [lam; Y].  Both are what one RREF of the whole system
-  gives.
+  reduces [R_i | 0] against an echelon form of the whole system
+  (:func:`_stacked_demand`): the echelon of [L V_S | Y], which users can
+  share, with the user's rows [V^(i) | lam] inserted into a copy; the
+  remainder's right block is minus the demand.  A simulation trial does
+  the same for a wrongly trapped L, and reads the encoder's own L V_S
+  through the map (:func:`_demand_rows`): when
+  Q [lam; Y] = 0 the demand is c [lam; Y]; otherwise it is c [lam; Y]
+  reduced against the RREF of the w-wide rows Q [lam; Y].  Both are what
+  one RREF of the whole system gives.
 
 The broadcast frame is a little-endian binary format: magic ``ICC1``, the
 field as (p, e), the pad/payload layout (v, N, ell), a flags word, then the
@@ -48,6 +53,8 @@ from .galois import (
     _rref_transform,
     _row_add,
     _row_block,
+    _row_echelon,
+    _row_join,
     _row_keep_blocks,
     _row_mul,
     _row_nonzero_blocks,
@@ -314,25 +321,55 @@ def solve_demand(
 ) -> Matrix:
     """Noiseless recovery of R_i X from the system (V^(i) | lam; lvs | Y).
 
-    Builds user i's demand map for ``lvs`` and applies it, see
-    :func:`_demand_rows`.  Raises ValueError when R_i is not recoverable,
-    i.e. the encoder does not serve user i, or when the shapes or fields
-    do not fit together.
+    Row-reduces [R_i | 0] against one echelon of the whole system, see
+    :func:`_stacked_demand`.  Raises ValueError when R_i is not
+    recoverable, i.e. the encoder does not serve user i, or when the shapes
+    or fields do not fit together.
     """
     u, f = inst.users[i], inst.field
     if Y.field != f or lam.field != f or lvs.field != f:
         raise ValueError("fields differ")
     if lam.nrows != u.d or Y.nrows != lvs.nrows or (u.d and lam.ncols != Y.ncols):
         raise ValueError("side information or broadcast shape mismatch")
-    w = Y.ncols
-    row = _demand_rows(inst, i, _demand_map(inst, i, lvs), _to_rows(f, lam.rows + Y.rows), w)
+    n, w = inst.n, Y.ncols
+    join = _row_join(f, w)
+    [R] = _to_rows(f, u.R.rows)
+    basis = _row_echelon(f, map(join, _to_rows(f, lvs.rows), _to_rows(f, Y.rows)), n + w)
+    cache = map(join, _to_rows(f, u.V.rows), _to_rows(f, lam.rows))
+    row = _stacked_demand(f, basis, cache, join(R, _zero_row(f, w)), n, w)
+    if row is None:
+        raise ValueError(f"user {i}: request not in the decoded span")
     return _from_rows(f, (row,), w)
 
 
+def _stacked_demand(field, basis: list, cache, request, n: int, w: int):
+    """A user's demand row from the stacked system [V^(i) | lam; L V_S | Y],
+    or None when R_i is outside the row space of [V^(i); L V_S].
+
+    ``basis`` holds the pairs of :func:`~iccsi.galois._row_insert` of the
+    (n + w)-wide rows [L V_S | Y], which every user shares; ``cache`` gives
+    user i's rows [V^(i) | lam] and ``request`` is [R_i | 0], all in the
+    row format.  The cache rows go into a copy of the echelon, and
+    [R_i | 0] is reduced against it.  A remainder against insertion-order
+    pairs is zero at every pivot column, so it is the canonical one, the
+    remainder against the RREF: when R_i = c [V^(i); L V_S] it is
+    [0 | -c [lam; Y]] reduced against the rows of the RREF that have their
+    pivot in the right block, so its right block is minus the demand
+    :func:`_demand_rows` reads off the map (c [lam; Y], or that reduced
+    against the RREF of Q [lam; Y]).  Otherwise its left block is nonzero.
+    """
+    width = n + w
+    row = _row_reduce(field, width)(_row_echelon(field, cache, width, basis), request)
+    if _row_block(field, 0, n, width)(row) != _zero_row(field, n):
+        return None
+    return _row_scale(field, field.neg(1), _row_block(field, n, width, width)(row))
+
+
 def _demand_rows(inst: IccsiInstance, i: int, dmap: tuple, right: list, w: int):
-    """:func:`solve_demand` on ``right``, the ``w``-wide rows of lam stacked
-    over Y in the format of :func:`~iccsi.galois._row_mul`; returns the
-    demand row.
+    """User i's demand row from its demand map ``dmap`` and ``right``, the
+    ``w``-wide rows of lam stacked over Y in the format of
+    :func:`~iccsi.galois._row_mul`: what :func:`solve_demand` gives.
+    Raises ValueError when the map is empty.
 
     When Q [lam; Y] = 0 the RREF of the whole system is T applied to it,
     with no pivot in the right block, so its demand is c [lam; Y].

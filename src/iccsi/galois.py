@@ -55,13 +55,13 @@ entrywise arithmetic does (see ``_LANE_MAX_ORDER``).  :func:`_to_rows`,
 the only code that branches on the format, so the
 confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
 decoder, the rank-trap decoder, the demand solve and both kinds of trial
-hold one body for every field.  Two of the helpers read a row as blocks
-of equal size, which the Hamming trials use to run side by side in one
-wide row: :func:`_row_nonzero_blocks` gives the mask of the nonzero blocks
-(on lanes a nonzero-lane test on lanes of e times the block size bits;
-:func:`_row_weight` counts blocks of one entry) and
-:func:`_row_keep_blocks` zeroes the blocks outside a mask (on lanes one
-AND).  :func:`_row_mul` is the only matrix
+hold one body for every field.  Three of the helpers read a row as blocks
+of equal size, which the trials use to run side by side in one wide row:
+:func:`_row_nonzero_blocks` gives the mask of the nonzero blocks (on lanes
+a nonzero-lane test on lanes of e times the block size bits;
+:func:`_row_weight` counts blocks of one entry), :func:`_row_block_bits`
+the mask of each block alone, and :func:`_row_keep_blocks` zeroes the
+blocks outside a mask (on lanes one AND).  :func:`_row_mul` is the only matrix
 product, ``Matrix.__mul__`` included.  ``Matrix`` and every public result
 stay tuple-based.
 
@@ -1273,6 +1273,13 @@ def _row_nonzero_blocks(field: Field, size: int, count: int):
     return lambda row: sum(bit for a, b, bit in spans if row[a:b] != zero)
 
 
+def _row_block_bits(field: Field, size: int, count: int) -> list:
+    """The block masks (see :func:`_row_nonzero_blocks`) of blocks 0, ...,
+    count - 1 of ``size`` entries alone, one per block."""
+    stride = (field.e * size or 1) if field._lanes else 1
+    return [1 << stride * k for k in range(count - 1, -1, -1)]
+
+
 def _row_keep_blocks(field: Field, size: int, count: int):
     """The function (row, mask) -> the row with the blocks outside the
     block mask set to zero, for rows of ``count`` blocks of ``size``
@@ -1318,15 +1325,22 @@ def _row_insert(field: Field, width: int):
     return lambda basis, row: _echelon_insert(basis, row, sub, scaler, inv)
 
 
-def _row_rank(field: Field, rows: Iterable, width: int) -> int:
-    """Rank of ``width``-wide rows in the row format, by :func:`_row_insert`."""
+def _row_echelon(field: Field, rows: Iterable, width: int, basis: Iterable = ()) -> list:
+    """The pairs of :func:`_row_insert` of ``basis`` followed by those of
+    the ``width``-wide rows in the row format inserted after it in order;
+    ``basis`` itself is not changed."""
     insert = _row_insert(field, width)
-    basis: list = []
+    basis = list(basis)
     for row in rows:
         pair = insert(basis, row)
         if pair is not None:
             basis.append(pair)
-    return len(basis)
+    return basis
+
+
+def _row_rank(field: Field, rows: Iterable, width: int) -> int:
+    """Rank of ``width``-wide rows in the row format, by :func:`_row_insert`."""
+    return len(_row_echelon(field, rows, width))
 
 
 def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None) -> tuple:

@@ -14,17 +14,25 @@ each trial's PCG64 from it, and reads the Generator's ``integers`` and
 ``choice`` off its raw words, so a trial draws the values a Generator would
 without numpy's per-trial seeding and per-call overhead.
 
-Trials run in chunks of at most ``_TRIAL_CHUNK``, each seeded at once.
-Hamming trials run a chunk as blocks of one wide row: trial k of a chunk
-holds entries [k t, (k+1) t) of every row (the galois row format), so the
-chunk shares each product and each user's syndrome search, and every trial
-still draws from its own stream.  Rank trials run one at a time.
+Trials run in chunks of at most ``_TRIAL_CHUNK``, each seeded at once, and
+both metrics run a chunk through one step, :func:`_trial_chunk`: trial k of
+a chunk holds entries [k t, (k+1) t) of every row (the galois row format),
+so the chunk's X comes from its trials' flat draws in one row helper, one
+product gives every user's cache and demand, and the tally compares the
+decoded demands block by block; every trial still draws X and then its
+error from its own stream.  Hamming trials share each user's syndrome
+search.  Rank trials trap each payload on its own; the trials that trap the
+encoder's L share one product per user with its demand map, and a trial
+that traps another L row-reduces that L V_S beside its Y once, in one
+echelon from which every user solves its demand.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 
@@ -44,6 +52,7 @@ from .decoders import (
     _demand_map,
     _demand_rows,
     _payload_width,
+    _stacked_demand,
     _trap_rows,
     _user_decoder,
 )
@@ -53,7 +62,10 @@ from .galois import (
     _from_row,
     _row_add,
     _row_block,
+    _row_block_bits,
+    _row_echelon,
     _row_join,
+    _row_keep_blocks,
     _row_mul,
     _row_nonzero_blocks,
     _row_rank,
@@ -68,9 +80,9 @@ from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
 
 # Trials run in chunks of at most this many, each chunk's streams seeded at
-# once.  Hamming trials run a chunk as blocks of one wide row: joining a
-# trial's error onto rows of k blocks costs their width, so a chunk of k
-# trials costs time quadratic in k.
+# once, as blocks of one wide row: joining a trial's error or payload onto
+# rows of k blocks costs their width, so a chunk of k trials costs time
+# quadratic in k.
 _TRIAL_CHUNK = 256
 
 
@@ -194,41 +206,14 @@ def run_simulation(
             raise ValueError(
                 f"encoder fails {cfg.metric} verification at delta={cfg.delta}"
             )
-    m = inst.m
-    tallies = [[0, 0, 0] for _ in range(m)]
+    tallies = [[0, 0, 0] for _ in range(inst.m)]
+    setup = _hamming_setup if cfg.metric == HAMMING else _rank_setup
+    error, decode = setup(cfg, inst, enc)
     # The stacked (V^(i); R_i) times X gives each user's cache and then its
     # demand.
     recv = vstack(*(vstack(u.V, u.R) for u in inst.users)).rows
-    if cfg.metric == HAMMING:
-        if cfg.error_weight > enc.N:
-            raise ValueError("error weight exceeds the code length")
-        decoders = [_user_decoder(inst, enc.lvs, i) for i in range(m)]
-        # [L V_S | I] times X stacked over the error is Y.
-        send = hstack(enc.lvs, Matrix.identity(inst.field, enc.N)).rows
-        for trials in _chunks(cfg.trials):
-            _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies)
-    else:
-        # A (v+N) x (v+ell) error cannot have rank above its smaller side.
-        v = cfg.trap_pad
-        ell = _payload_width(inst, cfg.lvs_shared)
-        if cfg.error_weight > min(v + enc.N, v + ell):
-            raise ValueError(
-                f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
-                f"{min(v + enc.N, v + ell)} for v={v}, N={enc.N}, ell={ell}"
-            )
-        # A sent row is the pad's v zeros, then in private mode the row of
-        # L, then the row of L V_S X: each row of ``send`` X after its row
-        # of ``head``.
-        send = enc.lvs.rows
-        rows_of_L = ((),) * enc.N if cfg.lvs_shared else enc.L.rows
-        head = _to_rows(inst.field, ((0,) * v + row for row in rows_of_L))
-        # The users' demand maps, keyed by the decoded L (None when shared).
-        # A trapped error leaves L the encoder's, so most trials share one
-        # entry; the dict lives for this call only.
-        maps: dict = {}
-        for trials in _chunks(cfg.trials):
-            for draws in _Draws.chunk(cfg.seed, trials):
-                _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies)
+    for trials in _chunks(cfg.trials):
+        _trial_chunk(inst, cfg.seed, trials, recv, error, decode, tallies)
     report = SimReport(
         asdict(cfg),
         cfg.trials,
@@ -248,33 +233,62 @@ def _chunks(trials: int):
     )
 
 
-def _hamming_trials(cfg, inst, enc, trials, decoders, send, recv, tallies) -> None:
-    """The Hamming trials of the range ``trials`` as blocks of one wide row:
-    the k-th of them holds entries [k t, (k + 1) t) of every row, so one
-    product and one syndrome search per user serve them all.  Each trial
-    draws X and its error from its own stream, as a single trial would."""
-    f, q, n, t, count = inst.field, inst.field.q, inst.n, inst.t, len(trials)
-    join = _row_join(f, t)
-    flats, E = [], [_zero_row(f, 0)] * enc.N
-    for draws in _Draws.chunk(cfg.seed, trials):
-        flats.append(draws.integers(q, n * t))
-        E = list(map(join, E, _hamming_error(draws, f, enc.N, t, cfg.error_weight)))
+def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
+    """The trials of the range ``trials`` as blocks of one wide row: the
+    k-th of them holds entries [k t, (k + 1) t) of every row, so one
+    product serves them all.  Each trial draws X, then its error by
+    ``error(draws)``, from its own stream, as a single trial would.
+
+    ``decode(X, errors, caches)`` gets the chunk's X rows, the trials'
+    errors and each user's cache rows lam = V^(i) X, and yields each
+    user's demand row and the block mask of its detected failures (see
+    :func:`~iccsi.galois._row_nonzero_blocks`); a block outside the mask
+    succeeds when it equals R_i X.
+    """
+    f, n, t, count = inst.field, inst.n, inst.t, len(trials)
+    flats, errors = [], []
+    for draws in _Draws.chunk(seed, trials):
+        flats.append(draws.integers(f.q, n * t))
+        errors.append(error(draws))
     X = _rows_of_blocks(f, flats, n, t)
-    w = t * count
-    Y = _row_mul(f, send, X + E, w)
-    known = _row_mul(f, recv, X, w)
+    known = _row_mul(f, recv, X, t * count)
+    caches, wants, start = [], [], 0
+    for u in inst.users:
+        caches.append(known[start:start + u.d])
+        wants.append(known[start + u.d])
+        start += u.d + 1
     nonzero, add, minus_one = _row_nonzero_blocks(f, t, count), _row_add(f), f.neg(1)
-    start = 0
-    for i, u in enumerate(inst.users):
-        stop = start + u.d
-        demand, missed = _decode_rows(decoders[i], known[start:stop] + Y, cfg.delta, t, count)
-        wrong = nonzero(add(demand, _row_scale(f, minus_one, known[stop]))) & ~missed
+    for row, want, (demand, missed) in zip(tallies, wants, decode(X, errors, caches)):
+        wrong = nonzero(add(demand, _row_scale(f, minus_one, want))) & ~missed
         missed, wrong = missed.bit_count(), wrong.bit_count()
-        row = tallies[i]
         row[0] += count - missed - wrong
         row[1] += missed
         row[2] += wrong
-        start = stop + 1
+
+
+def _hamming_setup(cfg, inst, enc) -> tuple:
+    """The ``error`` and ``decode`` of :func:`_trial_chunk` for Hamming
+    trials: each user's syndrome decoder, built once per call, decodes the
+    chunk's systems side by side."""
+    if cfg.error_weight > enc.N:
+        raise ValueError("error weight exceeds the code length")
+    f, t = inst.field, inst.t
+    decoders = [_user_decoder(inst, enc.lvs, i) for i in range(inst.m)]
+    # [L V_S | I] times X stacked over the error is Y.
+    send = hstack(enc.lvs, Matrix.identity(f, enc.N)).rows
+    join = _row_join(f, t)
+
+    def error(draws):
+        return _hamming_error(draws, f, enc.N, t, cfg.error_weight)
+
+    def decode(X, errors, caches):
+        count = len(errors)
+        E = [functools.reduce(join, rows) for rows in zip(*errors)]
+        Y = _row_mul(f, send, X + E, t * count)
+        for ctx, lam in zip(decoders, caches):
+            yield _decode_rows(ctx, lam + Y, cfg.delta, t, count)
+
+    return error, decode
 
 
 def _hamming_error(draws: _Draws, field, N: int, t: int, weight: int) -> list:
@@ -305,38 +319,95 @@ def _rank_error(draws: _Draws, field, nrows: int, ncols: int, r: int) -> list:
             return w
 
 
-def _rank_trial(cfg, inst, enc, draws, send, head, recv, maps, tallies) -> None:
-    """One rank trial on rows in the format of ``galois._row_mul``."""
-    f, t, v = inst.field, inst.t, cfg.trap_pad
+def _rank_setup(cfg, inst, enc) -> tuple:
+    """The ``error`` and ``decode`` of :func:`_trial_chunk` for rank trials.
+
+    Each trial's padded payload is trapped on its own.  A trial whose
+    trapped L is the encoder's (every trial when L V_S is shared) joins its
+    payload Y onto wide rows, and each user applies its demand map of the
+    encoder's L V_S, built once per call, to all of them in one product; a
+    block whose Q [lam; Y] is nonzero is solved alone by
+    :func:`~iccsi.decoders._demand_rows`.  A trial that traps some other L
+    row-reduces [L V_S | Y] once, and every user solves its demand from
+    that echelon by :func:`~iccsi.decoders._stacked_demand`.
+    """
+    f, n, t, v, N = inst.field, inst.n, inst.t, cfg.trap_pad, enc.N
     ell = _payload_width(inst, cfg.lvs_shared)
-    X = _to_rows(f, draws.rows(f.q, inst.n, t))
-    W = _rank_error(draws, f, v + enc.N, v + ell, cfg.error_weight)
-    sent = map(_row_join(f, t), head, _row_mul(f, send, X, t))
-    received = W[:v] + list(map(_row_add(f), sent, W[v:]))
-    trapped = _trap_rows(f, received, v, ell)
-    if trapped is None:
-        for row in tallies:
-            row[1] += 1
-        return
-    L, Y = None, trapped[0]
-    if not cfg.lvs_shared:
-        # A private payload is [L | Y], L in its first d_S columns; L is
-        # kept as a tuple of entry rows, the key of ``maps``.
-        d_S = inst.d_S
-        L = tuple(_from_row(f, r, d_S) for r in map(_row_block(f, 0, d_S, ell), Y))
-        Y = list(map(_row_block(f, d_S, ell, ell), Y))
-    dmaps = maps.get(L)
-    if dmaps is None:
-        lvs = enc.lvs if L is None else Matrix._trusted(f, L, inst.d_S) * inst.V_S
-        dmaps = maps[L] = [_demand_map(inst, i, lvs) for i in range(inst.m)]
-    known = _row_mul(f, recv, X, t)
-    start = 0
-    for i, u in enumerate(inst.users):
-        stop = start + u.d
-        try:
-            dem = _demand_rows(inst, i, dmaps[i], known[start:stop] + Y, t)
-        except ValueError:
-            tallies[i][1] += 1
-        else:
-            tallies[i][0 if dem == known[stop] else 2] += 1
-        start = stop + 1
+    # A (v+N) x (v+ell) error cannot have rank above its smaller side.
+    if cfg.error_weight > min(v + N, v + ell):
+        raise ValueError(
+            f"error rank {cfg.error_weight} exceeds min(v+N, v+ell) = "
+            f"{min(v + N, v + ell)} for v={v}, N={N}, ell={ell}"
+        )
+    # A sent row is the pad's v zeros, then in private mode the row of L,
+    # then the row of L V_S X: each row of ``send`` X after its row of
+    # ``head``.  A payload row is [L | Y], L empty when shared.
+    send = enc.lvs.rows
+    rows_of_L = ((),) * N if cfg.lvs_shared else enc.L.rows
+    head = _to_rows(f, ((0,) * v + row for row in rows_of_L))
+    own_L, V_S, d_S = _to_rows(f, rows_of_L), _to_rows(f, inst.V_S.rows), ell - t
+    L_of, Y_of = _row_block(f, 0, d_S, ell), _row_block(f, d_S, ell, ell)
+    dmaps = [_demand_map(inst, i, enc.lvs) for i in range(inst.m)]
+    join, add = _row_join(f, t), _row_add(f)
+    zero = _zero_row(f, t)
+    # Per user, the rows of V^(i) and the row [R_i | 0].
+    users = [
+        (_to_rows(f, u.V.rows), join(_to_rows(f, u.R.rows)[0], zero)) for u in inst.users
+    ]
+
+    def error(draws):
+        return _rank_error(draws, f, v + N, v + ell, cfg.error_weight)
+
+    def decode(X, errors, caches):
+        count = len(errors)
+        w = t * count
+        blocks = [_row_block(f, k * t, (k + 1) * t, w) for k in range(count)]
+        bits = _row_block_bits(f, t, count)
+        sent = _row_mul(f, send, X, w)
+        # Per trial its payload Y, zero unless its L is the encoder's.
+        Ys, missed, others = [], 0, {}
+        for k, W in enumerate(errors):
+            received = W[:v] + list(map(add, map(join, head, map(blocks[k], sent)), W[v:]))
+            trapped = _trap_rows(f, received, v, ell)
+            Y = [zero] * N
+            if trapped is None:
+                missed |= bits[k]
+            elif list(map(L_of, trapped[0])) == own_L:
+                Y = list(map(Y_of, trapped[0]))
+            else:
+                # [L V_S | Y] of the trapped L, row-reduced once for every user.
+                L = [_from_row(f, r, d_S) for r in map(L_of, trapped[0])]
+                lvs_Y = map(join, _row_mul(f, L, V_S, n), map(Y_of, trapped[0]))
+                others[k] = _row_echelon(f, lvs_Y, n + t)
+            Ys.append(Y)
+        Yw = [functools.reduce(join, rows) for rows in zip(*Ys)]
+        every = sum(bits)
+        own = every ^ missed ^ sum(bits[k] for k in others)
+        nonzero, keep = _row_nonzero_blocks(f, t, count), _row_keep_blocks(f, t, count)
+        for i, ((V, request), dmap, lam) in enumerate(zip(users, dmaps, caches)):
+            right = lam + Yw
+            if dmap:
+                out = _row_mul(f, dmap, right, w)
+                demand, user_missed = out[0], missed
+                alone = functools.reduce(operator.or_, map(nonzero, out[1:]), 0) & own
+            else:
+                demand, user_missed, alone = _zero_row(f, w), missed | own, 0
+            # Blocks solved alone, then spliced into the demand row.
+            solved = {
+                k: _demand_rows(inst, i, dmap, [blocks[k](r) for r in right], t)
+                for k in range(count)
+                if alone & bits[k]
+            }
+            for k, basis in others.items():
+                cache = map(join, V, map(blocks[k], lam))
+                dem = _stacked_demand(f, basis, cache, request, n, t)
+                if dem is None:
+                    user_missed |= bits[k]
+                else:
+                    solved[k] = dem
+            if solved:
+                patch = functools.reduce(join, (solved.get(k, zero) for k in range(count)))
+                demand = add(keep(demand, every ^ sum(bits[k] for k in solved)), patch)
+            yield demand, user_missed
+
+    return error, decode

@@ -41,7 +41,7 @@ from .galois import (
     _Draws,
     _row_add,
     _row_block,
-    _row_insert,
+    _row_echelon,
     _row_join,
     _row_mul,
     _row_rref,
@@ -156,18 +156,13 @@ class IccsiInstance:
     @cached_property
     def _realization_rows(self) -> tuple[tuple, tuple]:
         """(V_S rows, per user (echelon pairs of V^(i), R_i row)), all in
-        the row format, the pairs made by :func:`_row_insert`."""
+        the row format, the pairs made by :func:`_row_echelon`."""
         f = self.field
-        insert = _row_insert(f, self.n)
-        users = []
-        for u in self.users:
-            pairs: list = []
-            for row in _to_rows(f, u.V.rows):
-                pair = insert(pairs, row)
-                if pair is not None:
-                    pairs.append(pair)
-            users.append((tuple(pairs), _to_rows(f, u.R.rows)[0]))
-        return tuple(_to_rows(f, self.V_S.rows)), tuple(users)
+        users = tuple(
+            (tuple(_row_echelon(f, _to_rows(f, u.V.rows), self.n)), _to_rows(f, u.R.rows)[0])
+            for u in self.users
+        )
+        return tuple(_to_rows(f, self.V_S.rows)), users
 
 
 def make_instance(

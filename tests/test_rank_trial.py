@@ -4,9 +4,10 @@ pipeline they replaced.
 The rank trials of ``run_simulation`` now run on rows (ints of e-bit lanes
 over GF(2^e) up to GF(16), tuples otherwise), the trap decoder reduces the
 pad rows on their
-first v columns, and each user's demand is read off a map fixed per decoded
-L V_S, with a full row reduction when the map's consistency rows Q do not
-vanish.  The references below restate the earlier code: the trap by a
+first v columns, and each user's demand is read off its map of the
+encoder's L V_S, with a full row reduction when the map's consistency rows
+Q do not vanish, or, for a wrongly decoded L, reduced against one echelon
+of [L V_S | Y] that the users share.  The references below restate the earlier code: the trap by a
 solve against W_11, the demand by one RREF of the stacked system, and the
 trial in ``Matrix`` arithmetic.  Seeded GF(2), GF(3), GF(4), GF(8), GF(9)
 and GF(16) instances, one of them with a coded sender (d_S < n), with shared and
@@ -173,11 +174,14 @@ def cases(p, e, salt):
 
 @functools.cache
 def rank_sweep(p, e):
-    """Compare both trial loops on every pad and rank; count how often the
-    demand map falls back to the full RREF or finds R_i outside the span.
-    At rank 0 the fallback must not run."""
+    """Compare both trial loops on every pad and rank; count how often a
+    demand is solved alone (the full RREF fallback), how often R_i lies
+    outside the span of a decoded L V_S, how many trials trap an L other
+    than the encoder's, and how many demand maps the calls build.  At
+    rank 0 the fallback must not run."""
     seen = Counter()
     real_fallback, real_map = decoders._inconsistent_demand, harness._demand_map
+    real_echelon, real_stacked = harness._row_echelon, harness._stacked_demand
 
     def fallback_spy(*args):
         seen["fallback"] += 1
@@ -186,12 +190,27 @@ def rank_sweep(p, e):
     def map_spy(*args):
         dmap = real_map(*args)
         seen["maps"] += 1
+        seen["demand_maps"] += 1
         seen["not_in_span"] += not dmap
         return dmap
+
+    # The harness row-reduces [L V_S | Y] once for each trial that traps an
+    # L other than the encoder's, and each user solves its demand from it.
+    def echelon_spy(*args):
+        seen["wrong_L"] += 1
+        return real_echelon(*args)
+
+    def stacked_spy(*args):
+        dem = real_stacked(*args)
+        seen["maps"] += 1
+        seen["not_in_span"] += dem is None
+        return dem
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decoders, "_inconsistent_demand", fallback_spy)
         mp.setattr(harness, "_demand_map", map_spy)
+        mp.setattr(harness, "_row_echelon", echelon_spy)
+        mp.setattr(harness, "_stacked_demand", stacked_spy)
         for k, (_, inst, enc) in enumerate(cases(p, e, 41)):
             for shared, v in product((True, False), range(4)):
                 ell = inst.t if shared else inst.d_S + inst.t
@@ -208,6 +227,8 @@ def rank_sweep(p, e):
                     # map alone must decode it.
                     assert r or seen["fallback"] == before
                     seen["configs"] += 1
+                    # One demand map per user, of the encoder's L V_S.
+                    seen["own_maps"] += inst.m
     return seen
 
 
@@ -220,6 +241,9 @@ def test_rank_sweep_reaches_every_branch():
     seen = sum((rank_sweep(*case) for case in FIELDS), Counter())
     assert seen["fallback"] and seen["not_in_span"], seen
     assert seen["maps"] > seen["not_in_span"], seen
+    # Trials trap a wrong L, and none of them builds a demand map.
+    assert seen["wrong_L"], seen
+    assert seen["demand_maps"] == seen["own_maps"], seen
 
 
 def outcome(fn, *args):
