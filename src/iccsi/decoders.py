@@ -20,12 +20,11 @@ syndrome decoder and the simulation's rank trials read that one map.
   reduces [R_i | 0] against an echelon form of the whole system
   (:func:`_stacked_demand`): the echelon of [L V_S | Y], which users can
   share, with the user's rows [V^(i) | lam] inserted into a copy; the
-  remainder's right block is minus the demand.  A simulation trial does
-  the same for a wrongly trapped L, and reads the encoder's own L V_S
-  through the map (:func:`_demand_rows`): when
-  Q [lam; Y] = 0 the demand is c [lam; Y]; otherwise it is c [lam; Y]
-  reduced against the RREF of the w-wide rows Q [lam; Y].  Both are what
-  one RREF of the whole system gives.
+  remainder's right block is minus the demand.  A simulation trial reads
+  the demand off the map of the encoder's own L V_S, as c [lam; Y], when
+  Q [lam; Y] = 0, where that is what the reduction gives; every other
+  block, one whose Q [lam; Y] is nonzero or whose trap decoded another L,
+  goes through :func:`_stacked_demand` too.
 
 The broadcast frame is a little-endian binary format: magic ``ICC1``, the
 field as (p, e), the pad/payload layout (v, N, ell), a flags word, then the
@@ -49,7 +48,6 @@ from .galois import (
     hstack,
     _from_row,
     _from_rows,
-    _rref_basis,
     _rref_transform,
     _row_add,
     _row_block,
@@ -59,6 +57,7 @@ from .galois import (
     _row_mul,
     _row_nonzero_blocks,
     _row_reduce,
+    _row_rref,
     _row_scale,
     _solve_left_kernel,
     _to_rows,
@@ -110,7 +109,7 @@ class UserDecoder:
         cols = [self.d + j for j in support]
         r = len(self.rows) - 1
         B = tuple(tuple(row[c] for c in cols) for row in self.rows[1:])
-        work, pivots = _rref_transform(Matrix._trusted(f, B, size))
+        work, pivots, _ = _rref_transform(Matrix._trusted(f, B, size))
         if len(pivots) < size:
             return ()
         T = list(map(_row_block(f, size, size + r, size + r), work))
@@ -274,14 +273,15 @@ def _trap_rows(field, rows: list, v: int, ell: int) -> tuple | None:
     Returns the payload rows and the risk flag, or None when the failure is
     detected.  The pad rows [W_11 | W_12] are row-reduced on their first v
     columns, which gives U [W_11 | W_12] for the transform U of the RREF of
-    W_11.  Reducing a row [W_21 | payload] against its pivot rows subtracts
-    T [W_11 | W_12] for the canonical solution T of T W_11 = W_21; the row
-    has no such T when its first v entries stay nonzero.
+    W_11.  Reducing a row [W_21 | payload] against the pairs of its pivot
+    rows (see :func:`~iccsi.galois._row_rref`) subtracts T [W_11 | W_12]
+    for the canonical solution T of T W_11 = W_21; the row has no such T
+    when its first v entries stay nonzero.
     """
     width = v + ell
     if v == 0:
         return rows, False
-    basis = _rref_basis(field, rows[:v], width, stop=v)
+    basis = _row_rref(field, rows[:v], width, v)[2]
     reduce = _row_reduce(field, width)
     pad, tail = _row_block(field, 0, v, width), _row_block(field, v, width, width)
     zero = _zero_row(field, v)
@@ -354,45 +354,16 @@ def _stacked_demand(field, basis: list, cache, request, n: int, w: int):
     pairs is zero at every pivot column, so it is the canonical one, the
     remainder against the RREF: when R_i = c [V^(i); L V_S] it is
     [0 | -c [lam; Y]] reduced against the rows of the RREF that have their
-    pivot in the right block, so its right block is minus the demand
-    :func:`_demand_rows` reads off the map (c [lam; Y], or that reduced
-    against the RREF of Q [lam; Y]).  Otherwise its left block is nonzero.
+    pivot in the right block, so its right block is minus the demand:
+    c [lam; Y], for the map c over Q of :func:`_demand_map`, reduced
+    against the RREF of Q [lam; Y], which leaves it as it is when
+    Q [lam; Y] = 0.  Otherwise its left block is nonzero.
     """
     width = n + w
     row = _row_reduce(field, width)(_row_echelon(field, cache, width, basis), request)
     if _row_block(field, 0, n, width)(row) != _zero_row(field, n):
         return None
     return _row_scale(field, field.neg(1), _row_block(field, n, width, width)(row))
-
-
-def _demand_rows(inst: IccsiInstance, i: int, dmap: tuple, right: list, w: int):
-    """User i's demand row from its demand map ``dmap`` and ``right``, the
-    ``w``-wide rows of lam stacked over Y in the format of
-    :func:`~iccsi.galois._row_mul`: what :func:`solve_demand` gives.
-    Raises ValueError when the map is empty.
-
-    When Q [lam; Y] = 0 the RREF of the whole system is T applied to it,
-    with no pivot in the right block, so its demand is c [lam; Y].
-    """
-    if not dmap:
-        raise ValueError(f"user {i}: request not in the decoded span")
-    f = inst.field
-    out = _row_mul(f, dmap, right, w)
-    if out[1:] == [_zero_row(f, w)] * (len(out) - 1):
-        return out[0]
-    return _inconsistent_demand(f, out, w)
-
-
-def _inconsistent_demand(field, out: list, w: int):
-    """The demand row from ``out``, the ``w``-wide rows c [lam; Y] over
-    Q [lam; Y] != 0 in the row format: c [lam; Y] reduced against the RREF
-    of Q [lam; Y].
-
-    Past T, the RREF of the whole system row-reduces [0 | Q [lam; Y]] and
-    clears their pivot columns from the rows above, which is unique and
-    linear, as an RREF row is 1 at its pivot and 0 at the others.
-    """
-    return _row_reduce(field, w)(_rref_basis(field, out[1:], w), out[0])
 
 
 # -- broadcast frames -------------------------------------------------

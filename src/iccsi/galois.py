@@ -33,8 +33,8 @@ and underdetermined systems are resolved by setting every free variable to
 zero, so equal inputs always produce identical outputs.  They all run one
 RREF on rows, :func:`_row_rref`, and one reduction of a row against an
 echelon basis, :func:`_row_reduce`, whose basis pairs :func:`_row_insert`
-makes; rank, the min-rank search, the realization test, the trap decoder
-and the solves alike.
+makes, or the RREF for its pivot rows; rank, the min-rank search, the
+realization test, the trap decoder and the solves alike.
 
 Hot loops keep their rows in one row format, chosen in this module alone.
 In characteristic 2 up to GF(16) a row of w entries is one int of e w bits:
@@ -904,14 +904,14 @@ def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
     """
     f = m.field
     n, c = m.nrows, m.ncols
-    work, pivots = _rref_transform(m, stop)
+    work, pivots, _ = _rref_transform(m, stop)
     red = _from_rows(f, map(_row_block(f, 0, c, c + n), work), c)
     tr = _from_rows(f, map(_row_block(f, c, c + n, c + n), work), n)
     return RrefResult(red, tuple(pivots), tr)
 
 
 def _rref_transform(m: Matrix, stop: int | None = None) -> tuple:
-    """(rows, pivots) of the RREF of [m | I] in the row format by
+    """(rows, pivots, pairs) of the RREF of [m | I] in the row format by
     :func:`_row_rref`, pivots sought in the first ``stop`` columns of m
     (all by default): the RREF of m beside its transform."""
     f = m.field
@@ -1344,17 +1344,25 @@ def _row_rank(field: Field, rows: Iterable, width: int) -> int:
 
 
 def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None) -> tuple:
-    """(RREF rows, pivot columns) of ``width``-wide rows in the row format,
-    pivots sought in the first ``stop`` columns (all by default).
+    """(RREF rows, pivot columns, pivot pairs) of ``width``-wide rows in the
+    row format, pivots sought in the first ``stop`` columns (all by default).
 
     The algorithm of :func:`mat_rref`: for each column, the first row at or
     below the next pivot row that is nonzero there is swapped up, scaled
     to 1 at the column, and subtracted from every other row as often as it
     has the column's entry; on lanes that is one XOR with a multiple.
+
+    The pairs are those of :func:`_row_insert` for the pivot rows as they
+    stood when they were chosen, which :func:`_row_reduce` takes.  Each is
+    1 at its pivot and 0 at the earlier ones, and later pivots change each
+    RREF row by a unitriangular combination of them, so they span the RREF
+    rows.  A remainder against them is zero at every pivot, which makes it
+    unique in its coset: the remainder against the RREF.
     """
     work = list(rows)
     n = len(work)
     pivots: list[int] = []
+    pairs: list = []
     if stop is None:
         stop = width
     r = 0
@@ -1379,14 +1387,16 @@ def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None)
                 # GF(2): the row is 1 at its pivot bit, and rows with that
                 # bit set subtract it.
                 work = [x ^ row if x >> s & 1 else x for x in work]
+                pairs.append((s, row))
             else:
-                m = pivot(row)[1]
+                pairs.append(pivot(row))
+                m = pairs[-1][1]
                 work = [x ^ m[x >> s & mask] for x in work]
                 row = m[1]
             work[r] = row
             pivots.append(col)
             r += 1
-        return work, pivots
+        return work, pivots, pairs
     sub, scaler, inv = field.sub, field.scaler, field.inv
     for col in range(stop):
         if r == n:
@@ -1398,29 +1408,20 @@ def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None)
         piv = work[r][col]
         if piv != 1:
             work[r] = tuple(map(scaler(inv(piv)), work[r]))
-        pair = ((col, work[r]),)
+        pairs.append((col, work[r]))
+        last = pairs[-1:]
         for i in range(n):
             if i != r and work[i][col]:
-                work[i] = _echelon_reduce(pair, work[i], sub, scaler)
+                work[i] = _echelon_reduce(last, work[i], sub, scaler)
         pivots.append(col)
         r += 1
-    return work, pivots
-
-
-def _rref_basis(field: Field, rows: Iterable, width: int, stop: int | None = None) -> list:
-    """The pairs of :func:`_row_insert` for the nonzero rows of
-    :func:`_row_rref`.  An RREF row is 1 at its pivot, its leading entry,
-    and 0 at the other pivots, so it is its own remainder against an empty
-    basis."""
-    work, pivots = _row_rref(field, rows, width, stop)
-    insert = _row_insert(field, width)
-    return [insert((), row) for row in work[: len(pivots)]]
+    return work, pivots, pairs
 
 
 def row_basis(m: Matrix) -> Matrix:
     """Nonzero rows of the RREF: the canonical basis of the row space."""
     f = m.field
-    work, pivots = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    work, pivots, _ = _row_rref(f, _to_rows(f, m.rows), m.ncols)
     return _from_rows(f, work[: len(pivots)], m.ncols)
 
 
@@ -1432,7 +1433,7 @@ def null_space(m: Matrix) -> Matrix:
     is always the zero matrix and the columns are linearly independent.
     """
     f = m.field
-    work, pivots = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    work, pivots, _ = _row_rref(f, _to_rows(f, m.rows), m.ncols)
     piv = set(pivots)
     free = [j for j in range(m.ncols) if j not in piv]
     neg = f.neg
@@ -1467,17 +1468,17 @@ def _solve_left_kernel(a: Matrix, b: Matrix) -> tuple:
     ``a`` past its rank, which span the left kernel of ``a``.
 
     One elimination of [a | I] by :func:`_rref_transform` gives both.  A
-    row [b_row | 0] reduced against its pivot rows [rref | transform]
-    leaves [0 | -x] with x a = b_row, or a nonzero left part.  Raises
-    ValueError unless ``b`` has ``a.ncols`` columns over the same field.
+    row [b_row | 0] reduced against its pivot pairs, which span the pivot
+    rows [rref | transform], leaves [0 | -x] with x a = b_row, or a
+    nonzero left part.  Raises ValueError unless ``b`` has ``a.ncols``
+    columns over the same field.
     """
     f, c, k = a.field, a.ncols, a.nrows
     if b.field != f or b.ncols != c:
         raise ValueError("solve_left shape or field mismatch")
-    work, pivots = _rref_transform(a)
+    work, pivots, basis = _rref_transform(a)
     width = c + k
-    insert, reduce = _row_insert(f, width), _row_reduce(f, width)
-    basis = [insert((), row) for row in work[: len(pivots)]]
+    reduce = _row_reduce(f, width)
     left, right = _row_block(f, 0, c, width), _row_block(f, c, width, width)
     zero, minus = _zero_row(f, c), f.neg(1)
     x: list | None = []

@@ -21,10 +21,12 @@ so the chunk's X comes from its trials' flat draws in one row helper, one
 product gives every user's cache and demand, and the tally compares the
 decoded demands block by block; every trial still draws X and then its
 error from its own stream.  Hamming trials share each user's syndrome
-search.  Rank trials trap each payload on its own; the trials that trap the
-encoder's L share one product per user with its demand map, and a trial
-that traps another L row-reduces that L V_S beside its Y once, in one
-echelon from which every user solves its demand.
+search.  Rank trials trap each payload on its own and decode their demands
+in two ways: one product per user with its demand map of the encoder's
+L V_S, for the trials that trap that L and whose systems the map solves;
+and, for every other decoded block, the demand solve of
+:func:`~iccsi.decoders.solve_demand` against one echelon of that trial's
+[L V_S | Y], which its users share.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .codec import (
 from .decoders import (
     _decode_rows,
     _demand_map,
-    _demand_rows,
     _payload_width,
     _stacked_demand,
     _trap_rows,
@@ -322,14 +323,14 @@ def _rank_error(draws: _Draws, field, nrows: int, ncols: int, r: int) -> list:
 def _rank_setup(cfg, inst, enc) -> tuple:
     """The ``error`` and ``decode`` of :func:`_trial_chunk` for rank trials.
 
-    Each trial's padded payload is trapped on its own.  A trial whose
-    trapped L is the encoder's (every trial when L V_S is shared) joins its
-    payload Y onto wide rows, and each user applies its demand map of the
-    encoder's L V_S, built once per call, to all of them in one product; a
-    block whose Q [lam; Y] is nonzero is solved alone by
-    :func:`~iccsi.decoders._demand_rows`.  A trial that traps some other L
-    row-reduces [L V_S | Y] once, and every user solves its demand from
-    that echelon by :func:`~iccsi.decoders._stacked_demand`.
+    Each trial's padded payload is trapped on its own, and its payload Y
+    joins the chunk's wide rows.  Each user applies its demand map of the
+    encoder's L V_S, built once per call, to all of them in one product,
+    which decodes the blocks whose trap gave the encoder's L (every trial
+    when L V_S is shared) and whose Q [lam; Y] is zero.  Every other
+    decoded block goes to :func:`~iccsi.decoders._stacked_demand`, against
+    its trial's [L V_S | Y], row-reduced at most once per trial for every
+    user: the trapped L's, or the encoder's when it is that trial's L.
     """
     f, n, t, v, N = inst.field, inst.n, inst.t, cfg.trap_pad, enc.N
     ell = _payload_width(inst, cfg.lvs_shared)
@@ -346,6 +347,7 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     rows_of_L = ((),) * N if cfg.lvs_shared else enc.L.rows
     head = _to_rows(f, ((0,) * v + row for row in rows_of_L))
     own_L, V_S, d_S = _to_rows(f, rows_of_L), _to_rows(f, inst.V_S.rows), ell - t
+    own_lvs = _to_rows(f, send)
     L_of, Y_of = _row_block(f, 0, d_S, ell), _row_block(f, d_S, ell, ell)
     dmaps = [_demand_map(inst, i, enc.lvs) for i in range(inst.m)]
     join, add = _row_join(f, t), _row_add(f)
@@ -364,47 +366,45 @@ def _rank_setup(cfg, inst, enc) -> tuple:
         blocks = [_row_block(f, k * t, (k + 1) * t, w) for k in range(count)]
         bits = _row_block_bits(f, t, count)
         sent = _row_mul(f, send, X, w)
-        # Per trial its payload Y, zero unless its L is the encoder's.
-        Ys, missed, others = [], 0, {}
+        # Per trial its payload Y, zero when the trap failed, and per trial
+        # that trapped another L the rows of that L V_S.
+        Ys, missed, lvs_of = [], 0, {}
         for k, W in enumerate(errors):
             received = W[:v] + list(map(add, map(join, head, map(blocks[k], sent)), W[v:]))
             trapped = _trap_rows(f, received, v, ell)
-            Y = [zero] * N
             if trapped is None:
                 missed |= bits[k]
-            elif list(map(L_of, trapped[0])) == own_L:
-                Y = list(map(Y_of, trapped[0]))
-            else:
-                # [L V_S | Y] of the trapped L, row-reduced once for every user.
+                Ys.append([zero] * N)
+                continue
+            Ys.append(list(map(Y_of, trapped[0])))
+            if list(map(L_of, trapped[0])) != own_L:
                 L = [_from_row(f, r, d_S) for r in map(L_of, trapped[0])]
-                lvs_Y = map(join, _row_mul(f, L, V_S, n), map(Y_of, trapped[0]))
-                others[k] = _row_echelon(f, lvs_Y, n + t)
-            Ys.append(Y)
+                lvs_of[k] = _row_mul(f, L, V_S, n)
         Yw = [functools.reduce(join, rows) for rows in zip(*Ys)]
-        every = sum(bits)
-        own = every ^ missed ^ sum(bits[k] for k in others)
+        every, wrong = sum(bits), sum(bits[k] for k in lvs_of)
+        own = every ^ missed ^ wrong
         nonzero, keep = _row_nonzero_blocks(f, t, count), _row_keep_blocks(f, t, count)
-        for i, ((V, request), dmap, lam) in enumerate(zip(users, dmaps, caches)):
-            right = lam + Yw
+        echelons = {}
+        for (V, request), dmap, lam in zip(users, dmaps, caches):
             if dmap:
-                out = _row_mul(f, dmap, right, w)
+                out = _row_mul(f, dmap, lam + Yw, w)
                 demand, user_missed = out[0], missed
-                alone = functools.reduce(operator.or_, map(nonzero, out[1:]), 0) & own
+                fallback = functools.reduce(operator.or_, map(nonzero, out[1:]), 0) & own | wrong
             else:
-                demand, user_missed, alone = _zero_row(f, w), missed | own, 0
+                demand, user_missed, fallback = _zero_row(f, w), missed | own, wrong
             # Blocks solved alone, then spliced into the demand row.
-            solved = {
-                k: _demand_rows(inst, i, dmap, [blocks[k](r) for r in right], t)
-                for k in range(count)
-                if alone & bits[k]
-            }
-            for k, basis in others.items():
-                cache = map(join, V, map(blocks[k], lam))
-                dem = _stacked_demand(f, basis, cache, request, n, t)
-                if dem is None:
-                    user_missed |= bits[k]
-                else:
-                    solved[k] = dem
+            solved = {}
+            for k in range(count):
+                if fallback & bits[k]:
+                    if k not in echelons:
+                        lvs_Y = map(join, lvs_of.get(k, own_lvs), Ys[k])
+                        echelons[k] = _row_echelon(f, lvs_Y, n + t)
+                    cache = map(join, V, map(blocks[k], lam))
+                    dem = _stacked_demand(f, echelons[k], cache, request, n, t)
+                    if dem is None:
+                        user_missed |= bits[k]
+                    else:
+                        solved[k] = dem
             if solved:
                 patch = functools.reduce(join, (solved.get(k, zero) for k in range(count)))
                 demand = add(keep(demand, every ^ sum(bits[k] for k in solved)), patch)

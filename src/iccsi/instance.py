@@ -334,7 +334,7 @@ def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     f, n = a.field, a.ncols
     zero = (0,) * n
     rows = [r + r for r in a.rows] + [r + zero for r in b.rows]
-    work, pivots = _row_rref(f, _to_rows(f, rows), 2 * n)
+    work, pivots, _ = _row_rref(f, _to_rows(f, rows), 2 * n)
     right = _row_block(f, n, 2 * n, 2 * n)
     return _from_rows(f, [right(work[k]) for k, col in enumerate(pivots) if col >= n], n)
 

@@ -3,7 +3,8 @@
 The command decodes a frame through the public decoders: ``syndrome_decode``
 at v = 0, and ``rank_trap_decode`` then ``solve_demand`` at v > 0.  The
 simulation's rank trials decode the same frame on rows: ``_trap_rows``, the
-payload split into L and Y, ``_demand_map`` and ``_demand_rows``.  Over
+payload split into L and Y, then the product with the ``_demand_map`` when
+its rows Q give Q [lam; Y] = 0, and ``_stacked_demand`` otherwise.  Over
 GF(2), GF(3), GF(4), GF(9) and GF(16), for shared and private payloads at
 pads 0-3 and random errors of rank up to the frame's smaller side, with
 encoders that serve the user and some that do not, the exit code and the
@@ -24,12 +25,22 @@ from iccsi.decoders import (
     SYNDROME_NOT_FOUND,
     TRAP_FAILURE_DETECTED,
     _demand_map,
-    _demand_rows,
+    _stacked_demand,
     _trap_rows,
     trap_pad,
     write_frame,
 )
-from iccsi.galois import Matrix, _from_row, _row_block, _row_mul, _to_rows, _zero_row, hstack
+from iccsi.galois import (
+    Matrix,
+    _from_row,
+    _row_block,
+    _row_echelon,
+    _row_join,
+    _row_mul,
+    _to_rows,
+    _zero_row,
+    hstack,
+)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)]
 # (n, d_S, t): the sender holds everything, or a coded 3-dimensional space.
@@ -53,16 +64,22 @@ def row_path(inst, enc, i, received, lam, v, ell, shared):
         lvs = Matrix(f, L, d_S) * inst.V_S
         Y = list(map(_row_block(f, d_S, ell, ell), Y))
     dmap = _demand_map(inst, i, lvs)
-    right = _to_rows(f, lam.rows) + Y
-    try:
-        row = _demand_rows(inst, i, dmap, right, t)
-    except ValueError as exc:
+    if not dmap:
         # At v = 0 an encoder that does not serve the user is bad input.
-        return (2, None, "does not realize") if v == 0 else (3, None, f"decode failed: {exc}")
+        if v == 0:
+            return 2, None, "does not realize"
+        return 3, None, f"decode failed: user {i}: request not in the decoded span"
+    out = _row_mul(f, dmap, _to_rows(f, lam.rows) + Y, t)
+    if all(r == _zero_row(f, t) for r in out[1:]):
+        return 0, _from_row(f, out[0], t), ""
     # At v = 0 the syndrome decoder at delta 0 takes only a zero syndrome.
-    if v == 0 and any(r != _zero_row(f, t) for r in _row_mul(f, dmap[1:], right, t)):
+    if v == 0:
         return 3, None, SYNDROME_NOT_FOUND
-    return 0, _from_row(f, row, t), ""
+    u, n, join = inst.users[i], inst.n, _row_join(f, t)
+    basis = _row_echelon(f, map(join, _to_rows(f, lvs.rows), Y), n + t)
+    cache = map(join, _to_rows(f, u.V.rows), _to_rows(f, lam.rows))
+    request = join(_to_rows(f, u.R.rows)[0], _zero_row(f, t))
+    return 0, _from_row(f, _stacked_demand(f, basis, cache, request, n, t), t), ""
 
 
 @pytest.mark.parametrize("p,e", FIELDS, ids=[f"GF({p ** e})" for p, e in FIELDS])

@@ -3,11 +3,12 @@ pipeline they replaced.
 
 The rank trials of ``run_simulation`` now run on rows (ints of e-bit lanes
 over GF(2^e) up to GF(16), tuples otherwise), the trap decoder reduces the
-pad rows on their
-first v columns, and each user's demand is read off its map of the
-encoder's L V_S, with a full row reduction when the map's consistency rows
-Q do not vanish, or, for a wrongly decoded L, reduced against one echelon
-of [L V_S | Y] that the users share.  The references below restate the earlier code: the trap by a
+pad rows on their first v columns, and each user's demand is read off its
+map of the encoder's L V_S when the map's consistency rows Q vanish on the
+system.  Otherwise, and for a wrongly decoded L, it is the demand solve of
+``solve_demand``: [R_i | 0] reduced against one echelon of that trial's
+[L V_S | Y], which the users share, with the user's cache rows inserted.
+The references below restate the earlier code: the trap by a
 solve against W_11, the demand by one RREF of the stacked system, and the
 trial in ``Matrix`` arithmetic.  Seeded GF(2), GF(3), GF(4), GF(8), GF(9)
 and GF(16) instances, one of them with a coded sender (d_S < n), with shared and
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 from conftest import random_matrix
 
-from iccsi import decoders, field_new, harness
+from iccsi import field_new, harness
 from iccsi.codec import RANK, coset_encoder, make_encoder
 from iccsi.decoders import (
     TRAP_FAILURE_DETECTED,
@@ -39,6 +40,8 @@ from iccsi.galois import (
     hstack,
     mat_rank,
     mat_rref,
+    _row_block,
+    _to_rows,
     rank_weight,
     solve_left,
     vstack,
@@ -175,17 +178,16 @@ def cases(p, e, salt):
 @functools.cache
 def rank_sweep(p, e):
     """Compare both trial loops on every pad and rank; count how often a
-    demand is solved alone (the full RREF fallback), how often R_i lies
-    outside the span of a decoded L V_S, how many trials trap an L other
-    than the encoder's, and how many demand maps the calls build.  At
-    rank 0 the fallback must not run."""
+    demand of the encoder's L is solved alone (the stacked solve the map
+    falls back to), how often R_i lies outside the span of a decoded
+    L V_S, how many trials trap an L other than the encoder's, and how many
+    demand maps the calls build.  At rank 0 the fallback must not run."""
     seen = Counter()
-    real_fallback, real_map = decoders._inconsistent_demand, harness._demand_map
+    real_map = harness._demand_map
     real_echelon, real_stacked = harness._row_echelon, harness._stacked_demand
-
-    def fallback_spy(*args):
-        seen["fallback"] += 1
-        return real_fallback(*args)
+    # The echelons of [L V_S | Y] built for the encoder's L, by id; kept
+    # alive so that no id is reused.
+    own_echelons = {}
 
     def map_spy(*args):
         dmap = real_map(*args)
@@ -195,19 +197,29 @@ def rank_sweep(p, e):
         return dmap
 
     # The harness row-reduces [L V_S | Y] once for each trial that traps an
-    # L other than the encoder's, and each user solves its demand from it.
-    def echelon_spy(*args):
-        seen["wrong_L"] += 1
-        return real_echelon(*args)
+    # L other than the encoder's, and for each trial of the encoder's L
+    # that some user's map cannot decode; each user solves its demand from
+    # it.  An echelon is the encoder's L's when the left blocks of its rows
+    # are the encoder's L V_S, which no other L has, V_S being of full row
+    # rank; ``inst`` and ``enc`` are those of the case the loop below runs.
+    def echelon_spy(field, rows, width):
+        rows = list(rows)
+        basis = real_echelon(field, rows, width)
+        left = _row_block(field, 0, inst.n, width)
+        if list(map(left, rows)) == _to_rows(field, enc.lvs.rows):
+            own_echelons[id(basis)] = basis
+        else:
+            seen["wrong_L"] += 1
+        return basis
 
     def stacked_spy(*args):
         dem = real_stacked(*args)
         seen["maps"] += 1
         seen["not_in_span"] += dem is None
+        seen["fallback"] += id(args[1]) in own_echelons
         return dem
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decoders, "_inconsistent_demand", fallback_spy)
         mp.setattr(harness, "_demand_map", map_spy)
         mp.setattr(harness, "_row_echelon", echelon_spy)
         mp.setattr(harness, "_stacked_demand", stacked_spy)

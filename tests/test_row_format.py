@@ -4,7 +4,8 @@ Over GF(2^e) up to GF(16) a row is one int of e-bit lanes; above that, and
 in odd characteristic, it is an entry tuple.  Every helper, the product, the
 reduction and insertion into an echelon basis, the rank and the row-format
 RREF (with and without ``stop``) must agree with loops written here with
-``Field.mul``, ``Field.add``, ``Field.neg`` and ``Field.inv`` alone, for
+``Field.mul``, ``Field.add``, ``Field.neg`` and ``Field.inv`` alone, and the
+RREF's pivot pairs must reduce rows as the pairs of its RREF rows do, for
 every e from 1 to 8, on seeded rows of every width from 0 to 19, so both
 sides of each table chunk are crossed.  GF(2^9) and GF(9) take the tuple
 path.  The block helpers, which treat a row as blocks of equal size, are
@@ -180,14 +181,21 @@ def test_reduce_insert_rank(p, e):
 @pytest.mark.parametrize("p,e", CASES)
 def test_rref_with_and_without_stop(p, e):
     f = field_of(p, e)
-    rng = np.random.default_rng([p, e, 5])
+    rng, probe = np.random.default_rng([p, e, 5]), np.random.default_rng([p, e, 30])
     for n in WIDTHS:
+        insert, reduce = _row_insert(f, n), _row_reduce(f, n)
         for nrows, r in ((0, 0), (1, 1), (3, 2), (5, 5), (7, 3)):
             rows = rows_over(rng, f, nrows, n, rank=min(r, n))
             for stop in (None, 0, n // 2, n):
                 want = ref_rref(f, rows, n if stop is None else stop)
-                work, pivots = _row_rref(f, _to_rows(f, rows), n, stop)
+                work, pivots, pairs = _row_rref(f, _to_rows(f, rows), n, stop)
                 assert ([_from_row(f, x, n) for x in work], pivots) == want
+                # The pairs of the pivot rows as chosen span the RREF's
+                # pivot rows, and a remainder zero at every pivot is unique.
+                rref_pairs = [insert((), x) for x in work[: len(pivots)]]
+                assert len(pairs) == len(pivots)
+                for x in _to_rows(f, rows_over(probe, f, 3, n) + rows):
+                    assert reduce(pairs, x) == reduce(rref_pairs, x)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2)])

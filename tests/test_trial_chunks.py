@@ -5,8 +5,8 @@ A call seeds and runs its trials in chunks of ``_TRIAL_CHUNK``.  Calls of
 Matrix references of ``test_packed_decode`` and ``test_rank_trial``, which
 seed every trial on its own.  Private rank calls at pad 2 and error rank 3
 trap a wrong L in most trials, so one chunk mixes every outcome: a trap
-failure, a wrong L solved from its own echelon and an own-L block solved
-alone.
+failure, a wrong L solved from its own echelon and an own-L block that the
+demand map cannot decode, solved from the echelon of the encoder's L V_S.
 """
 
 from collections import Counter
@@ -19,6 +19,7 @@ from test_rank_trial import cases, ref_rank_report
 
 from iccsi import field_new, harness
 from iccsi.codec import HAMMING, RANK
+from iccsi.galois import _row_block, _to_rows
 from iccsi.harness import _TRIAL_CHUNK, SimConfig, run_simulation
 
 
@@ -48,7 +49,7 @@ def test_rank_calls_across_chunks_match_reference(p, e, trials):
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2)], ids=["GF(4)", "GF(9)"])
 def test_rank_chunks_mix_every_outcome(p, e):
     chunks = []
-    real = harness._trial_chunk, harness._trap_rows, harness._row_echelon, harness._demand_rows
+    real = harness._trial_chunk, harness._trap_rows, harness._row_echelon
 
     def chunk_spy(*args):
         chunks.append(Counter())
@@ -59,17 +60,18 @@ def test_rank_chunks_mix_every_outcome(p, e):
         chunks[-1]["detected"] += out is None
         return out
 
-    def echelon_spy(*args):
-        chunks[-1]["wrong_L"] += 1
-        return real[2](*args)
-
-    def alone_spy(*args):
-        chunks[-1]["alone"] += 1
-        return real[3](*args)
+    # An echelon whose rows have the encoder's L V_S as their left blocks
+    # is built for an own-L block solved alone; any other is a wrong L's.
+    def echelon_spy(field, rows, width):
+        rows = list(rows)
+        left = _row_block(field, 0, inst.n, width)
+        own = list(map(left, rows)) == _to_rows(field, enc.lvs.rows)
+        chunks[-1]["alone" if own else "wrong_L"] += 1
+        return real[2](field, rows, width)
 
     with pytest.MonkeyPatch.context() as mp:
         for name, spy in [("_trial_chunk", chunk_spy), ("_trap_rows", trap_spy),
-                          ("_row_echelon", echelon_spy), ("_demand_rows", alone_spy)]:
+                          ("_row_echelon", echelon_spy)]:
             mp.setattr(harness, name, spy)
         for _, inst, enc in cases(p, e, 26):
             cfg = SimConfig(
