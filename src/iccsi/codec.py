@@ -25,9 +25,7 @@ import numpy as np
 from .galois import (
     Matrix,
     _as_int,
-    _row_mul,
     _row_weight,
-    _to_rows,
     field_of_order,
     iter_vectors,
     mat_rank,
@@ -286,7 +284,7 @@ def verify_ecic(
     view = one_symbol_view(inst)
     lvs = L * view.V_S
     # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
-    extra = (lvs.nrows, _to_rows(view.field, lvs.transpose().rows))
+    extra = (lvs.nrows, view.field._fmt.to_rows(lvs.transpose().rows))
     blocks = _WalkBlocks(view, lvs.nrows)
     for i in range(view.m):
         size = view.q ** ((view.n - view.users[i].d) * view.t)
@@ -368,9 +366,9 @@ def min_distance_cols(g: Matrix, budget: int | None = None) -> int:
         raise BudgetExceeded(f"codeword enumeration size {f.q}^{k} exceeds budget")
     # Codeword g u is the row u g^T, weighed in the row format.
     N = g.nrows
-    gt = _to_rows(f, g.transpose().rows)
-    weigh = _row_weight(f, 0, N, N)
-    return min(weigh(_row_mul(f, (u,), gt, N)[0]) for u in iter_vectors(f, k) if any(u))
+    gt = f._fmt.to_rows(g.transpose().rows)
+    weigh, mul = _row_weight(f, 0, N, N), f._fmt.mul
+    return min(weigh(mul((u,), gt, N)[0]) for u in iter_vectors(f, k) if any(u))
 
 
 def concat_kappa_bound(

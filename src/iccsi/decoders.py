@@ -46,22 +46,10 @@ from .galois import (
     Matrix,
     field_new,
     hstack,
-    _from_row,
     _from_rows,
     _rref_transform,
-    _row_add,
-    _row_block,
     _row_echelon,
-    _row_join,
-    _row_keep_blocks,
-    _row_mul,
-    _row_nonzero_blocks,
-    _row_reduce,
-    _row_rref,
-    _row_scale,
     _solve_left_kernel,
-    _to_rows,
-    _zero_row,
     vstack,
 )
 from .instance import IccsiInstance
@@ -105,17 +93,18 @@ class UserDecoder:
         rows give alpha - c_S P_S beta, the corrected demand, over Q_S beta.
         T comes from the RREF of [B | I] in the row format.
         """
-        f, size = self.field, len(support)
+        f, fmt, size = self.field, self.field._fmt, len(support)
         cols = [self.d + j for j in support]
         r = len(self.rows) - 1
         B = tuple(tuple(row[c] for c in cols) for row in self.rows[1:])
         work, pivots, _ = _rref_transform(Matrix._trusted(f, B, size))
         if len(pivots) < size:
             return ()
-        T = list(map(_row_block(f, size, size + r, size + r), work))
+        T = list(map(fmt.block(size, size + r, size + r), work))
         neg_c = [[f.neg(self.rows[0][c]) for c in cols]]
-        first = (1,) + _from_row(f, _row_mul(f, neg_c, T[:size], r)[0], r)
-        return (first,) + tuple((0,) + _from_row(f, q, r) for q in T[size:])
+        unpack = fmt.unpacker(r)
+        first = (1,) + unpack(fmt.mul(neg_c, T[:size], r)[0])
+        return (first,) + tuple((0,) + unpack(q) for q in T[size:])
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
@@ -171,7 +160,7 @@ def syndrome_decode(
             f"{ctx.N} and {d} rows of equal width"
         )
     t = Y.ncols
-    row, missed = _decode_rows(ctx, _to_rows(f, lam.rows + Y.rows), delta, t, 1)
+    row, missed = _decode_rows(ctx, f._fmt.to_rows(lam.rows + Y.rows), delta, t, 1)
     if missed:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     return DecodeOutcome(_from_rows(f, (row,), t))
@@ -180,26 +169,26 @@ def syndrome_decode(
 def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int, count: int) -> tuple:
     """:func:`syndrome_decode` of ``count`` systems at once, on rows of
     ``count`` blocks of t entries in the format of
-    :func:`~iccsi.galois._row_mul`: block k of ``right`` is lam stacked
-    over Y of system k.
+    :mod:`~iccsi.galois`: block k of ``right`` is lam stacked over Y of
+    system k.
 
     Returns the demand row, zero in the blocks that no error pattern
     matches, and the block mask of those blocks (see
-    :func:`~iccsi.galois._row_nonzero_blocks`).  The support scan multiplies
+    :class:`~iccsi.galois._RowFormat`).  The support scan multiplies
     each support's rows once for every block still pending, and a block
     keeps its first match.  That match has independent columns: a
     dependent support spans what a smaller subset spans, and the scan
     reaches that subset first.  So the matching error pattern is unique.
     """
-    f, w = ctx.field, t * count
-    nonzero = _row_nonzero_blocks(f, t, count)
-    syn = _row_mul(f, ctx.rows, right, w)
+    f, fmt, w = ctx.field, ctx.field._fmt, t * count
+    nonzero, mul = fmt.nonzero_blocks(t, count), fmt.mul
+    syn = mul(ctx.rows, right, w)
     pending = functools.reduce(operator.or_, map(nonzero, syn[1:]), 0)
     if not pending:
         return syn[0], 0
-    add, keep = _row_add(f), _row_keep_blocks(f, t, count)
+    add, keep = fmt.add, fmt.keep_blocks(t, count)
     # syn[0] less its pending blocks; each match adds its block back.
-    demand = add(syn[0], _row_scale(f, f.neg(1), keep(syn[0], pending)))
+    demand = add(syn[0], fmt.scale(f.neg(1), keep(syn[0], pending)))
     memo = ctx.support_rref
     for size in range(1, delta + 1):
         for support in combinations(range(ctx.N), size):
@@ -207,7 +196,7 @@ def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int, count: int) 
             if rows is None:
                 rows = memo[support] = ctx._support_rows(support)
             if rows:
-                out = _row_mul(f, rows, syn, w)
+                out = mul(rows, syn, w)
                 hit = pending & ~functools.reduce(operator.or_, map(nonzero, out[1:]), 0)
                 if hit:
                     demand = add(demand, keep(out[0], hit))
@@ -259,7 +248,7 @@ def rank_trap_decode(received: Matrix, v: int, N: int, ell: int) -> TrapResult:
             f"layout v={v}, N={N}, ell={ell}"
         )
     f = received.field
-    out = _trap_rows(f, _to_rows(f, received.rows), v, ell)
+    out = _trap_rows(f, f._fmt.to_rows(received.rows), v, ell)
     if out is None:
         return TrapResult(None, TRAP_FAILURE_DETECTED)
     payload, risk = out
@@ -268,23 +257,23 @@ def rank_trap_decode(received: Matrix, v: int, N: int, ell: int) -> TrapResult:
 
 def _trap_rows(field, rows: list, v: int, ell: int) -> tuple | None:
     """:func:`rank_trap_decode` on the (v+ell)-wide rows of ``received`` in
-    the format of :func:`~iccsi.galois._row_mul`.
+    the row format of :mod:`~iccsi.galois`.
 
     Returns the payload rows and the risk flag, or None when the failure is
     detected.  The pad rows [W_11 | W_12] are row-reduced on their first v
     columns, which gives U [W_11 | W_12] for the transform U of the RREF of
     W_11.  Reducing a row [W_21 | payload] against the pairs of its pivot
-    rows (see :func:`~iccsi.galois._row_rref`) subtracts T [W_11 | W_12]
+    rows (see the row format's ``rref``) subtracts T [W_11 | W_12]
     for the canonical solution T of T W_11 = W_21; the row has no such T
     when its first v entries stay nonzero.
     """
-    width = v + ell
+    fmt, width = field._fmt, v + ell
     if v == 0:
         return rows, False
-    basis = _row_rref(field, rows[:v], width, v)[2]
-    reduce = _row_reduce(field, width)
-    pad, tail = _row_block(field, 0, v, width), _row_block(field, v, width, width)
-    zero = _zero_row(field, v)
+    basis = fmt.rref(rows[:v], width, v)[2]
+    reduce = fmt.reduce
+    pad, tail = fmt.block(0, v, width), fmt.block(v, width, width)
+    zero = fmt.zero(v)
     payload = []
     for row in rows[v:]:
         row = reduce(basis, row)
@@ -331,12 +320,11 @@ def solve_demand(
         raise ValueError("fields differ")
     if lam.nrows != u.d or Y.nrows != lvs.nrows or (u.d and lam.ncols != Y.ncols):
         raise ValueError("side information or broadcast shape mismatch")
-    n, w = inst.n, Y.ncols
-    join = _row_join(f, w)
-    [R] = _to_rows(f, u.R.rows)
-    basis = _row_echelon(f, map(join, _to_rows(f, lvs.rows), _to_rows(f, Y.rows)), n + w)
-    cache = map(join, _to_rows(f, u.V.rows), _to_rows(f, lam.rows))
-    row = _stacked_demand(f, basis, cache, join(R, _zero_row(f, w)), n, w)
+    n, w, fmt = inst.n, Y.ncols, f._fmt
+    join = fmt.join(w)
+    basis = _row_echelon(f, map(join, fmt.to_rows(lvs.rows), fmt.to_rows(Y.rows)), n + w)
+    cache = map(join, fmt.to_rows(u.V.rows), fmt.to_rows(lam.rows))
+    row = _stacked_demand(f, basis, cache, join(fmt.pack(u.R.rows[0]), fmt.zero(w)), n, w)
     if row is None:
         raise ValueError(f"user {i}: request not in the decoded span")
     return _from_rows(f, (row,), w)
@@ -346,7 +334,7 @@ def _stacked_demand(field, basis: list, cache, request, n: int, w: int):
     """A user's demand row from the stacked system [V^(i) | lam; L V_S | Y],
     or None when R_i is outside the row space of [V^(i); L V_S].
 
-    ``basis`` holds the pairs of :func:`~iccsi.galois._row_insert` of the
+    ``basis`` holds the insertion pairs of the
     (n + w)-wide rows [L V_S | Y], which every user shares; ``cache`` gives
     user i's rows [V^(i) | lam] and ``request`` is [R_i | 0], all in the
     row format.  The cache rows go into a copy of the echelon, and
@@ -359,11 +347,11 @@ def _stacked_demand(field, basis: list, cache, request, n: int, w: int):
     against the RREF of Q [lam; Y], which leaves it as it is when
     Q [lam; Y] = 0.  Otherwise its left block is nonzero.
     """
-    width = n + w
-    row = _row_reduce(field, width)(_row_echelon(field, cache, width, basis), request)
-    if _row_block(field, 0, n, width)(row) != _zero_row(field, n):
+    fmt, width = field._fmt, n + w
+    row = fmt.reduce(_row_echelon(field, cache, width, basis), request)
+    if fmt.block(0, n, width)(row) != fmt.zero(n):
         return None
-    return _row_scale(field, field.neg(1), _row_block(field, n, width, width)(row))
+    return fmt.scale(field.neg(1), fmt.block(n, width, width)(row))
 
 
 # -- broadcast frames -------------------------------------------------

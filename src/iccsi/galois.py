@@ -31,39 +31,47 @@ Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: RREF, solve and null space scan columns left to right,
 and underdetermined systems are resolved by setting every free variable to
 zero, so equal inputs always produce identical outputs.  They all run one
-RREF on rows, :func:`_row_rref`, and one reduction of a row against an
-echelon basis, :func:`_row_reduce`, whose basis pairs :func:`_row_insert`
-makes, or the RREF for its pivot rows; rank, the min-rank search, the
-realization test, the trap decoder and the solves alike.
+RREF on rows, the row format's ``rref``, and one reduction of a row against
+an echelon basis, its ``reduce``, whose basis pairs its ``insert`` makes, or
+the RREF for its pivot rows; rank, the min-rank search, the realization
+test, the trap decoder and the solves alike.
 
-Hot loops keep their rows in one row format, chosen in this module alone.
-In characteristic 2 up to GF(16) a row of w entries is one int of e w bits:
-e-bit lanes, entry 0 in the top lane, so int order is tuple order and add
-is ``^``.  GF(2) is the case e = 1, with Hamming weight
-``int.bit_count()``.  The q multiples a r of a row r come from e - 1
-lane-wise multiplications by x, each a shift plus the modulus's low bits in
-every lane whose top bit it shifted out, and q - 2 XORs (:func:`_lane_ops`;
-rows of a width with few values share one table of them).  A product
-XORs one multiple per term, and a basis row keeps its multiples, scaled to
-1 at its pivot lane, so reducing a row by it is one XOR with the multiple
-the row's pivot lane selects; over GF(2) the bodies select whole rows by a
-bit.  Odd fields and characteristic-2 fields above GF(16) keep entry
-tuples, since there building q multiples per row costs more than
-entrywise arithmetic does (see ``_LANE_MAX_ORDER``).  :func:`_to_rows`,
-:func:`_from_row`, :func:`_from_rows`, :func:`_rows_of_blocks`,
-:func:`_zero_row`, :func:`_rref_transform` and the ``_row_*`` helpers are
-the only code that branches on the format, so the
-confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
+Hot loops keep their rows in one row format per field, a record of row
+operations (:class:`_RowFormat`) that ``Field`` picks once, as
+``field._fmt``; nothing else chooses a format.  There are three records:
+
+- ``_LaneRows``, GF(4) to GF(16): a row of w entries is one int of e w bits,
+  e-bit lanes, entry 0 in the top lane, so int order is tuple order and add
+  is ``^``.  The q multiples a r of a row r come from e - 1 lane-wise
+  multiplications by x, each a shift plus the modulus's low bits in every
+  lane whose top bit it shifted out, and q - 2 XORs (``lane_ops``; rows of
+  a width with few values share one table of them).  A product XORs one
+  multiple per term, and a basis row keeps its multiples, scaled to 1 at
+  its pivot lane, so reducing a row by it is one XOR with the multiple the
+  row's pivot lane selects.
+- ``_BitRows``, GF(2): lanes of one bit, with Hamming weight
+  ``int.bit_count()``; its product and its basis pairs select whole rows
+  by a bit.
+- ``_TupleRows``, every other field: entry tuples and the field's own
+  arithmetic.  Odd fields and characteristic-2 fields above GF(16) keep
+  them, since there building q multiples per row costs more than
+  entrywise arithmetic does (see ``_LANE_MAX_ORDER``).
+
+The confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
 decoder, the rank-trap decoder, the demand solve and both kinds of trial
-hold one body for every field.  Three of the helpers read a row as blocks
-of equal size, which the trials use to run side by side in one wide row:
-:func:`_row_nonzero_blocks` gives the mask of the nonzero blocks (on lanes
-a nonzero-lane test on lanes of e times the block size bits;
+call the record's methods and hold one body for every field; a new format
+is one new record.  What is the same in every format is one function over
+the record: :func:`_from_rows`, :func:`_rows_of_blocks`,
+:func:`_row_weight`, :func:`_row_block_bits`, :func:`_row_echelon` and
+:func:`_row_rank`.  Two methods and :func:`_row_block_bits` read a row as
+blocks of equal size, which the trials use to run side by side in one wide
+row: ``nonzero_blocks`` gives the mask of the nonzero blocks (on lanes a
+nonzero-lane test on lanes of e times the block size bits;
 :func:`_row_weight` counts blocks of one entry), :func:`_row_block_bits`
-the mask of each block alone, and :func:`_row_keep_blocks` zeroes the
-blocks outside a mask (on lanes one AND).  :func:`_row_mul` is the only matrix
-product, ``Matrix.__mul__`` included.  ``Matrix`` and every public result
-stay tuple-based.
+the mask of each block alone, and ``keep_blocks`` zeroes the blocks
+outside a mask (on lanes one AND).  The record's ``mul`` is the only
+matrix product, ``Matrix.__mul__`` included.  ``Matrix`` and every public
+result stay tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -227,19 +235,9 @@ class Field:
         self.q = q
         self.modulus: tuple[int, ...] = tuple(modulus)
         self._build_tables()
-        # The row format (see the module docstring): e-bit lanes in
-        # characteristic 2 up to the lane bound, entry tuples otherwise.
-        self._lanes = p == 2 and q <= _LANE_MAX_ORDER
-        if self._lanes:
-            # x^e = the modulus below its leading term, as a lane.
-            self._lane_low = sum(c << i for i, c in enumerate(self.modulus[:e]))
-            self._short_rows, self._pack, self._unpack = _lane_codec(q, e)
-            # The product-table row of 1/a, x -> x / a, for each a != 0, and
-            # the functions of _lane_ops by row width.
-            self._inv_rows = (None,) + tuple(
-                self._scale_rows[self.inv(a)] for a in range(1, q)
-            )
-            self._lane_ops: dict = {}
+        # The row format (see the module docstring), chosen here alone.
+        lanes = p == 2 and q <= _LANE_MAX_ORDER
+        self._fmt = (_BitRows if q == 2 else _LaneRows if lanes else _TupleRows)(self)
         if p == 2:
             # Characteristic 2: the base-2 digit encoding makes + and - XOR,
             # and every element is its own negative.
@@ -574,7 +572,7 @@ class Matrix:
         return Matrix._trusted(self.field, rows, self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Product by row combination, :func:`_row_mul` in the row format."""
+        """Product by row combination, the row format's ``mul``."""
         if not isinstance(other, Matrix):
             return NotImplemented
         f = self.field
@@ -582,8 +580,8 @@ class Matrix:
             raise ValueError("fields differ")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        n = other.ncols
-        return _from_rows(f, _row_mul(f, self.rows, _to_rows(f, other.rows), n), n)
+        n, fmt = other.ncols, f._fmt
+        return _from_rows(f, fmt.mul(self.rows, fmt.to_rows(other.rows), n), n)
 
     def scale(self, c: int) -> "Matrix":
         scale = self.field.scaler(c)
@@ -895,108 +893,201 @@ class RrefResult:
         return len(self.pivots)
 
 
-def mat_rref(m: Matrix, stop: int | None = None) -> RrefResult:
+def mat_rref(m: Matrix) -> RrefResult:
     """Canonical reduced row echelon form, scanning columns left to right.
 
-    With ``stop`` the pivots are sought in the first ``stop`` columns only,
-    so the result is the transform of the RREF of those columns times all
-    of ``m``.  The work is :func:`_rref_transform`'s.
+    The work is :func:`_rref_transform`'s.
     """
-    f = m.field
+    f, fmt = m.field, m.field._fmt
     n, c = m.nrows, m.ncols
-    work, pivots, _ = _rref_transform(m, stop)
-    red = _from_rows(f, map(_row_block(f, 0, c, c + n), work), c)
-    tr = _from_rows(f, map(_row_block(f, c, c + n, c + n), work), n)
+    work, pivots, _ = _rref_transform(m)
+    red = _from_rows(f, map(fmt.block(0, c, c + n), work), c)
+    tr = _from_rows(f, map(fmt.block(c, c + n, c + n), work), n)
     return RrefResult(red, tuple(pivots), tr)
 
 
-def _rref_transform(m: Matrix, stop: int | None = None) -> tuple:
-    """(rows, pivots, pairs) of the RREF of [m | I] in the row format by
-    :func:`_row_rref`, pivots sought in the first ``stop`` columns of m
-    (all by default): the RREF of m beside its transform."""
-    f = m.field
-    n, c = m.nrows, m.ncols
-    rows = _to_rows(f, m.rows)
-    if f._lanes:
-        e = f.e
-        rows = [x << e * n | 1 << e * i for i, x in zip(range(n - 1, -1, -1), rows)]
-    else:
-        rows = list(map(operator.add, rows, _unit_rows(n)))
-    return _row_rref(f, rows, c + n, c if stop is None else stop)
-
-
-def _echelon_reduce(basis: Iterable, row: tuple, sub, scaler) -> tuple:
-    """Row minus the combination of the ``basis`` rows, (pivot column, row)
-    pairs, that clears every pivot column.
-
-    Each pair's row is 1 at its pivot and 0 at the earlier pivots, so one
-    pass in order clears them all.
-    """
-    for col, prow in basis:
-        x = row[col]
-        if x:
-            row = tuple(map(sub, row, prow if x == 1 else map(scaler(x), prow)))
-    return row
-
-
-def _echelon_insert(basis: list, row: tuple, sub, scaler, inv) -> tuple | None:
-    """Reduce row against ``basis``, (pivot column, row) pairs in insertion
-    order, by :func:`_echelon_reduce`.
-
-    Returns the remainder as a new pair with pivot entry 1, or None when
-    row lies in the span of the basis.
-    """
-    row = _echelon_reduce(basis, row, sub, scaler)
-    for col, x in enumerate(row):
-        if x:
-            return col, (row if x == 1 else tuple(map(scaler(inv(x)), row)))
-    return None
+def _rref_transform(m: Matrix) -> tuple:
+    """(rows, pivots, pairs) of the RREF of [m | I] in the row format, pivots
+    sought in the columns of m: the RREF of m beside its transform."""
+    fmt = m.field._fmt
+    return fmt.rref(fmt.with_identity(fmt.to_rows(m.rows)), m.ncols + m.nrows, m.ncols)
 
 
 def mat_rank(m: Matrix) -> int:
     """Rank by inserting the rows one by one into an echelon basis."""
-    return _row_rank(m.field, _to_rows(m.field, m.rows), m.ncols)
+    return _row_rank(m.field, m.field._fmt.to_rows(m.rows), m.ncols)
 
 
-# -- lanes: the row format in characteristic 2 ----------------------------
+# -- the row formats (see the module docstring) ---------------------------
+#
+# A method that a loop calls per row returns a function of the row, picked
+# once per loop.
 
 
-def _lane_codec(q: int, e: int) -> tuple:
-    """The short rows of GF(2^e), q = 2^e, and the functions ``pack(row)``
-    and ``unpack(x, n)`` between rows of entries and ints of e-bit lanes,
-    entry 0 in the top lane.
+class _RowFormat:
+    """The row operations of one row format; ``Field`` keeps one as ``_fmt``.
 
-    ``short[n]`` lists every row of n <= 8 // e entries, indexed by its
-    packed value (itertools order is packed order).  Short rows pack by one
-    lookup in the inverse table and unpack to the shared tuples, so kept
-    results, certificates say, hold no copies of them; longer rows unpack
-    through the table in chunks of 8 // e lanes.
+    ``pack(row)`` gives a row of entries in the format and ``unpacker(n)``
+    the function back to its n entries; ``zero(n)`` is the zero row and
+    ``add`` adds two rows.  ``join(width)`` gives (a, b) -> [a | b] for b
+    ``width`` entries wide, ``block(start, stop, width)`` the reader of
+    entries [start, stop) of a ``width``-wide row, ``scale(a, row)`` the
+    row a row, and ``with_identity(rows)`` the rows of [m | I] for m's n
+    rows.  ``mul(a, b, ncols)`` gives the rows of A B, A as rows of entries
+    and B as ``ncols``-wide rows in the format.
+
+    ``insert(width)`` gives f(basis, row): the remainder of row against
+    ``basis``, echelon pairs in insertion order, as a new pair 1 at its
+    pivot, or None when it is zero; ``reduce(basis, row)`` is that
+    remainder.  ``rref(rows, width, stop)`` is the RREF of ``rows``, pivots
+    sought in the first ``stop`` columns (all by default): the rows, the
+    pivot columns and the pairs of the pivot rows as they stood when they
+    were chosen, which ``reduce`` takes.  Each is 1 at its pivot and 0 at
+    the earlier ones, and later pivots change each RREF row by a
+    unitriangular combination of them, so they span the RREF rows; a
+    remainder against them is zero at every pivot, which makes it unique in
+    its coset: the remainder against the RREF.  ``line(width)`` gives, for
+    a nonzero row z, None unless z's leading entry is 1, and otherwise
+    (at, zs): ``at(c)`` reads row c in z's leading column, zero exactly
+    when the entry is, in C, and zs lists the multiples b z, b = 1, ...,
+    q - 1.
+
+    Three readers treat a row as ``count`` blocks of ``size`` entries,
+    block k being entries [k size, (k + 1) size), which the trials use to
+    run side by side in one wide row.  A block mask is an int with one bit
+    per block, block 0's the highest, ``block_stride(size)`` bits apart, so
+    ``bit_count()`` counts blocks and masks combine by ``&``, ``|`` and
+    ``^``.  ``nonzero_blocks(size, count)`` gives the mask of a row's
+    nonzero blocks and ``keep_blocks(size, count)`` the function
+    (row, mask) -> the row with the blocks outside the mask zeroed.
+    ``from_flat(entries, width)`` reads a list of entries as rows of
+    ``width``.
     """
-    k = 8 // e
-    bits = e * k
-    short = [tuple(itertools.product(range(q), repeat=n)) for n in range(k + 1)]
-    index = {row: x for rows in short for x, row in enumerate(rows)}
-    chunk, mask = short[k], (1 << bits) - 1
 
-    def pack(row: Sequence[int]) -> int:
-        if len(row) <= k:
-            return index[tuple(row)]
-        x = 0
-        for a in row:
-            x = x << e | a
-        return x
+    def to_rows(self, rows: Iterable[Sequence[int]]) -> list:
+        """Rows of entries (a ``Matrix``'s ``rows``, say) in the format."""
+        return list(map(self.pack, rows))
 
-    def unpack(x: int, n: int) -> tuple[int, ...]:
-        if n <= k:
-            return short[n][x]
-        full, first = divmod(n, k)
-        shift = bits * full
-        out = short[first][x >> shift]
-        for s in range(shift - bits, -1, -bits):
-            out += chunk[x >> s & mask]
+
+class _TupleRows(_RowFormat):
+    """Rows as entry tuples, with the field's own arithmetic: odd fields and
+    GF(2^e) above GF(16)."""
+
+    pack = tuple
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def unpacker(self, n: int):
+        return tuple
+
+    def zero(self, n: int) -> tuple:
+        return (0,) * n
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple(map(self.field.add, a, b))
+
+    def join(self, width: int):
+        return operator.add
+
+    def block(self, start: int, stop: int, width: int):
+        return operator.itemgetter(slice(start, stop))
+
+    def scale(self, a: int, row: tuple) -> tuple:
+        return row if a == 1 else tuple(map(self.field.scaler(a), row))
+
+    def with_identity(self, rows: list) -> list:
+        return list(map(operator.add, rows, _unit_rows(len(rows))))
+
+    def from_flat(self, entries: list, width: int) -> list:
+        return [tuple(entries[s:s + width]) for s in range(0, len(entries), width)]
+
+    def block_stride(self, size: int) -> int:
+        return 1
+
+    def nonzero_blocks(self, size: int, count: int):
+        zero = (0,) * size
+        spans = [(k * size, (k + 1) * size, 1 << (count - 1 - k)) for k in range(count)]
+        return lambda row: sum(bit for a, b, bit in spans if row[a:b] != zero)
+
+    def keep_blocks(self, size: int, count: int):
+        # Each entry's block bit.
+        bits = [1 << (count - 1 - k) for k in range(count) for _ in range(size)]
+        return lambda row, mask: tuple(x if mask & bit else 0 for x, bit in zip(row, bits))
+
+    def mul(self, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+        add, scaler = self.field.add, self.field.scaler
+        zero = (0,) * ncols
+        out = []
+        for ra in a:
+            acc = zero
+            for x, rb in zip(ra, b):
+                if x:
+                    acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
+            out.append(acc)
         return out
 
-    return short, pack, unpack
+    def line(self, width: int):
+        scalers = [self.field.scaler(b) for b in range(2, self.field.q)]
+
+        def line(row: tuple):
+            i = next(i for i, a in enumerate(row) if a)
+            if row[i] != 1:
+                return None
+            return operator.itemgetter(i), [row, *(tuple(map(g, row)) for g in scalers)]
+
+        return line
+
+    def reduce(self, basis: Iterable, row: tuple) -> tuple:
+        # Each pair's row is 1 at its pivot and 0 at the earlier pivots, so
+        # one pass in order clears them all.
+        sub, scaler = self.field.sub, self.field.scaler
+        for col, prow in basis:
+            x = row[col]
+            if x:
+                row = tuple(map(sub, row, prow if x == 1 else map(scaler(x), prow)))
+        return row
+
+    def insert(self, width: int):
+        reduce, scaler, inv = self.reduce, self.field.scaler, self.field.inv
+
+        def insert(basis: Iterable, row: tuple) -> tuple | None:
+            row = reduce(basis, row)
+            for col, x in enumerate(row):
+                if x:
+                    return col, (row if x == 1 else tuple(map(scaler(inv(x)), row)))
+            return None
+
+        return insert
+
+    def rref(self, rows: Iterable, width: int, stop: int | None = None) -> tuple:
+        """See :class:`_RowFormat`: for each column, the first row at or
+        below the next pivot row that is nonzero there is swapped up,
+        scaled to 1 at the column, and subtracted from every other row as
+        often as it has the column's entry."""
+        work = list(rows)
+        n = len(work)
+        pivots: list[int] = []
+        pairs: list = []
+        insert = self.insert(width)
+        r = 0
+        for col in range(width if stop is None else stop):
+            if r == n:
+                break
+            sel = next((i for i in range(r, n) if work[i][col]), None)
+            if sel is None:
+                continue
+            work[r], work[sel] = work[sel], work[r]
+            # The rows from r on are zero before col, so this is 1 at col.
+            pairs.append(insert((), work[r]))
+            work[r] = pairs[-1][1]
+            last = pairs[-1:]
+            for i in range(n):
+                if i != r and work[i][col]:
+                    work[i] = self.reduce(last, work[i])
+            pivots.append(col)
+            r += 1
+        return work, pivots, pairs
 
 
 def _lane_ones(e: int, width: int) -> int:
@@ -1004,374 +1095,196 @@ def _lane_ones(e: int, width: int) -> int:
     return ((1 << e * width) - 1) // ((1 << e) - 1)
 
 
-def _lane_ops(field: Field, width: int) -> tuple:
-    """(multiples, pivot, reduce, insert) on ``width``-lane rows of a lane
-    field with e >= 2, built once per field and width.
+class _LaneRows(_RowFormat):
+    """Rows of GF(2^e) up to GF(16) as ints of e-bit lanes, entry 0 in the
+    top lane, so int order is tuple order and add is XOR.
 
-    ``multiples(r)`` is the list whose entry a is a * r, read-only: when
-    the width has at most _LANE_TABLE_MAX / q rows, all of them are built
-    once and every row shares its list.  x^j r is
-    x^(j-1) r shifted up one bit in every lane, plus the modulus's low bits
-    in each lane whose top bit it shifted out, and entry a is the XOR of
-    x^j r over the bits j of a, built in doubling steps, m[a + 2^j] =
-    m[a] ^ x^j r for a < 2^j: e - 1 lane shifts and q - 2 XORs.
-
-    ``pivot(x)`` is the basis pair of a nonzero row: the shift of its
-    leading lane and the multiples of x scaled to 1 there, which are those
-    of x permuted, (b / a) x = m[b a^-1].  ``reduce`` and ``insert`` are
-    :func:`_row_reduce` and :func:`_row_insert` on such pairs.
+    A basis pair is the shift of its pivot lane and the q multiples of its
+    row scaled to 1 there, so reducing a row by it is one XOR with the
+    multiple that the row's pivot lane selects, whatever the width.
     """
-    ops = field._lane_ops.get(width)
-    if ops is not None:
-        return ops
-    e, mask, inv_rows = field.e, field.q - 1, field._inv_rows
-    top, low, down = _lane_ones(e, width) << (e - 1), field._lane_low, e - 1
 
-    def multiples(r: int) -> list:
-        t = r & top
-        xr = (r ^ t) << 1 ^ (t >> down) * low
-        m = [0, r, xr, r ^ xr]
-        for _ in range(e - 2):
-            t = xr & top
-            xr = (xr ^ t) << 1 ^ (t >> down) * low
-            m += [y ^ xr for y in m]
-        return m
+    add = operator.xor
+    # Entries below 16 as digits of an int in base q.
+    _DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
-    if field.q << e * width <= _LANE_TABLE_MAX:
-        multiples = list(map(multiples, range(1 << e * width))).__getitem__
+    def __init__(self, field: Field):
+        e, q = field.e, field.q
+        self.e, self.mask = e, q - 1
+        # x^e = the modulus below its leading term, as a lane.
+        self._low = sum(c << i for i, c in enumerate(field.modulus[:e]))
+        # The product-table row of 1/a, x -> x / a, for each a != 0.
+        self._inv_rows = (None,) + tuple(field._scale_rows[field.inv(a)] for a in range(1, q))
+        self._ops: dict = {}
+        # Every row of n <= 8 // e entries, indexed by its packed value
+        # (itertools order is packed order).  Short rows pack by one lookup
+        # in the inverse table and unpack to the shared tuples, so kept
+        # results, certificates say, hold no copies of them.
+        k = 8 // e
+        self._short = [tuple(itertools.product(range(q), repeat=n)) for n in range(k + 1)]
+        index = {row: x for rows in self._short for x, row in enumerate(rows)}
 
-    def pivot(x: int) -> tuple:
-        s = (x.bit_length() - 1) // e * e
-        m = multiples(x)
-        a = x >> s
-        return s, (m if a == 1 else list(map(m.__getitem__, inv_rows[a])))
+        def pack(row: Sequence[int]) -> int:
+            if len(row) <= k:
+                return index[tuple(row)]
+            x = 0
+            for a in row:
+                x = x << e | a
+            return x
 
-    def reduce(basis, x: int) -> int:
-        for s, m in basis:
-            x ^= m[x >> s & mask]
-        return x
+        self.pack = pack
 
-    def insert(basis, x: int) -> tuple | None:
-        for s, m in basis:
-            x ^= m[x >> s & mask]
-        return pivot(x) if x else None
+    def unpacker(self, n: int):
+        # Longer rows unpack through the short-row table in chunks of
+        # 8 // e lanes.
+        short, k = self._short, len(self._short) - 1
+        if n <= k:
+            return short[n].__getitem__
+        bits, (full, first) = self.e * k, divmod(n, k)
+        shift, head, chunk, mask = bits * full, short[first], short[k], (1 << bits) - 1
 
-    ops = field._lane_ops[width] = (multiples, pivot, reduce, insert)
-    return ops
+        def unpack(x: int) -> tuple[int, ...]:
+            out = head[x >> shift]
+            for s in range(shift - bits, -1, -bits):
+                out += chunk[x >> s & mask]
+            return out
 
+        return unpack
 
-def _echelon_reduce_gf2(basis: Iterable, x: int) -> int:
-    """:func:`_echelon_reduce` over GF(2) on lanes of one bit, the pairs'
-    pivots being bit positions."""
-    for bit, prow in basis:
-        if x >> bit & 1:
-            x ^= prow
-    return x
-
-
-def _echelon_insert_gf2(basis: list, x: int) -> tuple | None:
-    """:func:`_echelon_insert` over GF(2) on lanes of one bit.
-
-    Pivots are bit positions.  The leading bit is the first nonzero entry,
-    so the pairs, and the rows they span, match the tuple version's.
-    """
-    for bit, prow in basis:
-        if x >> bit & 1:
-            x ^= prow
-    return (x.bit_length() - 1, x) if x else None
-
-
-# -- the row format (see the module docstring) --------------------------
-#
-# A helper that a loop calls per row returns a function of the row, picked
-# once per loop.
-
-
-def _to_rows(field: Field, rows: Iterable[Sequence[int]]) -> list:
-    """Rows of entries (a ``Matrix``'s ``rows``, say) in the row format."""
-    return list(map(field._pack if field._lanes else tuple, rows))
-
-
-def _from_row(field: Field, row, ncols: int) -> tuple[int, ...]:
-    """The ``ncols`` entries of a row in the row format; inverse of :func:`_to_rows`."""
-    return field._unpack(row, ncols) if field._lanes else row
-
-
-def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
-    """The ``Matrix`` of ``ncols``-wide rows in the row format."""
-    if field._lanes:
-        short = field._short_rows
-        if ncols < len(short):
-            rows = map(short[ncols].__getitem__, rows)
-        else:
-            unpack = field._unpack
-            rows = [unpack(r, ncols) for r in rows]
-    return Matrix._trusted(field, tuple(rows), ncols)
-
-
-# Entries of a lane field, below 16, as digits of an int in base q.
-_LANE_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
-
-
-def _rows_of_blocks(field: Field, flats: Sequence[Sequence[int]], nrows: int, ncols: int) -> list:
-    """The ``nrows`` rows in the row format whose block k, entries
-    [k ncols, (k + 1) ncols), is row r of the nrows x ncols matrix that
-    ``flats[k]`` lists row-major, as a shaped draw gives it; ncols >= 1.
-
-    One extended-slice assignment per entry position of a block moves that
-    entry of every block into place.  On lanes a row is then its entries
-    read as the digits of an int in base q, entry 0 the most significant.
-    """
-    size, width = nrows * ncols, ncols * len(flats)
-    entries = list(itertools.chain.from_iterable(flats))
-    out = [0] * (nrows * width)
-    for r in range(nrows):
-        for c in range(ncols):
-            out[r * width + c:(r + 1) * width:ncols] = entries[r * ncols + c::size]
-    starts = range(0, nrows * width, width)
-    if field._lanes:
-        digits, q = bytes(out).translate(_LANE_DIGITS), field.q
-        return [int(digits[s:s + width], q) for s in starts]
-    return [tuple(out[s:s + width]) for s in starts]
-
-
-def _zero_row(field: Field, ncols: int):
-    """The zero row of width ``ncols`` in the row format."""
-    return 0 if field._lanes else (0,) * ncols
-
-
-def _row_mul(field: Field, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
-    """Rows of the product A B, with B and the result in the row format.
-
-    A comes as rows of entries and B as ``ncols``-wide rows.  Row i is the
-    sum of a_ik * b_k: on lanes the XOR of entry a_ik of the multiples of
-    each b_k, built once per product, and over GF(2) the XOR of the B rows
-    its A row selects.
-    """
-    # GF(2) keeps compress: lanes at e = 1 cost sim-hamming ~5% of trials/s.
-    if field.q == 2:
-        return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
-    if field._lanes:
-        mults = list(map(_lane_ops(field, ncols)[0], b))
-        pick = list.__getitem__
-        return [functools.reduce(operator.xor, map(pick, mults, r), 0) for r in a]
-    add, scaler = field.add, field.scaler
-    zero = (0,) * ncols
-    out = []
-    for ra in a:
-        acc = zero
-        for x, rb in zip(ra, b):
-            if x:
-                acc = tuple(map(add, acc, rb if x == 1 else map(scaler(x), rb)))
-        out.append(acc)
-    return out
-
-
-def _row_add(field: Field):
-    """The function (a, b) -> a + b on rows in the row format."""
-    if field._lanes:
-        return operator.xor
-    add = field.add
-    return lambda a, b: tuple(map(add, a, b))
-
-
-def _row_join(field: Field, width: int):
-    """The function (a, b) -> [a | b] on rows in the row format, for b
-    ``width`` entries wide."""
-    if field._lanes:
-        shift = field.e * width
-        return lambda a, b: a << shift | b
-    return operator.add
-
-
-def _row_scale(field: Field, a: int, row):
-    """The row a * row, for a field element a and a row in the row format."""
-    if a == 1:
-        return row
-    if field.q == 2:
+    def zero(self, n: int) -> int:
         return 0
-    if field._lanes:
-        # Lanes above the row's are zero, so its bit length gives a width.
-        return _lane_ops(field, -(-row.bit_length() // field.e))[0](row)[a]
-    return tuple(map(field.scaler(a), row))
 
+    def join(self, width: int):
+        shift = self.e * width
+        return lambda a, b: a << shift | b
 
-def _row_block(field: Field, start: int, stop: int, width: int):
-    """The function that reads entries [start, stop) of a ``width``-wide row
-    in the row format, as a row in the row format."""
-    if field._lanes:
-        e = field.e
+    def block(self, start: int, stop: int, width: int):
+        e = self.e
         shift, mask = e * (width - stop), (1 << e * (stop - start)) - 1
         return lambda x: x >> shift & mask
-    return operator.itemgetter(slice(start, stop))
 
+    def scale(self, a: int, row: int) -> int:
+        if a == 1:
+            return row
+        # Lanes above the row's are zero, so its bit length gives a width.
+        return self.lane_ops(-(-row.bit_length() // self.e))[0](row)[a]
 
-def _row_line(field: Field, width: int):
-    """The function that gives, for a nonzero ``width``-wide row z in the
-    row format, None unless z's leading entry is 1, the one such vector of
-    its line, and otherwise the pair (at, zs): ``at(c)`` reads row c's
-    entry in z's leading column, zero exactly when the entry is, and zs
-    lists the nonzero multiples b z, b = 1, ..., q - 1.
+    def with_identity(self, rows: list) -> list:
+        e, n = self.e, len(rows)
+        return [x << e * n | 1 << e * i for i, x in zip(range(n - 1, -1, -1), rows)]
 
-    On lanes ``at`` is the lane mask's ``&``, which leaves the entry's bits
-    in place, and zs comes from the multiples table; on tuples ``at`` is an
-    ``itemgetter``.  Both readers run in C, so a filter by ``at`` costs no
-    Python call per row.
-    """
-    if field.q == 2:
-        return lambda x: ((1 << (x.bit_length() - 1)).__and__, [x])
-    if field._lanes:
-        e, fill = field.e, field.q - 1
-        multiples = _lane_ops(field, width)[0]
+    def from_flat(self, entries: list, width: int) -> list:
+        # A row is its entries read as the digits of an int in base q,
+        # entry 0 the most significant.
+        digits, q = bytes(entries).translate(self._DIGITS), self.mask + 1
+        return [int(digits[s:s + width], q) for s in range(0, len(digits), width)]
+
+    def block_stride(self, size: int) -> int:
+        # Blocks of no entries are zero, and read as lanes of one zero bit.
+        return self.e * size or 1
+
+    def nonzero_blocks(self, size: int, count: int):
+        # Adding the low b - 1 bits of each b-bit lane to all-ones there
+        # carries into the top bit exactly when they are nonzero; the top
+        # bits then mark the nonzero lanes.
+        b = self.block_stride(size)
+        ones = _lane_ones(b, count)
+        low, top = ones * ((1 << (b - 1)) - 1), ones << (b - 1)
+        return lambda x: (((x & low) + low | x) & top) >> (b - 1)
+
+    def keep_blocks(self, size: int, count: int):
+        fill = (1 << self.e * size) - 1
+        return lambda x, mask: x & mask * fill
+
+    def lane_ops(self, width: int) -> tuple:
+        """(multiples, insert) on ``width``-lane rows, e >= 2, built once
+        per width.
+
+        ``multiples(r)`` is the list whose entry a is a * r, read-only: when
+        the width has at most _LANE_TABLE_MAX / q rows, all of them are
+        built once and every row shares its list.  x^j r is x^(j-1) r
+        shifted up one bit in every lane, plus the modulus's low bits in
+        each lane whose top bit it shifted out, and entry a is the XOR of
+        x^j r over the bits j of a, built in doubling steps, m[a + 2^j] =
+        m[a] ^ x^j r for a < 2^j: e - 1 lane shifts and q - 2 XORs.  A new
+        pair's multiples are those of its row permuted, (b / a) x =
+        m[b a^-1] for the leading entry a.
+        """
+        ops = self._ops.get(width)
+        if ops is not None:
+            return ops
+        e, mask, inv_rows, low, down = self.e, self.mask, self._inv_rows, self._low, self.e - 1
+        top = _lane_ones(e, width) << down
+
+        def multiples(r: int) -> list:
+            t = r & top
+            xr = (r ^ t) << 1 ^ (t >> down) * low
+            m = [0, r, xr, r ^ xr]
+            for _ in range(e - 2):
+                t = xr & top
+                xr = (xr ^ t) << 1 ^ (t >> down) * low
+                m += [y ^ xr for y in m]
+            return m
+
+        if mask + 1 << e * width <= _LANE_TABLE_MAX:
+            multiples = list(map(multiples, range(1 << e * width))).__getitem__
+
+        def insert(basis, x: int) -> tuple | None:
+            for s, m in basis:
+                x ^= m[x >> s & mask]
+            if not x:
+                return None
+            s = (x.bit_length() - 1) // e * e
+            m = multiples(x)
+            a = x >> s
+            return s, (m if a == 1 else list(map(m.__getitem__, inv_rows[a])))
+
+        ops = self._ops[width] = (multiples, insert)
+        return ops
+
+    def mul(self, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+        # Row i XORs entry a_ik of the multiples of each b_k, built once.
+        mults = list(map(self.lane_ops(ncols)[0], b))
+        pick = list.__getitem__
+        return [functools.reduce(operator.xor, map(pick, mults, r), 0) for r in a]
+
+    def line(self, width: int):
+        e, fill = self.e, self.mask
+        multiples = self.lane_ops(width)[0]
 
         def line(x: int):
             s = (x.bit_length() - 1) // e * e
             return ((fill << s).__and__, multiples(x)[1:]) if x >> s == 1 else None
 
         return line
-    scalers = [field.scaler(b) for b in range(2, field.q)]
 
-    def line(row: tuple):
-        i = next(i for i, a in enumerate(row) if a)
-        if row[i] != 1:
-            return None
-        return operator.itemgetter(i), [row, *(tuple(map(g, row)) for g in scalers)]
+    def reduce(self, basis: Iterable, x: int) -> int:
+        mask = self.mask
+        for s, m in basis:
+            x ^= m[x >> s & mask]
+        return x
 
-    return line
+    def insert(self, width: int):
+        return self.lane_ops(width)[1]
 
+    def _clear(self, work: list, pair: tuple) -> tuple:
+        """``work`` less the multiples of the new pivot pair that clear its
+        pivot lane, and the pivot row."""
+        s, m = pair
+        mask = self.mask
+        return [x ^ m[x >> s & mask] for x in work], m[1]
 
-def _row_weight(field: Field, start: int, stop: int, width: int):
-    """The function that gives the Hamming weight of entries [start, stop)
-    of a ``width``-wide row in the row format: the number of its nonzero
-    blocks of one entry."""
-    block = _row_block(field, start, stop, width)
-    nonzero = _row_nonzero_blocks(field, 1, stop - start)
-    return lambda row: nonzero(block(row)).bit_count()
-
-
-def _row_nonzero_blocks(field: Field, size: int, count: int):
-    """The function that gives the block mask of the nonzero blocks of a
-    row of ``count`` blocks of ``size`` entries in the row format.
-
-    Block k is entries [k size, (k + 1) size).  A block mask is an int
-    with one bit per block, block 0's the highest, so ``bit_count()``
-    counts blocks and masks combine by ``&``, ``|`` and ``^``: on lanes
-    block k's bit is the low bit of its e size bits, elsewhere bit
-    count - 1 - k.
-    """
-    if field._lanes:
-        # Adding the low b - 1 bits of each b-bit lane to all-ones there
-        # carries into the top bit exactly when they are nonzero; the top
-        # bits then mark the nonzero lanes.  Blocks of no entries are zero,
-        # and read as lanes of one zero bit.
-        b = field.e * size or 1
-        ones = _lane_ones(b, count)
-        low, top = ones * ((1 << (b - 1)) - 1), ones << (b - 1)
-        return lambda x: (((x & low) + low | x) & top) >> (b - 1)
-    zero = (0,) * size
-    spans = [(k * size, (k + 1) * size, 1 << (count - 1 - k)) for k in range(count)]
-    return lambda row: sum(bit for a, b, bit in spans if row[a:b] != zero)
-
-
-def _row_block_bits(field: Field, size: int, count: int) -> list:
-    """The block masks (see :func:`_row_nonzero_blocks`) of blocks 0, ...,
-    count - 1 of ``size`` entries alone, one per block."""
-    stride = (field.e * size or 1) if field._lanes else 1
-    return [1 << stride * k for k in range(count - 1, -1, -1)]
-
-
-def _row_keep_blocks(field: Field, size: int, count: int):
-    """The function (row, mask) -> the row with the blocks outside the
-    block mask set to zero, for rows of ``count`` blocks of ``size``
-    entries in the row format (see :func:`_row_nonzero_blocks`)."""
-    if field._lanes:
-        fill = (1 << field.e * size) - 1
-        return lambda x, mask: x & mask * fill
-    zero = (0,) * size
-    spans = [(k * size, (k + 1) * size, 1 << (count - 1 - k)) for k in range(count)]
-    chain = itertools.chain.from_iterable
-    return lambda row, mask: tuple(chain(row[a:b] if mask & bit else zero for a, b, bit in spans))
-
-
-def _row_reduce(field: Field, width: int):
-    """The function (basis, row) -> row reduced against ``basis``, pairs of
-    :func:`_row_insert` in insertion order, on ``width``-wide rows in the
-    row format: :func:`_echelon_reduce` on lanes.
-
-    A lane pair's multiples are 1 at its pivot lane, so the multiple that
-    the row's pivot lane selects clears it in one XOR.
-    """
-    if field.q == 2:
-        return _echelon_reduce_gf2
-    if field._lanes:
-        return _lane_ops(field, width)[2]
-    sub, scaler = field.sub, field.scaler
-    return lambda basis, row: _echelon_reduce(basis, row, sub, scaler)
-
-
-def _row_insert(field: Field, width: int):
-    """:func:`_echelon_insert` on ``width``-wide rows in the row format, as
-    f(basis, row): the remainder of row against ``basis`` as a new pair, or
-    None when it is zero.  A lane pair is the shift of its pivot lane and
-    the q multiples of the row scaled to 1 there, so that
-    :func:`_row_reduce` clears a pivot with one XOR."""
-    # GF(2) keeps its own: a lane pivot per insert costs design ~14% of ops/s.
-    if field.q == 2:
-        return _echelon_insert_gf2
-    if field._lanes:
-        return _lane_ops(field, width)[3]
-    # A positional closure: a keyword partial merges its keywords per call.
-    sub, scaler, inv = field.sub, field.scaler, field.inv
-    return lambda basis, row: _echelon_insert(basis, row, sub, scaler, inv)
-
-
-def _row_echelon(field: Field, rows: Iterable, width: int, basis: Iterable = ()) -> list:
-    """The pairs of :func:`_row_insert` of ``basis`` followed by those of
-    the ``width``-wide rows in the row format inserted after it in order;
-    ``basis`` itself is not changed."""
-    insert = _row_insert(field, width)
-    basis = list(basis)
-    for row in rows:
-        pair = insert(basis, row)
-        if pair is not None:
-            basis.append(pair)
-    return basis
-
-
-def _row_rank(field: Field, rows: Iterable, width: int) -> int:
-    """Rank of ``width``-wide rows in the row format, by :func:`_row_insert`."""
-    return len(_row_echelon(field, rows, width))
-
-
-def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None) -> tuple:
-    """(RREF rows, pivot columns, pivot pairs) of ``width``-wide rows in the
-    row format, pivots sought in the first ``stop`` columns (all by default).
-
-    The algorithm of :func:`mat_rref`: for each column, the first row at or
-    below the next pivot row that is nonzero there is swapped up, scaled
-    to 1 at the column, and subtracted from every other row as often as it
-    has the column's entry; on lanes that is one XOR with a multiple.
-
-    The pairs are those of :func:`_row_insert` for the pivot rows as they
-    stood when they were chosen, which :func:`_row_reduce` takes.  Each is
-    1 at its pivot and 0 at the earlier ones, and later pivots change each
-    RREF row by a unitriangular combination of them, so they span the RREF
-    rows.  A remainder against them is zero at every pivot, which makes it
-    unique in its coset: the remainder against the RREF.
-    """
-    work = list(rows)
-    n = len(work)
-    pivots: list[int] = []
-    pairs: list = []
-    if stop is None:
-        stop = width
-    r = 0
-    if field._lanes:
-        # The rows from r on are zero before the column scanned, so the
-        # largest of them leads in the next column that is nonzero in any,
-        # and the columns between hold no pivot.
-        e, mask = field.e, field.q - 1
-        pivot = _lane_ops(field, width)[1] if e > 1 else None
+    def rref(self, rows: Iterable, width: int, stop: int | None = None) -> tuple:
+        """See :class:`_RowFormat`.  The rows from the next pivot row on are
+        zero before the column scanned, so the largest of them leads in the
+        next column that is nonzero in any, and the columns between hold
+        no pivot."""
+        work = list(rows)
+        n = len(work)
+        pivots: list[int] = []
+        pairs: list = []
+        e, insert, stop = self.e, self.insert(width), width if stop is None else stop
+        r = 0
         while r < n:
             lead = max(work[r:]).bit_length() - 1
             col = width - 1 - lead // e
@@ -1381,47 +1294,117 @@ def _row_rref(field: Field, rows: Iterable, width: int, stop: int | None = None)
             sel = r
             while not work[sel] >> s:
                 sel += 1
-            row = work[sel]
+            pairs.append(insert((), work[sel]))
             work[sel] = work[r]
-            if e == 1:
-                # GF(2): the row is 1 at its pivot bit, and rows with that
-                # bit set subtract it.
-                work = [x ^ row if x >> s & 1 else x for x in work]
-                pairs.append((s, row))
-            else:
-                pairs.append(pivot(row))
-                m = pairs[-1][1]
-                work = [x ^ m[x >> s & mask] for x in work]
-                row = m[1]
+            work, row = self._clear(work, pairs[-1])
             work[r] = row
             pivots.append(col)
             r += 1
         return work, pivots, pairs
-    sub, scaler, inv = field.sub, field.scaler, field.inv
-    for col in range(stop):
-        if r == n:
-            break
-        sel = next((i for i in range(r, n) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = work[r][col]
-        if piv != 1:
-            work[r] = tuple(map(scaler(inv(piv)), work[r]))
-        pairs.append((col, work[r]))
-        last = pairs[-1:]
-        for i in range(n):
-            if i != r and work[i][col]:
-                work[i] = _echelon_reduce(last, work[i], sub, scaler)
-        pivots.append(col)
-        r += 1
-    return work, pivots, pairs
+
+
+class _BitRows(_LaneRows):
+    """GF(2): lanes of one bit, with Hamming weight ``int.bit_count()``.
+
+    A product XORs the B rows its A row selects, and a basis pair is the
+    pivot bit and its row, which a reduction XORs into the rows with that
+    bit set: lane multiples at e = 1 cost sim-hamming ~5% of trials/s, and
+    a lane pivot per insert design ~14% of ops/s.
+    """
+
+    def mul(self, a: Iterable[Sequence[int]], b: Sequence, ncols: int) -> list:
+        return [functools.reduce(operator.xor, itertools.compress(b, r), 0) for r in a]
+
+    def scale(self, a: int, row: int) -> int:
+        return row if a == 1 else 0
+
+    def line(self, width: int):
+        return lambda x: ((1 << (x.bit_length() - 1)).__and__, [x])
+
+    @staticmethod
+    def reduce(basis: Iterable, x: int) -> int:
+        for bit, prow in basis:
+            if x >> bit & 1:
+                x ^= prow
+        return x
+
+    @staticmethod
+    def _insert(basis: Iterable, x: int) -> tuple | None:
+        # The leading bit is the first nonzero entry, so the pairs, and the
+        # rows they span, match the tuple format's.
+        for bit, prow in basis:
+            if x >> bit & 1:
+                x ^= prow
+        return (x.bit_length() - 1, x) if x else None
+
+    def insert(self, width: int):
+        return self._insert
+
+    def _clear(self, work: list, pair: tuple) -> tuple:
+        s, row = pair
+        return [x ^ row if x >> s & 1 else x for x in work], row
+
+
+def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
+    """The ``Matrix`` of ``ncols``-wide rows in the row format."""
+    return Matrix._trusted(field, tuple(map(field._fmt.unpacker(ncols), rows)), ncols)
+
+
+def _rows_of_blocks(field: Field, flats: Sequence[Sequence[int]], nrows: int, ncols: int) -> list:
+    """The ``nrows`` rows in the row format whose block k, entries
+    [k ncols, (k + 1) ncols), is row r of the nrows x ncols matrix that
+    ``flats[k]`` lists row-major, as a shaped draw gives it; ncols >= 1.
+
+    One extended-slice assignment per entry position of a block moves that
+    entry of every block into place.
+    """
+    size, width = nrows * ncols, ncols * len(flats)
+    entries = list(itertools.chain.from_iterable(flats))
+    out = [0] * (nrows * width)
+    for r in range(nrows):
+        for c in range(ncols):
+            out[r * width + c:(r + 1) * width:ncols] = entries[r * ncols + c::size]
+    return field._fmt.from_flat(out, width)
+
+
+def _row_weight(field: Field, start: int, stop: int, width: int):
+    """The function that gives the Hamming weight of entries [start, stop)
+    of a ``width``-wide row in the row format: the number of its nonzero
+    blocks of one entry."""
+    block = field._fmt.block(start, stop, width)
+    nonzero = field._fmt.nonzero_blocks(1, stop - start)
+    return lambda row: nonzero(block(row)).bit_count()
+
+
+def _row_block_bits(field: Field, size: int, count: int) -> list:
+    """The block masks (see :class:`_RowFormat`) of blocks 0, ..., count - 1
+    of ``size`` entries alone, one per block."""
+    stride = field._fmt.block_stride(size)
+    return [1 << stride * k for k in range(count - 1, -1, -1)]
+
+
+def _row_echelon(field: Field, rows: Iterable, width: int, basis: Iterable = ()) -> list:
+    """The insertion pairs of ``basis`` followed by those of the
+    ``width``-wide rows in the row format inserted after it in order;
+    ``basis`` itself is not changed."""
+    insert = field._fmt.insert(width)
+    basis = list(basis)
+    for row in rows:
+        pair = insert(basis, row)
+        if pair is not None:
+            basis.append(pair)
+    return basis
+
+
+def _row_rank(field: Field, rows: Iterable, width: int) -> int:
+    """Rank of ``width``-wide rows in the row format, by insertion."""
+    return len(_row_echelon(field, rows, width))
 
 
 def row_basis(m: Matrix) -> Matrix:
     """Nonzero rows of the RREF: the canonical basis of the row space."""
     f = m.field
-    work, pivots, _ = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    work, pivots, _ = f._fmt.rref(f._fmt.to_rows(m.rows), m.ncols)
     return _from_rows(f, work[: len(pivots)], m.ncols)
 
 
@@ -1433,7 +1416,7 @@ def null_space(m: Matrix) -> Matrix:
     is always the zero matrix and the columns are linearly independent.
     """
     f = m.field
-    work, pivots, _ = _row_rref(f, _to_rows(f, m.rows), m.ncols)
+    work, pivots, _ = f._fmt.rref(f._fmt.to_rows(m.rows), m.ncols)
     piv = set(pivots)
     free = [j for j in range(m.ncols) if j not in piv]
     neg = f.neg
@@ -1477,17 +1460,16 @@ def _solve_left_kernel(a: Matrix, b: Matrix) -> tuple:
     if b.field != f or b.ncols != c:
         raise ValueError("solve_left shape or field mismatch")
     work, pivots, basis = _rref_transform(a)
-    width = c + k
-    reduce = _row_reduce(f, width)
-    left, right = _row_block(f, 0, c, width), _row_block(f, c, width, width)
-    zero, minus = _zero_row(f, c), f.neg(1)
+    fmt, width = f._fmt, c + k
+    left, right = fmt.block(0, c, width), fmt.block(c, width, width)
+    zero, minus = fmt.zero(c), f.neg(1)
     x: list | None = []
-    for row in map(_row_join(f, k), _to_rows(f, b.rows), itertools.repeat(_zero_row(f, k))):
-        row = reduce(basis, row)
+    for row in map(fmt.join(k), fmt.to_rows(b.rows), itertools.repeat(fmt.zero(k))):
+        row = fmt.reduce(basis, row)
         if left(row) != zero:
             x = None
             break
-        x.append(_row_scale(f, minus, right(row)))
+        x.append(fmt.scale(minus, right(row)))
     kernel = _from_rows(f, map(right, work[len(pivots):]), k).rows
     return (None if x is None else _from_rows(f, x, k).rows), kernel
 

@@ -60,20 +60,10 @@ from .decoders import (
 from .galois import (
     Matrix,
     _Draws,
-    _from_row,
-    _row_add,
-    _row_block,
     _row_block_bits,
     _row_echelon,
-    _row_join,
-    _row_keep_blocks,
-    _row_mul,
-    _row_nonzero_blocks,
     _row_rank,
-    _row_scale,
     _rows_of_blocks,
-    _to_rows,
-    _zero_row,
     hstack,
     vstack,
 )
@@ -243,24 +233,24 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
     ``decode(X, errors, caches)`` gets the chunk's X rows, the trials'
     errors and each user's cache rows lam = V^(i) X, and yields each
     user's demand row and the block mask of its detected failures (see
-    :func:`~iccsi.galois._row_nonzero_blocks`); a block outside the mask
+    :class:`~iccsi.galois._RowFormat`); a block outside the mask
     succeeds when it equals R_i X.
     """
-    f, n, t, count = inst.field, inst.n, inst.t, len(trials)
+    f, fmt, n, t, count = inst.field, inst.field._fmt, inst.n, inst.t, len(trials)
     flats, errors = [], []
     for draws in _Draws.chunk(seed, trials):
         flats.append(draws.integers(f.q, n * t))
         errors.append(error(draws))
     X = _rows_of_blocks(f, flats, n, t)
-    known = _row_mul(f, recv, X, t * count)
+    known = fmt.mul(recv, X, t * count)
     caches, wants, start = [], [], 0
     for u in inst.users:
         caches.append(known[start:start + u.d])
         wants.append(known[start + u.d])
         start += u.d + 1
-    nonzero, add, minus_one = _row_nonzero_blocks(f, t, count), _row_add(f), f.neg(1)
+    nonzero, add, minus_one = fmt.nonzero_blocks(t, count), fmt.add, f.neg(1)
     for row, want, (demand, missed) in zip(tallies, wants, decode(X, errors, caches)):
-        wrong = nonzero(add(demand, _row_scale(f, minus_one, want))) & ~missed
+        wrong = nonzero(add(demand, fmt.scale(minus_one, want))) & ~missed
         missed, wrong = missed.bit_count(), wrong.bit_count()
         row[0] += count - missed - wrong
         row[1] += missed
@@ -273,11 +263,11 @@ def _hamming_setup(cfg, inst, enc) -> tuple:
     chunk's systems side by side."""
     if cfg.error_weight > enc.N:
         raise ValueError("error weight exceeds the code length")
-    f, t = inst.field, inst.t
+    f, fmt, t = inst.field, inst.field._fmt, inst.t
     decoders = [_user_decoder(inst, enc.lvs, i) for i in range(inst.m)]
     # [L V_S | I] times X stacked over the error is Y.
     send = hstack(enc.lvs, Matrix.identity(f, enc.N)).rows
-    join = _row_join(f, t)
+    join = fmt.join(t)
 
     def error(draws):
         return _hamming_error(draws, f, enc.N, t, cfg.error_weight)
@@ -285,7 +275,7 @@ def _hamming_setup(cfg, inst, enc) -> tuple:
     def decode(X, errors, caches):
         count = len(errors)
         E = [functools.reduce(join, rows) for rows in zip(*errors)]
-        Y = _row_mul(f, send, X + E, t * count)
+        Y = fmt.mul(send, X + E, t * count)
         for ctx, lam in zip(decoders, caches):
             yield _decode_rows(ctx, lam + Y, cfg.delta, t, count)
 
@@ -293,29 +283,29 @@ def _hamming_setup(cfg, inst, enc) -> tuple:
 
 
 def _hamming_error(draws: _Draws, field, N: int, t: int, weight: int) -> list:
-    """N rows, ``weight`` of them nonzero, in the format of ``galois._row_mul``."""
-    rows = [_zero_row(field, t)] * N
+    """N rows, ``weight`` of them nonzero, in the row format."""
+    rows = [field._fmt.zero(t)] * N
     for r in draws.choice(N, weight):
         vec = draws.integers(field.q, t)
         while not any(vec):
             vec = draws.integers(field.q, t)
-        [rows[r]] = _to_rows(field, [vec])
+        rows[r] = field._fmt.pack(vec)
     return rows
 
 
 def _rank_error(draws: _Draws, field, nrows: int, ncols: int, r: int) -> list:
     """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r,
-    as rows in the format of ``galois._row_mul``.
+    as rows in the row format.
 
     Terminates only for r <= min(nrows, ncols); run_simulation rejects
     larger ranks before any trial.
     """
+    fmt = field._fmt
     if r == 0:
-        return [_zero_row(field, ncols)] * nrows
+        return [fmt.zero(ncols)] * nrows
     while True:
         a = draws.rows(field.q, nrows, r)
-        b = _to_rows(field, draws.rows(field.q, r, ncols))
-        w = _row_mul(field, a, b, ncols)
+        w = fmt.mul(a, fmt.to_rows(draws.rows(field.q, r, ncols)), ncols)
         if _row_rank(field, w, ncols) == r:
             return w
 
@@ -332,7 +322,7 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     its trial's [L V_S | Y], row-reduced at most once per trial for every
     user: the trapped L's, or the encoder's when it is that trial's L.
     """
-    f, n, t, v, N = inst.field, inst.n, inst.t, cfg.trap_pad, enc.N
+    f, fmt, n, t, v, N = inst.field, inst.field._fmt, inst.n, inst.t, cfg.trap_pad, enc.N
     ell = _payload_width(inst, cfg.lvs_shared)
     # A (v+N) x (v+ell) error cannot have rank above its smaller side.
     if cfg.error_weight > min(v + N, v + ell):
@@ -345,17 +335,15 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     # ``head``.  A payload row is [L | Y], L empty when shared.
     send = enc.lvs.rows
     rows_of_L = ((),) * N if cfg.lvs_shared else enc.L.rows
-    head = _to_rows(f, ((0,) * v + row for row in rows_of_L))
-    own_L, V_S, d_S = _to_rows(f, rows_of_L), _to_rows(f, inst.V_S.rows), ell - t
-    own_lvs = _to_rows(f, send)
-    L_of, Y_of = _row_block(f, 0, d_S, ell), _row_block(f, d_S, ell, ell)
+    head = fmt.to_rows((0,) * v + row for row in rows_of_L)
+    own_L, V_S, d_S = fmt.to_rows(rows_of_L), fmt.to_rows(inst.V_S.rows), ell - t
+    own_lvs = fmt.to_rows(send)
+    L_of, Y_of = fmt.block(0, d_S, ell), fmt.block(d_S, ell, ell)
     dmaps = [_demand_map(inst, i, enc.lvs) for i in range(inst.m)]
-    join, add = _row_join(f, t), _row_add(f)
-    zero = _zero_row(f, t)
+    join, add, unpack_L = fmt.join(t), fmt.add, fmt.unpacker(d_S)
+    zero = fmt.zero(t)
     # Per user, the rows of V^(i) and the row [R_i | 0].
-    users = [
-        (_to_rows(f, u.V.rows), join(_to_rows(f, u.R.rows)[0], zero)) for u in inst.users
-    ]
+    users = [(fmt.to_rows(u.V.rows), join(fmt.pack(u.R.rows[0]), zero)) for u in inst.users]
 
     def error(draws):
         return _rank_error(draws, f, v + N, v + ell, cfg.error_weight)
@@ -363,9 +351,9 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     def decode(X, errors, caches):
         count = len(errors)
         w = t * count
-        blocks = [_row_block(f, k * t, (k + 1) * t, w) for k in range(count)]
+        blocks = [fmt.block(k * t, (k + 1) * t, w) for k in range(count)]
         bits = _row_block_bits(f, t, count)
-        sent = _row_mul(f, send, X, w)
+        sent = fmt.mul(send, X, w)
         # Per trial its payload Y, zero when the trap failed, and per trial
         # that trapped another L the rows of that L V_S.
         Ys, missed, lvs_of = [], 0, {}
@@ -378,20 +366,20 @@ def _rank_setup(cfg, inst, enc) -> tuple:
                 continue
             Ys.append(list(map(Y_of, trapped[0])))
             if list(map(L_of, trapped[0])) != own_L:
-                L = [_from_row(f, r, d_S) for r in map(L_of, trapped[0])]
-                lvs_of[k] = _row_mul(f, L, V_S, n)
+                L = list(map(unpack_L, map(L_of, trapped[0])))
+                lvs_of[k] = fmt.mul(L, V_S, n)
         Yw = [functools.reduce(join, rows) for rows in zip(*Ys)]
         every, wrong = sum(bits), sum(bits[k] for k in lvs_of)
         own = every ^ missed ^ wrong
-        nonzero, keep = _row_nonzero_blocks(f, t, count), _row_keep_blocks(f, t, count)
+        nonzero, keep = fmt.nonzero_blocks(t, count), fmt.keep_blocks(t, count)
         echelons = {}
         for (V, request), dmap, lam in zip(users, dmaps, caches):
             if dmap:
-                out = _row_mul(f, dmap, lam + Yw, w)
+                out = fmt.mul(dmap, lam + Yw, w)
                 demand, user_missed = out[0], missed
                 fallback = functools.reduce(operator.or_, map(nonzero, out[1:]), 0) & own | wrong
             else:
-                demand, user_missed, fallback = _zero_row(f, w), missed | own, wrong
+                demand, user_missed, fallback = fmt.zero(w), missed | own, wrong
             # Blocks solved alone, then spliced into the demand row.
             solved = {}
             for k in range(count):

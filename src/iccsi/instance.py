@@ -36,19 +36,10 @@ from .galois import (
     Field,
     Matrix,
     _as_int,
-    _from_row,
     _from_rows,
     _Draws,
-    _row_add,
-    _row_block,
     _row_echelon,
-    _row_join,
-    _row_mul,
-    _row_rref,
-    _row_scale,
     _row_weight,
-    _to_rows,
-    _zero_row,
     field_new,
     null_space,
     row_basis,
@@ -101,10 +92,10 @@ class UserSpec:
         K^T as entry tuples, so that :func:`_walk_setup` forms the columns
         of extra K with one product.
         """
-        f, K = self.V.field, self.kernel
+        fmt, K = self.V.field._fmt, self.kernel
         G = vstack(self.R * K, K)
-        [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
-        return tuple(_to_rows(f, G.transpose().rows)), top, K.transpose().rows
+        top = fmt.pack((1,) + (0,) * (G.nrows - 1))
+        return tuple(fmt.to_rows(G.transpose().rows)), top, K.transpose().rows
 
 
 @dataclass(frozen=True)
@@ -147,9 +138,9 @@ class IccsiInstance:
         """Per user, the rows [R_i; W_i] in the row format, for W_i the
         canonical basis of V^(i) meet V_S (:func:`intersection_basis`): the
         generators of the user's min-rank coset, not its q^w members."""
-        f, V_S = self.field, self.V_S
+        fmt, V_S = self.field._fmt, self.V_S
         return tuple(
-            tuple(_to_rows(f, u.R.rows + intersection_basis(u.V, V_S).rows))
+            tuple(fmt.to_rows(u.R.rows + intersection_basis(u.V, V_S).rows))
             for u in self.users
         )
 
@@ -157,12 +148,12 @@ class IccsiInstance:
     def _realization_rows(self) -> tuple[tuple, tuple]:
         """(V_S rows, per user (echelon pairs of V^(i), R_i row)), all in
         the row format, the pairs made by :func:`_row_echelon`."""
-        f = self.field
+        f, fmt = self.field, self.field._fmt
         users = tuple(
-            (tuple(_row_echelon(f, _to_rows(f, u.V.rows), self.n)), _to_rows(f, u.R.rows)[0])
+            (tuple(_row_echelon(f, fmt.to_rows(u.V.rows), self.n)), fmt.pack(u.R.rows[0]))
             for u in self.users
         )
-        return tuple(_to_rows(f, self.V_S.rows)), users
+        return tuple(fmt.to_rows(self.V_S.rows)), users
 
 
 def make_instance(
@@ -331,11 +322,11 @@ def intersection_basis(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.field != b.field or a.ncols != b.ncols:
         raise ValueError("intersection shape or field mismatch")
-    f, n = a.field, a.ncols
+    f, fmt, n = a.field, a.field._fmt, a.ncols
     zero = (0,) * n
     rows = [r + r for r in a.rows] + [r + zero for r in b.rows]
-    work, pivots, _ = _row_rref(f, _to_rows(f, rows), 2 * n)
-    right = _row_block(f, n, 2 * n, 2 * n)
+    work, pivots, _ = fmt.rref(fmt.to_rows(rows), 2 * n)
+    right = fmt.block(n, 2 * n, 2 * n)
     return _from_rows(f, [right(work[k]) for k, col in enumerate(pivots) if col >= n], n)
 
 
@@ -372,10 +363,10 @@ def _walk_setup(
     width = 1 + inst.n
     if extra is None:
         return cols, top, width
-    f, (N, extra_t) = inst.field, extra
-    join = _row_join(f, N)
-    ek = _row_mul(f, kt, extra_t, N)
-    return tuple(map(join, cols, ek)), join(top, _zero_row(f, N)), width + N
+    fmt, (N, extra_t) = inst.field._fmt, extra
+    join = fmt.join(N)
+    ek = fmt.mul(kt, extra_t, N)
+    return tuple(map(join, cols, ek)), join(top, fmt.zero(N)), width + N
 
 
 def _confusable_walk(
@@ -410,17 +401,18 @@ def _confusable_walk(
         raise BudgetExceeded(
             f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
         )
-    add = _row_add(f)
+    fmt = f._fmt
+    add = fmt.add
     last = q - 1
     drop = f.sub(0, last)  # the change of a digit rolled over to 0
     # rolled[j]: the change of a column whose digits 0..j-1 roll over.
-    rolled = [_zero_row(f, width)]
+    rolled = [fmt.zero(width)]
     for g in gs:
-        rolled.append(add(rolled[-1], _row_scale(f, drop, g)))
+        rolled.append(add(rolled[-1], fmt.scale(drop, g)))
     wholes = [list(zip(range(c), itertools.repeat(rolled[k]))) for c in range(t)]
     steps = []
     for a in range(last):
-        ups = [add(r, _row_scale(f, f.sub(a + 1, a), g)) for r, g in zip(rolled, gs)]
+        ups = [add(r, fmt.scale(f.sub(a + 1, a), g)) for r, g in zip(rolled, gs)]
         steps.append([wholes[c] + [(c, x)] for c in range(t) for x in ups])
     # ``lap`` takes the low digits 0..low-1 through all their values: the
     # lap below digit p, then, for each a < q - 1, the step that raises p
@@ -434,7 +426,7 @@ def _confusable_walk(
             lap.append(raises[p])
             lap += below
     digits = [0] * (k * t)  # only the high ones move
-    cols = [_zero_row(f, width)] * t  # G C for C = 0
+    cols = [fmt.zero(width)] * t  # G C for C = 0
     carry: list = []  # no step into the first C
     while True:
         for step in itertools.chain((carry,), lap):
@@ -468,17 +460,17 @@ class _WalkBlocks:
         width = 1 + inst.n + N
         # One column's Z block: a row in the row format, hashable and
         # ordered as its entry tuple.
-        self.z_vec = _row_block(f, 1, 1 + inst.n, width)
+        self.z_vec = f._fmt.block(1, 1 + inst.n, width)
         # extra_weight(col): the Hamming weight of one column's extra block.
         self.extra_weight = _row_weight(f, 1 + inst.n, width, width)
 
     def z(self, cols: list) -> Matrix:
         """Z, from the Z blocks of the t columns."""
-        f, n, t = self.field, self.n, self.t
-        entries = zip(*(_from_row(f, x, n) for x in map(self.z_vec, cols)))
+        f, fmt = self.field, self.field._fmt
+        entries = zip(*map(fmt.unpacker(self.n), map(self.z_vec, cols)))
         # The round trip through the row format keeps short GF(2) rows
         # shared, so kept matrices hold no copies of them.
-        return _from_rows(f, _to_rows(f, entries), t)
+        return _from_rows(f, fmt.to_rows(entries), self.t)
 
 
 def iter_confusable(
@@ -518,7 +510,7 @@ def _confusable_draws(
         # C is drawn row-major; column c of G C is the sum of C[j][c] g_j,
         # row c of C^T times the g_j.
         flat = draws.integers(f.q, k * t)
-        cols = _row_mul(f, [flat[c::t] for c in range(t)], gs, width)
+        cols = f._fmt.mul([flat[c::t] for c in range(t)], gs, width)
         if max(cols) >= top:
             count -= 1
             yield cols

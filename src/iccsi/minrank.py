@@ -23,12 +23,6 @@ from typing import Iterator
 from .galois import (
     Matrix,
     _from_rows,
-    _row_add,
-    _row_insert,
-    _row_line,
-    _row_mul,
-    _row_reduce,
-    _zero_row,
     iter_vectors,
     row_basis,
     solve_left,
@@ -63,15 +57,15 @@ def _realization_check(inst: IccsiInstance):
 
     Each user's echelon pairs of V^(i), its R_i row and the V_S rows are
     the instance's cached ``_realization_rows``.  A call forms L V_S by
-    :func:`_row_mul` and, per user, inserts its rows into a copy of the
+    one product and, per user, inserts its rows into a copy of the
     user's pairs; R_i is realized when its insert returns None.
     """
-    f, n = inst.field, inst.n
-    insert = _row_insert(f, n)
+    fmt, n = inst.field._fmt, inst.n
+    insert = fmt.insert(n)
     vs, users = inst._realization_rows
 
     def flags(L_rows) -> Iterator[bool]:
-        lvs = _row_mul(f, L_rows, vs, n)
+        lvs = fmt.mul(L_rows, vs, n)
         for pairs, r in users:
             basis = list(pairs)
             for row in lvs:
@@ -124,7 +118,7 @@ def min_rank(
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    f = inst.field
+    f, fmt = inst.field, inst.field._fmt
     q = f.q
     m, n = inst.m, inst.n
     # Candidate rows per user in the row format: R_i plus each vector of
@@ -141,9 +135,9 @@ def min_rank(
                 f"coset size exceeds budget {budget}; got at least {total}"
             )
         coeffs = ((1,) + c for c in iter_vectors(f, w))
-        cands.append(_row_mul(f, coeffs, gens, n))
-    insert, reduce = _row_insert(f, n), _row_reduce(f, n)
-    zero = _zero_row(f, n)
+        cands.append(fmt.mul(coeffs, gens, n))
+    insert, reduce = fmt.insert(n), fmt.reduce
+    zero = fmt.zero(n)
     # The span P as echelon pairs and, beside them, the rows they came from,
     # which the witness is built from.  A user whose cache meets the sender
     # space only in 0 has the one candidate R_i, which every choice holds:
@@ -281,7 +275,7 @@ def alpha(
     # The possible children, the vectors with leading entry 1, in order,
     # each with the reader of its leading column and its q - 1 nonzero
     # scalings b z.
-    line = _row_line(f, n)
+    line = f._fmt.line(n)
     steps = {}
     for z in sorted(union):
         got = line(z)
@@ -292,7 +286,7 @@ def alpha(
     # keep the c with c - v in C(B) for every sum v of some s_i; p - 1 steps
     # by a z, zs[a - 1], for each a in the F_p-basis p^j of F_q make the v
     # every b z.
-    add = _row_add(f)
+    add = f._fmt.add
     powers = [f.p**j for j in range(f.e)] * (f.p - 1)
 
     def narrow(cset: set, zs: list) -> set:

@@ -26,7 +26,7 @@ from iccsi import (
 )
 from iccsi import codec
 from iccsi.codec import HAMMING, RANK
-from iccsi.galois import _to_rows, field_new, null_space, vstack
+from iccsi.galois import field_new, null_space, vstack
 from iccsi.instance import DEFAULT_BUDGET, _walk_setup, intersection_basis
 
 from conftest import random_matrix
@@ -70,10 +70,10 @@ def test_walk_setup_matches_matrix_formula(p, e, t):
             for extra in [None] + [L * inst.V_S for L in encoders]:
                 blocks = [u.R * K, K] + ([] if extra is None else [extra * K])
                 G = vstack(*blocks)
-                [top] = _to_rows(f, [(1,) + (0,) * (G.nrows - 1)])
-                want = (tuple(_to_rows(f, G.transpose().rows)), top, G.nrows)
+                [top] = f._fmt.to_rows([(1,) + (0,) * (G.nrows - 1)])
+                want = (tuple(f._fmt.to_rows(G.transpose().rows)), top, G.nrows)
                 if extra is not None:
-                    extra = (extra.nrows, _to_rows(f, extra.transpose().rows))
+                    extra = (extra.nrows, f._fmt.to_rows(extra.transpose().rows))
                 assert _walk_setup(inst, i, extra) == want
 
 
@@ -84,7 +84,7 @@ def test_coset_rows_match_intersection_basis(p, e, t):
         f = inst.field
         ws = [intersection_basis(u.V, inst.V_S) for u in inst.users]
         assert inst._coset_rows == tuple(
-            tuple(_to_rows(f, u.R.rows + w.rows)) for u, w in zip(inst.users, ws)
+            tuple(f._fmt.to_rows(u.R.rows + w.rows)) for u, w in zip(inst.users, ws)
         )
         assert bounds.instance_w_list(inst) == [w.nrows for w in ws]
 

@@ -32,13 +32,7 @@ from iccsi.decoders import (
 )
 from iccsi.galois import (
     Matrix,
-    _from_row,
-    _row_block,
     _row_echelon,
-    _row_join,
-    _row_mul,
-    _to_rows,
-    _zero_row,
     hstack,
 )
 
@@ -52,7 +46,7 @@ LAYOUTS = [(True, 0), (True, 1), (True, 2), (True, 3), (False, 1), (False, 2), (
 def row_path(inst, enc, i, received, lam, v, ell, shared):
     """(exit code, demand entries or None, stderr text) of the row path."""
     f, t = inst.field, inst.t
-    trapped = _trap_rows(f, _to_rows(f, received.rows), v, ell)
+    trapped = _trap_rows(f, f._fmt.to_rows(received.rows), v, ell)
     if trapped is None:
         return 3, None, TRAP_FAILURE_DETECTED
     Y = trapped[0]
@@ -60,26 +54,26 @@ def row_path(inst, enc, i, received, lam, v, ell, shared):
         lvs = enc.lvs
     else:
         d_S = inst.d_S
-        L = [_from_row(f, r, d_S) for r in map(_row_block(f, 0, d_S, ell), Y)]
+        L = [f._fmt.unpacker(d_S)(r) for r in map(f._fmt.block(0, d_S, ell), Y)]
         lvs = Matrix(f, L, d_S) * inst.V_S
-        Y = list(map(_row_block(f, d_S, ell, ell), Y))
+        Y = list(map(f._fmt.block(d_S, ell, ell), Y))
     dmap = _demand_map(inst, i, lvs)
     if not dmap:
         # At v = 0 an encoder that does not serve the user is bad input.
         if v == 0:
             return 2, None, "does not realize"
         return 3, None, f"decode failed: user {i}: request not in the decoded span"
-    out = _row_mul(f, dmap, _to_rows(f, lam.rows) + Y, t)
-    if all(r == _zero_row(f, t) for r in out[1:]):
-        return 0, _from_row(f, out[0], t), ""
+    out = f._fmt.mul(dmap, f._fmt.to_rows(lam.rows) + Y, t)
+    if all(r == f._fmt.zero(t) for r in out[1:]):
+        return 0, f._fmt.unpacker(t)(out[0]), ""
     # At v = 0 the syndrome decoder at delta 0 takes only a zero syndrome.
     if v == 0:
         return 3, None, SYNDROME_NOT_FOUND
-    u, n, join = inst.users[i], inst.n, _row_join(f, t)
-    basis = _row_echelon(f, map(join, _to_rows(f, lvs.rows), Y), n + t)
-    cache = map(join, _to_rows(f, u.V.rows), _to_rows(f, lam.rows))
-    request = join(_to_rows(f, u.R.rows)[0], _zero_row(f, t))
-    return 0, _from_row(f, _stacked_demand(f, basis, cache, request, n, t), t), ""
+    u, n, join = inst.users[i], inst.n, f._fmt.join(t)
+    basis = _row_echelon(f, map(join, f._fmt.to_rows(lvs.rows), Y), n + t)
+    cache = map(join, f._fmt.to_rows(u.V.rows), f._fmt.to_rows(lam.rows))
+    request = join(f._fmt.to_rows(u.R.rows)[0], f._fmt.zero(t))
+    return 0, f._fmt.unpacker(t)(_stacked_demand(f, basis, cache, request, n, t)), ""
 
 
 @pytest.mark.parametrize("p,e", FIELDS, ids=[f"GF({p ** e})" for p, e in FIELDS])

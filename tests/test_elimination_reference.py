@@ -1,7 +1,7 @@
 """Solves, ranks and the realization test against the loops they replaced.
 
 ``solve_left``, ``mat_rank`` and ``minrank._realization_check`` now all
-reduce through ``galois._echelon_reduce`` and ``galois._row_insert``.  The
+reduce through the row format's ``reduce`` and ``insert``.  The
 references below restate the earlier code: the solve as its own loop that
 reduces a row against the RREF while summing the transform rows, the rank
 as tuple insertion that stops at ``ncols`` pivots, and the realization test
@@ -23,10 +23,9 @@ from test_rank_trial import encoders, random_instance
 from iccsi import field_new
 from iccsi.galois import (
     Matrix,
-    _echelon_insert,
     _row_rank,
     _solve_left_kernel,
-    _to_rows,
+    _TupleRows,
     mat_rank,
     mat_rref,
     solve_left,
@@ -66,10 +65,10 @@ def ref_solve_left_rref(res, b):
 
 
 def ref_mat_rank(m):
-    f = m.field
+    insert = _TupleRows(m.field).insert(m.ncols)
     basis = []
     for row in m.rows:
-        pair = _echelon_insert(basis, row, f.sub, f.scaler, f.inv)
+        pair = insert(basis, row)
         if pair is not None:
             basis.append(pair)
             if len(basis) == m.ncols:
@@ -78,15 +77,15 @@ def ref_mat_rank(m):
 
 
 def ref_realizes_ic(L, inst):
-    f, lvs = inst.field, L * inst.V_S
+    insert, lvs = _TupleRows(inst.field).insert(inst.n), L * inst.V_S
     flags = []
     for u in inst.users:
         basis = []
         for row in itertools.chain(u.V.rows, lvs.rows):
-            pair = _echelon_insert(basis, row, f.sub, f.scaler, f.inv)
+            pair = insert(basis, row)
             if pair is not None:
                 basis.append(pair)
-        flags.append(_echelon_insert(basis, u.R.rows[0], f.sub, f.scaler, f.inv) is None)
+        flags.append(insert(basis, u.R.rows[0]) is None)
     return flags
 
 
@@ -104,7 +103,7 @@ def test_solve_and_rank_match_reference(p, e):
         for r in range(min(nr, nc) + 1):
             a = low_rank(rng, f, nr, nc, r)
             rank = mat_rank(a)
-            assert rank == ref_mat_rank(a) == _row_rank(f, _to_rows(f, a.rows), nc)
+            assert rank == ref_mat_rank(a) == _row_rank(f, f._fmt.to_rows(a.rows), nc)
             seen["deficient" if rank < min(nr, nc) else "full"] += 1
             res = mat_rref(a)
             for k in (0, 1, 3):

@@ -20,8 +20,6 @@ from hypothesis import given, settings, strategies as st
 from iccsi import Matrix, field_new, make_instance, min_rank
 from iccsi.galois import (
     _from_rows,
-    _row_insert,
-    _row_mul,
     iter_vectors,
     row_basis,
     row_space_contains,
@@ -43,13 +41,13 @@ def _reference_min_rank(inst, lower_bound=1) -> MinRankResult:
     beat the best."""
     f, m, n = inst.field, inst.m, inst.n
     cands = [
-        _row_mul(f, ((1,) + c for c in iter_vectors(f, len(g) - 1)), g, n)
+        f._fmt.mul(((1,) + c for c in iter_vectors(f, len(g) - 1)), g, n)
         for g in inst._coset_rows
     ]
     total = 1
     for c in cands:
         total *= len(c)
-    insert = _row_insert(f, n)
+    insert = f._fmt.insert(n)
     forced: list = []
     for row in (c[0] for c in cands if len(c) == 1):
         pair = insert(forced, row)

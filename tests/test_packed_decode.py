@@ -41,10 +41,6 @@ from iccsi.decoders import (
 from iccsi.galois import (
     Matrix,
     _Draws,
-    _from_row,
-    _row_mul,
-    _to_rows,
-    _zero_row,
     hstack,
     mat_rref,
     null_space,
@@ -283,15 +279,15 @@ def test_reference_cases_cover_every_outcome():
 def test_row_format_matches_matrix(p, e):
     # Tallies can hide a changed draw or product, so both are compared directly.
     f = field_new(p, e)
-    pack = f._pack if f._lanes else tuple
-    assert _to_rows(f, [(0, 0, 0)]) == [_zero_row(f, 3)]
+    pack = f._fmt.pack
+    assert f._fmt.to_rows([(0, 0, 0)]) == [f._fmt.zero(3)]
     for seed in range(10):
         [a], b = _Draws.chunk(seed, range(1)), np.random.default_rng([seed, 0])
         A, B = random_matrix(b, f, 4, 5), random_matrix(b, f, 5, 3)
-        rows = _to_rows(f, B.rows)
+        rows = f._fmt.to_rows(B.rows)
         assert rows == list(map(pack, B.rows))
-        assert [_from_row(f, r, 3) for r in rows] == list(B.rows)
-        assert _row_mul(f, A.rows, rows, 3) == _to_rows(f, (A * B).rows)
+        assert [f._fmt.unpacker(3)(r) for r in rows] == list(B.rows)
+        assert f._fmt.mul(A.rows, rows, 3) == f._fmt.to_rows((A * B).rows)
         a.integers(f.q, 4 * 5 + 5 * 3)
         for weight in range(4):
             got = _hamming_error(a, f, 6, 3, weight)

@@ -37,10 +37,8 @@ from iccsi import (
 )
 from iccsi.codec import HAMMING, RANK
 from iccsi.galois import (
-    _echelon_insert,
-    _echelon_insert_gf2,
     _row_rank,
-    _to_rows,
+    _TupleRows,
     iter_vectors,
     mat_rank,
     row_basis,
@@ -69,7 +67,7 @@ def ref_min_rank(inst, budget=DEFAULT_BUDGET, lower_bound=1):
                 a = a + Matrix(f, [coef], w.nrows) * w
             rows.append(a.rows[0])
         per_user_rows.append(rows)
-    m = inst.m
+    m, insert = inst.m, _TupleRows(f).insert(inst.n)
     best = [None, None]
     choice = [0] * m
 
@@ -81,7 +79,7 @@ def ref_min_rank(inst, budget=DEFAULT_BUDGET, lower_bound=1):
             return best[0] <= lower_bound
         for idx, row in enumerate(per_user_rows[user]):
             choice[user] = idx
-            pair = _echelon_insert(pivrows, row, f.sub, f.scaler, f.inv)
+            pair = insert(pivrows, row)
             if pair is None:
                 if walk(user - 1, pivrows):
                     return True
@@ -172,10 +170,10 @@ def test_pack_order_and_round_trip():
     # rows up to length 8 unpack from a table, longer ones bit by bit.
     for n in range(0, 11):
         rows = list(iter_vectors(F2, n))
-        masks = [F2._pack(r) for r in rows]
-        assert sorted(masks) == [F2._pack(r) for r in sorted(rows)]
-        assert [F2._unpack(x, n) for x in masks] == rows
-    assert F2._pack((1, 0, 0)) == 4 and F2._unpack(1, 3) == (0, 0, 1)
+        masks = [F2._fmt.pack(r) for r in rows]
+        assert sorted(masks) == [F2._fmt.pack(r) for r in sorted(rows)]
+        assert [F2._fmt.unpacker(n)(x) for x in masks] == rows
+    assert F2._fmt.pack((1, 0, 0)) == 4 and F2._fmt.unpacker(3)(1) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -187,13 +185,14 @@ def test_echelon_insert_gf2_matches_tuple_insert(seed):
         rows = [tuple(r) for r in rng.integers(0, 2, size=(int(rng.integers(1, 9)), n)).tolist()]
         basis, packed = [], []
         for row in rows:
-            pair = _echelon_insert(basis, row, F2.sub, F2.scaler, F2.inv)
-            got = _echelon_insert_gf2(packed, F2._pack(row))
-            assert got == (None if pair is None else (n - 1 - pair[0], F2._pack(pair[1])))
+            pair = _TupleRows(F2).insert(n)(basis, row)
+            got = F2._fmt.insert(n)(packed, F2._fmt.pack(row))
+            assert got == (None if pair is None else (n - 1 - pair[0], F2._fmt.pack(pair[1])))
             if pair is not None:
                 basis.append(pair)
                 packed.append(got)
-        assert _row_rank(F2, _to_rows(F2, rows), n) == len(basis) == mat_rank(Matrix(F2, rows, n))
+        rank = _row_rank(F2, F2._fmt.to_rows(rows), n)
+        assert rank == len(basis) == mat_rank(Matrix(F2, rows, n))
 
 
 @pytest.mark.parametrize("n,t,seed", CASES)

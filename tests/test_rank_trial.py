@@ -40,8 +40,6 @@ from iccsi.galois import (
     hstack,
     mat_rank,
     mat_rref,
-    _row_block,
-    _to_rows,
     rank_weight,
     solve_left,
     vstack,
@@ -205,8 +203,8 @@ def rank_sweep(p, e):
     def echelon_spy(field, rows, width):
         rows = list(rows)
         basis = real_echelon(field, rows, width)
-        left = _row_block(field, 0, inst.n, width)
-        if list(map(left, rows)) == _to_rows(field, enc.lvs.rows):
+        left = field._fmt.block(0, inst.n, width)
+        if list(map(left, rows)) == field._fmt.to_rows(enc.lvs.rows):
             own_echelons[id(basis)] = basis
         else:
             seen["wrong_L"] += 1

@@ -19,7 +19,6 @@ from test_rank_trial import cases, ref_rank_report
 
 from iccsi import field_new, harness
 from iccsi.codec import HAMMING, RANK
-from iccsi.galois import _row_block, _to_rows
 from iccsi.harness import _TRIAL_CHUNK, SimConfig, run_simulation
 
 
@@ -64,8 +63,8 @@ def test_rank_chunks_mix_every_outcome(p, e):
     # is built for an own-L block solved alone; any other is a wrong L's.
     def echelon_spy(field, rows, width):
         rows = list(rows)
-        left = _row_block(field, 0, inst.n, width)
-        own = list(map(left, rows)) == _to_rows(field, enc.lvs.rows)
+        left = field._fmt.block(0, inst.n, width)
+        own = list(map(left, rows)) == field._fmt.to_rows(enc.lvs.rows)
         chunks[-1]["alone" if own else "wrong_L"] += 1
         return real[2](field, rows, width)
 
