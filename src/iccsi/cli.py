@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_int_at_least(0), default=0)
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
     p.add_argument(
-        "--length", type=_int_at_least(1), help="code length (default: shortest)"
+        "--length", type=_int_at_least(1),
+        help="code length, random and concat-rs only (default: shortest)",
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--attempts", type=_int_at_least(1), default=1000)
@@ -327,6 +328,10 @@ def _write_bounds_csv(fh, rows) -> None:
 
 
 def _cmd_encode(args) -> int:
+    if args.method == "coset" and args.length is not None:
+        # The coset encoder's length is the min-rank; a length asked for
+        # would be silently dropped.
+        raise ValueError("argument --length: not used by --method coset")
     inst = load_instance(args.instance)
     delta = args.delta
     if args.metric == RANK:

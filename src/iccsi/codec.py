@@ -26,8 +26,8 @@ from .galois import (
     Matrix,
     _as_int,
     _row_weight,
+    _span_walk,
     field_of_order,
-    iter_vectors,
     mat_rank,
     null_space,
 )
@@ -364,11 +364,14 @@ def min_distance_cols(g: Matrix, budget: int | None = None) -> int:
         raise ValueError("empty generator")
     if f.q**k > budget:
         raise BudgetExceeded(f"codeword enumeration size {f.q}^{k} exceeds budget")
-    # Codeword g u is the row u g^T, weighed in the row format.
+    # Codeword g u is the row u g^T, the sum of u_j times row j of g^T:
+    # the walk of the rows of g^T at t = 1 visits every u != 0 once, and
+    # with the zero row as ``top`` it yields each, so dependent columns
+    # give 0.
     N = g.nrows
     gt = f._fmt.to_rows(g.transpose().rows)
-    weigh, mul = _row_weight(f, 0, N, N), f._fmt.mul
-    return min(weigh(mul((u,), gt, N)[0]) for u in iter_vectors(f, k) if any(u))
+    weigh = _row_weight(f, 0, N, N)
+    return min(weigh(cols[0]) for cols in _span_walk(f, gt, 1, N, f._fmt.zero(N)))
 
 
 def concat_kappa_bound(

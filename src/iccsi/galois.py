@@ -62,11 +62,13 @@ decoder, the rank-trap decoder, the demand solve and both kinds of trial
 call the record's methods and hold one body for every field; a new format
 is one new record.  What is the same in every format is one function over
 the record: :func:`_from_rows`, :func:`_rows_of_blocks`,
-:func:`_row_weight`, :func:`_row_block_bits`, :func:`_row_echelon` and
-:func:`_row_rank`.  Two methods and :func:`_row_block_bits` read a row as
-blocks of equal size, which the trials use to run side by side in one wide
-row: ``nonzero_blocks`` gives the mask of the nonzero blocks (on lanes a
-nonzero-lane test on lanes of e times the block size bits;
+:func:`_row_weight`, :func:`_row_block_bits`, :func:`_row_echelon`,
+:func:`_row_rank` and :func:`_span_walk`, the Gray-code walk of the
+confusable sets and of an outer code's codewords.  Two methods and
+:func:`_row_block_bits` read a row as blocks of equal size, which the
+trials use to run side by side in one wide row: ``nonzero_blocks``
+gives the mask of the nonzero blocks (on lanes a nonzero-lane test on
+lanes of e times the block size bits;
 :func:`_row_weight` counts blocks of one entry), :func:`_row_block_bits`
 the mask of each block alone, and ``keep_blocks`` zeroes the blocks
 outside a mask (on lanes one AND).  The record's ``mul`` is the only
@@ -109,6 +111,8 @@ _LANE_MAX_ORDER = 16
 # Largest table, in entries, of the multiples of every row of one width.
 # Shared, not rebuilt per product or pivot: without it sim-rank lost ~12%.
 _LANE_TABLE_MAX = 4096
+# :func:`_span_walk` lists fewer than 2**_LAP_BITS steps ahead.
+_LAP_BITS = 6
 
 # Shipped moduli, little-endian coefficient tuples including the leading 1.
 _CANONICAL_MODULI = {
@@ -1551,3 +1555,42 @@ def sphere_vol_rank(nrows: int, ncols: int, radius: int, q: int) -> int:
 def iter_vectors(field: Field, n: int) -> Iterator[tuple[int, ...]]:
     """All vectors of F_q^n in odometer order, first coordinate fastest."""
     return (v[::-1] for v in itertools.product(range(field.q), repeat=n))
+
+
+def _span_walk(field: Field, gens: Sequence, t: int, width: int, top) -> Iterator[list]:
+    """Walk the t columns of G C, C over F_q^{k x t}, one row add per step.
+
+    The g_j, the k columns of G, are ``width``-wide rows in the row format,
+    so column c of G C is the sum of C[j][c] g_j.  C runs over its e k t
+    base-p digits in the modular p-ary Gray code: entry m = c k + j of C
+    (column-major) is digits m e .. m e + e - 1, its element encoding, and
+    step s raises digit v_p(s), the lowest nonzero base-p digit of s, by 1
+    mod p.  Raising digit m e + b adds x^b g_j to column c, x^b being the
+    element p^b, so each step is one precomputed add.  After step s digit
+    d of C is (s_d - s_(d+1)) mod p, for s_d the base-p digits of s.
+
+    Yields the list of the t columns after each step that leaves some
+    column at least ``top``; C = 0 comes before the first step and is
+    never yielded.  The list is updated in place by the next step.
+    """
+    fmt, p = field._fmt, field.p
+    add = fmt.add
+    ups = [(c, fmt.scale(p**b, g)) for c in range(t) for g in gens for b in range(field.e)]
+    # ``lap`` is steps 1 .. p^low - 1: the lap below digit d, then p - 1
+    # times the raise of d and the lap below d again.  The walk runs it
+    # after each step p^low h, which raises digit low + v_p(h).
+    low = min(len(ups), _LAP_BITS // (p - 1).bit_length())
+    lap: list = []
+    for up in ups[:low]:
+        lap += ([up] + lap) * (p - 1)
+    cols = [fmt.zero(width)] * t  # G C for C = 0
+    step: list = []  # no step into the first lap
+    for h in range(1, p ** (len(ups) - low) + 1):
+        for c, x in itertools.chain(step, lap):
+            cols[c] = add(cols[c], x)
+            if max(cols) >= top:
+                yield cols
+        d, r = low, h
+        while r % p == 0:
+            d, r = d + 1, r // p
+        step = ups[d : d + 1]  # past the last digit after the last lap

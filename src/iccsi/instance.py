@@ -24,7 +24,6 @@ The JSON file format::
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -40,6 +39,7 @@ from .galois import (
     _Draws,
     _row_echelon,
     _row_weight,
+    _span_walk,
     field_new,
     null_space,
     row_basis,
@@ -49,8 +49,6 @@ from .galois import (
 
 # Default cap on elements visited by exhaustive enumerations.
 DEFAULT_BUDGET = 1 << 22
-# :func:`_confusable_walk` lists fewer than 2**_LAP_BITS steps ahead.
-_LAP_BITS = 6
 
 
 class BudgetExceeded(RuntimeError):
@@ -375,74 +373,28 @@ def _confusable_walk(
     budget: int | None = None,
     extra: tuple[int, Sequence] | None = None,
 ) -> Iterator[list]:
-    """Walk user i's confusable set Z = K C, one precomputed change per step.
+    """Walk user i's confusable set Z = K C, one precomputed row add per step.
 
     K is the canonical kernel basis of V^(i) (n x k) and C runs over
-    F_q^{k x t} in :func:`iter_vectors` order, column-major with entry
-    (0, 0) fastest: digit p of the odometer is C[p % k][p // k].  The walk
-    keeps the t columns of G C (G and the g_j as in :func:`_walk_setup`).
-    The step that rolls digits 0..p-1 over from q - 1 to 0 and raises digit
-    p from a to a + 1 adds ``steps[a][p]`` to them, one change per column
-    it touches, built once from the g_j in the row format.
+    F_q^{k x t} in :func:`~iccsi.galois._span_walk`'s modular p-ary Gray
+    code, which keeps the t columns of G C (G and the g_j as in
+    :func:`_walk_setup`) and changes one of them per step.
 
     Yields the list of the t columns whenever R_i K C is nonzero;
     :class:`_WalkBlocks` reads them.  The list is updated in place by the
     next step.  Raises :class:`BudgetExceeded` when q^(k t) exceeds the
-    budget.  The Hamming check of :func:`~iccsi.codec.verify_ecic` is its
-    one certificate consumer.
+    budget, on the first ``next``.  The Hamming check of
+    :func:`~iccsi.codec.verify_ecic` is its one certificate consumer.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     gs, top, width = _walk_setup(inst, i, extra)
-    k, t = len(gs), inst.t
-    f = inst.field
-    q = f.q
-    if q ** (k * t) > budget:
+    q, kt = inst.q, len(gs) * inst.t
+    if q**kt > budget:
         raise BudgetExceeded(
-            f"user {i}: kernel enumeration size {q}^{k * t} exceeds budget {budget}"
+            f"user {i}: kernel enumeration size {q}^{kt} exceeds budget {budget}"
         )
-    fmt = f._fmt
-    add = fmt.add
-    last = q - 1
-    drop = f.sub(0, last)  # the change of a digit rolled over to 0
-    # rolled[j]: the change of a column whose digits 0..j-1 roll over.
-    rolled = [fmt.zero(width)]
-    for g in gs:
-        rolled.append(add(rolled[-1], fmt.scale(drop, g)))
-    wholes = [list(zip(range(c), itertools.repeat(rolled[k]))) for c in range(t)]
-    steps = []
-    for a in range(last):
-        ups = [add(r, fmt.scale(f.sub(a + 1, a), g)) for r, g in zip(rolled, gs)]
-        steps.append([wholes[c] + [(c, x)] for c in range(t) for x in ups])
-    # ``lap`` takes the low digits 0..low-1 through all their values: the
-    # lap below digit p, then, for each a < q - 1, the step that raises p
-    # from a and the lap below p again.  The walk runs one lap for each
-    # value of the high digits, after the step into that value.
-    low = min(k * t, _LAP_BITS // last.bit_length())
-    lap: list = []
-    for p in range(low):
-        below = lap[:]
-        for raises in steps:
-            lap.append(raises[p])
-            lap += below
-    digits = [0] * (k * t)  # only the high ones move
-    cols = [fmt.zero(width)] * t  # G C for C = 0
-    carry: list = []  # no step into the first C
-    while True:
-        for step in itertools.chain((carry,), lap):
-            for c, x in step:
-                cols[c] = add(cols[c], x)
-            if max(cols) >= top:
-                yield cols
-        for p in range(low, k * t):
-            a = digits[p]
-            if a != last:
-                break
-            digits[p] = 0
-        else:
-            return
-        digits[p] = a + 1
-        carry = steps[a][p]
+    yield from _span_walk(inst.field, gs, inst.t, width, top)
 
 
 class _WalkBlocks:
@@ -480,9 +432,11 @@ def iter_confusable(
 
     Z ranges over n x t matrices with V^(i) Z = 0 and R_i Z != 0.  They are
     generated as K * C where the columns of K form the canonical kernel basis
-    of V^(i) and C runs over F_q^{k x t} in odometer order (entry (0, 0)
-    fastest, column-major).  Raises :class:`BudgetExceeded` when q^(k t)
-    exceeds the budget.
+    of V^(i) and C runs over F_q^{k x t} in the modular p-ary Gray code of
+    :func:`~iccsi.galois._span_walk`: after step s, base-p digit d of C is
+    (s_d - s_(d+1)) mod p for s_d those of s, and entry m of C, column-major
+    with m = c k + j, is digits m e .. m e + e - 1.  Raises
+    :class:`BudgetExceeded` when q^(k t) exceeds the budget.
     """
     return map(_WalkBlocks(inst).z, _confusable_walk(inst, i, budget))
 

@@ -12,6 +12,7 @@ from iccsi import (
     make_instance,
     subspace_avoid_count,
     subspace_existence_prob,
+    verify_ecic,
     z_delta_size,
     zippel_ic_prob,
 )
@@ -177,6 +178,42 @@ def test_hamming_random_ecic_prob_formula():
     strong = hamming_random_ecic_prob([3] * 2, 4, 7, 1, 2)
     assert strong.verdict is True
     assert 0 < strong.value < 1
+
+
+F3 = field_new(3, 1)
+# (field, n, sender rows, users, N): q^(N d_S) <= 4,096 encoders each.
+# Uncoded and coded caches, full and proper sender spaces; the bound is
+# positive at delta = 0 in every case and at delta = 1 in the second, third
+# and fifth.
+EXACT_PASS_CASES = [
+    (F2, 3, ident(3), [([ident(3)[i]], ident(3)[(i + 1) % 3]) for i in range(3)], 4),
+    (F2, 2, ident(2), [([ident(2)[0]], ident(2)[1]), ([ident(2)[1]], ident(2)[0])], 6),
+    (F2, 3, [[1, 0, 0], [0, 1, 1]],
+     [([[1, 1, 0], [0, 0, 1]], [1, 0, 0]), ([[1, 0, 1], [0, 1, 0]], [0, 1, 1])], 6),
+    (F3, 2, ident(2), [([ident(2)[0]], ident(2)[1]), ([ident(2)[1]], ident(2)[0])], 3),
+    (F3, 2, [[1, 1]], [([[1, 0]], [1, 1]), ([[0, 1]], [1, 1])], 7),
+]
+EXACT_PASS_IDS = ["gf2-cycle-N4", "gf2-swap-N6", "gf2-coded-N6", "gf3-swap-N3", "gf3-rank1-N7"]
+
+
+@pytest.mark.parametrize("f,n,sender,users,N", EXACT_PASS_CASES, ids=EXACT_PASS_IDS)
+def test_hamming_random_ecic_prob_below_exact_pass_fraction(f, n, sender, users, N):
+    # The bound is a lower bound on the probability that a uniform N x d_S
+    # matrix L over F_q corrects delta errors; count that fraction exactly
+    # over every L with the exhaustive certificate.
+    inst = make_instance(f, 1, n, sender, users)
+    d_S, d_list = inst.d_S, [u.d for u in inst.users]
+    passes, total = [0, 0], 0
+    for flat in iter_vectors(f, N * d_S):
+        L = Matrix(f, [flat[r * d_S:(r + 1) * d_S] for r in range(N)])
+        total += 1
+        for delta in (0, 1):
+            passes[delta] += verify_ecic(L, inst, delta).passed
+    assert total == f.q ** (N * d_S) <= 4096
+    for delta in (0, 1):
+        bound = hamming_random_ecic_prob(d_list, n, N, delta, f.q).value
+        assert bound <= Fraction(passes[delta], total)
+        assert bound > 0 or delta == 1
 
 
 @pytest.mark.parametrize("d", [5, 10], ids=["d=n", "d=n+5"])

@@ -4,7 +4,8 @@ the echelon realizability test against the loops they replaced.
 The reference functions below restate the earlier enumeration and check
 loops: a K * C triple loop per confusable, rank(Z) then weight(L V_S Z) per
 confusable, and a linear solve per user for realizability.  Seeded
-instances over GF(2), GF(3), GF(4) and GF(9), with a full or a proper
+instances over GF(2), GF(3), GF(4) and GF(9), and over GF(8) and GF(16)
+for the walk and the Hamming certificate, with a full or a proper
 sender space, must give identical sequences, Hamming certificates
 (violations and budget errors included) and flags.  The rank certificate
 takes one rank computation per user; the exhaustive walk stays its oracle
@@ -25,14 +26,25 @@ from iccsi import (
     verify_ecic,
 )
 from iccsi.codec import HAMMING, RANK, EcicCertificate, random_ic_search
-from iccsi.galois import iter_vectors, null_space, rank_weight, solve_left, vstack, weight
+from iccsi.galois import null_space, rank_weight, solve_left, vstack, weight
 from iccsi.instance import DEFAULT_BUDGET, iter_confusable, one_symbol_view
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 
 
+def gray_vectors(f, n):
+    """Every vector of F_q^n in the modular p-ary Gray code, in closed form:
+    the s-th has base-p digit d equal to (s_d - s_(d+1)) mod p, for s_d
+    those of s, and entry m is digits m e .. m e + e - 1."""
+    p, e = f.p, f.e
+    for s in range(f.q**n):
+        sd = [s // p**d % p for d in range(n * e + 1)]
+        g = [(sd[d] - sd[d + 1]) % p for d in range(n * e)]
+        yield tuple(sum(g[m * e + b] * p**b for b in range(e)) for m in range(n))
+
+
 def ref_iter_confusable(inst, i, budget=None):
-    """Every K C with R_i K C != 0, C in odometer order, one matrix each."""
+    """Every K C with R_i K C != 0, C in Gray order, one matrix each."""
     if budget is None:
         budget = DEFAULT_BUDGET
     u = inst.users[i]
@@ -44,7 +56,7 @@ def ref_iter_confusable(inst, i, budget=None):
         )
     f = inst.field
     RK = (u.R * K).rows[0]
-    for flat in iter_vectors(f, k * t):
+    for flat in gray_vectors(f, k * t):
         C = [[flat[c * k + j] for c in range(t)] for j in range(k)]
         rk = [0] * t
         for c in range(t):
@@ -183,9 +195,13 @@ CASES = [(p, e, t, seed) for p, e in FIELDS for t in (1, 2) for seed in range(3)
 # realizability does not depend on t, so those two tests take GF(9) at
 # t = 1 only.
 SHORT_CASES = [c for c in CASES if c[:3] != (3, 2, 2)]
+# GF(8) and GF(16) at t = 1 take the walk onto 3- and 4-bit lanes, where a
+# digit's raise scales a g_j by x^b for b up to 3; n = 4 and k <= 3 keep
+# each set within 4,096 C.
+WIDE_CASES = [(2, e, 1, seed) for e in (3, 4) for seed in range(3)]
 
 
-@pytest.mark.parametrize("p,e,t,seed", CASES)
+@pytest.mark.parametrize("p,e,t,seed", CASES + WIDE_CASES)
 def test_iter_confusable_matches_reference(p, e, t, seed):
     f = field_new(p, e)
     rng = np.random.default_rng([p, e, t, seed])
@@ -199,7 +215,7 @@ def test_iter_confusable_matches_reference(p, e, t, seed):
         )
 
 
-@pytest.mark.parametrize("p,e,t,seed", SHORT_CASES)
+@pytest.mark.parametrize("p,e,t,seed", SHORT_CASES + WIDE_CASES)
 def test_verify_ecic_matches_reference(p, e, t, seed):
     f = field_new(p, e)
     rng = np.random.default_rng([p, e, t, seed, 1])

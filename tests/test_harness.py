@@ -834,11 +834,15 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["simulate", "--instance", "i.json", "--pad", "-1"], "--pad"),
         (["simulate", "--instance", "i.json", "--error-weight", "-1"], "--error-weight"),
         (["simulate", "--instance", "i.json", "--trials", "0"], "--trials"),
+        # The coset encoder's length is the min-rank: a --length is refused,
+        # before the instance is loaded, not dropped.
+        (["encode", "--instance", "i.json", "--method", "coset", "--length", "7"], "--length"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
+    coset_length = "coset" in argv and flag == "--length"
     with deadline(10):
-        if flag.startswith("q^"):
+        if flag.startswith("q^") or coset_length:
             assert main(argv) == 2
         else:
             with pytest.raises(SystemExit) as exc:
@@ -851,6 +855,8 @@ def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
     else:
         # --q is a field order, refused by value; the others by a lower bound.
         message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
+        if coset_length:
+            message = "not used by --method coset"
         assert f"error: argument {flag}: {message}" in err
     assert "Traceback" not in err
 
