@@ -67,7 +67,6 @@ from .instance import (
     load_instance,
     make_instance,
     parse_instance,
-    sample_confusable,
     save_instance,
     serialize_instance,
 )

@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--length", type=_int_at_least(1),
         help="code length, random and concat-rs only (default: shortest)",
     )
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--attempts", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), help="random only (default: 0)")
+    p.add_argument("--attempts", type=_int_at_least(1), help="random only (default: 1000)")
     p.add_argument("--out", help="encoder JSON output path")
     p.set_defaults(func=_cmd_encode)
 
@@ -327,11 +327,16 @@ def _write_bounds_csv(fh, rows) -> None:
     writer.writerows(rows)
 
 
+# The encode flags only some methods read, and those methods: the coset
+# encoder's length is the min-rank, and only the random search draws.  A
+# flag given to another method would be silently dropped.
+_METHOD_FLAGS = {"length": ("random", "concat-rs"), "seed": ("random",), "attempts": ("random",)}
+
+
 def _cmd_encode(args) -> int:
-    if args.method == "coset" and args.length is not None:
-        # The coset encoder's length is the min-rank; a length asked for
-        # would be silently dropped.
-        raise ValueError("argument --length: not used by --method coset")
+    for flag, methods in _METHOD_FLAGS.items():
+        if getattr(args, flag) is not None and args.method not in methods:
+            raise ValueError(f"argument --{flag}: not used by --method {args.method}")
     inst = load_instance(args.instance)
     delta = args.delta
     if args.metric == RANK:
@@ -345,7 +350,8 @@ def _cmd_encode(args) -> int:
         if length is None:
             length = singleton_lb(min_rank(inst).kappa, delta)
         res = random_ic_search(
-            inst, length, delta, args.metric, max_attempts=args.attempts, seed=args.seed
+            inst, length, delta, args.metric,
+            max_attempts=args.attempts or 1000, seed=args.seed or 0,
         )
         if not res.found:
             print(

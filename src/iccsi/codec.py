@@ -10,18 +10,24 @@ Error-correction verification follows the confusable-set criterion: L
 corrects any error of weight <= delta at every user exactly when each
 confusable difference Z maps to weight(L V_S Z) >= 2 delta + 1.  In the
 Hamming metric the check reduces to the one-symbol-per-row view of the
-instance and walks or samples each user's confusables; in the rank metric
-it ranges over confusables of rank at least 2 delta + 1, with the message
-space taken as the full space, and takes one rank per user in closed form.
+instance.  It walks each user's confusables while their number fits the
+budget, and past it decides the user from its demand map: the user passes
+exactly when, on every set S of min(2 delta, N) broadcast positions, the
+map's demand row at S lies in the row space of its annihilator rows at S.
+In the rank metric it ranges over confusables of rank at least
+2 delta + 1, with the message space taken as the full space, and takes one
+rank per user in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from .decoders import _demand_map
 from .galois import (
     Matrix,
     _as_int,
@@ -30,13 +36,14 @@ from .galois import (
     field_of_order,
     mat_rank,
     null_space,
+    solve_left,
+    vstack,
 )
 from .instance import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     IccsiInstance,
     _WalkBlocks,
-    _confusable_draws,
     _confusable_walk,
     _parse_json,
     dump_compact,
@@ -47,7 +54,6 @@ from .minrank import MinRankResult, _realization_check, min_rank, realizes_ic
 HAMMING = "hamming"
 RANK = "rank"
 
-DEFAULT_SAMPLES = 100_000
 # Most entries one block draw of :func:`random_ic_search` holds.
 _DRAW_BLOCK_ENTRIES = 1 << 16
 
@@ -57,12 +63,14 @@ class EcicCertificate:
     """Outcome of an error-correction check of one encoder.
 
     ``violations`` holds (user, Z) witnesses with Z confusable for that user
-    and weight(L V_S Z) <= 2 delta, at most one per user.  ``trials`` is
-    the number of confusables tested in the Hamming metric (in sampled mode
-    the certificate is evidence, not proof), and of users tested in the
-    rank metric, whose mode is always "exhaustive": ``trials`` < m there
-    means that the other users are vacuous, with no confusable of rank
-    2 delta + 1.
+    and weight(L V_S Z) <= 2 delta, at most one per user.  ``trials`` is,
+    in the Hamming metric, the number of confusables walked plus the number
+    of supports tested for users past the walk's budget, and in the rank
+    metric the number of users tested: ``trials`` < m there means that the
+    other users are vacuous, with no confusable of rank 2 delta + 1.  Every
+    check is exact, so ``mode`` is always "exhaustive"; encoder files
+    written when the Hamming check could sample may still say "sampled",
+    and still load.
 
     A Hamming certificate that passes means that every user corrects every
     error of Hamming weight <= delta.  A rank certificate certifies less:
@@ -170,7 +178,6 @@ def random_ic_search(
     max_attempts: int = 1000,
     seed: int = 0,
     budget: int | None = None,
-    samples: int = DEFAULT_SAMPLES,
 ) -> RandomSearchResult:
     """Draw uniform N x d_S matrices until one passes, or give up.
 
@@ -186,7 +193,8 @@ def random_ic_search(
     would (the tests pin this).  Every attempt must first serve every user
     (:func:`~iccsi.minrank.realizes_ic`), in every metric: a rank check
     tests nothing for a user whose kernel has dimension <= 2 delta.  Only
-    an attempt that serves them all is built as a ``Matrix``.
+    an attempt that serves them all is built as a ``Matrix``, and at
+    delta >= 1 checked by :func:`verify_ecic` under ``budget``.
     """
     if N <= 0:
         return RandomSearchResult(None, 0)
@@ -209,9 +217,7 @@ def random_ic_search(
             if delta == 0:
                 cert = EcicCertificate(0, metric, "exhaustive", 0, ())
             else:
-                cert = verify_ecic(
-                    L, inst, delta, metric, budget=budget, samples=samples, seed=seed
-                )
+                cert = verify_ecic(L, inst, delta, metric, budget=budget)
                 if not cert.passed:
                     continue
             return RandomSearchResult(make_encoder(L, inst, "random", cert), attempt)
@@ -238,30 +244,22 @@ def verify_ecic(
     inst: IccsiInstance,
     delta: int,
     metric: str = HAMMING,
-    mode: str = "auto",
     budget: int | None = None,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
 ) -> EcicCertificate:
     """Check that L corrects every error of weight <= delta at every user.
 
     Hamming checks run on the one-symbol view, which is equivalent for any
-    t.  ``mode`` is "exhaustive", "sampled", or "auto" (exhaustive per user
-    while the set fits the budget).  A sampled user is charged ``samples``
-    times its k t kernel digits, and :class:`BudgetExceeded` is raised
-    before any draw when that exceeds the budget, as it is for an
-    exhaustive set larger than the budget.  Rank checks keep the
+    t.  A user whose q^(n - d_i) confusables fit the budget is walked; any
+    other is decided by :func:`_support_check`, whose C(N, min(2 delta, N))
+    supports are charged against the budget, and :class:`BudgetExceeded` is
+    raised when they exceed it too.  Both are exact.  Rank checks keep the
     instance's t and take one rank per user (:func:`_rank_witness`);
-    ``mode``, ``budget``, ``samples`` and ``seed`` do not apply to them.
+    ``budget`` does not apply to them.
     """
     if metric not in (HAMMING, RANK):
         raise ValueError(f"unknown metric {metric!r}")
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if budget is None:
         budget = DEFAULT_BUDGET
     if L.ncols != inst.d_S:
@@ -269,7 +267,6 @@ def verify_ecic(
     need = 2 * delta + 1
     violations: list[tuple[int, Matrix]] = []
     trials = 0
-    out_mode = "exhaustive"
     if metric == RANK:
         lvs = L * inst.V_S
         for i, u in enumerate(inst.users):
@@ -280,37 +277,70 @@ def verify_ecic(
                 z = _rank_witness(lvs * K, rk, K, need, inst.t)
                 if z is not None:
                     violations.append((i, z))
-        return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
+        return EcicCertificate(delta, metric, "exhaustive", trials, tuple(violations))
     view = one_symbol_view(inst)
     lvs = L * view.V_S
     # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
     extra = (lvs.nrows, view.field._fmt.to_rows(lvs.transpose().rows))
     blocks = _WalkBlocks(view, lvs.nrows)
+    supports = comb(lvs.nrows, min(2 * delta, lvs.nrows))
     for i in range(view.m):
-        size = view.q ** ((view.n - view.users[i].d) * view.t)
-        if mode == "exhaustive" and size > budget:
-            raise BudgetExceeded(
-                f"user {i}: confusable set size {size} exceeds budget {budget}"
-            )
-        if mode == "sampled" or (mode == "auto" and size > budget):
-            # A draw costs k t kernel digits, so the draws are charged
-            # samples * k t against the budget before any is made.
-            kt = (view.n - view.users[i].d) * view.t
-            if samples * kt > budget:
+        size = view.q ** (view.n - view.users[i].d)
+        if size > budget:
+            if supports > budget:
                 raise BudgetExceeded(
-                    f"user {i}: {samples} samples of k t = {kt} kernel digits each "
-                    f"exceed budget {budget}"
+                    f"user {i}: confusable set size {size} and {supports} "
+                    f"supports both exceed budget {budget}"
                 )
-            out_mode = "sampled"
-            source = _confusable_draws(view, i, samples, seed, extra=extra)
-        else:
-            source = _confusable_walk(view, i, budget, extra=extra)
-        for cols in source:
+            tested, z = _support_check(view, i, lvs, delta)
+            trials += tested
+            if z is not None:
+                violations.append((i, z))
+            continue
+        for cols in _confusable_walk(view, i, budget, extra=extra):
             trials += 1
             if blocks.extra_weight(cols[0]) < need:
                 violations.append((i, blocks.z(cols)))
                 break
-    return EcicCertificate(delta, metric, out_mode, trials, tuple(violations))
+    return EcicCertificate(delta, metric, "exhaustive", trials, tuple(violations))
+
+
+def _support_check(
+    inst: IccsiInstance, i: int, lvs: Matrix, delta: int
+) -> tuple[int, Matrix | None]:
+    """(supports tested, a violating confusable Z or None) for user i of a
+    t = 1 instance, read off its demand map [c; Q] of ``lvs`` = L V_S.
+
+    Z violates when V^(i) Z = 0, R_i Z != 0 and wt(L V_S Z) <= 2 delta.
+    That is [V^(i); L V_S] Z = [0; e] for an e of weight <= 2 delta with
+    Q [0; e] = 0 and c [0; e] != 0 (Q spans the left kernel of the stack).
+    So user i passes exactly when the map is non-empty and, on every set S
+    of min(2 delta, N) positions of the broadcast, c_S lies in the row
+    space of Q_S.  Supports are taken in lexicographic order; at the first
+    failing S, e is the first null-space vector of Q_S with c_S e != 0, and
+    Z is solved from [0; e].  An empty map (L does not serve the user)
+    tests no support, and its witness has L V_S Z = 0 (:func:`_rank_witness`).
+    """
+    u, f, N = inst.users[i], inst.field, lvs.nrows
+    dmap = _demand_map(inst, i, lvs)
+    if not dmap:
+        K = u.kernel
+        return 0, _rank_witness(lvs * K, u.R * K, K, 1, 1)
+    # The map's rows are d_i + N wide; S runs over the last N columns.
+    width, size = u.d + N, min(2 * delta, N)
+    rows = Matrix._trusted(f, dmap, width)
+    for tested, S in enumerate(combinations(range(u.d, width), size), 1):
+        at_S = rows.take_cols(S)
+        xs = null_space(at_S.take_rows(range(1, at_S.nrows)))
+        hits = (at_S.take_rows([0]) * xs).rows[0]
+        first = next((j for j, h in enumerate(hits) if h), None)
+        if first is not None:
+            e = [0] * width
+            for j, x in zip(S, xs.col(first)):
+                e[j] = x
+            z = solve_left(vstack(u.V, lvs).transpose(), Matrix._trusted(f, (tuple(e),), width))
+            return tested, z.transpose()
+    return comb(N, size), None
 
 
 def _rank_witness(M: Matrix, rk: Matrix, K: Matrix, need: int, t: int) -> Matrix | None:

@@ -36,7 +36,6 @@ from .galois import (
     Matrix,
     _as_int,
     _from_rows,
-    _Draws,
     _row_echelon,
     _row_weight,
     _span_walk,
@@ -439,40 +438,3 @@ def iter_confusable(
     :class:`BudgetExceeded` when q^(k t) exceeds the budget.
     """
     return map(_WalkBlocks(inst).z, _confusable_walk(inst, i, budget))
-
-
-def _confusable_draws(
-    inst: IccsiInstance,
-    i: int,
-    count: int,
-    seed: int,
-    extra: tuple[int, Sequence] | None = None,
-) -> Iterator[list]:
-    """``count`` uniform draws from user i's confusable set, as walk columns.
-
-    Each draw is a uniform C in F_q^{k x t}, redrawn while R_i K C = 0, and
-    is yielded as the t columns of G C in :func:`_confusable_walk`'s format
-    (G and ``extra`` as there), so :class:`_WalkBlocks` reads them.  Each
-    user gets its own deterministic stream, that of numpy's
-    ``default_rng([seed, i])``, so per-user checks stay reproducible
-    regardless of evaluation order.
-    """
-    gs, top, width = _walk_setup(inst, i, extra)
-    f, k, t = inst.field, len(gs), inst.t
-    [draws] = _Draws.chunk(seed, range(i, i + 1))
-    while count > 0:
-        # C is drawn row-major; column c of G C is the sum of C[j][c] g_j,
-        # row c of C^T times the g_j.
-        flat = draws.integers(f.q, k * t)
-        cols = f._fmt.mul([flat[c::t] for c in range(t)], gs, width)
-        if max(cols) >= top:
-            count -= 1
-            yield cols
-
-
-def sample_confusable(
-    inst: IccsiInstance, i: int, count: int, seed: int
-) -> Iterator[Matrix]:
-    """Yield ``count`` uniform draws from user i's confusable set, Z read
-    off :func:`_confusable_draws` (one seeded stream per user)."""
-    return map(_WalkBlocks(inst).z, _confusable_draws(inst, i, count, seed))

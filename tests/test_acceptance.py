@@ -418,7 +418,7 @@ def test_c8_ecic_criterion_equivalence(syn_inst):
         )
     work.append((syn_inst, Matrix(F2, SYN_L)))
     for inst, L in work:
-        cert = verify_ecic(L, inst, 1, "hamming", mode="exhaustive")
+        cert = verify_ecic(L, inst, 1, "hamming")
         lvs = L * inst.V_S
         oracle = [_balls_disjoint(lvs, inst, i, 1) for i in range(inst.m)]
         assert cert.passed == all(oracle)

@@ -103,15 +103,6 @@ def test_verify_records_violations(syn_inst):
         assert (syn_inst.users[user].V * z).is_zero()
 
 
-def test_verify_sampled_mode_agrees(syn_inst):
-    L = Matrix(F2, SYN_L)
-    cert = verify_ecic(L, syn_inst, 1, mode="sampled", samples=400, seed=2)
-    assert cert.passed and cert.mode == "sampled"
-    short = L.take_rows([0, 1, 2])
-    cert = verify_ecic(short, syn_inst, 1, mode="sampled", samples=400, seed=2)
-    assert not cert.passed
-
-
 RANK_USERS = [
     ([[0, 1, 0, 0]], [1, 0, 0, 0]),
     ([[0, 0, 1, 0]], [0, 1, 0, 0]),
@@ -131,28 +122,12 @@ def test_verify_rank_metric_delta1():
     user, z = cert.violations[0]
     assert rank_weight(z) >= 3
     assert rank_weight(bad * inst.V_S * z) < 3
-    sampled = verify_ecic(bad, inst, 1, RANK, mode="sampled", samples=3000, seed=4)
-    assert not sampled.passed
 
 
 def test_verify_rank_skips_low_rank_confusables(trap_inst):
     # t=1 confusables all have rank 1 < 2*1+1; the filtered check is empty
     cert = verify_ecic(Matrix(F2, TRAP_L), trap_inst, 1, RANK)
     assert cert.passed and cert.trials == 0
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-def test_verify_rejects_fewer_than_one_sample(samples):
-    # The 4-cycle over GF(2) at t = 3, and a one-row L that fails in both
-    # metrics.  No draw used to mean no trial and no violation: a passing
-    # sampled certificate with 0 trials.
-    users = [([ident(4)[i]], ident(4)[(i + 1) % 4]) for i in range(4)]
-    inst = make_instance(F2, 3, 4, ident(4), users)
-    L = Matrix(F2, [[1, 0, 0, 0]])
-    for metric in (HAMMING, RANK):
-        assert not verify_ecic(L, inst, 1, metric).passed
-        with pytest.raises(ValueError, match="samples must be >= 1"):
-            verify_ecic(L, inst, 1, metric, mode="sampled", samples=samples)
 
 
 def test_one_symbol_view(alpha3_inst):

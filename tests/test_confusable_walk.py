@@ -8,10 +8,13 @@ instances over GF(2), GF(3), GF(4) and GF(9), and over GF(8) and GF(16)
 for the walk and the Hamming certificate, with a full or a proper
 sender space, must give identical sequences, Hamming certificates
 (violations and budget errors included) and flags.  The rank certificate
-takes one rank computation per user; the exhaustive walk stays its oracle
-for the verdict and the failing users, and its witnesses are checked
-against the definition.
+takes one rank computation per user, and a Hamming user past the walk's
+budget is decided by its demand map's supports; the exhaustive walk stays
+the oracle for their verdicts and failing users, and their witnesses are
+checked against the definition.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from iccsi import (
     realizes_ic,
     verify_ecic,
 )
-from iccsi.codec import HAMMING, RANK, EcicCertificate, random_ic_search
+from iccsi.codec import HAMMING, RANK, EcicCertificate, _support_check, random_ic_search
 from iccsi.galois import null_space, rank_weight, solve_left, vstack, weight
 from iccsi.instance import DEFAULT_BUDGET, iter_confusable, one_symbol_view
 
@@ -113,8 +116,8 @@ def assert_rank_certificate(cert, L, inst, delta):
 
     It is exhaustive, ``trials`` counts the tested users, every witness Z
     is a genuine violation by definition (V^(i) Z = 0, R_i Z != 0,
-    rank(Z) >= 2 delta + 1 and rank(L V_S Z) <= 2 delta), and no mode,
-    budget or sample count changes it or raises BudgetExceeded.
+    rank(Z) >= 2 delta + 1 and rank(L V_S Z) <= 2 delta), and no budget
+    changes it or raises BudgetExceeded.
     """
     assert (cert.delta, cert.metric, cert.mode) == (delta, RANK, "exhaustive")
     assert cert.trials == count_tested_users(inst, delta)
@@ -124,8 +127,7 @@ def assert_rank_certificate(cert, L, inst, delta):
         assert (u.V * z).is_zero() and not (u.R * z).is_zero()
         assert rank_weight(z) >= 2 * delta + 1
         assert rank_weight(lvs * z) <= 2 * delta
-    for kwargs in (dict(mode="exhaustive", budget=1), dict(mode="sampled", budget=1, samples=1)):
-        assert verify_ecic(L, inst, delta, RANK, **kwargs) == cert
+    assert verify_ecic(L, inst, delta, RANK, budget=1) == cert
 
 
 def assert_rank_matches_reference(cert, L, inst, delta):
@@ -135,6 +137,46 @@ def assert_rank_matches_reference(cert, L, inst, delta):
     assert cert.passed == want.passed
     assert failing_users(cert) == failing_users(want)
     assert_rank_certificate(cert, L, inst, delta)
+
+
+def assert_hamming_witness(z, L, inst, i, delta):
+    """Z is a genuine Hamming violation for user i at ``delta``, by
+    definition: V^(i) Z = 0, R_i Z != 0 and wt(L V_S Z) <= 2 delta."""
+    u = inst.users[i]
+    assert z.ncols == 1
+    assert (u.V * z).is_zero() and not (u.R * z).is_zero()
+    assert weight(L * inst.V_S * z, HAMMING) <= 2 * delta
+
+
+def assert_hamming_budget_edge(L, inst, delta, budget):
+    """The Hamming ``verify_ecic`` at ``budget`` against the unbudgeted walk.
+
+    Users whose q^(n - d_i) confusables fit the budget are walked and keep
+    the walk's witnesses; the others are decided by their C(N, min(2 delta,
+    N)) supports, or, when those exceed the budget too, the first of them
+    raises BudgetExceeded.  Either way the verdict and the failing users
+    are the walk's, and every witness is genuine.
+    """
+    want = ref_verify_ecic(L, inst, delta, HAMMING)
+    view = one_symbol_view(inst)
+    over = [i for i, u in enumerate(view.users) if view.q ** (view.n - u.d) > budget]
+    supports = comb(L.nrows, min(2 * delta, L.nrows))
+    got = outcome(verify_ecic, L, inst, delta, HAMMING, budget)
+    if over and supports > budget:
+        size = view.q ** (view.n - view.users[over[0]].d)
+        assert got == ("BudgetExceeded", f"user {over[0]}: confusable set size {size} and "
+                       f"{supports} supports both exceed budget {budget}")
+        return
+    if not over:
+        assert got.to_dict() == want.to_dict()
+        return
+    assert (got.passed, got.mode) == (want.passed, "exhaustive")
+    assert failing_users(got) == failing_users(want)
+    walked = dict(want.violations)
+    for i, z in got.violations:
+        assert_hamming_witness(z, L, inst, i, delta)
+        if i not in over:
+            assert z == walked[i]
 
 
 def ref_realizes_ic(L, inst):
@@ -234,11 +276,68 @@ def test_verify_ecic_matches_reference(p, e, t, seed):
                     continue
                 assert got.to_dict() == ref_verify_ecic(L, inst, delta, metric).to_dict()
                 passed.add(got.passed)
-                small = dict(mode="exhaustive", budget=largest - 1)
-                assert outcome(verify_ecic, L, inst, delta, metric, **small) == outcome(
-                    ref_verify_ecic, L, inst, delta, metric, largest - 1
-                )
+                assert_hamming_budget_edge(L, inst, delta, largest - 1)
     assert False in passed
+
+
+# The support check's fields: GF(2), GF(3), GF(4), GF(5), GF(8) and GF(9).
+SUPPORT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("p,e", SUPPORT_FIELDS)
+def test_support_check_matches_walk(p, e, t):
+    # Every user is decided by its supports, whatever the budget, and must
+    # get the walk's verdict with a genuine witness.  A passing user tests
+    # all C(N, min(2 delta, N)) supports; a failing one stops at its first
+    # failing support, or tests none when L does not serve it.
+    f = field_new(p, e)
+    rng = np.random.default_rng([p, e, t, 5])
+    verdicts = set()
+    for _ in range(2):
+        inst = random_instance(rng, f, t)
+        view = one_symbol_view(inst)
+        for L in random_encoders(rng, inst, 3):
+            lvs = L * view.V_S
+            for delta in (0, 1, 2):
+                failing = failing_users(ref_verify_ecic(L, inst, delta, HAMMING))
+                supports = comb(L.nrows, min(2 * delta, L.nrows))
+                for i in range(view.m):
+                    tested, z = _support_check(view, i, lvs, delta)
+                    verdicts.add(z is None)
+                    assert (z is None) == (i not in failing)
+                    if z is None:
+                        assert tested == supports
+                    else:
+                        assert tested <= supports
+                        assert_hamming_witness(z, L, inst, i, delta)
+    assert verdicts == {True, False}
+
+
+def test_verify_ecic_walks_within_budget_and_tests_supports_past_it():
+    # GF(3), n = 4: user 0 caches three rows (3 C in the one-symbol view),
+    # user 1 one row (27 C).  With N = 5 broadcast rows a delta = 1 check
+    # has C(5, 2) = 10 supports per user.
+    f = field_new(3, 1)
+    users = [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [0, 0, 0, 1]),
+        ([[1, 1, 0, 0]], [1, 0, 0, 0]),
+    ]
+    inst = make_instance(f, 2, 4, np.eye(4, dtype=int).tolist(), users)
+    good = Matrix(f, [[1, 0, 0, 2], [1, 2, 2, 1], [2, 1, 0, 0], [1, 0, 0, 1], [1, 1, 1, 2]])
+    bad = vstack(good.take_rows([0, 1, 2, 3]), Matrix(f, [[0, 0, 0, 0]]))
+    # Both users walked; user 1 past the walk's budget; user 1 past both.
+    for L in (good, bad):
+        for budget in (27, 26, 9):
+            assert_hamming_budget_edge(L, inst, 1, budget)
+    # Only user 1 fails, decided by its supports.
+    assert failing_users(verify_ecic(bad, inst, 1, HAMMING, budget=26)) == [1]
+    # User 0 walks its 2 confusables, user 1 tests its 10 supports.
+    cert = verify_ecic(good, inst, 1, HAMMING, budget=26)
+    assert cert.passed and cert.trials == 2 + 10
+    assert ref_verify_ecic(good, inst, 1, HAMMING).trials == 2 + 18
+    with pytest.raises(BudgetExceeded, match="^user 1: confusable set size 27 and 10 supports"):
+        verify_ecic(good, inst, 1, HAMMING, budget=9)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -1,12 +1,13 @@
 """Monte-Carlo harness invariants and command line behavior."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from conftest import SYN_L, TRAP_L, deadline, ident
 from iccsi import (
-    BudgetExceeded,
     Matrix,
     SimConfig,
     field_new,
@@ -17,8 +18,10 @@ from iccsi import (
     run_simulation,
     save_encoder,
     save_instance,
+    subspace_existence_prob,
     verify_ecic,
     wilson_interval,
+    zippel_ic_prob,
 )
 from iccsi.cli import main
 from iccsi.decoders import FLAG_LVS_SHARED, trap_pad, write_frame
@@ -307,6 +310,40 @@ def test_cli_bounds_table4_to_file(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 1 + 24
     assert all(r.rsplit(",", 1)[1] == "true" for r in rows[1:])
+
+
+def _csv_cells(rep):
+    """The value and verdict cells of a bounds CSV row for ``rep``."""
+    if rep.note and rep.note.startswith("inapplicable"):
+        return ["-", ""]
+    return [rep.decimal, "" if rep.verdict is None else str(rep.verdict).lower()]
+
+
+@pytest.mark.parametrize("table,count", [("--table2", 56), ("--table3", 24)])
+def test_cli_bounds_tables_2_and_3(table, count, capsys):
+    # Every row is the direct bound call at q, N and m, on n = d_S = 10 and
+    # caches of dimension 10 - N (table 2) or 11 - N (table 3).
+    assert main(["bounds", table]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["name", "q", "t", "n", "N", "delta", "m", "value", "verdict"]
+    assert len(rows) == count
+    for name, q, t, n, N, delta, m, *cells in rows:
+        assert (t, n, delta) == ("1", "10", "0")
+        q, N, m = int(q), int(N), int(m)
+        d = (10 if table == "--table2" else 11) - N
+        if name == "zippel_ic_prob":
+            rep = zippel_ic_prob(q, m, N, 10)
+        else:
+            rep = subspace_existence_prob([d] * m, 10, N, q)
+        assert [name, *cells] == [rep.name, *_csv_cells(rep)]
+    if table == "--table2":
+        # One zippel and one subspace row per (N, m), at q = 4.
+        names = [r[0] for r in rows]
+        assert names == ["zippel_ic_prob", "subspace_existence_prob"] * 28
+        assert {r[1] for r in rows} == {"4"}
+    else:
+        assert {r[0] for r in rows} == {"subspace_existence_prob"}
+        assert [r[1] for r in rows] == ["4"] * 8 + ["8"] * 8 + ["16"] * 8
 
 
 def test_cli_bounds_requires_selection(capsys):
@@ -629,7 +666,9 @@ def test_cli_encode_vacuous_rank_certificate_exits_2(method, t, delta, tmp_path,
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"p": 3, "e": 1, "t": t, "n": 3, "sender": ident(3),
                                 "users": _CYCLE3_USERS}))
-    argv = ["encode", "--instance", str(path), "--method", method, "--attempts", "5",
+    # Only the random search reads --attempts; the other methods refuse it.
+    attempts = ["--attempts", "5"] if method == "random" else []
+    argv = ["encode", "--instance", str(path), "--method", method, *attempts,
             "--delta", str(delta), "--metric", "rank"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -710,25 +749,6 @@ def test_cli_encode_concat_rs_certifies_in_the_metric_asked_for(tmp_path, capsys
             f"certificate: {state} delta=1 metric={metric} mode=exhaustive trials={cert.trials}"
             in capsys.readouterr().out
         )
-
-
-# The largest t the power-bit cap admits for q = 3, n = 3.
-_CAP_T_DOC = {"p": 3, "e": 1, "t": 6891, "n": 3, "sender": ident(3),
-              "users": [{"V": [[1, 0, 0]], "R": [0, 1, 0]}, {"V": [[0, 1, 0]], "R": [0, 0, 1]},
-                        {"V": [[0, 0, 1]], "R": [1, 0, 0]}]}
-
-
-def test_sampled_verify_charges_draws_to_budget():
-    # A sampled Hamming check charges each user samples * k t kernel digits
-    # before any draw; on the one-symbol view k t = 2.
-    inst = parse_instance(_CAP_T_DOC)
-    L = Matrix(inst.field, [[1, 1, 1], [0, 1, 2]])
-    with deadline(10), pytest.raises(BudgetExceeded) as exc:
-        verify_ecic(L, inst, 1, "hamming", mode="sampled", samples=5, budget=9)
-    assert str(exc.value) == "user 0: 5 samples of k t = 2 kernel digits each exceed budget 9"
-    with deadline(10):
-        cert = verify_ecic(L, inst, 1, "hamming", mode="sampled", samples=5, budget=10)
-    assert cert.mode == "sampled" and 0 < cert.trials <= 15
 
 
 # Near the power-bit cap for q = 3, n = 4: each user's confusable set has
@@ -834,15 +854,24 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["simulate", "--instance", "i.json", "--pad", "-1"], "--pad"),
         (["simulate", "--instance", "i.json", "--error-weight", "-1"], "--error-weight"),
         (["simulate", "--instance", "i.json", "--trials", "0"], "--trials"),
-        # The coset encoder's length is the min-rank: a --length is refused,
-        # before the instance is loaded, not dropped.
+        # A flag the method does not read is refused, before the instance
+        # (missing here) is loaded, not dropped: the coset encoder's length
+        # is the min-rank, and only the random search draws.
         (["encode", "--instance", "i.json", "--method", "coset", "--length", "7"], "--length"),
+        (["encode", "--instance", "i.json", "--method", "coset", "--attempts", "5"], "--attempts"),
+        (["encode", "--instance", "i.json", "--method", "coset", "--seed", "9"], "--seed"),
+        (["encode", "--instance", "i.json", "--method", "coset", "--seed", "0"], "--seed"),
+        (["encode", "--instance", "i.json", "--method", "concat-rs", "--attempts", "5"],
+         "--attempts"),
+        (["encode", "--instance", "i.json", "--method", "concat-rs", "--seed", "9"], "--seed"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
-    coset_length = "coset" in argv and flag == "--length"
+    # Of the encode flags only --length is read by a method other than random.
+    method = argv[argv.index("--method") + 1] if "--method" in argv else "random"
+    unused = method != "random" and (method, flag) != ("concat-rs", "--length")
     with deadline(10):
-        if flag.startswith("q^") or coset_length:
+        if flag.startswith("q^") or unused:
             assert main(argv) == 2
         else:
             with pytest.raises(SystemExit) as exc:
@@ -855,8 +884,8 @@ def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
     else:
         # --q is a field order, refused by value; the others by a lower bound.
         message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
-        if coset_length:
-            message = "not used by --method coset"
+        if unused:
+            message = f"not used by --method {method}"
         assert f"error: argument {flag}: {message}" in err
     assert "Traceback" not in err
 

@@ -30,7 +30,7 @@ from iccsi.galois import (
     row_space_contains,
     vstack,
 )
-from iccsi.instance import iter_confusable, sample_confusable
+from iccsi.instance import iter_confusable
 
 F2 = field_new(2, 1)
 F4 = field_new(2, 2)
@@ -253,18 +253,6 @@ def test_iter_confusable_budget():
     # 2^(5*4) candidate matrices exceed a budget of 1000
     with pytest.raises(BudgetExceeded):
         list(iter_confusable(inst, 0, budget=1000))
-
-
-def test_sample_confusable_deterministic(alpha3_inst):
-    a = [z.rows for z in sample_confusable(alpha3_inst, 2, 50, seed=9)]
-    b = [z.rows for z in sample_confusable(alpha3_inst, 2, 50, seed=9)]
-    c = [z.rows for z in sample_confusable(alpha3_inst, 2, 50, seed=10)]
-    assert a == b
-    assert a != c
-    for rows in a:
-        z = Matrix(alpha3_inst.field, rows)
-        assert (alpha3_inst.users[2].V * z).is_zero()
-        assert not (alpha3_inst.users[2].R * z).is_zero()
 
 
 def test_random_instances_helper_is_stable():

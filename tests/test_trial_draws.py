@@ -5,8 +5,7 @@ return exactly what ``np.random.default_rng([seed, trial])`` returns for the sam
 same order: ``integers(0, q, size=k)`` (Lemire's method on the buffered
 32-bit stream, a half left over carried to the next call) and
 ``choice(n, size=k, replace=False)`` (Floyd's algorithm and a shuffle, or a
-tail shuffle for large n).  Every simulation digest and sampled certificate
-rests on this.
+tail shuffle for large n).  Every simulation digest rests on this.
 
 The streams are seeded without numpy's ``SeedSequence``:
 ``galois._seed_hash`` redoes its hash for many entropies at once, one in
