@@ -187,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--error-weight", type=_int_at_least(0), default=0, help="injected error magnitude"
     )
-    p.add_argument("--pad", type=_int_at_least(0), default=0, help="rank-mode trap pad v")
+    p.add_argument("--pad", type=_int_at_least(0), help="rank mode: trap pad v (default: 0)")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
-        "--lvs-shared", action=argparse.BooleanOptionalAction, default=True,
-        help="rank mode: receivers already know L V_S",
+        "--lvs-shared", action=argparse.BooleanOptionalAction,
+        help="rank mode: receivers already know L V_S (default: shared)",
     )
     p.add_argument(
         "--guarantee", action="store_true",
@@ -450,17 +450,25 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
+# The simulate flags only rank mode reads; a Hamming run would drop them.
+_RANK_FLAGS = {"pad": "--pad", "lvs_shared": "--lvs-shared/--no-lvs-shared"}
+
+
 def _cmd_simulate(args) -> int:
+    if args.metric == HAMMING:
+        for flag, name in _RANK_FLAGS.items():
+            if getattr(args, flag) is not None:
+                raise ValueError(f"argument {name}: not used by --metric hamming")
     cfg = SimConfig(
         instance=args.instance,
         encoder=args.encoder,
         metric=args.metric,
         delta=args.delta,
         error_weight=args.error_weight,
-        trap_pad=args.pad,
+        trap_pad=args.pad or 0,
         trials=args.trials,
         seed=args.seed,
-        lvs_shared=args.lvs_shared,
+        lvs_shared=args.lvs_shared is not False,
         guarantee=args.guarantee,
     )
     rep = run_simulation(cfg)

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .decoders import _demand_map
+from .decoders import _demand_maps
 from .galois import (
     Matrix,
     _as_int,
@@ -284,6 +284,8 @@ def verify_ecic(
     extra = (lvs.nrows, view.field._fmt.to_rows(lvs.transpose().rows))
     blocks = _WalkBlocks(view, lvs.nrows)
     supports = comb(lvs.nrows, min(2 * delta, lvs.nrows))
+    # Every user's demand map, built at the first user past the budget.
+    dmaps = None
     for i in range(view.m):
         size = view.q ** (view.n - view.users[i].d)
         if size > budget:
@@ -292,7 +294,9 @@ def verify_ecic(
                     f"user {i}: confusable set size {size} and {supports} "
                     f"supports both exceed budget {budget}"
                 )
-            tested, z = _support_check(view, i, lvs, delta)
+            if dmaps is None:
+                dmaps = _demand_maps(view, lvs)
+            tested, z = _support_check(view, i, lvs, delta, dmaps[i])
             trials += tested
             if z is not None:
                 violations.append((i, z))
@@ -306,10 +310,12 @@ def verify_ecic(
 
 
 def _support_check(
-    inst: IccsiInstance, i: int, lvs: Matrix, delta: int
+    inst: IccsiInstance, i: int, lvs: Matrix, delta: int, dmap: tuple | None = None
 ) -> tuple[int, Matrix | None]:
     """(supports tested, a violating confusable Z or None) for user i of a
-    t = 1 instance, read off its demand map [c; Q] of ``lvs`` = L V_S.
+    t = 1 instance, read off its demand map [c; Q] of ``lvs`` = L V_S,
+    ``dmap``, built here when not given (see
+    :func:`~iccsi.decoders._demand_maps`).
 
     Z violates when V^(i) Z = 0, R_i Z != 0 and wt(L V_S Z) <= 2 delta.
     That is [V^(i); L V_S] Z = [0; e] for an e of weight <= 2 delta with
@@ -322,7 +328,8 @@ def _support_check(
     tests no support, and its witness has L V_S Z = 0 (:func:`_rank_witness`).
     """
     u, f, N = inst.users[i], inst.field, lvs.nrows
-    dmap = _demand_map(inst, i, lvs)
+    if dmap is None:
+        dmap = _demand_maps(inst, lvs)[i]
     if not dmap:
         K = u.kernel
         return 0, _rank_witness(lvs * K, u.R * K, K, 1, 1)

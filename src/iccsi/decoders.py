@@ -1,10 +1,11 @@
 """Receiver-side decoding and the binary broadcast frame format.
 
 User i decodes from the stacked (cache | broadcast) system
-[V^(i) | lam; L V_S | Y].  Its left block is fixed for a given L V_S, so
-one RREF of it gives user i's demand map, :func:`_demand_map`: a row c with
-c [V^(i); L V_S] = R_i over rows Q that annihilate the block.  The
-syndrome decoder and the simulation's rank trials read that one map.
+[V^(i) | lam; L V_S | Y].  Its left block is fixed for a given L V_S, and
+:func:`_demand_maps` gives every user's demand map from one echelon of
+[L V_S | I], which the users share: a row c with c [V^(i); L V_S] = R_i
+over rows Q that annihilate the block.  The syndrome decoder and the
+simulation's rank trials read these maps.
 
 * Hamming syndrome decoding.  Times lam stacked over Y the map gives the
   demand part c [lam; Y] over the syndrome Q [lam; Y], which depends on the
@@ -47,9 +48,8 @@ from .galois import (
     field_new,
     hstack,
     _from_rows,
-    _rref_transform,
     _row_echelon,
-    _solve_left_kernel,
+    _unit_rows,
     vstack,
 )
 from .instance import IccsiInstance
@@ -62,7 +62,7 @@ TRAP_FAILURE_DETECTED = "TrapFailureDetected"
 class UserDecoder:
     """User i's syndrome decoder for one encoder L.
 
-    ``rows`` is the demand map of L V_S (see :func:`_demand_map`): a row c
+    ``rows`` is the demand map of L V_S (see :func:`_demand_maps`): a row c
     over rows Q, each ``d`` + ``N`` wide, ``d`` being d_i and ``N`` the code
     length.  Times lam stacked over Y they give the demand c [lam; Y] over
     the syndrome Q [lam; Y], which depends on the error alone.
@@ -71,8 +71,12 @@ class UserDecoder:
     the rows that, times that product, give the corrected demand and then
     Q_S beta (see :meth:`_support_rows`); an empty tuple marks a support
     whose columns of Q are dependent.  The syndrome search fills it on first
-    use, in scan order, so each support is eliminated once per decoder
-    rather than once per call.  It takes no part in equality or hashing.
+    use, in scan order.  ``eliminations`` maps the columns of Q at a
+    support, as rows, to their elimination (:func:`_support_elimination`).
+    The decoders of one simulation call share one such dict, so a support
+    whose columns are the same for several users is eliminated once per
+    call; :func:`build_user_decoder` gives each decoder its own.  Neither
+    takes part in equality or hashing.
     """
 
     field: Field
@@ -80,47 +84,85 @@ class UserDecoder:
     N: int
     rows: tuple
     support_rref: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    eliminations: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def _support_rows(self, support: tuple) -> tuple:
         """Rows of [1, -c_S P_S; 0, Q_S] for the columns B of Q at the Y
         positions d_i + S, or () when they are dependent.
 
-        The transform T of the RREF of B has T B = [I; 0] when the columns
-        are independent: its first |S| rows are a left inverse P_S, the rest
-        a Q_S with Q_S B = 0 and full row rank, so beta lies in the column
-        span of B exactly when Q_S beta = 0, and then the error values are
-        P_S beta.  c_S is c at the same positions.  Times [alpha; beta] the
-        rows give alpha - c_S P_S beta, the corrected demand, over Q_S beta.
-        T comes from the RREF of [B | I] in the row format.
+        P_S B = I, and Q_S B = 0 with Q_S of full row rank, so beta lies in
+        the column span of B exactly when Q_S beta = 0, and then the error
+        values are P_S beta.  c_S is c at the same positions.  Times
+        [alpha; beta] the rows give alpha - c_S P_S beta, the corrected
+        demand, over Q_S beta.  (P_S, Q_S) depend on B alone and come from
+        ``eliminations``; the first row is this decoder's own.
         """
-        f, fmt, size = self.field, self.field._fmt, len(support)
+        f, fmt = self.field, self.field._fmt
         cols = [self.d + j for j in support]
-        r = len(self.rows) - 1
-        B = tuple(tuple(row[c] for c in cols) for row in self.rows[1:])
-        work, pivots, _ = _rref_transform(Matrix._trusted(f, B, size))
-        if len(pivots) < size:
+        key = tuple(tuple(row[c] for row in self.rows[1:]) for c in cols)
+        shared = self.eliminations.get(key)
+        if shared is None:
+            shared = self.eliminations[key] = _support_elimination(f, key)
+        if not shared:
             return ()
-        T = list(map(fmt.block(size, size + r, size + r), work))
+        P, Q_S = shared
+        r = len(self.rows) - 1
         neg_c = [[f.neg(self.rows[0][c]) for c in cols]]
-        unpack = fmt.unpacker(r)
-        first = (1,) + unpack(fmt.mul(neg_c, T[:size], r)[0])
-        return (first,) + tuple((0,) + unpack(q) for q in T[size:])
+        return ((1,) + fmt.unpacker(r)(fmt.mul(neg_c, P, r)[0]),) + Q_S
+
+
+def _support_elimination(field: Field, cols: tuple) -> tuple:
+    """(P_S, Q_S) for the s columns of Q at a support, given as the s rows
+    of B^T, each r wide; () when they are dependent.
+
+    The RREF of [B^T | I_s], pivots sought in its first r columns, is
+    [R | T] with R = T B^T, and it has s pivots p_l exactly when B has full
+    column rank.  Q_S is the canonical basis of the null space of R, built
+    as :func:`~iccsi.galois.null_space` builds it, as rows: r - s
+    independent rows with Q_S B = 0.  T inverts B^T's columns at the pivots,
+    so P_S, whose row a holds T[l][a] at p_l and zeros elsewhere, has
+    P_S B = I.  P_S comes as rows in the row format, Q_S as the rows
+    (0, q) of a decoder's support rows.
+    """
+    fmt, s, r = field._fmt, len(cols), len(cols[0])
+    width = r + s
+    rows = [fmt.pack(col + unit) for col, unit in zip(cols, _unit_rows(s))]
+    work, pivots, _ = fmt.rref(rows, width, r)
+    if len(pivots) < s:
+        return ()
+    R = list(map(fmt.unpacker(r), map(fmt.block(0, r, width), work)))
+    T = list(map(fmt.unpacker(s), map(fmt.block(r, width, width), work)))
+    P = [[0] * r for _ in range(s)]
+    for p, row in zip(pivots, T):
+        for a, x in enumerate(row):
+            P[a][p] = x
+    Q_S = []
+    for j in sorted(set(range(r)) - set(pivots)):
+        q = [0] * r
+        q[j] = 1
+        for l, p in enumerate(pivots):
+            q[p] = field.neg(R[l][j])
+        Q_S.append((0, *q))
+    return fmt.to_rows(P), tuple(Q_S)
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
     """User i's decoder for the encoder L, built on its demand map of
     L V_S.  Raises ValueError when L does not serve user i."""
-    return _user_decoder(inst, L * inst.V_S, i)
+    lvs = L * inst.V_S
+    return _user_decoder(inst, i, _demand_maps(inst, lvs)[i], lvs.nrows, {})
 
 
-def _user_decoder(inst: IccsiInstance, lvs: Matrix, i: int) -> UserDecoder:
-    """:func:`build_user_decoder` for the encoder whose L V_S is ``lvs``."""
-    rows = _demand_map(inst, i, lvs)
+def _user_decoder(
+    inst: IccsiInstance, i: int, rows: tuple, N: int, eliminations: dict
+) -> UserDecoder:
+    """User i's decoder on its demand map ``rows`` of an L V_S of N rows,
+    reading support eliminations from and into ``eliminations``."""
     if not rows:
         raise ValueError(
             f"user {i}: request not in the span of L V_S; L does not realize the instance"
         )
-    return UserDecoder(inst.field, inst.users[i].d, lvs.nrows, rows)
+    return UserDecoder(inst.field, inst.users[i].d, N, rows, eliminations=eliminations)
 
 
 @dataclass(frozen=True)
@@ -289,16 +331,56 @@ def _payload_width(inst: IccsiInstance, shared: bool) -> int:
     return inst.t if shared else inst.d_S + inst.t
 
 
-def _demand_map(inst: IccsiInstance, i: int, lvs: Matrix) -> tuple:
-    """User i's demand map for one L V_S, which both decoders read.
+def _demand_maps(inst: IccsiInstance, lvs: Matrix) -> list:
+    """Every user's demand map for one L V_S, which both decoders read.
 
-    From the transform T of the RREF of [V^(i); lvs], the row c with
-    c [V^(i); lvs] = R_i over the rows Q of T past the rank, which
-    annihilate [V^(i); lvs]; empty when R_i is outside its row space.
+    User i's map is a row c with c [V^(i); lvs] = R_i over rows Q that
+    annihilate [V^(i); lvs], of full row rank, one per dependency of its
+    rows; each row is d_i + N wide, V^(i)'s part first.  It is empty when
+    R_i is outside the row space of [V^(i); lvs].
+
+    The rows [lvs | 0 | I_N] go into one echelon, which every user shares;
+    user i's rows [V^(i) | I_(d_i) | 0] go into a copy of it.  The transform
+    part, past the first n columns, is D + N wide for the largest d_i, D,
+    and user i's identity takes the last d_i of its first D columns, so
+    its entries D - d_i on are user i's transform.  The rows are
+    independent, as their transform parts are, so each remainder is
+    nonzero; one that is zero in its first n entries is [0 | k] with
+    k [V^(i); lvs] = 0.  Those remainders,
+    the shared ones first, lead at distinct columns: they are Q.  [R_i | 0]
+    reduced against the user's echelon is [0 | -c], or nonzero in its
+    first n entries when R_i is outside the row space (see
+    :func:`_stacked_demand`).  The map is not the canonical RREF transform;
+    the decoders read only c modulo Q and the row space of Q.
     """
-    u = inst.users[i]
-    c, kernel = _solve_left_kernel(vstack(u.V, lvs), u.R)
-    return () if c is None else c + kernel
+    f, fmt, n, N = inst.field, inst.field._fmt, inst.n, lvs.nrows
+    D = max(u.d for u in inst.users)
+    width = n + D + N
+    left, right = fmt.block(0, n, width), fmt.block(n, width, width)
+    zero, join, unpack = fmt.zero(n), fmt.join(D + N), fmt.unpacker(D + N)
+    reduce, insert = fmt.reduce, fmt.insert(width)
+    units = fmt.to_rows(_unit_rows(D + N))
+
+    def extend(basis, kernel, rows, ids):
+        for row, unit in zip(rows, ids):
+            row = reduce(basis, join(fmt.pack(row), unit))
+            if left(row) == zero:
+                kernel.append(unpack(right(row)))
+            basis.append(insert((), row))
+
+    shared, kernel = [], []
+    extend(shared, kernel, lvs.rows, units[D:])
+    maps = []
+    for u in inst.users:
+        basis, Q = list(shared), list(kernel)
+        extend(basis, Q, u.V.rows, units[D - u.d:D])
+        row = reduce(basis, join(fmt.pack(u.R.rows[0]), fmt.zero(D + N)))
+        if left(row) != zero:
+            maps.append(())
+            continue
+        c = unpack(fmt.scale(f.neg(1), right(row)))
+        maps.append(tuple(q[D - u.d:] for q in (c, *Q)))
+    return maps
 
 
 def solve_demand(
@@ -343,7 +425,7 @@ def _stacked_demand(field, basis: list, cache, request, n: int, w: int):
     remainder against the RREF: when R_i = c [V^(i); L V_S] it is
     [0 | -c [lam; Y]] reduced against the rows of the RREF that have their
     pivot in the right block, so its right block is minus the demand:
-    c [lam; Y], for the map c over Q of :func:`_demand_map`, reduced
+    c [lam; Y], for the map c over Q of :func:`_demand_maps`, reduced
     against the RREF of Q [lam; Y], which leaves it as it is when
     Q [lam; Y] = 0.  Otherwise its left block is nonzero.
     """

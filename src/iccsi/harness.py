@@ -51,7 +51,7 @@ from .codec import (
 )
 from .decoders import (
     _decode_rows,
-    _demand_map,
+    _demand_maps,
     _payload_width,
     _stacked_demand,
     _trap_rows,
@@ -84,7 +84,9 @@ class SimConfig:
     ``encoder`` names the source: "coset", "random", or a path to an
     encoder JSON file.  ``error_weight`` is the injected magnitude (nonzero
     rows for Hamming, rank for rank) and may exceed the design ``delta`` to
-    measure failure behavior.  ``trap_pad`` is the rank-mode pad size v.
+    measure failure behavior.  ``trap_pad`` is the rank-mode pad size v,
+    and ``lvs_shared`` whether rank-mode receivers know L V_S; a Hamming
+    run reads neither and refuses any but their defaults.
     """
 
     instance: str
@@ -177,7 +179,8 @@ def run_simulation(
     With ``guarantee`` set the encoder must verify at the design delta
     before any trial runs.  A rank check that would test nothing, for a
     random search or a guarantee, raises ValueError (see
-    :func:`~iccsi.codec.require_rank_testable`).
+    :func:`~iccsi.codec.require_rank_testable`), and so does a Hamming run
+    with a rank-mode ``trap_pad`` or ``lvs_shared`` other than the default.
     """
     t0 = time.perf_counter()
     if cfg.metric not in (HAMMING, RANK):
@@ -186,6 +189,11 @@ def run_simulation(
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.error_weight < 0 or cfg.delta < 0 or cfg.trap_pad < 0:
         raise ValueError("delta, error_weight, and trap_pad must be >= 0")
+    if cfg.metric == HAMMING and (cfg.trap_pad or not cfg.lvs_shared):
+        raise ValueError(
+            f"trap_pad and lvs_shared are rank-mode settings, got trap_pad={cfg.trap_pad} "
+            f"and lvs_shared={cfg.lvs_shared} for a Hamming run"
+        )
     if inst is None:
         inst = load_instance(cfg.instance)
     if cfg.metric == RANK and (cfg.encoder == "random" or cfg.guarantee):
@@ -260,11 +268,19 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
 def _hamming_setup(cfg, inst, enc) -> tuple:
     """The ``error`` and ``decode`` of :func:`_trial_chunk` for Hamming
     trials: each user's syndrome decoder, built once per call, decodes the
-    chunk's systems side by side."""
+    chunk's systems side by side.  The decoders are built from work they
+    share: every demand map from one echelon of L V_S
+    (:func:`~iccsi.decoders._demand_maps`), and one dict of support
+    eliminations, so a support whose columns of Q are the same for several
+    users is eliminated once per call.  Nothing outlives the call."""
     if cfg.error_weight > enc.N:
         raise ValueError("error weight exceeds the code length")
     f, fmt, t = inst.field, inst.field._fmt, inst.t
-    decoders = [_user_decoder(inst, enc.lvs, i) for i in range(inst.m)]
+    eliminations = {}
+    decoders = [
+        _user_decoder(inst, i, rows, enc.N, eliminations)
+        for i, rows in enumerate(_demand_maps(inst, enc.lvs))
+    ]
     # [L V_S | I] times X stacked over the error is Y.
     send = hstack(enc.lvs, Matrix.identity(f, enc.N)).rows
     join = fmt.join(t)
@@ -315,12 +331,14 @@ def _rank_setup(cfg, inst, enc) -> tuple:
 
     Each trial's padded payload is trapped on its own, and its payload Y
     joins the chunk's wide rows.  Each user applies its demand map of the
-    encoder's L V_S, built once per call, to all of them in one product,
-    which decodes the blocks whose trap gave the encoder's L (every trial
-    when L V_S is shared) and whose Q [lam; Y] is zero.  Every other
-    decoded block goes to :func:`~iccsi.decoders._stacked_demand`, against
-    its trial's [L V_S | Y], row-reduced at most once per trial for every
-    user: the trapped L's, or the encoder's when it is that trial's L.
+    encoder's L V_S to all of them in one product; the maps are built once
+    per call, from one echelon of L V_S that the users share
+    (:func:`~iccsi.decoders._demand_maps`).  The product decodes the blocks
+    whose trap gave the encoder's L (every trial when L V_S is shared) and
+    whose Q [lam; Y] is zero.  Every other decoded block goes to
+    :func:`~iccsi.decoders._stacked_demand`, against its trial's
+    [L V_S | Y], row-reduced at most once per trial for every user: the
+    trapped L's, or the encoder's when it is that trial's L.
     """
     f, fmt, n, t, v, N = inst.field, inst.field._fmt, inst.n, inst.t, cfg.trap_pad, enc.N
     ell = _payload_width(inst, cfg.lvs_shared)
@@ -339,7 +357,7 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     own_L, V_S, d_S = fmt.to_rows(rows_of_L), fmt.to_rows(inst.V_S.rows), ell - t
     own_lvs = fmt.to_rows(send)
     L_of, Y_of = fmt.block(0, d_S, ell), fmt.block(d_S, ell, ell)
-    dmaps = [_demand_map(inst, i, enc.lvs) for i in range(inst.m)]
+    dmaps = _demand_maps(inst, enc.lvs)
     join, add, unpack_L = fmt.join(t), fmt.add, fmt.unpacker(d_S)
     zero = fmt.zero(t)
     # Per user, the rows of V^(i) and the row [R_i | 0].

@@ -28,6 +28,7 @@ from iccsi import (
     q_entropy,
     read_frame,
     realizes_ic,
+    run_simulation,
     solve_demand,
     subspace_existence_prob,
     trap_pad,
@@ -111,6 +112,10 @@ CHECKS = [
     (lambda: realizes_ic(Matrix.identity(F3, 2), cycle()), ValueError, "fields differ"),
     (lambda: resolve_encoder(SimConfig("mem", encoder="random", delta=1), two_free_users()),
      ValueError, "random search found no length-4 encoder in 1000 attempts"),
+    (lambda: run_simulation(SimConfig("mem", trap_pad=3)),
+     ValueError, "rank-mode settings, got trap_pad=3 and lvs_shared=True for a Hamming run"),
+    (lambda: run_simulation(SimConfig("mem", lvs_shared=False)),
+     ValueError, "rank-mode settings, got trap_pad=0 and lvs_shared=False for a Hamming run"),
     # bounds
     (lambda: subspace_existence_prob([2], 2, 1, 2),
      ValueError, "w_i must satisfy 0 <= w_i < d_S, got 2"),

@@ -3,8 +3,9 @@
 The command decodes a frame through the public decoders: ``syndrome_decode``
 at v = 0, and ``rank_trap_decode`` then ``solve_demand`` at v > 0.  The
 simulation's rank trials decode the same frame on rows: ``_trap_rows``, the
-payload split into L and Y, then the product with the ``_demand_map`` when
-its rows Q give Q [lam; Y] = 0, and ``_stacked_demand`` otherwise.  Over
+payload split into L and Y, then the product with the user's map of
+``_demand_maps`` when its rows Q give Q [lam; Y] = 0, and
+``_stacked_demand`` otherwise.  Over
 GF(2), GF(3), GF(4), GF(9) and GF(16), for shared and private payloads at
 pads 0-3 and random errors of rank up to the frame's smaller side, with
 encoders that serve the user and some that do not, the exit code and the
@@ -24,7 +25,7 @@ from iccsi.decoders import (
     FLAG_LVS_SHARED,
     SYNDROME_NOT_FOUND,
     TRAP_FAILURE_DETECTED,
-    _demand_map,
+    _demand_maps,
     _stacked_demand,
     _trap_rows,
     trap_pad,
@@ -57,7 +58,7 @@ def row_path(inst, enc, i, received, lam, v, ell, shared):
         L = [f._fmt.unpacker(d_S)(r) for r in map(f._fmt.block(0, d_S, ell), Y)]
         lvs = Matrix(f, L, d_S) * inst.V_S
         Y = list(map(f._fmt.block(d_S, ell, ell), Y))
-    dmap = _demand_map(inst, i, lvs)
+    dmap = _demand_maps(inst, lvs)[i]
     if not dmap:
         # At v = 0 an encoder that does not serve the user is bad input.
         if v == 0:

@@ -864,12 +864,25 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["encode", "--instance", "i.json", "--method", "concat-rs", "--attempts", "5"],
          "--attempts"),
         (["encode", "--instance", "i.json", "--method", "concat-rs", "--seed", "9"], "--seed"),
+        # So is a rank-mode flag given to a Hamming simulation (the default
+        # metric), whatever its value.
+        (["simulate", "--instance", "i.json", "--pad", "3"], "--pad"),
+        (["simulate", "--instance", "i.json", "--metric", "hamming", "--pad", "0"], "--pad"),
+        (["simulate", "--instance", "i.json", "--no-lvs-shared"], "--lvs-shared/--no-lvs-shared"),
+        (["simulate", "--instance", "i.json", "--metric", "hamming", "--lvs-shared"],
+         "--lvs-shared/--no-lvs-shared"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
-    # Of the encode flags only --length is read by a method other than random.
-    method = argv[argv.index("--method") + 1] if "--method" in argv else "random"
-    unused = method != "random" and (method, flag) != ("concat-rs", "--length")
+    # Of the encode flags only --length is read by a method other than
+    # random; of the simulate flags --pad and --lvs-shared only by rank mode.
+    if argv[0] == "simulate":
+        mode = "--metric hamming"
+        unused = flag in ("--pad", "--lvs-shared/--no-lvs-shared") and "-1" not in argv
+    else:
+        method = argv[argv.index("--method") + 1] if "--method" in argv else "random"
+        mode = f"--method {method}"
+        unused = method != "random" and (method, flag) != ("concat-rs", "--length")
     with deadline(10):
         if flag.startswith("q^") or unused:
             assert main(argv) == 2
@@ -885,7 +898,7 @@ def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
         # --q is a field order, refused by value; the others by a lower bound.
         message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
         if unused:
-            message = f"not used by --method {method}"
+            message = f"not used by {mode}"
         assert f"error: argument {flag}: {message}" in err
     assert "Traceback" not in err
 

@@ -181,18 +181,18 @@ def rank_sweep(p, e):
     L V_S, how many trials trap an L other than the encoder's, and how many
     demand maps the calls build.  At rank 0 the fallback must not run."""
     seen = Counter()
-    real_map = harness._demand_map
+    real_maps = harness._demand_maps
     real_echelon, real_stacked = harness._row_echelon, harness._stacked_demand
     # The echelons of [L V_S | Y] built for the encoder's L, by id; kept
     # alive so that no id is reused.
     own_echelons = {}
 
     def map_spy(*args):
-        dmap = real_map(*args)
-        seen["maps"] += 1
-        seen["demand_maps"] += 1
-        seen["not_in_span"] += not dmap
-        return dmap
+        dmaps = real_maps(*args)
+        seen["maps"] += len(dmaps)
+        seen["demand_maps"] += len(dmaps)
+        seen["not_in_span"] += sum(not dmap for dmap in dmaps)
+        return dmaps
 
     # The harness row-reduces [L V_S | Y] once for each trial that traps an
     # L other than the encoder's, and for each trial of the encoder's L
@@ -218,7 +218,7 @@ def rank_sweep(p, e):
         return dem
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_demand_map", map_spy)
+        mp.setattr(harness, "_demand_maps", map_spy)
         mp.setattr(harness, "_row_echelon", echelon_spy)
         mp.setattr(harness, "_stacked_demand", stacked_spy)
         for k, (_, inst, enc) in enumerate(cases(p, e, 41)):
