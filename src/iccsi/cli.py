@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_int_at_least(0), default=0)
     p.add_argument("--metric", choices=(HAMMING, RANK), default=HAMMING)
     p.add_argument(
-        "--length", type=_int_at_least(1),
+        # At most the rows a broadcast frame's 16-bit N field carries.
+        "--length", type=_int_flag(lambda N: 1 <= N <= 0xFFFF, "in [1, 65535]"),
         help="code length, random and concat-rs only (default: shortest)",
     )
     p.add_argument("--seed", type=_int_at_least(0), help="random only (default: 0)")

@@ -13,7 +13,8 @@ Hamming metric the check reduces to the one-symbol-per-row view of the
 instance.  It walks each user's confusables while their number fits the
 budget, and past it decides the user from its demand map: the user passes
 exactly when, on every set S of min(2 delta, N) broadcast positions, the
-map's demand row at S lies in the row space of its annihilator rows at S.
+map's demand row at S lies in the row space of its annihilator rows at S,
+which one reduction in the row format against their echelon decides.
 In the rank metric it ranges over confusables of rank at least
 2 delta + 1, with the message space taken as the full space, and takes one
 rank per user in closed form.
@@ -31,6 +32,7 @@ from .decoders import _demand_maps
 from .galois import (
     Matrix,
     _as_int,
+    _row_echelon,
     _row_weight,
     _span_walk,
     field_of_order,
@@ -322,10 +324,12 @@ def _support_check(
     Q [0; e] = 0 and c [0; e] != 0 (Q spans the left kernel of the stack).
     So user i passes exactly when the map is non-empty and, on every set S
     of min(2 delta, N) positions of the broadcast, c_S lies in the row
-    space of Q_S.  Supports are taken in lexicographic order; at the first
-    failing S, e is the first null-space vector of Q_S with c_S e != 0, and
-    Z is solved from [0; e].  An empty map (L does not serve the user)
-    tests no support, and its witness has L V_S Z = 0 (:func:`_rank_witness`).
+    space of Q_S: c_S reduced against the echelon of Q_S's rows in the row
+    format is zero.  Supports are taken in lexicographic order; at the
+    first failing S, e is the first null-space vector of Q_S with
+    c_S e != 0, and Z is solved from [0; e].  An empty map (L does not
+    serve the user) tests no support, and its witness has L V_S Z = 0
+    (:func:`_rank_witness`).
     """
     u, f, N = inst.users[i], inst.field, lvs.nrows
     if dmap is None:
@@ -334,14 +338,14 @@ def _support_check(
         K = u.kernel
         return 0, _rank_witness(lvs * K, u.R * K, K, 1, 1)
     # The map's rows are d_i + N wide; S runs over the last N columns.
-    width, size = u.d + N, min(2 * delta, N)
-    rows = Matrix._trusted(f, dmap, width)
+    fmt, width, size = f._fmt, u.d + N, min(2 * delta, N)
     for tested, S in enumerate(combinations(range(u.d, width), size), 1):
-        at_S = rows.take_cols(S)
-        xs = null_space(at_S.take_rows(range(1, at_S.nrows)))
-        hits = (at_S.take_rows([0]) * xs).rows[0]
-        first = next((j for j, h in enumerate(hits) if h), None)
-        if first is not None:
+        c, *Q = (fmt.pack(tuple(map(row.__getitem__, S))) for row in dmap)
+        if fmt.reduce(_row_echelon(f, Q, size), c) != fmt.zero(size):
+            at_S = Matrix._trusted(f, dmap, width).take_cols(S)
+            xs = null_space(at_S.take_rows(range(1, at_S.nrows)))
+            hits = (at_S.take_rows([0]) * xs).rows[0]
+            first = next(j for j, h in enumerate(hits) if h)
             e = [0] * width
             for j, x in zip(S, xs.col(first)):
                 e[j] = x
@@ -377,10 +381,14 @@ def _rank_witness(M: Matrix, rk: Matrix, K: Matrix, need: int, t: int) -> Matrix
     units = Matrix.identity(f, k).rows
     if first is None:
         cols.append(next(e for e, r in zip(units, rk.rows[0]) if r))
+    # The columns are independent: a unit vector outside their echelon adds one.
+    basis, insert = _row_echelon(f, f._fmt.to_rows(cols), k), f._fmt.insert(k)
     for e in units:
         if len(cols) == need:
             break
-        if mat_rank(Matrix._trusted(f, (*cols, e), k)) > len(cols):
+        pair = insert(basis, f._fmt.pack(e))
+        if pair is not None:
+            basis.append(pair)
             cols.append(e)
     ct = Matrix._trusted(f, (*cols, *[(0,) * k] * (t - need)), k)
     return K * ct.transpose()

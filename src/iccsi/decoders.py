@@ -41,18 +41,20 @@ import struct
 from dataclasses import dataclass, field as dc_field
 from io import BufferedIOBase
 from itertools import combinations
+from math import comb
 
 from .galois import (
     Field,
     Matrix,
     field_new,
     hstack,
+    _free_kernel,
     _from_rows,
     _row_echelon,
     _unit_rows,
     vstack,
 )
-from .instance import IccsiInstance
+from .instance import DEFAULT_BUDGET, BudgetExceeded, IccsiInstance
 
 SYNDROME_NOT_FOUND = "SyndromeNotFound"
 TRAP_FAILURE_DETECTED = "TrapFailureDetected"
@@ -117,11 +119,12 @@ def _support_elimination(field: Field, cols: tuple) -> tuple:
 
     The RREF of [B^T | I_s], pivots sought in its first r columns, is
     [R | T] with R = T B^T, and it has s pivots p_l exactly when B has full
-    column rank.  Q_S is the canonical basis of the null space of R, built
-    as :func:`~iccsi.galois.null_space` builds it, as rows: r - s
-    independent rows with Q_S B = 0.  T inverts B^T's columns at the pivots,
-    so P_S, whose row a holds T[l][a] at p_l and zeros elsewhere, has
-    P_S B = I.  P_S comes as rows in the row format, Q_S as the rows
+    column rank.  Q_S is the canonical basis of the null space of R, as
+    rows: r - s independent rows with Q_S B = 0, from the free-column loop
+    that :func:`~iccsi.galois.null_space` runs too
+    (:func:`~iccsi.galois._free_kernel`).  T inverts B^T's columns at the
+    pivots, so P_S, whose row a holds T[l][a] at p_l and zeros elsewhere,
+    has P_S B = I.  P_S comes as rows in the row format, Q_S as the rows
     (0, q) of a decoder's support rows.
     """
     fmt, s, r = field._fmt, len(cols), len(cols[0])
@@ -136,14 +139,8 @@ def _support_elimination(field: Field, cols: tuple) -> tuple:
     for p, row in zip(pivots, T):
         for a, x in enumerate(row):
             P[a][p] = x
-    Q_S = []
-    for j in sorted(set(range(r)) - set(pivots)):
-        q = [0] * r
-        q[j] = 1
-        for l, p in enumerate(pivots):
-            q[p] = field.neg(R[l][j])
-        Q_S.append((0, *q))
-    return fmt.to_rows(P), tuple(Q_S)
+    Q_S = tuple((0, *q) for q in _free_kernel(field, R, pivots, r))
+    return fmt.to_rows(P), Q_S
 
 
 def build_user_decoder(inst: IccsiInstance, L: Matrix, i: int) -> UserDecoder:
@@ -190,8 +187,10 @@ def syndrome_decode(
     of at most delta nonzero rows matching beta (supports enumerated by size
     then lexicographically), and reads the demand off the corrected alpha.
     Raises ValueError unless Y has one row per code symbol, lam one per
-    cached symbol and the width of Y, both over the decoder's field.  The
-    work runs on rows, see :func:`_decode_rows`.
+    cached symbol and the width of Y, both over the decoder's field, and
+    :class:`~iccsi.instance.BudgetExceeded` when the search could scan more
+    supports than the budget allows (:func:`_charge_supports`).  The work
+    runs on rows, see :func:`_decode_rows`.
     """
     f, d = ctx.field, ctx.d
     if Y.field != f or lam.field != f:
@@ -201,11 +200,27 @@ def syndrome_decode(
             f"Y is {Y.nrows}x{Y.ncols} and lam {lam.nrows}x{lam.ncols}; expected "
             f"{ctx.N} and {d} rows of equal width"
         )
+    _charge_supports(ctx.N, delta)
     t = Y.ncols
     row, missed = _decode_rows(ctx, f._fmt.to_rows(lam.rows + Y.rows), delta, t, 1)
     if missed:
         return DecodeOutcome(None, SYNDROME_NOT_FOUND)
     return DecodeOutcome(_from_rows(f, (row,), t))
+
+
+def _charge_supports(N: int, delta: int) -> None:
+    """Raise :class:`~iccsi.instance.BudgetExceeded` when the syndrome
+    search's supports, the sum over s = 1, ..., delta of C(N, s), exceed
+    ``DEFAULT_BUDGET``, as :func:`~iccsi.codec.verify_ecic` charges its
+    supports.  The sum stops at the first partial sum past the budget."""
+    count = 0
+    for size in range(1, min(delta, N) + 1):
+        count += comb(N, size)
+        if count > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"syndrome search over errors of at most {delta} of {N} rows: at least "
+                f"{count} supports exceed budget {DEFAULT_BUDGET}"
+            )
 
 
 def _decode_rows(ctx: UserDecoder, right: list, delta: int, t: int, count: int) -> tuple:

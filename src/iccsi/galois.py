@@ -30,11 +30,12 @@ element encodings reproducible across runs.
 Matrices are immutable row-major tuples of tuples over a fixed field.  The
 solvers are canonical: RREF, solve and null space scan columns left to right,
 and underdetermined systems are resolved by setting every free variable to
-zero, so equal inputs always produce identical outputs.  They all run one
-RREF on rows, the row format's ``rref``, and one reduction of a row against
-an echelon basis, its ``reduce``, whose basis pairs its ``insert`` makes, or
-the RREF for its pivot rows; rank, the min-rank search, the realization
-test, the trap decoder and the solves alike.
+zero, so equal inputs always produce identical outputs.  Every rank and
+kernel decision runs one RREF on rows, the row format's ``rref``, or one
+echelon of its ``insert`` pairs, :func:`_row_echelon`, and reduces rows
+against it by its ``reduce``: rank, the solves, the min-rank search, the
+realization test, both certificates, the demand maps and the trap decoder
+alike.  Every null space is read off an RREF by :func:`_free_kernel`.
 
 Hot loops keep their rows in one row format per field, a record of row
 operations (:class:`_RowFormat`) that ``Field`` picks once, as
@@ -1416,66 +1417,59 @@ def null_space(m: Matrix) -> Matrix:
     """Canonical right kernel basis, returned as columns of an ncols x k matrix.
 
     Basis vector for free column j has a 1 in position j, zeros in the other
-    free positions, and pivot entries filled in from the RREF.  ``m * result``
-    is always the zero matrix and the columns are linearly independent.
+    free positions, and pivot entries filled in from the RREF
+    (:func:`_free_kernel`).  ``m * result`` is always the zero matrix and
+    the columns are linearly independent.
     """
     f = m.field
     work, pivots, _ = f._fmt.rref(f._fmt.to_rows(m.rows), m.ncols)
-    piv = set(pivots)
-    free = [j for j in range(m.ncols) if j not in piv]
-    neg = f.neg
     red = _from_rows(f, work[: len(pivots)], m.ncols).rows
-    cols = []
-    for j in free:
-        v = [0] * m.ncols
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = neg(red[i][j])
-        cols.append(v)
+    cols = _free_kernel(f, red, pivots, m.ncols)
     if not cols:
         return Matrix._trusted(f, ((),) * m.ncols, 0)
     return Matrix._trusted(f, tuple(zip(*cols)), len(cols))
+
+
+def _free_kernel(field: Field, red: Sequence[tuple], pivots: Sequence[int], width: int) -> list:
+    """The canonical right kernel basis of a ``width``-column RREF, its
+    nonzero rows ``red`` as entry tuples with pivot columns ``pivots``: per
+    free column j in order, 1 at j, 0 at the other free columns and minus
+    column j of the RREF at the pivots."""
+    neg, out = field.neg, []
+    for j in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[j] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = neg(row[j])
+        out.append(tuple(v))
+    return out
 
 
 def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
     """Canonical solution X of X * a == b, or None when no solution exists.
 
     Free variables are set to zero, so X uses only the pivot rows of ``a``.
-    Solves row by row: each row of ``b`` must lie in the row space of ``a``.
-    Raises ValueError unless ``b`` has ``a.ncols`` columns over the same
-    field.
-    """
-    x, _ = _solve_left_kernel(a, b)
-    return None if x is None else Matrix._trusted(a.field, x, a.nrows)
-
-
-def _solve_left_kernel(a: Matrix, b: Matrix) -> tuple:
-    """(X, K) as rows of entries: X the canonical solution of X a = b, or
-    None when there is none, and K the rows of the transform of the RREF of
-    ``a`` past its rank, which span the left kernel of ``a``.
-
-    One elimination of [a | I] by :func:`_rref_transform` gives both.  A
-    row [b_row | 0] reduced against its pivot pairs, which span the pivot
-    rows [rref | transform], leaves [0 | -x] with x a = b_row, or a
-    nonzero left part.  Raises ValueError unless ``b`` has ``a.ncols``
-    columns over the same field.
+    Solves row by row against one elimination of [a | I] by
+    :func:`_rref_transform`: a row [b_row | 0] reduced against its pivot
+    pairs, which span the pivot rows [rref | transform], leaves [0 | -x]
+    with x a = b_row, or a nonzero left part when b_row is outside the row
+    space of ``a``.  Raises ValueError unless ``b`` has ``a.ncols`` columns
+    over the same field.
     """
     f, c, k = a.field, a.ncols, a.nrows
     if b.field != f or b.ncols != c:
         raise ValueError("solve_left shape or field mismatch")
-    work, pivots, basis = _rref_transform(a)
+    basis = _rref_transform(a)[2]
     fmt, width = f._fmt, c + k
     left, right = fmt.block(0, c, width), fmt.block(c, width, width)
     zero, minus = fmt.zero(c), f.neg(1)
-    x: list | None = []
+    x = []
     for row in map(fmt.join(k), fmt.to_rows(b.rows), itertools.repeat(fmt.zero(k))):
         row = fmt.reduce(basis, row)
         if left(row) != zero:
-            x = None
-            break
+            return None
         x.append(fmt.scale(minus, right(row)))
-    kernel = _from_rows(f, map(right, work[len(pivots):]), k).rows
-    return (None if x is None else _from_rows(f, x, k).rows), kernel
+    return _from_rows(f, x, k)
 
 
 def row_space_contains(a: Matrix, v: Matrix) -> bool:

@@ -50,6 +50,7 @@ from .codec import (
     verify_ecic,
 )
 from .decoders import (
+    _charge_supports,
     _decode_rows,
     _demand_maps,
     _payload_width,
@@ -272,9 +273,13 @@ def _hamming_setup(cfg, inst, enc) -> tuple:
     share: every demand map from one echelon of L V_S
     (:func:`~iccsi.decoders._demand_maps`), and one dict of support
     eliminations, so a support whose columns of Q are the same for several
-    users is eliminated once per call.  Nothing outlives the call."""
+    users is eliminated once per call.  Nothing outlives the call.  A
+    support search past the budget raises
+    :class:`~iccsi.instance.BudgetExceeded` before any trial, as
+    :func:`~iccsi.decoders.syndrome_decode` does."""
     if cfg.error_weight > enc.N:
         raise ValueError("error weight exceeds the code length")
+    _charge_supports(enc.N, cfg.delta)
     f, fmt, t = inst.field, inst.field._fmt, inst.t
     eliminations = {}
     decoders = [

@@ -23,6 +23,7 @@ from typing import Iterator
 from .galois import (
     Matrix,
     _from_rows,
+    _row_echelon,
     iter_vectors,
     row_basis,
     solve_left,
@@ -57,22 +58,18 @@ def _realization_check(inst: IccsiInstance):
 
     Each user's echelon pairs of V^(i), its R_i row and the V_S rows are
     the instance's cached ``_realization_rows``.  A call forms L V_S by
-    one product and, per user, inserts its rows into a copy of the
-    user's pairs; R_i is realized when its insert returns None.
+    one product and, per user, extends the user's pairs by its rows
+    (:func:`~iccsi.galois._row_echelon`); R_i is realized when its insert
+    returns None.
     """
-    fmt, n = inst.field._fmt, inst.n
-    insert = fmt.insert(n)
+    f, n = inst.field, inst.n
+    insert = f._fmt.insert(n)
     vs, users = inst._realization_rows
 
     def flags(L_rows) -> Iterator[bool]:
-        lvs = fmt.mul(L_rows, vs, n)
+        lvs = f._fmt.mul(L_rows, vs, n)
         for pairs, r in users:
-            basis = list(pairs)
-            for row in lvs:
-                pair = insert(basis, row)
-                if pair is not None:
-                    basis.append(pair)
-            yield insert(basis, r) is None
+            yield insert(_row_echelon(f, lvs, n, pairs), r) is None
 
     return flags
 
@@ -160,12 +157,8 @@ def min_rank(
         None) for u = free[j], built once per span P."""
         got = memo.get(j)
         if got is None:
-            basis = list(pairs)
             r, *w = inst._coset_rows[free[j]]
-            for row in w:
-                pair = insert(basis, row)
-                if pair is not None:
-                    basis.append(pair)
+            basis = _row_echelon(f, w, n, pairs)
             got = memo[j] = (basis[len(pairs):], insert(basis, r))
         return got
 

@@ -15,6 +15,7 @@ from iccsi import (
     make_encoder,
     make_instance,
     parse_instance,
+    random_ic_search,
     run_simulation,
     save_encoder,
     save_instance,
@@ -453,6 +454,33 @@ def test_cli_decode_delta0_encoder_not_serving_user_exits_2(inst_file, tmp_path,
     assert "does not realize" in capsys.readouterr().err
 
 
+def test_cli_syndrome_search_past_budget_exits_4(tmp_path, capsys):
+    # An N = 100 encoder of the 3-user GF(3) cycle at delta 5: the syndrome
+    # search would scan C(100, 1) + ... + C(100, 5) = 79,375,495 supports,
+    # hours for an error that none matches.  decode and simulate refuse it
+    # (exit 4) before the scan, as they refuse any search past the budget.
+    f = field_new(3, 1)
+    eye = ident(3)
+    inst = make_instance(f, 1, 3, eye, [([eye[i]], eye[(i + 1) % 3]) for i in range(3)])
+    inst_path, enc_path = tmp_path / "cycle.json", tmp_path / "enc.json"
+    save_instance(inst, inst_path)
+    enc = random_ic_search(inst, 100, seed=0).encoder
+    save_encoder(enc, enc_path)
+    X = Matrix.column_vector(f, (1, 2, 0))
+    error = Matrix.column_vector(f, [1] * 6 + [0] * 94)
+    frame, side = tmp_path / "y.bin", tmp_path / "side.json"
+    with open(frame, "wb") as fh:
+        write_frame(fh, enc.lvs * X + error, v=0, ell=1)
+    side.write_text(json.dumps([list(r) for r in (inst.users[0].V * X).rows]))
+    common = ["--instance", str(inst_path), "--encoder", str(enc_path), "--delta", "5"]
+    with deadline(10):
+        assert main(["decode", "--frame", str(frame), "--user", "0", "--side", str(side),
+                     *common]) == 4
+        assert main(["simulate", *common, "--error-weight", "6", "--trials", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("supports exceed budget 4194304") == 2 and "Traceback" not in err
+
+
 def test_cli_decode_rejects_trailing_bytes(inst_file, tmp_path, capsys, syn_inst):
     # A frame file holds one frame; one more byte after it is malformed input.
     enc_path = tmp_path / "enc.json"
@@ -871,6 +899,14 @@ def test_cli_malformed_file_exits_2(kind, doc, inst_file, tmp_path, capsys):
         (["simulate", "--instance", "i.json", "--no-lvs-shared"], "--lvs-shared/--no-lvs-shared"),
         (["simulate", "--instance", "i.json", "--metric", "hamming", "--lvs-shared"],
          "--lvs-shared/--no-lvs-shared"),
+        # Lengths above the 65,535 rows a frame's N field carries: 10^12
+        # asked numpy for N d_S random entries and died with a traceback.
+        (["encode", "--instance", "i.json", "--method", "random", "--length", "65536"],
+         "--length"),
+        (["encode", "--instance", "i.json", "--method", "random", "--length", "1000000000000"],
+         "--length"),
+        (["encode", "--instance", "i.json", "--method", "concat-rs", "--length", "65536"],
+         "--length"),
     ],
 )
 def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
@@ -895,8 +931,12 @@ def test_cli_out_of_range_flag_exits_2(argv, flag, capsys):
         # Refused by the bound itself, before any exact power is built.
         assert f"error: {flag} = " in err and "-bit cap on exact powers" in err
     else:
-        # --q is a field order, refused by value; the others by a lower bound.
-        message = "must be a prime power in [2, 65536]" if flag == "--q" else "must be >= "
+        # --q is a field order and --length a frame's code length, refused
+        # by range; the others by a lower bound.
+        message = {
+            "--q": "must be a prime power in [2, 65536]",
+            "--length": "must be in [1, 65535]",
+        }.get(flag, "must be >= ")
         if unused:
             message = f"not used by {mode}"
         assert f"error: argument {flag}: {message}" in err
