@@ -62,10 +62,10 @@ The confusable walk and its reader, ``alpha``, ``min_rank``, the syndrome
 decoder, the rank-trap decoder, the demand solve and both kinds of trial
 call the record's methods and hold one body for every field; a new format
 is one new record.  What is the same in every format is one function over
-the record: :func:`_from_rows`, :func:`_rows_of_blocks`,
-:func:`_row_weight`, :func:`_row_block_bits`, :func:`_row_echelon`,
-:func:`_row_rank` and :func:`_span_walk`, the Gray-code walk of the
-confusable sets and of an outer code's codewords.  Two methods and
+the record: :func:`_from_rows`, :func:`_row_weight`,
+:func:`_row_block_bits`, :func:`_row_echelon`, :func:`_row_rank` and
+:func:`_span_walk`, the Gray-code walk of the confusable sets and of an
+outer code's codewords.  Two methods and
 :func:`_row_block_bits` read a row as blocks of equal size, which the
 trials use to run side by side in one wide row: ``nonzero_blocks``
 gives the mask of the nonzero blocks (on lanes a nonzero-lane test on
@@ -619,247 +619,6 @@ def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
-# Raw 64-bit words a :class:`_Draws` stream reads at a time, 64 draws below
-# 2**32: for most instances one read holds a trial's X and its error.
-_DRAW_WORDS = 32
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool size, the
-# first constant and multiplier of the hash constants of the pool and of the
-# state it hands out, and mix's two multipliers.
-_POOL_SIZE = 4
-_POOL_HASH = (0x43B0D7E5, 0x931E8875)
-_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
-_MIX_MULT = (0xCA01F9DD, 0x4973F715)
-_MASK_32 = (1 << 32) - 1
-
-
-def _seed_words(n: int) -> list[int]:
-    """numpy's coercion of a seed int to 32-bit words: low word first, 0 as
-    one word, and a negative int refused as numpy refuses it."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK_32]
-    while n > _MASK_32:
-        n >>= 32
-        words.append(n & _MASK_32)
-    return words
-
-
-def _lanes(values) -> int:
-    """The int whose 64-bit lane j, bits [64 j, 64 j + 64), holds
-    ``values[j]``, each below 2**64."""
-    import numpy as np
-
-    return int.from_bytes(np.asarray(values, dtype="<u8").tobytes(), "little")
-
-
-@functools.cache
-def _seed_hash_steps(nwords: int) -> tuple:
-    """The hash steps of :func:`_seed_hash` for ``nwords`` entropy words, in
-    numpy's order: (xor, multiply) for the pool's first hash of each of its
-    4 words; (source, destination, xor, multiply) for each mixing step, a
-    source past the pool being that entropy word; and (xor, multiply) for
-    each of the 8 hashes of the state.  Each hash xors the current constant
-    of its sequence and multiplies by the next."""
-
-    def pairs(init: int, mult: int, count: int) -> list:
-        consts = [init]
-        for _ in range(count):
-            consts.append(consts[-1] * mult & _MASK_32)
-        return list(zip(consts, consts[1:]))
-
-    moves = [(s, d) for s in range(_POOL_SIZE) for d in range(_POOL_SIZE) if s != d]
-    moves += [(s, d) for s in range(_POOL_SIZE, nwords) for d in range(_POOL_SIZE)]
-    pool = pairs(*_POOL_HASH, _POOL_SIZE + len(moves))
-    mixing = [move + pair for move, pair in zip(moves, pool[_POOL_SIZE:])]
-    return pool[:_POOL_SIZE], mixing, pairs(*_STATE_HASH, 2 * _POOL_SIZE)
-
-
-def _seed_hash(entropy: Sequence[int], ones: int) -> list[int]:
-    """``SeedSequence(words).generate_state(4, np.uint64)`` for k entropies
-    at once, held in the 64-bit lanes of ints (see :func:`_lanes`): lane j
-    of ``entropy[w]`` is word w of entropy j, lane j of output word i is
-    word i of its state, and ``ones`` holds 1 in each of the k lanes (for
-    one entropy, the ints are the words and ``ones`` is 1).
-
-    numpy hashes each entropy word into a pool of 4 (zeros past the
-    entropy), mixes the hash of every pool word into the others, mixes in
-    the words past the pool, and hashes the pool out twice, 8 words of 32
-    bits.  A lane's 32-bit value times a 32-bit constant stays in its lane,
-    so every step is a few int operations for all k lanes; mix adds the
-    negation of its subtrahend mod 2**32, so no lane borrows from the next.
-    """
-    low = _MASK_32 * ones
-    left, right = _MIX_MULT[0], -_MIX_MULT[1] & _MASK_32
-    first, mixing, state = _seed_hash_steps(len(entropy))
-    # The pool, then the entropy words past it.
-    regs = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
-    for i, (xor, mult) in enumerate(first):
-        x = (regs[i] ^ xor * ones) * mult & low
-        regs[i] = x ^ x >> 16 & low
-    for src, dst, xor, mult in mixing:
-        y = (regs[src] ^ xor * ones) * mult & low
-        y ^= y >> 16 & low
-        x = (left * regs[dst] & low) + (right * y & low) & low
-        regs[dst] = x ^ x >> 16 & low
-    out = []
-    for i, (xor, mult) in enumerate(state):
-        x = (regs[i % _POOL_SIZE] ^ xor * ones) * mult & low
-        out.append(x ^ x >> 16 & low)
-    # numpy views the 32-bit words little-endian as 64-bit ones.
-    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
-
-
-def _seed_states(seed: int, trials: range) -> Iterator:
-    """``SeedSequence([seed, trial]).generate_state(4, np.uint64)`` for each
-    trial of ``trials`` (step 1), each a native uint64 array: the words
-    ``default_rng([seed, trial])`` seeds its PCG64 from.
-
-    The entropy is the words of seed then of trial.  Trials are hashed in
-    groups that share every trial word but the lowest, whose lanes then
-    count up from the group's first trial.
-    """
-    import numpy as np
-
-    head = _seed_words(seed)
-    start = trials.start
-    while start < trials.stop:
-        stop = min(trials.stop, ((start >> 32) + 1) << 32)
-        k = stop - start
-        # 1 in each of the k lanes: 2**(64 k) = (2**64 - 1) ones + 1.
-        ones = (1 << 64 * k) // ((1 << 64) - 1)
-        entropy = [w * ones for w in head + _seed_words(start)]
-        base = start & _MASK_32
-        entropy[len(head)] = _lanes(np.arange(base, base + k, dtype=np.uint64))
-        raw = b"".join(w.to_bytes(8 * k, "little") for w in _seed_hash(entropy, ones))
-        yield from np.frombuffer(raw, "<u8").reshape(4, k).T.astype(np.uint64, order="C")
-        start = stop
-
-
-@functools.cache
-def _pcg64_from_state():
-    """The function that makes a ``np.random.PCG64`` from the 4 words, a
-    native uint64 array, that a ``SeedSequence`` would hand it.
-
-    They reach PCG64 through numpy's ``ISeedSequence`` interface, so numpy's
-    own ``pcg64_set_seed`` turns them into (state, inc), and a generator
-    costs about 1 µs, a tenth of seeding one from an int.
-    """
-    import numpy as np
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Hashed(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("only PCG64's 4 uint64 words are precomputed")
-            return self.words
-
-    return lambda words: np.random.PCG64(Hashed(words))
-
-
-def _stream_halves(seed: int, trials: range) -> list:
-    """For each trial of ``trials``, the 32-bit stream of
-    ``default_rng([seed, trial])``: the iterator of the low then the high
-    half of each raw PCG64 word, read ``_DRAW_WORDS`` words at a time.
-
-    Every stream has its own PCG64, so streams may be read in any
-    interleaving.
-    """
-    pcg64 = _pcg64_from_state()
-
-    def stream(words):
-        raw = pcg64(words).random_raw
-
-        def block() -> list:
-            return raw(_DRAW_WORDS).astype("<u8", copy=False).view("<u4").tolist()
-
-        return itertools.chain.from_iterable(iter(block, None))
-
-    return list(map(stream, _seed_states(seed, trials)))
-
-
-class _Draws:
-    """The draws of ``numpy.random.default_rng([seed, trial])``, read off
-    its raw PCG64 words as Python ints.
-
-    :meth:`chunk` seeds the streams of a range of trials at once: numpy's
-    ``SeedSequence`` hash of [seed, trial] redone for all of them (see
-    :func:`_seed_states`), each trial's words handed to a PCG64 of its own.
-    A single stream is a chunk of one.  The Generator's bounded integers
-    below 2**32 read the bit generator's 32-bit stream, the low then the
-    high half of each 64-bit word, a half left over by one call going to
-    the next; :meth:`integers` and :meth:`choice` return what
-    ``integers(0, q, size=k)`` and ``choice(n, size=k, replace=False)``
-    return when called in the same order (the tests pin this).  Words are
-    read ``_DRAW_WORDS`` at a time, ahead of use (see
-    :func:`_stream_halves`); nothing else draws from the bit generator, so
-    that changes no value.
-    """
-
-    __slots__ = ("_halves",)
-
-    def __init__(self, halves: Iterator[int]):
-        self._halves = halves
-
-    @classmethod
-    def chunk(cls, seed: int, trials: range) -> list["_Draws"]:
-        """The streams of every trial of ``trials`` (step 1), seeded at once."""
-        return list(map(cls, _stream_halves(seed, trials)))
-
-    def integers(self, q: int, k: int) -> list[int]:
-        """``integers(0, q, size=k)`` for 2 <= q <= 2**32, by Lemire's
-        method (see :meth:`_below`)."""
-        if not q & (q - 1):
-            # 2**32 mod q is 0, so no redraw; (u q) >> 32 is the top bits.
-            shift = 33 - q.bit_length()
-            return [u >> shift for u in itertools.islice(self._halves, k)]
-        below = self._below
-        return [below(q) for _ in range(k)]
-
-    def rows(self, q: int, nrows: int, ncols: int) -> list[tuple[int, ...]]:
-        """``integers(0, q, size=(nrows, ncols))`` as entry rows, ncols >= 1:
-        numpy fills a shaped draw in row-major order."""
-        return list(zip(*[iter(self.integers(q, nrows * ncols))] * ncols))
-
-    def choice(self, n: int, k: int) -> list[int]:
-        """``choice(n, size=k, replace=False)`` for 0 <= k <= n <= 2**32."""
-        below = self._below
-        if n > 10_000 and k > n // 50:
-            # numpy's tail shuffle: Fisher-Yates over range(n), down to the
-            # first of the last k places, which it returns.
-            pool = list(range(n))
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = below(i + 1)
-                pool[i], pool[j] = pool[j], pool[i]
-            return pool[n - k:]
-        # Floyd's algorithm (no draw on [0, 0]; a repeat takes j itself),
-        # then numpy's Fisher-Yates shuffle of the picks.
-        picks: list[int] = []
-        seen = set()
-        for j in range(n - k, n):
-            x = below(j + 1) if j else 0
-            if x in seen:
-                x = j
-            seen.add(x)
-            picks.append(x)
-        for i in range(k - 1, 0, -1):
-            j = below(i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
-
-    def _below(self, q: int) -> int:
-        """One ``integers(0, q)`` for 2 <= q <= 2**32: (u q) >> 32, with u
-        redrawn while (u q) mod 2**32 < 2**32 mod q."""
-        halves, floor = self._halves, (1 << 32) % q
-        m = next(halves) * q
-        while m & 0xFFFFFFFF < floor:
-            m = next(halves) * q
-        return m >> 32
-
-
 def vstack(*mats: Matrix) -> Matrix:
     field = mats[0].field
     ncols = mats[0].ncols
@@ -965,8 +724,8 @@ class _RowFormat:
     ``^``.  ``nonzero_blocks(size, count)`` gives the mask of a row's
     nonzero blocks and ``keep_blocks(size, count)`` the function
     (row, mask) -> the row with the blocks outside the mask zeroed.
-    ``from_flat(entries, width)`` reads a list of entries as rows of
-    ``width``.
+    ``from_flat(entries, width)`` reads a 1-D numpy integer array of
+    entries as rows of ``width``.
     """
 
     def to_rows(self, rows: Iterable[Sequence[int]]) -> list:
@@ -1004,7 +763,8 @@ class _TupleRows(_RowFormat):
     def with_identity(self, rows: list) -> list:
         return list(map(operator.add, rows, _unit_rows(len(rows))))
 
-    def from_flat(self, entries: list, width: int) -> list:
+    def from_flat(self, entries, width: int) -> list:
+        entries = entries.tolist()
         return [tuple(entries[s:s + width]) for s in range(0, len(entries), width)]
 
     def block_stride(self, size: int) -> int:
@@ -1178,10 +938,11 @@ class _LaneRows(_RowFormat):
         e, n = self.e, len(rows)
         return [x << e * n | 1 << e * i for i, x in zip(range(n - 1, -1, -1), rows)]
 
-    def from_flat(self, entries: list, width: int) -> list:
+    def from_flat(self, entries, width: int) -> list:
         # A row is its entries read as the digits of an int in base q,
         # entry 0 the most significant.
-        digits, q = bytes(entries).translate(self._DIGITS), self.mask + 1
+        digits = entries.astype("u1").tobytes().translate(self._DIGITS)
+        q = self.mask + 1
         return [int(digits[s:s + width], q) for s in range(0, len(digits), width)]
 
     def block_stride(self, size: int) -> int:
@@ -1353,23 +1114,6 @@ class _BitRows(_LaneRows):
 def _from_rows(field: Field, rows: Iterable, ncols: int) -> Matrix:
     """The ``Matrix`` of ``ncols``-wide rows in the row format."""
     return Matrix._trusted(field, tuple(map(field._fmt.unpacker(ncols), rows)), ncols)
-
-
-def _rows_of_blocks(field: Field, flats: Sequence[Sequence[int]], nrows: int, ncols: int) -> list:
-    """The ``nrows`` rows in the row format whose block k, entries
-    [k ncols, (k + 1) ncols), is row r of the nrows x ncols matrix that
-    ``flats[k]`` lists row-major, as a shaped draw gives it; ncols >= 1.
-
-    One extended-slice assignment per entry position of a block moves that
-    entry of every block into place.
-    """
-    size, width = nrows * ncols, ncols * len(flats)
-    entries = list(itertools.chain.from_iterable(flats))
-    out = [0] * (nrows * width)
-    for r in range(nrows):
-        for c in range(ncols):
-            out[r * width + c:(r + 1) * width:ncols] = entries[r * ncols + c::size]
-    return field._fmt.from_flat(out, width)
 
 
 def _row_weight(field: Field, start: int, stop: int, width: int):

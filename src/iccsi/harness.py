@@ -8,17 +8,20 @@ detected failures, and silently wrong answers.
 Every trial derives its own random stream from (seed, trial index), so
 reports are bit-identical across runs and independent of evaluation order;
 ``SimReport.stable_json`` excludes the wall time for that comparison.  The
-stream is numpy's ``default_rng([seed, trial])``: ``galois._Draws.chunk``
-redoes numpy's ``SeedSequence`` hash for a chunk of trials at once, seeds
-each trial's PCG64 from it, and reads the Generator's ``integers`` and
-``choice`` off its raw words, so a trial draws the values a Generator would
+stream is numpy's ``default_rng([seed, trial])``, and this module, its one
+reader, holds it (the trial streams at the end): :func:`_seed_states`
+redoes numpy's ``SeedSequence`` hash for a chunk of trials at once and
+seeds each trial's PCG64 from it, :func:`_draw_chunk` draws every trial's X
+from the chunk's raw words in one numpy pass (for q a power of two), and
+:class:`_Draws` reads the Generator's ``integers`` and ``choice`` off the
+rest of each trial's words, so a trial draws the values a Generator would
 without numpy's per-trial seeding and per-call overhead.
 
-Trials run in chunks of at most ``_TRIAL_CHUNK``, each seeded at once, and
+Trials run in chunks of at most ``_TRIAL_CHUNK``, each drawn at once, and
 both metrics run a chunk through one step, :func:`_trial_chunk`: trial k of
 a chunk holds entries [k t, (k+1) t) of every row (the galois row format),
-so the chunk's X comes from its trials' flat draws in one row helper, one
-product gives every user's cache and demand, and the tally compares the
+so the chunk's X is one array of draws packed into rows (:func:`_chunk_X`),
+one product gives every user's cache and demand, and the tally compares the
 decoded demands block by block; every trial still draws X and then its
 error from its own stream.  Hamming trials share each user's syndrome
 search.  Rank trials trap each payload on its own and decode their demands
@@ -32,11 +35,15 @@ and, for every other decoded block, the demand solve of
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
 import time
 from dataclasses import asdict, dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .bounds import singleton_lb
 from .codec import (
@@ -58,16 +65,7 @@ from .decoders import (
     _trap_rows,
     _user_decoder,
 )
-from .galois import (
-    Matrix,
-    _Draws,
-    _row_block_bits,
-    _row_echelon,
-    _row_rank,
-    _rows_of_blocks,
-    hstack,
-    vstack,
-)
+from .galois import Matrix, _row_block_bits, _row_echelon, _row_rank, hstack, vstack
 from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
 
@@ -245,12 +243,9 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
     :class:`~iccsi.galois._RowFormat`); a block outside the mask
     succeeds when it equals R_i X.
     """
-    f, fmt, n, t, count = inst.field, inst.field._fmt, inst.n, inst.t, len(trials)
-    flats, errors = [], []
-    for draws in _Draws.chunk(seed, trials):
-        flats.append(draws.integers(f.q, n * t))
-        errors.append(error(draws))
-    X = _rows_of_blocks(f, flats, n, t)
+    f, fmt, t, count = inst.field, inst.field._fmt, inst.t, len(trials)
+    X, streams = _chunk_X(f, seed, trials, inst.n, t)
+    errors = list(map(error, streams))
     known = fmt.mul(recv, X, t * count)
     caches, wants, start = [], [], 0
     for u in inst.users:
@@ -264,6 +259,16 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
         row[0] += count - missed - wrong
         row[1] += missed
         row[2] += wrong
+
+
+def _chunk_X(field, seed: int, trials: range, n: int, t: int) -> tuple:
+    """The X of the chunk ``trials`` and each trial's stream after it: the
+    ``n`` rows in the row format whose block k, entries [k t, (k + 1) t),
+    is row r of trial k's ``integers(0, q, size=(n, t))``, which numpy
+    fills in row-major order."""
+    values, streams = _draw_chunk(seed, trials, field.q, n * t)
+    entries = values.reshape(len(trials), n, t).transpose(1, 0, 2).ravel()
+    return field._fmt.from_flat(entries, t * len(trials)), streams
 
 
 def _hamming_setup(cfg, inst, enc) -> tuple:
@@ -422,3 +427,265 @@ def _rank_setup(cfg, inst, enc) -> tuple:
             yield demand, user_missed
 
     return error, decode
+
+
+# -- trial streams -------------------------------------------------------
+
+# Raw 64-bit words read ahead for each trial of a chunk, and then at a time
+# by a stream that runs past them: 64 draws below 2**32, for most instances
+# a trial's X and its error.
+_DRAW_WORDS = 32
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool size, the
+# first constant and multiplier of the hash constants of the pool and of the
+# state it hands out, and mix's two multipliers.
+_POOL_SIZE = 4
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT = (0xCA01F9DD, 0x4973F715)
+_MASK_32 = (1 << 32) - 1
+
+
+def _seed_words(n: int) -> list[int]:
+    """numpy's coercion of a seed int to 32-bit words: low word first, 0 as
+    one word, and a negative int refused as numpy refuses it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK_32]
+    while n > _MASK_32:
+        n >>= 32
+        words.append(n & _MASK_32)
+    return words
+
+
+def _u64_int(values) -> int:
+    """The int whose 64-bit lane j, bits [64 j, 64 j + 64), holds
+    ``values[j]``, each below 2**64."""
+    return int.from_bytes(np.asarray(values, dtype="<u8").tobytes(), "little")
+
+
+@functools.cache
+def _seed_hash_steps(nwords: int) -> tuple:
+    """The hash steps of :func:`_seed_hash` for ``nwords`` entropy words, in
+    numpy's order: (xor, multiply) for the pool's first hash of each of its
+    4 words; (source, destination, xor, multiply) for each mixing step, a
+    source past the pool being that entropy word; and (xor, multiply) for
+    each of the 8 hashes of the state.  Each hash xors the current constant
+    of its sequence and multiplies by the next."""
+
+    def pairs(init: int, mult: int, count: int) -> list:
+        consts = [init]
+        for _ in range(count):
+            consts.append(consts[-1] * mult & _MASK_32)
+        return list(zip(consts, consts[1:]))
+
+    moves = [(s, d) for s in range(_POOL_SIZE) for d in range(_POOL_SIZE) if s != d]
+    moves += [(s, d) for s in range(_POOL_SIZE, nwords) for d in range(_POOL_SIZE)]
+    pool = pairs(*_POOL_HASH, _POOL_SIZE + len(moves))
+    mixing = [move + pair for move, pair in zip(moves, pool[_POOL_SIZE:])]
+    return pool[:_POOL_SIZE], mixing, pairs(*_STATE_HASH, 2 * _POOL_SIZE)
+
+
+def _seed_hash(entropy: Sequence[int], ones: int) -> list[int]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for k entropies
+    at once, held in the 64-bit lanes of ints (see :func:`_u64_int`): lane
+    j of ``entropy[w]`` is word w of entropy j, lane j of output word i is
+    word i of its state, and ``ones`` holds 1 in each of the k lanes (for
+    one entropy, the ints are the words and ``ones`` is 1).
+
+    numpy hashes each entropy word into a pool of 4 (zeros past the
+    entropy), mixes the hash of every pool word into the others, mixes in
+    the words past the pool, and hashes the pool out twice, 8 words of 32
+    bits.  A lane's 32-bit value times a 32-bit constant stays in its lane,
+    so every step is a few int operations for all k lanes; mix adds the
+    negation of its subtrahend mod 2**32, so no lane borrows from the next.
+    """
+    low = _MASK_32 * ones
+    left, right = _MIX_MULT[0], -_MIX_MULT[1] & _MASK_32
+    first, mixing, state = _seed_hash_steps(len(entropy))
+    # The pool, then the entropy words past it.
+    regs = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    for i, (xor, mult) in enumerate(first):
+        x = (regs[i] ^ xor * ones) * mult & low
+        regs[i] = x ^ x >> 16 & low
+    for src, dst, xor, mult in mixing:
+        y = (regs[src] ^ xor * ones) * mult & low
+        y ^= y >> 16 & low
+        x = (left * regs[dst] & low) + (right * y & low) & low
+        regs[dst] = x ^ x >> 16 & low
+    out = []
+    for i, (xor, mult) in enumerate(state):
+        x = (regs[i % _POOL_SIZE] ^ xor * ones) * mult & low
+        out.append(x ^ x >> 16 & low)
+    # numpy views the 32-bit words little-endian as 64-bit ones.
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _seed_states(seed: int, trials: range) -> np.ndarray:
+    """``SeedSequence([seed, trial]).generate_state(4, np.uint64)`` for each
+    trial of ``trials`` (step 1), the rows of one C-contiguous (k, 4)
+    uint64 array: the words ``default_rng([seed, trial])`` seeds its PCG64
+    from.
+
+    The entropy is the words of seed then of trial.  Trials are hashed in
+    groups that share every trial word but the lowest, whose lanes then
+    count up from the group's first trial.
+    """
+    head = _seed_words(seed)
+    start, groups = trials.start, []
+    while start < trials.stop:
+        stop = min(trials.stop, ((start >> 32) + 1) << 32)
+        k = stop - start
+        # 1 in each of the k lanes: 2**(64 k) = (2**64 - 1) ones + 1.
+        ones = (1 << 64 * k) // ((1 << 64) - 1)
+        entropy = [w * ones for w in head + _seed_words(start)]
+        base = start & _MASK_32
+        entropy[len(head)] = _u64_int(np.arange(base, base + k, dtype=np.uint64))
+        raw = b"".join(w.to_bytes(8 * k, "little") for w in _seed_hash(entropy, ones))
+        groups.append(np.frombuffer(raw, "<u8").reshape(4, k))
+        start = stop
+    return np.concatenate(groups, axis=1).T.astype(np.uint64, order="C")
+
+
+@functools.cache
+def _pcg64_from_state():
+    """The function that makes a ``np.random.PCG64`` from each row of a
+    (k, 4) uint64 array, the words a ``SeedSequence`` would hand it.
+
+    They reach PCG64 through numpy's ``ISeedSequence`` interface, so numpy's
+    own ``pcg64_set_seed`` turns them into (state, inc), and a generator
+    costs about 1 µs, a tenth of seeding one from an int.  numpy reads the
+    words through a raw pointer, as if C-contiguous, so a strided array (a
+    row of a transposed one, say) is copied into C order first: read in
+    place, it would seed every generator from the wrong words.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Hashed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's 4 uint64 words are precomputed")
+            return self.words
+
+    def pcg64s(states) -> list:
+        rows = np.ascontiguousarray(states, dtype=np.uint64)
+        return [np.random.PCG64(Hashed(words)) for words in rows]
+
+    return pcg64s
+
+
+def _draw_chunk(seed: int, trials: range, q: int, size: int) -> tuple:
+    """For every trial of ``trials`` (step 1), ``integers(0, q, size=size)``
+    of ``numpy.random.default_rng([seed, trial])``, 2 <= q <= 2**32, as one
+    row of a (k, size) int64 array, and the trial's :class:`_Draws` stream
+    after them.
+
+    Each trial's PCG64 fills one row of a (k, ``_DRAW_WORDS``) raw-word
+    array, read as its 32-bit halves, low first.  For q a power of two a
+    value is the top bits of a half (see :meth:`_Draws.integers`), so every
+    row's first values come from it in one shift.  A stream reads its row's
+    halves past those, then its own PCG64, and draws whatever values its
+    row did not give: all of them for any other q, whose draws may redraw.
+    """
+    words = _DRAW_WORDS
+    gens = _pcg64_from_state()(_seed_states(seed, trials))
+    k, width = len(gens), 2 * words
+    raw = np.concatenate([gen.random_raw(words) for gen in gens]).astype("<u8", copy=False)
+    halves = raw.view("<u4").reshape(k, width)
+    take = 0 if q & (q - 1) else min(size, width)
+    values = np.empty((k, size), np.int64)
+    values[:, :take] = halves[:, :take] >> 33 - q.bit_length()
+    # Each stream's halves past its values, as ints off a flat view of the
+    # array: a memoryview yields an int per native uint32 as it is read.
+    flat = memoryview(halves.astype(np.uint32, copy=False).reshape(-1))
+    streams = [
+        _Draws(itertools.chain(flat[a + take:a + width], _raw_halves(gen)))
+        for a, gen in zip(range(0, k * width, width), gens)
+    ]
+    if take < size:
+        for row, stream in zip(values, streams):
+            row[take:] = stream.integers(q, size - take)
+    return values, streams
+
+
+def _raw_halves(gen) -> Iterator[int]:
+    """The 32-bit halves of the raw words ``gen`` gives from here on, the
+    low then the high half of each, read ``_DRAW_WORDS`` words at a time;
+    nothing is read before the first half is asked for."""
+    while True:
+        yield from gen.random_raw(_DRAW_WORDS).astype("<u8", copy=False).view("<u4").tolist()
+
+
+class _Draws:
+    """The draws of ``numpy.random.default_rng([seed, trial])``, read off
+    its raw PCG64 words as Python ints.
+
+    :func:`_draw_chunk` seeds the streams of a range of trials at once:
+    numpy's ``SeedSequence`` hash of [seed, trial] redone for all of them
+    (see :func:`_seed_states`), each trial's words handed to a PCG64 of its
+    own.  The Generator's bounded integers below 2**32 read the bit
+    generator's 32-bit stream, the low then the high half of each 64-bit
+    word, a half left over by one call going to the next; :meth:`integers`
+    and :meth:`choice` return what ``integers(0, q, size=k)`` and
+    ``choice(n, size=k, replace=False)`` return when called in the same
+    order (the tests pin this).  Words are read ahead of use; nothing else
+    draws from the bit generator, so that changes no value.
+    """
+
+    __slots__ = ("_halves",)
+
+    def __init__(self, halves: Iterator[int]):
+        self._halves = halves
+
+    def integers(self, q: int, k: int) -> list[int]:
+        """``integers(0, q, size=k)`` for 2 <= q <= 2**32, by Lemire's
+        method (see :meth:`_below`)."""
+        if not q & (q - 1):
+            # 2**32 mod q is 0, so no redraw; (u q) >> 32 is the top bits.
+            shift = 33 - q.bit_length()
+            return [u >> shift for u in itertools.islice(self._halves, k)]
+        below = self._below
+        return [below(q) for _ in range(k)]
+
+    def rows(self, q: int, nrows: int, ncols: int) -> list[tuple[int, ...]]:
+        """``integers(0, q, size=(nrows, ncols))`` as entry rows, ncols >= 1:
+        numpy fills a shaped draw in row-major order."""
+        return list(zip(*[iter(self.integers(q, nrows * ncols))] * ncols))
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """``choice(n, size=k, replace=False)`` for 0 <= k <= n <= 2**32."""
+        below = self._below
+        if n > 10_000 and k > n // 50:
+            # numpy's tail shuffle: Fisher-Yates over range(n), down to the
+            # first of the last k places, which it returns.
+            pool = list(range(n))
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = below(i + 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[n - k:]
+        # Floyd's algorithm (no draw on [0, 0]; a repeat takes j itself),
+        # then numpy's Fisher-Yates shuffle of the picks.
+        picks: list[int] = []
+        seen = set()
+        for j in range(n - k, n):
+            x = below(j + 1) if j else 0
+            if x in seen:
+                x = j
+            seen.add(x)
+            picks.append(x)
+        for i in range(k - 1, 0, -1):
+            j = below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def _below(self, q: int) -> int:
+        """One ``integers(0, q)`` for 2 <= q <= 2**32: (u q) >> 32, with u
+        redrawn while (u q) mod 2**32 < 2**32 mod q."""
+        halves, floor = self._halves, (1 << 32) % q
+        m = next(halves) * q
+        while m & 0xFFFFFFFF < floor:
+            m = next(halves) * q
+        return m >> 32

@@ -40,7 +40,6 @@ from iccsi.decoders import (
 )
 from iccsi.galois import (
     Matrix,
-    _Draws,
     hstack,
     mat_rank,
     mat_rref,
@@ -53,6 +52,7 @@ from iccsi.harness import (
     SimConfig,
     SimReport,
     UserTally,
+    _draw_chunk,
     _hamming_error,
     run_simulation,
 )
@@ -283,7 +283,7 @@ def test_row_format_matches_matrix(p, e):
     pack = f._fmt.pack
     assert f._fmt.to_rows([(0, 0, 0)]) == [f._fmt.zero(3)]
     for seed in range(10):
-        [a], b = _Draws.chunk(seed, range(1)), np.random.default_rng([seed, 0])
+        [a], b = _draw_chunk(seed, range(1), 2, 0)[1], np.random.default_rng([seed, 0])
         A, B = random_matrix(b, f, 4, 5), random_matrix(b, f, 5, 3)
         rows = f._fmt.to_rows(B.rows)
         assert rows == list(map(pack, B.rows))

@@ -12,8 +12,8 @@ pairs of its RREF rows do, for every e from 1 to 9 and over GF(3), GF(5)
 and GF(9), on seeded rows of every width from 0 to 19, so both sides of
 each table chunk are crossed.  The block readers, which treat a row as
 blocks of equal size, are checked block by block for e from 1 to 5 and on
-tuples, with blocks of 1 to 5 entries, and so are the wide rows that
-``_rows_of_blocks`` forms from flat draws.
+tuples, with blocks of 1 to 5 entries, and so are the wide rows of a
+chunk's X that the harness forms from its trials' draws.
 """
 
 import itertools
@@ -29,10 +29,10 @@ from iccsi.galois import (
     _row_block_bits,
     _row_rank,
     _row_weight,
-    _rows_of_blocks,
     _TupleRows,
     field_new,
 )
+from iccsi.harness import _chunk_X
 
 CASES = [(2, e) for e in range(1, 10)] + [(3, 1), (5, 1), (3, 2)]
 WIDTHS = range(20)
@@ -243,18 +243,15 @@ def test_block_mask_and_keep(p, e):
 
 @pytest.mark.parametrize("p,e", BLOCK_CASES)
 def test_rows_of_blocks(p, e):
-    # Block k of row r is row r of the k-th flat draw, read row-major.
+    # A chunk's X: block k of row r is row r of trial k's shaped draw.
     f = field_of(p, e)
-    rng = np.random.default_rng([p, e, 7])
     for nrows, ncols, count in itertools.product((1, 2, 5), (1, 3, 4), (1, 2, 7)):
-        flats = [rng.integers(0, f.q, size=nrows * ncols).tolist() for _ in range(count)]
-        got = _rows_of_blocks(f, flats, nrows, ncols)
-        unpack = f._fmt.unpacker(ncols * count)
-        want = [
-            tuple(x for flat in flats for x in flat[r * ncols:(r + 1) * ncols])
-            for r in range(nrows)
-        ]
-        assert list(map(unpack, got)) == want
+        trials = range(5, 5 + count)
+        X, streams = _chunk_X(f, 7, trials, nrows, ncols)
+        draws = [np.random.default_rng([7, k]).integers(0, f.q, (nrows, ncols)) for k in trials]
+        want = [tuple(x for d in draws for x in d[r].tolist()) for r in range(nrows)]
+        assert list(map(f._fmt.unpacker(ncols * count), X)) == want
+        assert len(streams) == count
 
 
 @pytest.mark.parametrize("p,e", CASES)

@@ -1,18 +1,25 @@
 """The trial streams read off raw PCG64 words against numpy's Generator.
 
-The stream of trial ``trial`` in ``galois._Draws.chunk(seed, trials)`` must
-return exactly what ``np.random.default_rng([seed, trial])`` returns for the same calls in the
+The stream of trial ``trial`` that ``harness._draw_chunk(seed, trials,
+...)`` hands out must return exactly what
+``np.random.default_rng([seed, trial])`` returns for the same calls in the
 same order: ``integers(0, q, size=k)`` (Lemire's method on the buffered
 32-bit stream, a half left over carried to the next call) and
 ``choice(n, size=k, replace=False)`` (Floyd's algorithm and a shuffle, or a
 tail shuffle for large n).  Every simulation digest rests on this.
 
 The streams are seeded without numpy's ``SeedSequence``:
-``galois._seed_hash`` redoes its hash for many entropies at once, one in
-each 64-bit lane of Python ints, and ``_Draws.chunk`` hands each stream's
+``harness._seed_hash`` redoes its hash for many entropies at once, one in
+each 64-bit lane of Python ints, and ``_draw_chunk`` hands each stream's
 words to a PCG64 of its own; a single stream is a chunk of one.  The hash,
 chunks of every size, a chunk across 2**32 (where a trial's entropy grows a
 word) and streams read in turn are pinned here.
+
+``_draw_chunk`` also draws every trial's first values, a trial's X, for a
+power-of-two q in one numpy pass over the chunk's raw words, and hands
+each trial its stream after them; those values and the draws that follow
+them are pinned too, for moduli with and without redraws, values past the raw
+words read ahead and any read-ahead size.
 """
 
 import numpy as np
@@ -21,16 +28,29 @@ from conftest import build
 
 from iccsi import field_new
 from iccsi.codec import HAMMING, RANK, coset_encoder
-from iccsi import galois
-from iccsi.galois import _Draws, _lanes, _seed_hash, _seed_words
-from iccsi.harness import SimConfig, run_simulation
+from iccsi import harness
+from iccsi.harness import (
+    SimConfig,
+    _draw_chunk,
+    _pcg64_from_state,
+    _seed_hash,
+    _seed_states,
+    _seed_words,
+    run_simulation,
+)
+from iccsi.harness import _u64_int as _lanes
 
 MODULI = (2, 3, 4, 5, 7, 8, 9, 16, 256, 65536)
 SEEDS = (0, 1, 2**32 - 1, 2**32 + 3, 10**15)
 
 
+def chunk(seed, trials):
+    # The streams of a chunk of trials with no values drawn first.
+    return _draw_chunk(seed, trials, 2, 0)[1]
+
+
 def pair(seed, trial):
-    [ours] = _Draws.chunk(seed, range(trial, trial + 1))
+    [ours] = chunk(seed, range(trial, trial + 1))
     return ours, np.random.default_rng([seed, trial])
 
 
@@ -90,7 +110,7 @@ def test_rows_match_a_shaped_draw():
 
 @pytest.mark.parametrize("words", [1, 2, 3, 64])
 def test_block_size_changes_no_value(words, monkeypatch):
-    monkeypatch.setattr(galois, "_DRAW_WORDS", words)
+    monkeypatch.setattr(harness, "_DRAW_WORDS", words)
     ours, ref = pair(1, 2)
     for q in MODULI:
         assert ours.integers(q, 13) == ref.integers(0, q, size=13).tolist()
@@ -102,7 +122,7 @@ def test_negative_seed_refused_like_numpy(seed, trial):
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng([seed, trial])
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        _Draws.chunk(seed, range(trial, trial + 1))
+        chunk(seed, range(trial, trial + 1))
 
 
 @pytest.mark.parametrize("metric", [HAMMING, RANK])
@@ -142,7 +162,7 @@ def test_seed_hash_of_seed_and_trial_words(seed):
 
 
 def assert_chunk_matches(seed, trials, reads=((2, 9), (65536, 3), (7, 40))):
-    streams = _Draws.chunk(seed, trials)
+    streams = chunk(seed, trials)
     assert len(streams) == len(trials)
     for trial, ours in zip(trials, streams):
         ref = np.random.default_rng([seed, trial])
@@ -178,8 +198,8 @@ def test_streams_of_a_chunk_read_in_turn(seed, words, monkeypatch):
     # Two streams read alternately past their first blocks must each keep
     # their own position.  Streams sharing one generator, each setting its
     # state only on its first read, hand one stream the other's words.
-    monkeypatch.setattr(galois, "_DRAW_WORDS", words)
-    ours = _Draws.chunk(seed, range(6, 8))
+    monkeypatch.setattr(harness, "_DRAW_WORDS", words)
+    ours = chunk(seed, range(6, 8))
     refs = [np.random.default_rng([seed, 6]), np.random.default_rng([seed, 7])]
     # A long run first, so the two streams stand 500 words apart.
     assert ours[0].integers(65536, 1000) == refs[0].integers(0, 65536, size=1000).tolist()
@@ -189,3 +209,65 @@ def test_streams_of_a_chunk_read_in_turn(seed, words, monkeypatch):
             assert a.integers(q, 23) == b.integers(0, q, size=23).tolist()
         k = step % 2
         assert ours[k].choice(12, 5) == refs[k].choice(12, size=5, replace=False).tolist()
+
+
+def test_strided_state_rows_seed_as_numpy():
+    # numpy reads the seed words through a raw pointer: the rows of an
+    # F-ordered state array, strided, must still seed each PCG64 from
+    # their own words.
+    trials = range(3, 9)
+    states = _seed_states(5, trials)
+    assert states.flags.c_contiguous and states.dtype == np.uint64
+    strided = np.asfortranarray(states)
+    pcg64s = _pcg64_from_state()
+    for trial, row, gen in zip(trials, strided, pcg64s(strided)):
+        assert not row.flags.c_contiguous
+        [alone] = pcg64s(row[None])
+        ref = np.random.default_rng([5, trial]).bit_generator.random_raw(8).tolist()
+        assert gen.random_raw(8).tolist() == ref
+        assert alone.random_raw(8).tolist() == ref
+
+
+# 2**32 mod q is 2**30 for 3 * 2**30, so a quarter of the halves are
+# redrawn, and few rows hold all their values; 2**32 reads halves as they are.
+CHUNK_MODULI = MODULI + (65175, 3 << 30, 1 << 32)
+SHAPES = [(1, 1), (3, 5), (8, 4), (5, 30)]
+
+
+def assert_chunk_draw(seed, trials, q, shapes=SHAPES):
+    for n, t in shapes:
+        values, streams = _draw_chunk(seed, trials, q, n * t)
+        assert values.shape == (len(trials), n * t) and len(streams) == len(trials)
+        for trial, row, ours in zip(trials, values, streams):
+            ref = np.random.default_rng([seed, trial])
+            assert row.reshape(n, t).tolist() == ref.integers(0, q, size=(n, t)).tolist()
+            assert ours.integers(q, 9) == ref.integers(0, q, size=9).tolist()
+            assert ours.choice(12, 4) == ref.choice(12, size=4, replace=False).tolist()
+            assert ours.integers(7, 3) == ref.integers(0, 7, size=3).tolist()
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 32])
+@pytest.mark.parametrize("q", CHUNK_MODULI)
+def test_chunk_draw_matches_numpy(q, words, monkeypatch):
+    # 5 x 30 values are more than the 64 halves read ahead; with 1 to 3
+    # words read ahead, most shapes are.
+    monkeypatch.setattr(harness, "_DRAW_WORDS", words)
+    assert_chunk_draw(1, range(0, 9), q)
+    # Across 2**32 a trial's entropy grows a word.
+    assert_chunk_draw(2**32 + 3, range(2**32 - 3, 2**32 + 3), q)
+
+
+@pytest.mark.parametrize("words", [1, 32])
+def test_chunk_draw_redraws_like_numpy(words, monkeypatch):
+    # For q = 65175 about one half in 66,000 is redrawn.  Of seed 3's
+    # trials 920 to 929, trial 922 redraws its 52nd half and trial 925 its
+    # 21st, in X for some shapes and after it for others; with 64 values
+    # trial 925 reads its last from past the words read ahead.
+    q = 65175
+    for trial, at in [(922, 51), (925, 20)]:
+        raw = np.random.default_rng([3, trial]).bit_generator.random_raw(32)
+        halves = raw.astype("<u8").view("<u4").astype(np.uint64)
+        assert np.flatnonzero(halves * q % 2**32 < 2**32 % q).tolist() == [at]
+    monkeypatch.setattr(harness, "_DRAW_WORDS", words)
+    assert_chunk_draw(3, range(920, 930), q, [(4, 5), (8, 4), (2, 26), (8, 8), (3, 25)])
+
