@@ -35,14 +35,14 @@ def _check_power(q: int, exponent: int, what: str) -> None:
         )
 
 
-def render_decimal(x: Fraction, sig: int = 4) -> str:
-    """Decimal string of an exact rational at ``sig`` significant figures."""
+def render_decimal(x: Fraction) -> str:
+    """Decimal string of an exact rational at 4 significant figures."""
     if x == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = 4
         d = Decimal(x.numerator) / Decimal(x.denominator)
-    return format(d.normalize(), "f") if -4 <= d.adjusted() < sig + 2 else format(d.normalize(), "e")
+    return format(d.normalize(), "f") if -4 <= d.adjusted() < 6 else format(d.normalize(), "e")
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,13 @@ def hamming_random_ecic_prob(
     N: int,
     delta: int,
     q: int,
-    class_count: int | None = None,
 ) -> BoundReport:
     """Random-matrix success bound for Hamming-metric error correction.
 
     Value 1 - sum_i q^(n-d_i-1) (q-1) V_q(N, 2delta) / q^N over the supplied
     users (pass class representatives to use the refined bound).  The verdict
-    is the exact existence condition with d = min d_i and the class count.
+    is the exact existence condition with d = min d_i and one term per
+    supplied user: q^N > len(d_list) q^(n-d-1) (q-1) V_q(N, 2delta).
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -178,18 +178,12 @@ def hamming_random_ecic_prob(
             raise ValueError(f"d_i must satisfy 0 <= d_i < n, got {d}")
     _check_power(q, N, "q^N")
     _check_power(q, n - min(d_list) - 1, "q^(n-d-1)")
-    params = {
-        "d_list": list(d_list), "n": n, "N": N, "delta": delta, "q": q,
-        "class_count": class_count,
-    }
+    params = {"d_list": list(d_list), "n": n, "N": N, "delta": delta, "q": q}
     vol = sphere_vol_hamming(N, 2 * delta, q)
     raw = 1 - sum(
         Fraction(q ** (n - d - 1) * (q - 1) * vol, q**N) for d in d_list
     )
-    if class_count is None:
-        class_count = len(d_list)
-    d_min = min(d_list)
-    verdict = q**N > q ** (n - d_min - 1) * class_count * (q - 1) * vol
+    verdict = q**N > q ** (n - min(d_list) - 1) * len(d_list) * (q - 1) * vol
     return BoundReport.probability("hamming_random_ecic_prob", params, raw, verdict=verdict)
 
 

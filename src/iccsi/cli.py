@@ -9,7 +9,11 @@ decode of a broadcast frame), ``simulate`` (Monte-Carlo noisy broadcasts).
 Exit codes: 0 success, 2 validation error, 3 decode failure, 4 enumeration
 budget exceeded.  ``decode`` checks a frame against the instance and the
 encoder, whenever one is given, before any decoding, so a mismatch exits 2
-whatever the payload holds.
+whatever the payload holds.  So do an encoder file with a malformed
+certificate and, for a frame with shared L V_S, an encoder that does not
+serve the user.
+``encode`` prints a certificate it builds as ``certificate: <pass|FAIL>
+delta=... metric=... trials=...``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .galois import MAX_FIELD_ORDER, Matrix, _prime_factors
 from .harness import SimConfig, run_simulation
 from .instance import BudgetExceeded, InstanceError, _parse_json, load_instance
 from .minrank import alpha as alpha_search
-from .minrank import min_rank
+from .minrank import min_rank, realizes_ic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -377,10 +381,7 @@ def _cmd_encode(args) -> int:
     cert = enc.certificate
     if cert is not None:
         state = "pass" if cert.passed else "FAIL"
-        print(
-            f"certificate: {state} delta={cert.delta} metric={cert.metric} "
-            f"mode={cert.mode} trials={cert.trials}"
-        )
+        print(f"certificate: {state} delta={cert.delta} metric={cert.metric} trials={cert.trials}")
     if args.out:
         save_encoder(enc, args.out)
     else:
@@ -422,6 +423,10 @@ def _cmd_decode(args) -> int:
     if ell != _payload_width(inst, shared) or (enc is not None and enc.N != N):
         against = "the instance" if enc is None else "the encoder and instance"
         raise InstanceError(f"frame layout does not match {against}")
+    # A shared frame is decoded through the encoder's L V_S, so an encoder
+    # that does not serve the user is bad input, at any pad.
+    if shared and not realizes_ic(enc.L, inst)[args.user]:
+        raise InstanceError(f"user {args.user}: the encoder does not realize the instance")
     if v == 0:
         delta = args.delta
         if delta is None:

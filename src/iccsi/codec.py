@@ -70,9 +70,7 @@ class EcicCertificate:
     of supports tested for users past the walk's budget, and in the rank
     metric the number of users tested: ``trials`` < m there means that the
     other users are vacuous, with no confusable of rank 2 delta + 1.  Every
-    check is exact, so ``mode`` is always "exhaustive"; encoder files
-    written when the Hamming check could sample may still say "sampled",
-    and still load.
+    check is exact.
 
     A Hamming certificate that passes means that every user corrects every
     error of Hamming weight <= delta.  A rank certificate certifies less:
@@ -87,7 +85,6 @@ class EcicCertificate:
 
     delta: int
     metric: str
-    mode: str
     trials: int
     violations: tuple[tuple[int, Matrix], ...]
 
@@ -99,7 +96,6 @@ class EcicCertificate:
         return {
             "delta": self.delta,
             "metric": self.metric,
-            "mode": self.mode,
             "trials": self.trials,
             "violations": [
                 [i, [list(r) for r in z.rows]] for i, z in self.violations
@@ -217,7 +213,7 @@ def random_ic_search(
                 continue
             L = Matrix._trusted(f, L_rows, d_S)
             if delta == 0:
-                cert = EcicCertificate(0, metric, "exhaustive", 0, ())
+                cert = EcicCertificate(0, metric, 0, ())
             else:
                 cert = verify_ecic(L, inst, delta, metric, budget=budget)
                 if not cert.passed:
@@ -279,7 +275,7 @@ def verify_ecic(
                 z = _rank_witness(lvs * K, rk, K, need, inst.t)
                 if z is not None:
                     violations.append((i, z))
-        return EcicCertificate(delta, metric, "exhaustive", trials, tuple(violations))
+        return EcicCertificate(delta, metric, trials, tuple(violations))
     view = one_symbol_view(inst)
     lvs = L * view.V_S
     # Every user's walk appends the L V_S K block, from the rows of (L V_S)^T.
@@ -308,16 +304,15 @@ def verify_ecic(
             if blocks.extra_weight(cols[0]) < need:
                 violations.append((i, blocks.z(cols)))
                 break
-    return EcicCertificate(delta, metric, "exhaustive", trials, tuple(violations))
+    return EcicCertificate(delta, metric, trials, tuple(violations))
 
 
 def _support_check(
-    inst: IccsiInstance, i: int, lvs: Matrix, delta: int, dmap: tuple | None = None
+    inst: IccsiInstance, i: int, lvs: Matrix, delta: int, dmap: tuple
 ) -> tuple[int, Matrix | None]:
     """(supports tested, a violating confusable Z or None) for user i of a
     t = 1 instance, read off its demand map [c; Q] of ``lvs`` = L V_S,
-    ``dmap``, built here when not given (see
-    :func:`~iccsi.decoders._demand_maps`).
+    ``dmap`` (see :func:`~iccsi.decoders._demand_maps`).
 
     Z violates when V^(i) Z = 0, R_i Z != 0 and wt(L V_S Z) <= 2 delta.
     That is [V^(i); L V_S] Z = [0; e] for an e of weight <= 2 delta with
@@ -332,8 +327,6 @@ def _support_check(
     (:func:`_rank_witness`).
     """
     u, f, N = inst.users[i], inst.field, lvs.nrows
-    if dmap is None:
-        dmap = _demand_maps(inst, lvs)[i]
     if not dmap:
         K = u.kernel
         return 0, _rank_witness(lvs * K, u.R * K, K, 1, 1)
@@ -502,11 +495,11 @@ def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
     cert_doc = doc.get("certificate")
     cert = None
     if cert_doc is not None:
+        # Older files hold a "mode" key, which is ignored.
         try:
             cert = EcicCertificate(
                 _as_int(cert_doc["delta"]),
                 cert_doc["metric"],
-                cert_doc["mode"],
                 _as_int(cert_doc["trials"]),
                 tuple(
                     (_as_int(i), Matrix(inst.field, rows, len(rows[0])))
@@ -515,6 +508,15 @@ def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
             )
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed encoder certificate: {exc!r}") from None
+        if min(cert.delta, cert.trials) < 0 or cert.metric not in (HAMMING, RANK):
+            raise ValueError(
+                "malformed encoder certificate: need delta, trials >= 0 and metric hamming "
+                f"or rank, got {cert.delta}, {cert.trials} and {cert.metric!r}"
+            )
+        if not all(0 <= i < inst.m for i, _ in cert.violations):
+            raise ValueError(
+                f"malformed encoder certificate: a violation's user is not in range({inst.m})"
+            )
     return make_encoder(L, inst, doc.get("provenance", "file"), cert)
 
 

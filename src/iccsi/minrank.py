@@ -81,11 +81,7 @@ class MinRankResult:
     coset_size: int
 
 
-def min_rank(
-    inst: IccsiInstance,
-    budget: int | None = None,
-    lower_bound: int = 1,
-) -> MinRankResult:
+def min_rank(inst: IccsiInstance, budget: int | None = None) -> MinRankResult:
     """Exact min-rank by scanning the coset R + (per-user intersections).
 
     Enumerates, for each user, every vector of the intersection of its cached
@@ -105,10 +101,7 @@ def min_rank(
     choice under a later candidate spans a superset of a choice already
     explored.
 
-    ``lower_bound`` stops the search at the first choice, in odometer order,
-    of rank at most ``lower_bound``.  A bound at or below the min-rank
-    changes nothing; a bound above it returns that first choice, which need
-    not be minimal.
+    A choice of rank 1 ends the search, since every request row is nonzero.
 
     The witness is the canonical encoding matrix: rows of the reduced echelon
     basis of the minimizing A + R, re-expressed over V_S.
@@ -166,7 +159,7 @@ def min_rank(
         nonlocal best_rank, best_rows
         best_rows = rows + list(extra)
         best_rank = len(best_rows)
-        return best_rank <= lower_bound
+        return best_rank <= 1
 
     # Depth-first over users from the last down to user 0 so that user 0 is
     # the innermost (fastest) index, matching odometer order.  Adding rows

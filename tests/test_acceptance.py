@@ -115,7 +115,6 @@ def test_c3_realization_criteria_agree(mds_inst):
             by_span = realizes_ic(L, inst)
             cert = verify_ecic(L, inst, 0)
             failed = {j for j, _ in cert.violations}
-            assert cert.mode == "exhaustive"
             assert [i not in failed for i in range(inst.m)] == by_span
             pairs += 1
             for flag in by_span:

@@ -92,8 +92,9 @@ def test_support_check_matches_reference(p, e, t):
         for L in random_encoders(rng, inst, 6, max_len=7):
             lvs = L * view.V_S
             for delta in range(4):
+                dmaps = _demand_maps(view, lvs)
                 for i in range(view.m):
-                    got = _support_check(view, i, lvs, delta)
+                    got = _support_check(view, i, lvs, delta, dmaps[i])
                     assert got == ref_support_check(view, i, lvs, delta)
                     tested, z = got
                     seen["pass" if z is None else "fail" if tested else "unserved"] += 1

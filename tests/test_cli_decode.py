@@ -9,18 +9,21 @@ payload split into L and Y, then the product with the user's map of
 GF(2), GF(3), GF(4), GF(9) and GF(16), for shared and private payloads at
 pads 0-3 and random errors of rank up to the frame's smaller side, with
 encoders that serve the user and some that do not, the exit code and the
-printed demand must be what the row path gives.
+printed demand must be what the row path gives.  An encoder file that does
+not serve the user of a shared frame, or whose certificate is malformed, is
+bad input (exit 2) whatever the frame holds.
 """
 
 import json
 
 import numpy as np
 import pytest
-from conftest import random_matrix
+from conftest import SYN_L, random_matrix
 from test_rank_trial import encoders, random_instance
 
-from iccsi import field_new, save_encoder, save_instance
+from iccsi import field_new, make_encoder, save_encoder, save_instance
 from iccsi.cli import main
+from iccsi.codec import encoder_to_dict
 from iccsi.decoders import (
     FLAG_LVS_SHARED,
     SYNDROME_NOT_FOUND,
@@ -47,6 +50,10 @@ LAYOUTS = [(True, 0), (True, 1), (True, 2), (True, 3), (False, 1), (False, 2), (
 def row_path(inst, enc, i, received, lam, v, ell, shared):
     """(exit code, demand entries or None, stderr text) of the row path."""
     f, t = inst.field, inst.t
+    # A shared frame is decoded through the encoder's L V_S, so an encoder
+    # that does not serve the user is bad input, at any pad.
+    if shared and not _demand_maps(inst, enc.lvs)[i]:
+        return 2, None, "does not realize"
     trapped = _trap_rows(f, f._fmt.to_rows(received.rows), v, ell)
     if trapped is None:
         return 3, None, TRAP_FAILURE_DETECTED
@@ -60,9 +67,6 @@ def row_path(inst, enc, i, received, lam, v, ell, shared):
         Y = list(map(f._fmt.block(d_S, ell, ell), Y))
     dmap = _demand_maps(inst, lvs)[i]
     if not dmap:
-        # At v = 0 an encoder that does not serve the user is bad input.
-        if v == 0:
-            return 2, None, "does not realize"
         return 3, None, f"decode failed: user {i}: request not in the decoded span"
     out = f._fmt.mul(dmap, f._fmt.to_rows(lam.rows) + Y, t)
     if all(r == f._fmt.zero(t) for r in out[1:]):
@@ -118,3 +122,56 @@ def test_cli_decode_matches_row_path(p, e, tmp_path, capsys):
     # Every outcome shows up in the sweep.
     assert seen == {"", TRAP_FAILURE_DETECTED, "decode failed", SYNDROME_NOT_FOUND,
                     "does not realize"}
+
+
+def decode_argv(tmp_path, inst, enc_doc, i, received, v, ell, shared, lam):
+    """``iccsi decode`` arguments for user i, the encoder file ``enc_doc``
+    and the frame ``received``, all written to tmp_path."""
+    inst_path, enc_path = tmp_path / "inst.json", tmp_path / "enc.json"
+    frame, side = tmp_path / "y.bin", tmp_path / "side.json"
+    save_instance(inst, inst_path)
+    enc_path.write_text(json.dumps(enc_doc))
+    with open(frame, "wb") as fh:
+        write_frame(fh, received, v=v, ell=ell, flags=FLAG_LVS_SHARED if shared else 0)
+    side.write_text(json.dumps([list(row) for row in lam.rows]))
+    return ["decode", "--frame", str(frame), "--instance", str(inst_path),
+            "--encoder", str(enc_path), "--user", str(i), "--side", str(side)]
+
+
+def test_cli_decode_refuses_malformed_certificate(syn_inst, tmp_path, capsys):
+    # At v = 0 the certificate's delta is the syndrome search's radius: a
+    # negative one is bad input, not a decode failure.
+    f = syn_inst.field
+    enc = make_encoder(Matrix(f, SYN_L), syn_inst, "coset")
+    X = Matrix(f, [[1], [0], [1], [1]], 1)
+    doc = encoder_to_dict(enc)
+    doc["certificate"] = {
+        "delta": -3, "metric": "hamming", "mode": "exhaustive", "trials": 0, "violations": []
+    }
+    argv = decode_argv(tmp_path, syn_inst, doc, 0, enc.lvs * X, 0, 1, True,
+                       syn_inst.users[0].V * X)
+    assert main(argv) == 2
+    assert "malformed encoder certificate" in capsys.readouterr().err
+    doc["certificate"].update(delta=1, mode="sampled")
+    (tmp_path / "enc.json").write_text(json.dumps(doc))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "demand: 1\n"
+
+
+def test_cli_decode_shared_frame_for_unserved_user_exits_2(syn_inst, tmp_path, capsys):
+    # L = [1 1 0 0] serves users 0, 1 and 3 but not user 2.  A shared frame
+    # is decoded through the encoder's L V_S, so at every pad and whatever
+    # the payload holds, user 2's frame is bad input.
+    f = syn_inst.field
+    enc = make_encoder(Matrix(f, [[1, 1, 0, 0]]), syn_inst, "manual")
+    rng = np.random.default_rng(37)
+    X = Matrix(f, [[0], [1], [1], [0]], 1)
+    lam = syn_inst.users[2].V * X
+    for v in range(4):
+        for rank in (0, 1, 2):
+            W = random_matrix(rng, f, v + 1, rank) * random_matrix(rng, f, rank, v + 1)
+            received = trap_pad(enc.lvs * X, v) + W
+            argv = decode_argv(tmp_path, syn_inst, encoder_to_dict(enc), 2, received, v, 1,
+                               True, lam)
+            assert main(argv) == 2, (v, rank)
+            assert "does not realize" in capsys.readouterr().err

@@ -72,7 +72,6 @@ def test_verify_hamming_delta1_walkthrough(syn_inst):
     cert = verify_ecic(L, syn_inst, 1)
     assert cert.passed
     assert cert.metric == HAMMING
-    assert cert.mode == "exhaustive"
     assert cert.delta == 1
     # the certificate really checked something
     assert cert.trials > 0
@@ -334,3 +333,39 @@ def test_encoder_from_dict_rejects_wrong_width(syn_inst):
     doc = {"N": 1, "L": [[1, 0]], "provenance": "coset", "certificate": None}
     with pytest.raises(ValueError):
         encoder_from_dict(doc, syn_inst)
+
+
+def certified_doc(inst, **changes):
+    """The dict form of SYN_L with its delta = 1 certificate, whose fields
+    ``changes`` replaces."""
+    L = Matrix(F2, SYN_L)
+    enc = make_encoder(L, inst, "coset", verify_ecic(L, inst, 1))
+    doc = encoder_to_dict(enc)
+    doc["certificate"].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"delta": -3}, "got -3, "),
+        ({"metric": "foo"}, "and 'foo'"),
+        ({"trials": -1}, ", -1 and"),
+        ({"violations": [[99, [[0], [0], [0], [0]]]]}, r"user is not in range\(4\)"),
+        ({"violations": [[-1, [[0], [0], [0], [0]]]]}, r"user is not in range\(4\)"),
+    ],
+)
+def test_encoder_from_dict_refuses_malformed_certificate(syn_inst, changes, message):
+    with pytest.raises(ValueError, match="malformed encoder certificate: .*" + message):
+        encoder_from_dict(certified_doc(syn_inst, **changes), syn_inst)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_encoder_from_dict_ignores_mode(syn_inst, mode):
+    # Files written while certificates carried a mode still load, and the
+    # mode is dropped.
+    doc = certified_doc(syn_inst, mode=mode)
+    enc = encoder_from_dict(doc, syn_inst)
+    assert enc.certificate.passed
+    del doc["certificate"]["mode"]
+    assert encoder_to_dict(enc) == doc

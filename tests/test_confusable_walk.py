@@ -29,6 +29,7 @@ from iccsi import (
     verify_ecic,
 )
 from iccsi.codec import HAMMING, RANK, EcicCertificate, _support_check, random_ic_search
+from iccsi.decoders import _demand_maps
 from iccsi.galois import null_space, rank_weight, solve_left, vstack, weight
 from iccsi.instance import DEFAULT_BUDGET, iter_confusable, one_symbol_view
 
@@ -95,7 +96,7 @@ def ref_verify_ecic(L, inst, delta, metric, budget=DEFAULT_BUDGET):
             if weight(lvs * z, metric) < need:
                 violations.append((i, z))
                 break
-    return EcicCertificate(delta, metric, "exhaustive", trials, tuple(violations))
+    return EcicCertificate(delta, metric, trials, tuple(violations))
 
 
 def count_tested_users(inst, delta):
@@ -119,7 +120,7 @@ def assert_rank_certificate(cert, L, inst, delta):
     rank(Z) >= 2 delta + 1 and rank(L V_S Z) <= 2 delta), and no budget
     changes it or raises BudgetExceeded.
     """
-    assert (cert.delta, cert.metric, cert.mode) == (delta, RANK, "exhaustive")
+    assert (cert.delta, cert.metric) == (delta, RANK)
     assert cert.trials == count_tested_users(inst, delta)
     lvs = L * inst.V_S
     for i, z in cert.violations:
@@ -170,7 +171,7 @@ def assert_hamming_budget_edge(L, inst, delta, budget):
     if not over:
         assert got.to_dict() == want.to_dict()
         return
-    assert (got.passed, got.mode) == (want.passed, "exhaustive")
+    assert got.passed == want.passed
     assert failing_users(got) == failing_users(want)
     walked = dict(want.violations)
     for i, z in got.violations:
@@ -302,8 +303,9 @@ def test_support_check_matches_walk(p, e, t):
             for delta in (0, 1, 2):
                 failing = failing_users(ref_verify_ecic(L, inst, delta, HAMMING))
                 supports = comb(L.nrows, min(2 * delta, L.nrows))
+                dmaps = _demand_maps(view, lvs)
                 for i in range(view.m):
-                    tested, z = _support_check(view, i, lvs, delta)
+                    tested, z = _support_check(view, i, lvs, delta, dmaps[i])
                     verdicts.add(z is None)
                     assert (z is None) == (i not in failing)
                     if z is None:

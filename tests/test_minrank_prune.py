@@ -4,8 +4,7 @@
 ``min_rank`` replaced: it descends to every leaf that can still beat the
 best rank and records the choice tuple of each improving leaf.  The search
 in ``iccsi.minrank`` must return the identical result (kappa, witness and
-coset size) on every instance and every ``lower_bound``, including bounds
-above the min-rank, where both stop at the same non-minimal choice.
+coset size) on every instance.
 
 Instances are built valid by construction over GF(2), GF(3), GF(4), GF(5)
 and GF(9): partial sender spaces, users caching nothing (a single, forced
@@ -35,10 +34,10 @@ MAX_N = {2: 5, 3: 4, 4: 3, 5: 3, 9: 3}
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def _reference_min_rank(inst, lower_bound=1) -> MinRankResult:
+def _reference_min_rank(inst) -> MinRankResult:
     """The walk over choice indices, with user 0 fastest: every candidate of
     every user is inserted, and a branch stops only once its rank cannot
-    beat the best."""
+    beat the best, or once a choice of rank 1 is found."""
     f, m, n = inst.field, inst.m, inst.n
     cands = [
         f._fmt.mul(((1,) + c for c in iter_vectors(f, len(g) - 1)), g, n)
@@ -63,7 +62,7 @@ def _reference_min_rank(inst, lower_bound=1) -> MinRankResult:
         if k < 0:
             best_rank = len(pivrows)
             best_choice = tuple(choice)
-            return best_rank <= lower_bound
+            return best_rank <= 1
         user = free[k]
         for idx, row in enumerate(cands[user]):
             if len(pivrows) >= best_rank:
@@ -128,21 +127,18 @@ def instances(draw):
 @PROPERTY
 @given(instances())
 def test_min_rank_matches_reference_walk(inst):
+    # The reference walk takes no budget, and a coset may exceed the default.
     ref = _reference_min_rank(inst)
-    assert min_rank(inst) == ref
-    for lower_bound in range(1, ref.kappa + 2):
-        assert min_rank(inst, lower_bound=lower_bound) == _reference_min_rank(inst, lower_bound)
+    assert min_rank(inst, budget=ref.coset_size) == ref
 
 
-def test_lower_bound_above_min_rank_returns_first_choice_at_most_it():
+def test_min_rank_goes_past_a_first_choice_above_the_minimum():
     # User 0 caches nothing and requests e_1 + e_2; user 1 caches e_2 and
     # requests e_1, so it picks e_1 first and then e_1 + e_2.  The first
-    # choice has rank 2 and the second the min-rank 1; a bound of 2 stops at
-    # the first.
+    # choice has rank 2 and the second the min-rank 1, which the search
+    # must reach.
     f = field_new(2)
     inst = make_instance(f, 1, 2, [[1, 0], [0, 1]], [([], [1, 1]), ([[0, 1]], [1, 0])])
     exact = min_rank(inst)
     assert (exact.kappa, exact.witness.rows) == (1, ((1, 1),))
-    loose = min_rank(inst, lower_bound=2)
-    assert (loose.kappa, loose.witness.rows) == (2, ((1, 0), (0, 1)))
-    assert loose == _reference_min_rank(inst, 2)
+    assert exact == _reference_min_rank(inst)

@@ -51,7 +51,7 @@ from iccsi.minrank import AlphaResult, MinRankResult
 F2 = field_new(2, 1)
 
 
-def ref_min_rank(inst, budget=DEFAULT_BUDGET, lower_bound=1):
+def ref_min_rank(inst, budget=DEFAULT_BUDGET):
     """The tuple min-rank DFS: the first minimal coset choice in odometer order."""
     f = inst.field
     per_user_rows = []
@@ -77,7 +77,7 @@ def ref_min_rank(inst, budget=DEFAULT_BUDGET, lower_bound=1):
             return False
         if user < 0:
             best[0], best[1] = len(pivrows), tuple(choice)
-            return best[0] <= lower_bound
+            return best[0] <= 1
         for idx, row in enumerate(per_user_rows[user]):
             choice[user] = idx
             pair = insert(pivrows, row)
@@ -213,12 +213,9 @@ def test_alpha_matches_reference(n, t, seed):
 def test_min_rank_matches_reference(n, t, seed):
     rng = np.random.default_rng([n, t, seed, 2])
     inst = gf2_instance(rng, n, t, K_MAX[t])
-    for lower in (1, 2):
-        got = min_rank(inst, lower_bound=lower)
-        ref = ref_min_rank(inst, lower_bound=lower)
-        assert (got.kappa, got.witness, got.coset_size) == (
-            ref.kappa, ref.witness, ref.coset_size
-        )
+    got = min_rank(inst)
+    ref = ref_min_rank(inst)
+    assert (got.kappa, got.witness, got.coset_size) == (ref.kappa, ref.witness, ref.coset_size)
     small = got.coset_size - 1
     assert outcome(min_rank, inst, small) == outcome(ref_min_rank, inst, small)
 

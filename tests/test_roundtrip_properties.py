@@ -98,7 +98,6 @@ def encoders(draw, inst):
         cert = EcicCertificate(
             draw(st.integers(0, 3)),
             metric,
-            draw(st.sampled_from(["exhaustive", "sampled"])),
             draw(st.integers(0, 10**6)),
             tuple((i, draw(matrix_over(f, inst.n, width))) for i in users),
         )
