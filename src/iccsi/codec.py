@@ -517,6 +517,20 @@ def encoder_from_dict(doc: dict, inst: IccsiInstance) -> EncodingMatrix:
             raise ValueError(
                 f"malformed encoder certificate: a violation's user is not in range({inst.m})"
             )
+        # verify_ecic's witnesses: Hamming ones on the one-symbol view.
+        cols = 1 if cert.metric == HAMMING else inst.t
+        for i, z in cert.violations:
+            if z.shape != (inst.n, cols):
+                raise ValueError(
+                    f"malformed encoder certificate: user {i}'s witness is {z.nrows} x "
+                    f"{z.ncols}, expected {inst.n} x {cols} for a {cert.metric} certificate"
+                )
+            u = inst.users[i]
+            if not (u.V * z).is_zero() or (u.R * z).is_zero():
+                raise ValueError(
+                    f"malformed encoder certificate: user {i}'s witness Z is not confusable, "
+                    "need V Z = 0 and R Z != 0"
+                )
     return make_encoder(L, inst, doc.get("provenance", "file"), cert)
 
 

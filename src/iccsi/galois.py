@@ -73,8 +73,12 @@ lanes of e times the block size bits;
 :func:`_row_weight` counts blocks of one entry), :func:`_row_block_bits`
 the mask of each block alone, and ``keep_blocks`` zeroes the blocks
 outside a mask (on lanes one AND).  The record's ``mul`` is the only
-matrix product, ``Matrix.__mul__`` included.  ``Matrix`` and every public
-result stay tuple-based.
+matrix product on rows, ``Matrix.__mul__`` included; :func:`_stack_mul`
+multiplies a stack of small matrices held as one numpy array, in
+characteristic 2, for a chunk of the simulation's rank errors at once,
+by lookups in the log and exp tables as numpy arrays, which a field
+builds on first use.  ``Matrix`` and every public result stay
+tuple-based.
 
 Validation happens once, at the I/O boundary.  The public ``Matrix(...)``
 constructor checks every row length and entry, and it is what parsers, file
@@ -378,6 +382,20 @@ class Field:
             )
             # scaler(a) is then itself one C call, a tuple lookup.
             self.scaler = tuple(row.__getitem__ for row in self._scale_rows).__getitem__
+
+    @functools.cached_property
+    def _log_exp(self) -> tuple:
+        """The log and exp tables as numpy arrays for :func:`_stack_mul`,
+        built on first use: log[0] is 2(q - 1) and exp is zero from there
+        on, so exp[log x + log y] is x y for every x and y."""
+        import numpy as np
+
+        zero = 2 * (self.q - 1)
+        log = np.array(self._log, dtype=np.intp)
+        log[0] = zero
+        exp = np.zeros(2 * zero + 1, dtype=np.int64)
+        exp[:zero] = self._exp * 2
+        return log, exp
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -1148,6 +1166,18 @@ def _row_echelon(field: Field, rows: Iterable, width: int, basis: Iterable = ())
 def _row_rank(field: Field, rows: Iterable, width: int) -> int:
     """Rank of ``width``-wide rows in the row format, by insertion."""
     return len(_row_echelon(field, rows, width))
+
+
+def _stack_mul(field: Field, a, b):
+    """The products a[k] b[k] of a stack of matrices over a field of
+    characteristic 2: numpy integer arrays of elements a (k, m, r) and
+    b (k, r, c) give the (k, m, c) array, each entry the XOR of its r
+    products, looked up in the field's log and exp arrays."""
+    import numpy as np
+
+    log, exp = field._log_exp
+    terms = exp[log[a][:, :, :, None] + log[b][:, None, :, :]]
+    return np.bitwise_xor.reduce(terms, axis=2)
 
 
 def row_basis(m: Matrix) -> Matrix:

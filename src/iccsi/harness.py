@@ -15,21 +15,25 @@ seeds each trial's PCG64 from it, :func:`_draw_chunk` draws every trial's X
 from the chunk's raw words in one numpy pass (for q a power of two), and
 :class:`_Draws` reads the Generator's ``integers`` and ``choice`` off the
 rest of each trial's words, so a trial draws the values a Generator would
-without numpy's per-trial seeding and per-call overhead.
+without numpy's per-trial seeding and per-call overhead.  The first
+attempt at every trial's error comes off the same raw words, right after
+X (:func:`_hamming_errors`, :func:`_rank_errors`), and a trial's
+:class:`_Draws` stream is built only when it must draw past them: when its
+attempt redraws, or when the words read ahead do not hold it.
 
 Trials run in chunks of at most ``_TRIAL_CHUNK``, each drawn at once, and
 both metrics run a chunk through one step, :func:`_trial_chunk`: trial k of
 a chunk holds entries [k t, (k+1) t) of every row (the galois row format),
 so the chunk's X is one array of draws packed into rows (:func:`_chunk_X`),
-one product gives every user's cache and demand, and the tally compares the
-decoded demands block by block; every trial still draws X and then its
-error from its own stream.  Hamming trials share each user's syndrome
-search.  Rank trials trap each payload on its own and decode their demands
-in two ways: one product per user with its demand map of the encoder's
-L V_S, for the trials that trap that L and whose systems the map solves;
-and, for every other decoded block, the demand solve of
-:func:`~iccsi.decoders.solve_demand` against one echelon of that trial's
-[L V_S | Y], which its users share.
+and so are its Hamming errors; one product gives every user's cache and
+demand, and the tally compares the decoded demands block by block.  Every
+trial still draws X and then its error as its own stream would.  Hamming
+trials share each user's syndrome search.  Rank trials trap each payload
+on its own and decode their demands in two ways: one product per user
+with its demand map of the encoder's L V_S, for the trials that trap that
+L and whose systems the map solves; and, for every other decoded block,
+the demand solve of :func:`~iccsi.decoders.solve_demand` against one
+echelon of that trial's [L V_S | Y], which its users share.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +69,15 @@ from .decoders import (
     _trap_rows,
     _user_decoder,
 )
-from .galois import Matrix, _row_block_bits, _row_echelon, _row_rank, hstack, vstack
+from .galois import (
+    Matrix,
+    _row_block_bits,
+    _row_echelon,
+    _row_rank,
+    _stack_mul,
+    hstack,
+    vstack,
+)
 from .instance import IccsiInstance, load_instance
 from .minrank import min_rank
 
@@ -234,18 +246,19 @@ def _chunks(trials: int):
 def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
     """The trials of the range ``trials`` as blocks of one wide row: the
     k-th of them holds entries [k t, (k + 1) t) of every row, so one
-    product serves them all.  Each trial draws X, then its error by
-    ``error(draws)``, from its own stream, as a single trial would.
+    product serves them all.  Each trial draws X, then its error, as its
+    own stream would: ``error(streams)`` gives the chunk's errors, in the
+    form ``decode`` takes, from the :class:`_ChunkStreams` after X.
 
-    ``decode(X, errors, caches)`` gets the chunk's X rows, the trials'
-    errors and each user's cache rows lam = V^(i) X, and yields each
-    user's demand row and the block mask of its detected failures (see
-    :class:`~iccsi.galois._RowFormat`); a block outside the mask
-    succeeds when it equals R_i X.
+    ``decode(X, errors, caches, count)`` gets the chunk's X rows, its
+    errors, each user's cache rows lam = V^(i) X and the number of trials,
+    and yields each user's demand row and the block mask of its detected
+    failures (see :class:`~iccsi.galois._RowFormat`); a block outside the
+    mask succeeds when it equals R_i X.
     """
     f, fmt, t, count = inst.field, inst.field._fmt, inst.t, len(trials)
     X, streams = _chunk_X(f, seed, trials, inst.n, t)
-    errors = list(map(error, streams))
+    errors = error(streams)
     known = fmt.mul(recv, X, t * count)
     caches, wants, start = [], [], 0
     for u in inst.users:
@@ -253,7 +266,7 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
         wants.append(known[start + u.d])
         start += u.d + 1
     nonzero, add, minus_one = fmt.nonzero_blocks(t, count), fmt.add, f.neg(1)
-    for row, want, (demand, missed) in zip(tallies, wants, decode(X, errors, caches)):
+    for row, want, (demand, missed) in zip(tallies, wants, decode(X, errors, caches, count)):
         wrong = nonzero(add(demand, fmt.scale(minus_one, want))) & ~missed
         missed, wrong = missed.bit_count(), wrong.bit_count()
         row[0] += count - missed - wrong
@@ -262,10 +275,10 @@ def _trial_chunk(inst, seed, trials, recv, error, decode, tallies) -> None:
 
 
 def _chunk_X(field, seed: int, trials: range, n: int, t: int) -> tuple:
-    """The X of the chunk ``trials`` and each trial's stream after it: the
-    ``n`` rows in the row format whose block k, entries [k t, (k + 1) t),
-    is row r of trial k's ``integers(0, q, size=(n, t))``, which numpy
-    fills in row-major order."""
+    """The X of the chunk ``trials`` and the trials' :class:`_ChunkStreams`
+    after it: the ``n`` rows in the row format whose block k, entries
+    [k t, (k + 1) t), is row r of trial k's ``integers(0, q, size=(n, t))``,
+    which numpy fills in row-major order."""
     values, streams = _draw_chunk(seed, trials, field.q, n * t)
     entries = values.reshape(len(trials), n, t).transpose(1, 0, 2).ravel()
     return field._fmt.from_flat(entries, t * len(trials)), streams
@@ -293,14 +306,11 @@ def _hamming_setup(cfg, inst, enc) -> tuple:
     ]
     # [L V_S | I] times X stacked over the error is Y.
     send = hstack(enc.lvs, Matrix.identity(f, enc.N)).rows
-    join = fmt.join(t)
 
-    def error(draws):
-        return _hamming_error(draws, f, enc.N, t, cfg.error_weight)
+    def error(streams):
+        return _hamming_errors(streams, f, enc.N, t, cfg.error_weight)
 
-    def decode(X, errors, caches):
-        count = len(errors)
-        E = [functools.reduce(join, rows) for rows in zip(*errors)]
+    def decode(X, E, caches, count):
         Y = fmt.mul(send, X + E, t * count)
         for ctx, lam in zip(decoders, caches):
             yield _decode_rows(ctx, lam + Y, cfg.delta, t, count)
@@ -319,21 +329,94 @@ def _hamming_error(draws: _Draws, field, N: int, t: int, weight: int) -> list:
     return rows
 
 
+def _hamming_errors(streams: _ChunkStreams, field, N: int, t: int, weight: int) -> list:
+    """Each trial's :func:`_hamming_error` from its stream in ``streams``,
+    as the N rows of the chunk's errors in the row format, trial k's row r
+    being block k of row r.
+
+    The first attempt of every trial, ``choice(N, weight)`` and then t
+    values per pick, is read off ``streams.ahead`` at once: Floyd's draws
+    and the shuffle's are Lemire's (see :meth:`_Draws._below`), below fixed
+    bounds.  A trial runs :func:`_hamming_error` on its stream when one of
+    them is redrawn or a pick's values are all zero (either moves every
+    later draw), when numpy's choice takes its tail shuffle, or when the
+    attempt does not fit the halves read ahead.
+    """
+    k, ahead, fmt = len(streams), streams.ahead, field._fmt
+    if weight == 0:
+        return [fmt.zero(t * k)] * N
+    E = np.zeros((N, k, t), np.int64)
+    # Floyd's below j + 1 for j in range(N - weight, N), none for j = 0,
+    # then the shuffle's below i + 1 for i = weight - 1, ..., 1.
+    bounds = [j + 1 for j in range(N - weight, N) if j] + list(range(weight, 1, -1))
+    need = len(bounds) + weight * t
+    tail = N > 10_000 and weight > N // 50
+    first = np.zeros(k, bool)
+    if not tail and need <= ahead.shape[1]:
+        m = ahead[:, :len(bounds)].astype(np.int64) * np.array(bounds, np.int64)
+        first = ((m & _MASK_32) >= [(1 << 32) % b for b in bounds]).all(axis=1)
+        draws = iter((m >> 32).T)
+        picks = np.empty((k, weight), np.int64)
+        for i, j in enumerate(range(N - weight, N)):
+            x = next(draws) if j else np.zeros(k, np.int64)
+            picks[:, i] = np.where((picks[:, :i] == x[:, None]).any(axis=1), j, x)
+        every = np.arange(k)
+        for i in range(weight - 1, 0, -1):
+            j = next(draws)
+            picks[every, i], picks[every, j] = picks[every, j], picks[every, i]
+        values = ahead[:, len(bounds):need].astype(np.int64) >> 33 - field.q.bit_length()
+        values = values.reshape(k, weight, t)
+        first &= values.any(axis=2).all(axis=1)
+        kept = np.flatnonzero(first)
+        E[picks[kept], kept[:, None]] = values[kept]
+    unpack = fmt.unpacker(t)
+    for i in np.flatnonzero(~first):
+        E[:, i] = list(map(unpack, _hamming_error(streams[i], field, N, t, weight)))
+    return fmt.from_flat(E.ravel(), t * k)
+
+
 def _rank_error(draws: _Draws, field, nrows: int, ncols: int, r: int) -> list:
     """Uniform factors a (nrows x r) * b (r x ncols), resampled to rank r,
     as rows in the row format.
 
-    Terminates only for r <= min(nrows, ncols); run_simulation rejects
-    larger ranks before any trial.
+    Terminates only for 1 <= r <= min(nrows, ncols); run_simulation
+    rejects larger ranks before any trial.
     """
     fmt = field._fmt
-    if r == 0:
-        return [fmt.zero(ncols)] * nrows
     while True:
         a = draws.rows(field.q, nrows, r)
         w = fmt.mul(a, fmt.to_rows(draws.rows(field.q, r, ncols)), ncols)
         if _row_rank(field, w, ncols) == r:
             return w
+
+
+def _rank_errors(streams: _ChunkStreams, field, nrows: int, ncols: int, r: int) -> list:
+    """Each trial's :func:`_rank_error` from its stream in ``streams``.
+
+    The first attempt of every trial, its factors a and b, is read off
+    ``streams.ahead`` at once and multiplied in one stacked product
+    (:func:`~iccsi.galois._stack_mul`).  A trial whose product has rank
+    below r, or whose factors do not fit the halves read ahead, runs
+    :func:`_rank_error` on its stream, from that first attempt.
+    """
+    k, ahead, fmt = len(streams), streams.ahead, field._fmt
+    if r == 0:
+        return [[fmt.zero(ncols)] * nrows] * k
+    errors = [None] * k
+    split, need = nrows * r, (nrows + ncols) * r
+    if need <= ahead.shape[1]:
+        values = ahead[:, :need].astype(np.int64) >> 33 - field.q.bit_length()
+        a = values[:, :split].reshape(k, nrows, r)
+        b = values[:, split:].reshape(k, r, ncols)
+        rows = fmt.from_flat(_stack_mul(field, a, b).ravel(), ncols)
+        for i, start in enumerate(range(0, k * nrows, nrows)):
+            w = rows[start:start + nrows]
+            if _row_rank(field, w, ncols) == r:
+                errors[i] = w
+    return [
+        _rank_error(streams[i], field, nrows, ncols, r) if w is None else w
+        for i, w in enumerate(errors)
+    ]
 
 
 def _rank_setup(cfg, inst, enc) -> tuple:
@@ -373,11 +456,10 @@ def _rank_setup(cfg, inst, enc) -> tuple:
     # Per user, the rows of V^(i) and the row [R_i | 0].
     users = [(fmt.to_rows(u.V.rows), join(fmt.pack(u.R.rows[0]), zero)) for u in inst.users]
 
-    def error(draws):
-        return _rank_error(draws, f, v + N, v + ell, cfg.error_weight)
+    def error(streams):
+        return _rank_errors(streams, f, v + N, v + ell, cfg.error_weight)
 
-    def decode(X, errors, caches):
-        count = len(errors)
+    def decode(X, errors, caches, count):
         w = t * count
         blocks = [fmt.block(k * t, (k + 1) * t, w) for k in range(count)]
         bits = _row_block_bits(f, t, count)
@@ -580,15 +662,16 @@ def _pcg64_from_state():
 def _draw_chunk(seed: int, trials: range, q: int, size: int) -> tuple:
     """For every trial of ``trials`` (step 1), ``integers(0, q, size=size)``
     of ``numpy.random.default_rng([seed, trial])``, 2 <= q <= 2**32, as one
-    row of a (k, size) int64 array, and the trial's :class:`_Draws` stream
+    row of a (k, size) int64 array, and the trials' :class:`_ChunkStreams`
     after them.
 
     Each trial's PCG64 fills one row of a (k, ``_DRAW_WORDS``) raw-word
     array, read as its 32-bit halves, low first.  For q a power of two a
     value is the top bits of a half (see :meth:`_Draws.integers`), so every
-    row's first values come from it in one shift.  A stream reads its row's
-    halves past those, then its own PCG64, and draws whatever values its
-    row did not give: all of them for any other q, whose draws may redraw.
+    row's first values come from it in one shift, and the halves past them
+    are the streams' ``ahead``.  A stream reads its row's halves past those
+    values, then its own PCG64, and draws whatever values its row did not
+    give: all of them for any other q, whose draws may redraw.
     """
     words = _DRAW_WORDS
     gens = _pcg64_from_state()(_seed_states(seed, trials))
@@ -598,17 +681,45 @@ def _draw_chunk(seed: int, trials: range, q: int, size: int) -> tuple:
     take = 0 if q & (q - 1) else min(size, width)
     values = np.empty((k, size), np.int64)
     values[:, :take] = halves[:, :take] >> 33 - q.bit_length()
-    # Each stream's halves past its values, as ints off a flat view of the
-    # array: a memoryview yields an int per native uint32 as it is read.
-    flat = memoryview(halves.astype(np.uint32, copy=False).reshape(-1))
-    streams = [
-        _Draws(itertools.chain(flat[a + take:a + width], _raw_halves(gen)))
-        for a, gen in zip(range(0, k * width, width), gens)
-    ]
+    # When the array gave every value, the halves past them are the next
+    # draws at fixed places.
+    ahead = halves[:, size:] if take == size and not q & (q - 1) else halves[:, :0]
+    streams = _ChunkStreams(halves, gens, take, ahead)
     if take < size:
         for row, stream in zip(values, streams):
             row[take:] = stream.integers(q, size - take)
     return values, streams
+
+
+class _ChunkStreams(Sequence):
+    """The :class:`_Draws` stream of each trial of a chunk, built on first
+    use: trial k's stream reads row k of the (k, 2 ``_DRAW_WORDS``) array
+    ``halves`` from column ``start`` on, then its PCG64 ``gens[k]``.
+
+    ``ahead`` is a (k, h) uint32 array, row k the first h halves that
+    trial k's stream reads after the chunk draw's values, h = 0 unless q is
+    a power of two and the array gave every value.  The error draws read
+    each trial's first attempt off it, and build a stream only for a trial
+    that must draw past it.
+    """
+
+    __slots__ = ("_halves", "_gens", "_start", "_built", "ahead")
+
+    def __init__(self, halves: np.ndarray, gens: list, start: int, ahead: np.ndarray):
+        self._halves, self._gens, self._start = halves, gens, start
+        self._built = [None] * len(gens)
+        self.ahead = ahead
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k: int) -> _Draws:
+        stream = self._built[k]
+        if stream is None:
+            k = range(len(self))[k]
+            halves = self._halves[k, self._start:].tolist()
+            stream = self._built[k] = _Draws(itertools.chain(halves, _raw_halves(self._gens[k])))
+        return stream
 
 
 def _raw_halves(gen) -> Iterator[int]:
@@ -626,10 +737,11 @@ class _Draws:
     :func:`_draw_chunk` seeds the streams of a range of trials at once:
     numpy's ``SeedSequence`` hash of [seed, trial] redone for all of them
     (see :func:`_seed_states`), each trial's words handed to a PCG64 of its
-    own.  The Generator's bounded integers below 2**32 read the bit
-    generator's 32-bit stream, the low then the high half of each 64-bit
-    word, a half left over by one call going to the next; :meth:`integers`
-    and :meth:`choice` return what ``integers(0, q, size=k)`` and
+    own, and :class:`_ChunkStreams` builds a trial's stream on first use.
+    The Generator's bounded integers below 2**32 read the bit generator's
+    32-bit stream, the low then the high half of each 64-bit word, a half
+    left over by one call going to the next; :meth:`integers` and
+    :meth:`choice` return what ``integers(0, q, size=k)`` and
     ``choice(n, size=k, replace=False)`` return when called in the same
     order (the tests pin this).  Words are read ahead of use; nothing else
     draws from the bit generator, so that changes no value.

@@ -10,8 +10,9 @@ GF(2), GF(3), GF(4), GF(9) and GF(16), for shared and private payloads at
 pads 0-3 and random errors of rank up to the frame's smaller side, with
 encoders that serve the user and some that do not, the exit code and the
 printed demand must be what the row path gives.  An encoder file that does
-not serve the user of a shared frame, or whose certificate is malformed, is
-bad input (exit 2) whatever the frame holds.
+not serve the user of a shared frame, or whose certificate is malformed (a
+witness that is no confusable too), is bad input (exit 2) whatever the
+frame holds.
 """
 
 import json
@@ -156,6 +157,21 @@ def test_cli_decode_refuses_malformed_certificate(syn_inst, tmp_path, capsys):
     (tmp_path / "enc.json").write_text(json.dumps(doc))
     assert main(argv) == 0
     assert capsys.readouterr().out == "demand: 1\n"
+
+
+def test_cli_decode_refuses_witness_not_confusable(syn_inst, tmp_path, capsys):
+    # A violation [2, [[1, 1, 1]]] is no confusable of user 2 (n = 4, t = 1).
+    f = syn_inst.field
+    enc = make_encoder(Matrix(f, SYN_L), syn_inst, "coset")
+    X = Matrix(f, [[1], [0], [1], [1]], 1)
+    doc = encoder_to_dict(enc)
+    doc["certificate"] = {
+        "delta": 1, "metric": "hamming", "trials": 1, "violations": [[2, [[1, 1, 1]]]]
+    }
+    argv = decode_argv(tmp_path, syn_inst, doc, 0, enc.lvs * X, 0, 1, True,
+                       syn_inst.users[0].V * X)
+    assert main(argv) == 2
+    assert "user 2's witness is 1 x 3, expected 4 x 1" in capsys.readouterr().err
 
 
 def test_cli_decode_shared_frame_for_unserved_user_exits_2(syn_inst, tmp_path, capsys):

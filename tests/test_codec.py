@@ -369,3 +369,59 @@ def test_encoder_from_dict_ignores_mode(syn_inst, mode):
     assert enc.certificate.passed
     del doc["certificate"]["mode"]
     assert encoder_to_dict(enc) == doc
+
+
+# syn_inst's user 2 caches x1 and x4 and requests x3.
+CONFUSABLE_2 = [[0], [0], [1], [0]]
+
+
+@pytest.mark.parametrize(
+    "witness,message",
+    [
+        ([[1, 1, 1]], "user 2's witness is 1 x 3, expected 4 x 1 for a hamming"),
+        (CONFUSABLE_2 + [[0]], "is 5 x 1, expected 4 x 1"),
+        ([[0, 0], [0, 0], [1, 0], [0, 0]], "is 4 x 2, expected 4 x 1"),
+        # V Z != 0, then V Z = 0 and R Z = 0.
+        ([[1], [0], [1], [0]], "user 2's witness Z is not confusable"),
+        ([[0], [1], [0], [0]], "user 2's witness Z is not confusable"),
+    ],
+)
+def test_encoder_from_dict_refuses_witness_not_confusable(syn_inst, witness, message):
+    doc = certified_doc(syn_inst, violations=[[2, witness]])
+    with pytest.raises(ValueError, match="malformed encoder certificate: .*" + message):
+        encoder_from_dict(doc, syn_inst)
+    doc["certificate"]["violations"] = [[2, CONFUSABLE_2]]
+    assert not encoder_from_dict(doc, syn_inst).certificate.passed
+
+
+@pytest.mark.parametrize("metric", [HAMMING, RANK])
+def test_witness_width_follows_the_metric(metric):
+    # At t = 3 a Hamming witness is one column (the one-symbol view) and a
+    # rank witness t columns; each width is refused for the other metric.
+    inst = make_instance(F2, 3, 4, ident(4), RANK_USERS)
+    doc = encoder_to_dict(make_encoder(Matrix.identity(F2, 4), inst, "manual"))
+    # User 0 caches x2 and requests x1.
+    z = [[1], [0], [0], [0]] if metric == HAMMING else [[1, 1, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]]
+    doc["certificate"] = {"delta": 1, "metric": metric, "trials": 1, "violations": [[0, z]]}
+    assert encoder_from_dict(doc, inst).certificate.violations[0][1] == Matrix(F2, z)
+    doc["certificate"]["metric"] = RANK if metric == HAMMING else HAMMING
+    width, other = (1, 3) if metric == HAMMING else (3, 1)
+    with pytest.raises(ValueError, match=f"is 4 x {width}, expected 4 x {other} for a"):
+        encoder_from_dict(doc, inst)
+
+
+def test_failing_certificates_still_load(tmp_path):
+    # verify_ecic's own witnesses, written by save_encoder, load back
+    # unchanged in both metrics, at t = 3.
+    rng = np.random.default_rng(38)
+    path, seen = tmp_path / "enc.json", {HAMMING: 0, RANK: 0}
+    for base in random_instances(seed=38, count=30, n_max=5):
+        users = [(u.V.rows, u.R.rows[0]) for u in base.users]
+        inst = make_instance(F2, 3, base.n, ident(base.n), users)
+        L = Matrix(F2, rng.integers(0, 2, size=(base.n + 1, base.n)).tolist())
+        for metric, delta in itertools.product((HAMMING, RANK), (0, 1)):
+            cert = verify_ecic(L, inst, delta, metric)
+            seen[metric] += not cert.passed
+            save_encoder(make_encoder(L, inst, "manual", cert), str(path))
+            assert load_encoder(str(path), inst).certificate == cert
+    assert min(seen.values()) >= 10, seen

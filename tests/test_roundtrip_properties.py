@@ -21,6 +21,7 @@ from iccsi.codec import (
     make_encoder,
 )
 from iccsi.decoders import read_frame, write_frame
+from iccsi.galois import Matrix
 from iccsi.instance import InstanceError, make_instance, parse_instance, serialize_instance
 
 
@@ -84,10 +85,26 @@ def valid_instances(draw, f):
 
 
 @st.composite
+def confusables(draw, u, width):
+    """Z = K C for the kernel basis K of the user's V: V Z = 0, and R Z != 0,
+    as R K != 0 and C gains a unit entry where R K is nonzero when R K C is
+    zero."""
+    K = u.kernel
+    C = draw(matrix_over(u.V.field, K.ncols, width))
+    rk = (u.R * K).rows[0]
+    if (u.R * K * C).is_zero():
+        j = next(j for j, x in enumerate(rk) if x)
+        C = C + Matrix(u.V.field, [[int(r == j and c == 0) for c in range(width)]
+                                   for r in range(K.ncols)], width)
+    return K * C
+
+
+@st.composite
 def encoders(draw, inst):
     """An encoder for inst of length 0-3, with no certificate or with a
     failing one that holds 1-m violations of the shape its metric checks:
-    n x 1 for Hamming (the one-symbol view), n x t for rank."""
+    n x 1 for Hamming (the one-symbol view), n x t for rank, each a
+    confusable of its user."""
     f = inst.field
     L = draw(matrix_over(f, draw(st.integers(0, 3)), inst.d_S))
     cert = None
@@ -99,7 +116,7 @@ def encoders(draw, inst):
             draw(st.integers(0, 3)),
             metric,
             draw(st.integers(0, 10**6)),
-            tuple((i, draw(matrix_over(f, inst.n, width))) for i in users),
+            tuple((i, draw(confusables(inst.users[i], width))) for i in users),
         )
     provenance = draw(st.sampled_from(["coset", "random", "concatenated", "manual"]))
     return make_encoder(L, inst, provenance, cert)
