@@ -91,9 +91,8 @@ def confusables(draw, u, width):
     zero."""
     K = u.kernel
     C = draw(matrix_over(u.V.field, K.ncols, width))
-    rk = (u.R * K).rows[0]
     if (u.R * K * C).is_zero():
-        j = next(j for j, x in enumerate(rk) if x)
+        j = next(j for j, x in enumerate((u.R * K).rows[0]) if x)
         C = C + Matrix(u.V.field, [[int(r == j and c == 0) for c in range(width)]
                                    for r in range(K.ncols)], width)
     return K * C
